@@ -31,7 +31,9 @@ fn main() {
     println!("# SPSC add-buffer partitioning ablation (dotprod, finest blocks, {workers} workers)");
     println!("# {:<28} {:>12}", "configuration", "seconds");
     for nodes in [1, 2, workers] {
-        let cfg = RuntimeConfig::optimized().workers(workers).numa(nodes);
+        let cfg = RuntimeConfig::optimized()
+            .workers(workers)
+            .with_numa_nodes(nodes);
         let t = measure(cfg, opts.scale, opts.reps);
         let what = match nodes {
             1 => "1 buffer (global)".to_string(),
@@ -41,12 +43,16 @@ fn main() {
         println!("  {:<28} {:>12.4}", what, t);
     }
     let t_classic = measure(
-        RuntimeConfig::optimized().workers(workers).numa(2),
+        RuntimeConfig::optimized()
+            .workers(workers)
+            .with_numa_nodes(2),
         opts.scale,
         opts.reps,
     );
     let t_flat = measure(
-        RuntimeConfig::flat_combining().workers(workers).numa(2),
+        RuntimeConfig::flat_combining()
+            .workers(workers)
+            .with_numa_nodes(2),
         opts.scale,
         opts.reps,
     );

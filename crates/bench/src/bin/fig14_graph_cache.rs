@@ -1,12 +1,11 @@
 //! Figure 14 (new experiment): the replay engine's **multi-graph cache**
 //! on phase-alternating iterative bodies.
 //!
-//! PR 1's single-graph engine re-recorded on every structural
-//! divergence, so a body alternating between a few shapes (miniAMR-style
-//! refine/coarsen phases) re-recorded *every* iteration and never
-//! replayed. This harness measures the graph cache against exactly that
-//! baseline — the same runtime with `replay_cache_size = 1`, which is
-//! byte-identical to the old engine — on two phase-alternating bodies:
+//! With room for a single frozen graph, a body alternating between a
+//! few shapes (miniAMR-style refine/coarsen phases) re-records *every*
+//! iteration and never replays. This harness measures the default cache
+//! against exactly that baseline — the same engine with an undersized
+//! cache, `replay_cache_size = 1` — on two phase-alternating bodies:
 //!
 //! * **heat-2phase** — Gauss–Seidel timesteps alternating between two
 //!   block sizes (2 distinct graph shapes);
@@ -120,13 +119,18 @@ fn main() {
     let mut rows: Vec<Row> = Vec::new();
     for preset in RuntimeConfig::ablations() {
         for fast in [false, true] {
+            // Give-up off: the one-entry baseline must keep re-recording
+            // for the whole run (what this figure compares against)
+            // instead of pinning to the dependency system after the
+            // default 8 consecutive misses.
             let mk = |cache_size: usize| {
                 Runtime::new(
                     preset
                         .clone()
                         .workers(workers)
                         .fast_path(fast)
-                        .with_replay_cache_size(cache_size),
+                        .with_replay_cache_size(cache_size)
+                        .with_replay_giveup_after(0),
                 )
             };
 

@@ -16,10 +16,10 @@
 //!    so a drift in either one breaks the comparison.
 //! 2. **Overhead** — turning metrics on (sampled latency histograms,
 //!    ready-timestamp stamping, registry counters) must cost ≤ 5% on
-//!    the fig16 chains workload — fine-granularity tasks where the
-//!    per-task instrumentation is the largest relative cost. Measured
+//!    a chains workload — fine-granularity tasks where the per-task
+//!    instrumentation is the largest relative cost. Measured
 //!    interleaved with alternating within-round order and judged by the
-//!    median of per-round ratios (the fig16 methodology);
+//!    median of per-round ratios;
 //!    `NANOTASK_OBS_TOL` overrides the tolerance (default 1.05).
 //! 3. **Exporters** — the Perfetto `trace.json` export parses as JSON
 //!    and contains ≥ 1 complete task span per worker; the Prometheus
@@ -218,11 +218,6 @@ fn differential_fields(rt: &Runtime, report: &ReplayReport) -> Vec<Field> {
         report.routed_releases,
     );
     push(
-        "nanotask_replay_frontier_rescans_total",
-        c("nanotask_replay_frontier_rescans_total"),
-        report.frontier_rescans,
-    );
-    push(
         "nanotask_replay_heap_ops_total",
         c("nanotask_replay_heap_ops_total"),
         report.heap_ops,
@@ -334,7 +329,7 @@ fn spans_per_tid(doc: &Json) -> Vec<(u64, u64)> {
     out
 }
 
-/// The fig16 chains workload at fine granularity: `chains` independent
+/// The chains workload at fine granularity: `chains` independent
 /// readwrite chains of `len` tiny tasks through `run_iterative`. Returns
 /// per-iteration seconds.
 fn run_chains(rt: &Runtime, chains: usize, len: usize, iters: usize) -> f64 {

@@ -274,7 +274,7 @@ fn watchdog_row() -> Row {
     let rt = Runtime::new(RuntimeConfig::optimized().workers(2).with_watchdog(timeout));
     let t0 = Instant::now();
     let outcome = rt.run_outcome(|ctx| {
-        let _stuck = ctx.spawn_held("stuck", 0, vec![], |_| {});
+        let _stuck = ctx.spawn_held("stuck", 0, vec![], Box::new(|_| {}), None);
     });
     let elapsed = t0.elapsed().as_secs_f64();
 

@@ -75,7 +75,7 @@ pub fn run_figure(
             let cfg = cfg
                 .clone()
                 .workers(workers)
-                .numa(platform.numa_nodes.min(workers));
+                .with_numa_nodes(platform.numa_nodes.min(workers));
             labels.push(cfg.label);
             let rt = Runtime::new(cfg);
             let mut w = workload_by_name(bench, opts.scale)

@@ -74,7 +74,7 @@ pub trait SpawnCapture: Send + Sync {
     fn on_spawned(&self, _id: TaskId) {}
 }
 
-/// Post-body hook of a held task ([`TaskCtx::spawn_held_with_epilogue`]):
+/// Post-body hook of a held task ([`TaskCtx::spawn_held`]):
 /// runs on the executing worker immediately after the task's body
 /// returns, before the completion protocol. This is the replay engine's
 /// steady-state seam — the per-iteration successor-release logic lives
@@ -251,19 +251,17 @@ pub struct RuntimeConfig {
     /// structural hash (`nanotask-replay`'s `GraphCache`). Values > 1
     /// let phase-alternating iterative bodies (miniAMR-style
     /// refine/coarsen cycles) replay every phase instead of re-recording
-    /// on each alternation; 1 reproduces the original single-graph
-    /// engine byte for byte (divergence discards the graph and blindly
-    /// re-records).
+    /// on each alternation; 1 is the same engine with a one-entry cache
+    /// (every shape change evicts and re-records).
     pub replay_cache_size: usize,
     /// After this many *consecutive* iterations that could not replay
     /// (record or divergence), the replay engine pins the body to the
     /// dependency system and stops recording. 0 disables the give-up
-    /// policy. Ignored when `replay_cache_size` is 1.
+    /// policy.
     pub replay_giveup_after: usize,
     /// While pinned, every this-many iterations the engine runs one
     /// cheap hash-only probe (no graph build) to detect that the body
-    /// re-stabilized onto a cached or repeating shape. Ignored when
-    /// `replay_cache_size` is 1.
+    /// re-stabilized onto a cached or repeating shape.
     pub replay_recheck_every: usize,
     /// NUMA-aware replay partitioning: partition every frozen replay
     /// graph across the runtime's NUMA nodes and route each released
@@ -272,18 +270,8 @@ pub struct RuntimeConfig {
     /// Like the zero-queue fast path, this trades strict global queue
     /// ordering (and, under [`crate::sched::Policy::Priority`], strict
     /// priority order) for placement: routed tasks are served FIFO per
-    /// node ahead of the global policy queue. Off by default — every
-    /// path is byte-identical with the knob off.
+    /// node ahead of the global policy queue. Off by default.
     pub replay_partitioning: bool,
-    /// Retained reference data path of the replay engine (the pre-CSR
-    /// "PR 4" steady state): node-by-node counter reset instead of the
-    /// template memcpy, the full-frontier-rescan partitioner instead of
-    /// the score heap (and no eviction-seed reuse), and no
-    /// inline-successor routing composition. Behavior is identical —
-    /// only the per-iteration cost differs. Exists for the differential
-    /// conformance suite and as the `fig16_replay_hotloop` baseline;
-    /// leave off otherwise.
-    pub replay_compat: bool,
     /// Latency histograms (task execution time, ready-queue wait,
     /// release-batch size): sampled clock reads on the hot path when on.
     /// Plain counters are registry-backed and always on regardless —
@@ -340,7 +328,6 @@ impl RuntimeConfig {
             replay_giveup_after: 8,
             replay_recheck_every: 16,
             replay_partitioning: false,
-            replay_compat: false,
             metrics: false,
             metrics_sample: 32,
             flight_every: 0,
@@ -416,12 +403,6 @@ impl RuntimeConfig {
     /// Set total worker count.
     pub fn workers(mut self, n: usize) -> Self {
         self.workers = n.max(1);
-        self
-    }
-
-    /// Set NUMA-node count.
-    pub fn numa(mut self, n: usize) -> Self {
-        self.numa_nodes = n.max(1);
         self
     }
 
@@ -510,8 +491,7 @@ impl RuntimeConfig {
         self
     }
 
-    /// Set the replay engine's frozen-graph cache capacity (min 1;
-    /// 1 = the original single-graph engine with no hysteresis).
+    /// Set the replay engine's frozen-graph cache capacity (min 1).
     pub fn with_replay_cache_size(mut self, n: usize) -> Self {
         self.replay_cache_size = n.max(1);
         self
@@ -539,17 +519,9 @@ impl RuntimeConfig {
         self
     }
 
-    /// Set the NUMA-node count (alias of [`RuntimeConfig::numa`], the
-    /// spelling the partitioning knobs use).
-    pub fn with_numa_nodes(self, n: usize) -> Self {
-        self.numa(n)
-    }
-
-    /// Toggle the replay engine's retained reference data path (see
-    /// [`RuntimeConfig::replay_compat`]; off by default). Differential
-    /// tests and the `fig16_replay_hotloop` baseline only.
-    pub fn with_replay_compat(mut self, on: bool) -> Self {
-        self.replay_compat = on;
+    /// Set the NUMA-node count (min 1).
+    pub fn with_numa_nodes(mut self, n: usize) -> Self {
+        self.numa_nodes = n.max(1);
         self
     }
 
@@ -596,7 +568,7 @@ impl RuntimeConfig {
     /// otherwise.
     pub fn with_detected_numa(self) -> Self {
         let nodes = crate::platform::Topology::detect(self.workers).nodes();
-        self.numa(nodes)
+        self.with_numa_nodes(nodes)
     }
 
     /// The four §6.2 ablation configurations, in paper order.
@@ -1233,10 +1205,7 @@ impl TaskCtx<'_> {
     /// if none is active). The capture handle is cached per task
     /// context, generation-stamped against [`Runtime::set_spawn_capture`];
     /// the hit path is two atomic loads plus a cell take/put — no
-    /// refcount traffic per spawn. Under `replay_compat` the pre-hot-loop
-    /// behavior is kept: the cache stays intact during the call and a
-    /// clone of the Arc is handed out per spawn (the PR 4 cost model the
-    /// `fig16_replay_hotloop` baseline measures).
+    /// refcount traffic per spawn.
     fn spawn_captured(&self, label: &'static str, priority: i32, deps: Deps, body: TaskBody) {
         let shared = &self.worker.shared;
         let generation = shared.capture_generation.load(Ordering::Acquire);
@@ -1249,21 +1218,10 @@ impl TaskCtx<'_> {
             self.spawn_internal(label, priority, deps, body, None);
             return;
         }
-        if shared.cfg.replay_compat {
-            let capc = Arc::clone(cap.as_ref().expect("active capture"));
-            self.capture_cache.set(Some((g, cap)));
-            if let Some((deps, body)) = capc.on_spawn(self, label, priority, deps, body) {
-                let id = self.spawn_internal(label, priority, deps, body, None);
-                capc.on_spawned(id);
-            }
-            return;
-        }
-        {
-            let c = cap.as_ref().expect("active capture");
-            if let Some((deps, body)) = c.on_spawn(self, label, priority, deps, body) {
-                let id = self.spawn_internal(label, priority, deps, body, None);
-                c.on_spawned(id);
-            }
+        let c = cap.as_ref().expect("active capture");
+        if let Some((deps, body)) = c.on_spawn(self, label, priority, deps, body) {
+            let id = self.spawn_internal(label, priority, deps, body, None);
+            c.on_spawned(id);
         }
         self.capture_cache.set(Some((g, cap)));
     }
@@ -1279,35 +1237,14 @@ impl TaskCtx<'_> {
     /// runtime. This is the execution seam the replay subsystem feeds:
     /// readiness comes from its frozen graph's in-degree counters
     /// instead of from dependency-system deliveries.
-    pub fn spawn_held(
-        &self,
-        label: &'static str,
-        priority: i32,
-        decls: Vec<crate::deps::AccessDecl>,
-        body: impl FnOnce(&TaskCtx) + Send + 'static,
-    ) -> HeldTask {
-        self.spawn_held_inner(label, priority, decls, Box::new(body), None)
-    }
-
-    /// Like [`TaskCtx::spawn_held`], but attaches a [`TaskEpilogue`] that
+    ///
+    /// `epilogue`, when given, is a [`TaskEpilogue`] (plus its tag) that
     /// runs right after the body on the executing worker. The body is
-    /// passed through as the already-boxed [`TaskBody`] — together these
-    /// let a caller that manages many similar tasks (the replay engine's
+    /// taken as the already-boxed [`TaskBody`] — together these let a
+    /// caller that manages many similar tasks (the replay engine's
     /// steady state) avoid wrapping every body in a fresh closure
     /// allocation per task per iteration.
-    pub fn spawn_held_with_epilogue(
-        &self,
-        label: &'static str,
-        priority: i32,
-        decls: Vec<crate::deps::AccessDecl>,
-        body: TaskBody,
-        epilogue: Arc<dyn TaskEpilogue>,
-        tag: u64,
-    ) -> HeldTask {
-        self.spawn_held_inner(label, priority, decls, body, Some((epilogue, tag)))
-    }
-
-    fn spawn_held_inner(
+    pub fn spawn_held(
         &self,
         label: &'static str,
         priority: i32,
@@ -1733,7 +1670,7 @@ fn record_body_failure(w: &WorkerCtx, t: *mut Task, payload: Box<dyn std::any::A
 }
 
 /// Run one task body (no completion protocol), then its epilogue hook
-/// if one is attached ([`TaskCtx::spawn_held_with_epilogue`]).
+/// if one is attached ([`TaskCtx::spawn_held`]).
 fn run_body(w: &WorkerCtx, t: *mut Task) {
     let id = unsafe { (*t).id };
     let m = &w.shared.metrics;
@@ -3031,7 +2968,7 @@ mod tests {
         );
         let outcome = rt.run_outcome(|ctx| {
             // A held task that is never released: the graph can't drain.
-            let _stuck = ctx.spawn_held("stuck", 0, vec![], |_| {});
+            let _stuck = ctx.spawn_held("stuck", 0, vec![], Box::new(|_| {}), None);
         });
         assert_eq!(outcome.failures.len(), 1, "{}", outcome.summary());
         assert_eq!(outcome.failures[0].kind, FailureKind::WatchdogStall);

@@ -6,9 +6,9 @@
 //! divergence *hysteresis*: a body that alternates between a small set
 //! of shapes (miniAMR-style refine/coarsen phases) re-records each shape
 //! once and then replays every phase, instead of re-recording on every
-//! alternation like the original single-graph engine
-//! (`replay_cache_size = 1` restores that behavior exactly). A body that
-//! keeps diverging is eventually *pinned* to the dependency system
+//! alternation (what a one-entry cache, `replay_cache_size = 1`, still
+//! does: every flip evicts). A body that keeps diverging is eventually
+//! *pinned* to the dependency system
 //! ([`nanotask_core::RuntimeConfig::replay_giveup_after`]), with a cheap
 //! hash-only probe every [`nanotask_core::RuntimeConfig::replay_recheck_every`]
 //! iterations to detect re-stabilization. A recorded iteration that
@@ -32,7 +32,7 @@ use crate::cache::GraphCache;
 use crate::graph::ReplayGraph;
 use crate::partition::Partitioning;
 use crate::recorder::{
-    CaptureMode, CapturedSpawn, GraphRecorder, STRUCTURAL_HASH_SEED, SigHashMode,
+    CaptureMode, CapturedSpawn, GraphRecorder, STRUCTURAL_HASH_SEED, mix, spawn_sig_hash,
 };
 
 /// What a [`RunIterative::run_iterative`] call did.
@@ -59,8 +59,8 @@ pub struct ReplayReport {
     pub edge_list: Vec<(u32, u32)>,
     /// Successor edges the dependency system reported that involve tasks
     /// outside the captured set (nested children linking into the
-    /// recorded iteration). With a cache (`replay_cache_size > 1`) any
-    /// non-zero value pins the body to the dependency system.
+    /// recorded iteration). Any non-zero value pins the body to the
+    /// dependency system.
     pub foreign_edges: usize,
     /// Iterations served by the graph cache: fully replayed iterations
     /// plus diverged iterations whose structure matched a cached graph.
@@ -98,14 +98,8 @@ pub struct ReplayReport {
     /// Cut edges of the last replayed graph's partitioning (edges whose
     /// endpoints live on different NUMA nodes).
     pub partition_cut_edges: usize,
-    /// Full frontier re-scoring scans the partitioner performed across
-    /// this run (0 whenever the default heap partitioner is active — the
-    /// machine-checkable side of the O(n log n) claim; the retained
-    /// reference partitioner under `RuntimeConfig::replay_compat` pays
-    /// one per pick).
-    pub frontier_rescans: u64,
-    /// Heap pushes + pops the partitioner performed across this run
-    /// (0 under the reference partitioner).
+    /// Heap pushes + pops the partitioner performed across this run —
+    /// the machine-checkable side of its O(n log n) claim.
     pub heap_ops: u64,
     /// Partitionings seeded from an assignment that survived cache
     /// eviction (a graph re-entering the `GraphCache` adopts its old
@@ -202,11 +196,10 @@ impl core::fmt::Display for ReplayReport {
             write!(
                 f,
                 " | numa: partitions={} routed={} cut_edges={} \
-                 rescans={} heap_ops={} seeds={}",
+                 heap_ops={} seeds={}",
                 self.partitions,
                 self.routed_releases,
                 self.partition_cut_edges,
-                self.frontier_rescans,
                 self.heap_ops,
                 self.partition_seeds,
             )?;
@@ -234,7 +227,6 @@ struct ReplayObs {
     giveups: Counter,
     nested_spawns: Counter,
     routed_releases: Counter,
-    frontier_rescans: Counter,
     heap_ops: Counter,
     partition_seeds: Counter,
     partition_seed_reused: Counter,
@@ -266,7 +258,6 @@ impl ReplayObs {
             giveups: reg.counter("nanotask_replay_giveups_total"),
             nested_spawns: reg.counter("nanotask_replay_nested_spawns_total"),
             routed_releases: reg.counter("nanotask_replay_routed_releases_total"),
-            frontier_rescans: reg.counter("nanotask_replay_frontier_rescans_total"),
             heap_ops: reg.counter("nanotask_replay_heap_ops_total"),
             partition_seeds: reg.counter("nanotask_replay_partition_seeds_total"),
             partition_seed_reused: reg.counter("nanotask_replay_partition_seed_reused_total"),
@@ -295,7 +286,6 @@ impl ReplayObs {
         self.giveups.add(0, r.giveups as u64);
         self.nested_spawns.add(0, r.nested_spawns);
         self.routed_releases.add(0, r.routed_releases);
-        self.frontier_rescans.add(0, r.frontier_rescans);
         self.heap_ops.add(0, r.heap_ops);
         self.partition_seeds.add(0, r.partition_seeds);
         self.partition_seed_reused.add(0, r.partition_seed_reused);
@@ -370,9 +360,6 @@ struct IterState {
     part: Option<Arc<Partitioning>>,
     /// Held-task releases routed through the node-targeted path.
     routed: AtomicU64,
-    /// Reference data path ([`nanotask_core::RuntimeConfig::replay_compat`]):
-    /// sweep reset, no inline-routing composition.
-    compat: bool,
     /// Per-node cancellation marks — the replay mirror of the dependency
     /// systems' failure poisoning. A failed (or already-cancelled) task
     /// sets its successors' flags *before* dropping their pending
@@ -384,17 +371,8 @@ struct IterState {
 }
 
 impl IterState {
-    fn new(
-        graph: Arc<ReplayGraph>,
-        workers: usize,
-        part: Option<Arc<Partitioning>>,
-        compat: bool,
-    ) -> Self {
-        if compat {
-            graph.reset_sweep();
-        } else {
-            graph.reset();
-        }
+    fn new(graph: Arc<ReplayGraph>, workers: usize, part: Option<Arc<Partitioning>>) -> Self {
+        graph.reset();
         let groups = graph
             .groups()
             .iter()
@@ -410,7 +388,6 @@ impl IterState {
             launched: AtomicUsize::new(0),
             part,
             routed: AtomicU64::new(0),
-            compat,
             poisoned,
         }
     }
@@ -468,9 +445,9 @@ impl IterState {
     /// of the frozen graph. Scratch buffers are thread-local so the
     /// per-completion hot path never allocates.
     ///
-    /// With the zero-queue fast path on (and `replay_compat` off), one
-    /// *same-node* successor is kept as the releasing worker's inline
-    /// next task ([`TaskCtx::release_held_inline_to`]): dependence
+    /// With the zero-queue fast path on, one *same-node* successor is
+    /// kept as the releasing worker's inline next task
+    /// ([`TaskCtx::release_held_inline_to`]): dependence
     /// locality composes with partition locality — the task still runs
     /// on its assigned node, it just skips the node queue.
     ///
@@ -531,23 +508,17 @@ impl IterState {
             return;
         }
         self.routed.fetch_add(ready.len() as u64, Ordering::Relaxed);
-        if !self.compat {
-            // Fast-path composition: keep the first same-node successor
-            // inline (no-op when the fast path is off or the releaser is
-            // the root — `release_held_inline_to` declines and the task
-            // falls through to normal routing below).
-            let mut kept = None;
-            for (pos, &(node, h)) in ready.iter().enumerate() {
-                if ctx.release_held_inline_to(node, h) {
-                    kept = Some(pos);
-                    break;
-                }
-            }
-            if let Some(pos) = kept {
-                ready.remove(pos);
-                if ready.is_empty() {
-                    return;
-                }
+        // Fast-path composition: keep the first same-node successor
+        // inline (no-op when the fast path is off or the releaser is the
+        // root — `release_held_inline_to` declines and the task falls
+        // through to normal routing below).
+        let kept = ready
+            .iter()
+            .position(|&(node, h)| ctx.release_held_inline_to(node, h));
+        if let Some(pos) = kept {
+            ready.remove(pos);
+            if ready.is_empty() {
+                return;
             }
         }
         if let [(node, h)] = ready[..] {
@@ -598,8 +569,8 @@ impl IterState {
             }
         }
         match &self.part {
-            // Partitioning off: the original (byte-identical) release
-            // path through the producer's home buffer.
+            // Partitioning off: release through the producer's home
+            // buffer.
             None => {
                 for &s in self.graph.succs(i) {
                     self.countdown(tc, s);
@@ -629,38 +600,18 @@ impl IterState {
                 d
             })
             .collect();
-        let held = if self.compat {
-            // PR 4 data path: wrap every body in a fresh boxed closure
-            // (one allocation per task per iteration).
-            let st = Arc::clone(self_arc);
-            let wrapped = move |tc: &TaskCtx| {
-                body(tc);
-                st.after_body(tc, i);
-            };
-            ctx.spawn_held(node.label, node.priority, decls, wrapped)
-        } else {
-            // Hot loop: pass the user's already-boxed body straight
-            // through and hang the successor-release logic on the shared
-            // per-iteration epilogue — no wrapper allocation.
-            ctx.spawn_held_with_epilogue(
-                node.label,
-                node.priority,
-                decls,
-                body,
-                Arc::clone(self_arc) as Arc<dyn TaskEpilogue>,
-                i as u64,
-            )
-        };
+        // Pass the user's already-boxed body straight through and hang
+        // the successor-release logic on the shared per-iteration
+        // epilogue — no wrapper allocation.
+        let epilogue = (Arc::clone(self_arc) as Arc<dyn TaskEpilogue>, i as u64);
+        let held = ctx.spawn_held(node.label, node.priority, decls, body, Some(epilogue));
         self.graph.publish(i, held.into_raw());
         // Drop the creation hold; releases the task if all its
         // predecessors already finished (or it has none) — routed to its
         // partition's node when partitioning is on.
         match &self.part {
             None => self.countdown(ctx, i as u32),
-            // PR 4 path: every hold drop goes through the routed-release
-            // scratch machinery, released or not.
-            Some(p) if self.compat => self.countdown_routed(ctx, &[i as u32], p),
-            // Hot loop: decrement first — only the rare hold drop that
+            // Decrement first — only the rare hold drop that
             // actually releases (a root of the graph, or a node whose
             // predecessors all finished during the spawn phase) pays the
             // routing path; interior nodes cost one atomic decrement.
@@ -683,7 +634,7 @@ impl IterState {
 }
 
 impl TaskEpilogue for IterState {
-    /// The hot-loop steady-state hook: one shared object per iteration
+    /// The steady-state hook: one shared object per iteration
     /// runs every fed task's post-body logic (`tag` = graph node index)
     /// — no per-task wrapper closure survives freezing.
     fn run(&self, ctx: &TaskCtx, tag: u64) {
@@ -725,10 +676,10 @@ enum Mode {
         /// The feed target was swapped mid-start: the first spawn did not
         /// match the scheduled graph but matched another cached one.
         switched: bool,
-        /// After a divergence (hysteresis only): the full spawn metadata
-        /// of this iteration — the fed prefix reconstructed from the
-        /// graph plus every fallback spawn — so the engine can freeze
-        /// the diverged shape without a dedicated re-record pass.
+        /// After a divergence: the full spawn metadata of this iteration
+        /// — the fed prefix reconstructed from the graph plus every
+        /// fallback spawn — so the engine can freeze the diverged shape
+        /// without a dedicated re-record pass.
         captured: Vec<CapturedSpawn>,
     },
 }
@@ -759,34 +710,19 @@ struct EngineCapture {
     /// NUMA partitions for release routing; 0 = partitioning off
     /// ([`nanotask_core::RuntimeConfig::replay_partitioning`]).
     parts: usize,
-    /// `replay_cache_size > 1`: cache probing, divergence capture and
-    /// pinning are active. With 1 the engine is byte-identical to the
-    /// original single-graph design (divergence discards the graph and
-    /// the next iteration blindly re-records).
-    hysteresis: bool,
-    /// Reference data path ([`nanotask_core::RuntimeConfig::replay_compat`]):
-    /// sweep reset, full-rescan partitioner, byte-FNV hashing, no inline
-    /// routing.
-    compat: bool,
-    /// Signature/structural hash function of this run (fixed:
-    /// recorded sigs and fed sigs must come from the same function).
-    hmode: SigHashMode,
 }
 
 unsafe impl Send for EngineCapture {}
 unsafe impl Sync for EngineCapture {}
 
 impl EngineCapture {
-    fn new(workers: usize, cache_size: usize, parts: usize, compat: bool) -> Self {
+    fn new(workers: usize, cache_size: usize, parts: usize) -> Self {
         Self {
             mode: UnsafeCell::new(Mode::Off),
             recorder: GraphRecorder::new(),
             cache: UnsafeCell::new(GraphCache::new(cache_size)),
             workers,
             parts,
-            hysteresis: cache_size > 1,
-            compat,
-            hmode: SigHashMode::for_compat(compat),
         }
     }
 
@@ -797,11 +733,11 @@ impl EngineCapture {
     /// Calls `self.cache()` — root-thread confinement (see type docs).
     fn make_state(&self, g: Arc<ReplayGraph>) -> Arc<IterState> {
         let part = if self.parts > 0 {
-            Some(unsafe { self.cache() }.partitioning(&g, self.parts, self.compat))
+            Some(unsafe { self.cache() }.partitioning(&g, self.parts))
         } else {
             None
         };
-        Arc::new(IterState::new(g, self.workers, part, self.compat))
+        Arc::new(IterState::new(g, self.workers, part))
     }
 
     /// # Safety
@@ -904,9 +840,7 @@ impl SpawnCapture for EngineCapture {
             Mode::Off => Some((deps, body)),
             Mode::Record => self.recorder.on_spawn(ctx, label, priority, deps, body),
             Mode::Probe { hash } => {
-                *hash = self
-                    .hmode
-                    .chain(*hash, self.hmode.sig(label, priority, deps.decls()));
+                *hash = mix(*hash, spawn_sig_hash(label, priority, deps.decls()));
                 Some((deps, body))
             }
             Mode::Feed {
@@ -917,14 +851,12 @@ impl SpawnCapture for EngineCapture {
                 captured,
             } => {
                 if *diverged {
-                    if self.hysteresis {
-                        captured.push(CapturedSpawn::bare(label, priority, deps.decls().to_vec()));
-                    }
+                    captured.push(CapturedSpawn::bare(label, priority, deps.decls().to_vec()));
                     return Some((deps, body));
                 }
                 let i = *next;
                 *next = i + 1;
-                let sig = self.hmode.sig(label, priority, deps.decls());
+                let sig = spawn_sig_hash(label, priority, deps.decls());
                 let matched = {
                     let nodes = state.graph.nodes();
                     i < nodes.len() && nodes[i].sig == sig
@@ -933,7 +865,7 @@ impl SpawnCapture for EngineCapture {
                     state.feed(&Arc::clone(state), ctx, i, body);
                     return None;
                 }
-                if i == 0 && self.hysteresis {
+                if i == 0 {
                     // Nothing has been fed yet: a cached graph whose
                     // first spawn matches can take over wholesale — the
                     // phase-switch fast path of alternating bodies.
@@ -950,19 +882,16 @@ impl SpawnCapture for EngineCapture {
                 // prefix (its ordering was enforced by the graph), fold
                 // any partially-fed reduction groups, then let this and
                 // all later spawns go through the dependency system —
-                // conservative and correct. With hysteresis the full
-                // shape of this iteration is captured on the side so the
-                // engine can probe the cache / freeze it afterwards.
+                // conservative and correct. The full shape of this
+                // iteration is captured on the side so the engine can
+                // probe the cache / freeze it afterwards: the fed prefix
+                // references the frozen decl arena by CSR index (no
+                // cloning); only the one diverging spawn's live
+                // declarations are copied — the `deps` must proceed into
+                // the dependency system.
                 *diverged = true;
-                if self.hysteresis {
-                    // The fed prefix references the frozen decl arena by
-                    // CSR index (no cloning); only the one diverging
-                    // spawn's live declarations are copied — the `deps`
-                    // must proceed into the dependency system.
-                    let mut cv = state.graph.prefix_captured(i);
-                    cv.push(CapturedSpawn::bare(label, priority, deps.decls().to_vec()));
-                    *captured = cv;
-                }
+                *captured = state.graph.prefix_captured(i);
+                captured.push(CapturedSpawn::bare(label, priority, deps.decls().to_vec()));
                 ctx.taskwait();
                 state.combine_partial();
                 Some((deps, body))
@@ -1003,19 +932,16 @@ impl RunIterative for Runtime {
         let cache_size = cfg.replay_cache_size.max(1);
         let giveup_after = cfg.replay_giveup_after;
         let recheck_every = cfg.replay_recheck_every.max(1);
-        let hysteresis = cache_size > 1;
         // NUMA-aware replay partitioning: one partition per node of the
-        // runtime's topology. 0 disables routing entirely (the release
-        // path stays byte-identical to the unpartitioned engine).
+        // runtime's topology. 0 disables routing entirely.
         let parts = if cfg.replay_partitioning {
             self.topology().nodes()
         } else {
             0
         };
-        let compat = cfg.replay_compat;
 
         let body = Arc::new(body);
-        let capture = Arc::new(EngineCapture::new(workers, cache_size, parts, compat));
+        let capture = Arc::new(EngineCapture::new(workers, cache_size, parts));
         self.set_spawn_capture(Some(Arc::clone(&capture) as _));
         let prev_graph_recording = self.graph_recording();
         self.clear_graph_edges();
@@ -1150,7 +1076,7 @@ impl RunIterative for Runtime {
                         let tap = ctx.take_graph_edges();
                         let nested = ctx.nested_spawn_count() - nested0;
                         let freeze_t0 = std::time::Instant::now();
-                        let g = Arc::new(ReplayGraph::build_with(&captured, &tap, cap.hmode));
+                        let g = Arc::new(ReplayGraph::build(&captured, &tap));
                         report.freeze_ns += freeze_t0.elapsed().as_nanos() as u64;
                         ctx.trace_mark(EventKind::ReplayRecordEnd, g.len() as u64);
                         report.rerecords += 1;
@@ -1158,7 +1084,7 @@ impl RunIterative for Runtime {
                         report.nested_spawns += nested;
                         fails += 1;
                         last_graph = Some(Arc::clone(&g));
-                        if hysteresis && (g.foreign_edge_count() > 0 || nested > 0) {
+                        if g.foreign_edge_count() > 0 || nested > 0 {
                             // Nested task domains: the frozen graph
                             // cannot see cross-sibling dependencies of
                             // nested tasks — fall back permanently.
@@ -1171,16 +1097,12 @@ impl RunIterative for Runtime {
                             ctx.trace_mark(EventKind::ReplayGiveUp, iter as u64);
                         } else {
                             let h = g.structural_hash();
-                            if hysteresis && let Some(p) = prev_hash {
+                            if let Some(p) = prev_hash {
                                 cache!().note_transition(p, h);
                             }
                             cache!().insert(Arc::clone(&g));
                             prev_hash = Some(h);
-                            cur = Some(if hysteresis {
-                                pick_next(cache!(), h, g)
-                            } else {
-                                g
-                            });
+                            cur = Some(pick_next(cache!(), h, g));
                         }
                     }
                     Some(g) => {
@@ -1241,19 +1163,17 @@ impl RunIterative for Runtime {
                             if end.switched {
                                 ctx.trace_mark(EventKind::ReplayCacheHit, iter as u64);
                             }
-                            if hysteresis && nested > 0 {
+                            if nested > 0 {
                                 // The body started spawning nested
                                 // children only *after* its graph was
                                 // frozen: replay cannot order them, so
                                 // stop replaying from here on.
                                 pin_nested!();
-                            } else if hysteresis {
+                            } else {
                                 if let Some(p) = prev_hash {
                                     cache!().note_transition(p, h);
                                 }
                                 cur = Some(pick_next(cache!(), h, Arc::clone(&end.state.graph)));
-                                prev_hash = Some(h);
-                            } else {
                                 prev_hash = Some(h);
                             }
                         } else {
@@ -1265,71 +1185,58 @@ impl RunIterative for Runtime {
                             end.state.combine_partial();
                             report.diverged += 1;
                             fails += 1;
-                            if !hysteresis {
-                                // Original single-graph engine: discard
-                                // and blindly re-record next iteration.
+                            // This iteration's full shape is known:
+                            // probe the cache and only freeze a new
+                            // graph on a miss.
+                            let captured = if end.diverged {
+                                end.captured
+                            } else {
+                                end.state.graph.prefix_captured(end.spawned)
+                            };
+                            let h = GraphRecorder::structural_hash(&captured);
+                            if let Some(hit) = cache!().get(h) {
+                                report.cache_hits += 1;
+                                ctx.trace_mark(EventKind::ReplayCacheHit, iter as u64);
+                                if nested > 0 {
+                                    pin_nested!();
+                                } else {
+                                    if let Some(p) = prev_hash {
+                                        cache!().note_transition(p, h);
+                                    }
+                                    prev_hash = Some(h);
+                                    cur = Some(pick_next(cache!(), h, hit));
+                                }
+                            } else {
+                                report.rerecords += 1;
                                 report.cache_misses += 1;
+                                let freeze_t0 = std::time::Instant::now();
+                                let ng = Arc::new(ReplayGraph::build(&captured, &[]));
+                                report.freeze_ns += freeze_t0.elapsed().as_nanos() as u64;
+                                last_graph = Some(Arc::clone(&ng));
+                                if nested > 0 {
+                                    pin_nested!();
+                                } else {
+                                    if let Some(p) = prev_hash {
+                                        cache!().note_transition(p, h);
+                                    }
+                                    cache!().insert(Arc::clone(&ng));
+                                    prev_hash = Some(h);
+                                    cur = Some(pick_next(cache!(), h, ng));
+                                }
+                            }
+                            if !pinned && giveup_after > 0 && fails >= giveup_after {
+                                // Too many consecutive failures to replay:
+                                // stop paying record costs, pin to the
+                                // dependency system. The predictor must
+                                // not learn across the unobserved pinned
+                                // stretch, so forget the last-seen hash.
+                                report.giveups += 1;
+                                pinned = true;
+                                since_probe = 0;
+                                last_probe_hash = None;
                                 cur = None;
                                 prev_hash = None;
-                            } else {
-                                // Hysteresis: this iteration's full
-                                // shape is known — probe the cache and
-                                // only freeze a new graph on a miss.
-                                let captured = if end.diverged {
-                                    end.captured
-                                } else {
-                                    end.state.graph.prefix_captured(end.spawned)
-                                };
-                                let h = cap.hmode.structural_hash(&captured);
-                                if let Some(hit) = cache!().get(h) {
-                                    report.cache_hits += 1;
-                                    ctx.trace_mark(EventKind::ReplayCacheHit, iter as u64);
-                                    if nested > 0 {
-                                        pin_nested!();
-                                    } else {
-                                        if let Some(p) = prev_hash {
-                                            cache!().note_transition(p, h);
-                                        }
-                                        prev_hash = Some(h);
-                                        cur = Some(pick_next(cache!(), h, hit));
-                                    }
-                                } else {
-                                    report.rerecords += 1;
-                                    report.cache_misses += 1;
-                                    let freeze_t0 = std::time::Instant::now();
-                                    let ng = Arc::new(ReplayGraph::build_with(
-                                        &captured,
-                                        &[],
-                                        cap.hmode,
-                                    ));
-                                    report.freeze_ns += freeze_t0.elapsed().as_nanos() as u64;
-                                    last_graph = Some(Arc::clone(&ng));
-                                    if nested > 0 {
-                                        pin_nested!();
-                                    } else {
-                                        if let Some(p) = prev_hash {
-                                            cache!().note_transition(p, h);
-                                        }
-                                        cache!().insert(Arc::clone(&ng));
-                                        prev_hash = Some(h);
-                                        cur = Some(pick_next(cache!(), h, ng));
-                                    }
-                                }
-                                if !pinned && giveup_after > 0 && fails >= giveup_after {
-                                    // Too many consecutive failures to
-                                    // replay: stop paying record costs,
-                                    // pin to the dependency system. The
-                                    // predictor must not learn across
-                                    // the unobserved pinned stretch, so
-                                    // forget the last-seen hash too.
-                                    report.giveups += 1;
-                                    pinned = true;
-                                    since_probe = 0;
-                                    last_probe_hash = None;
-                                    cur = None;
-                                    prev_hash = None;
-                                    ctx.trace_mark(EventKind::ReplayGiveUp, iter as u64);
-                                }
+                                ctx.trace_mark(EventKind::ReplayGiveUp, iter as u64);
                             }
                         }
                         ctx.trace_mark(EventKind::ReplayIterEnd, iter as u64);
@@ -1347,8 +1254,7 @@ impl RunIterative for Runtime {
             }
             report.cache_evictions = cache!().evictions();
             report.per_graph_replays = cache!().per_graph_replays();
-            let (rescans, heap_ops, seeds, seed_reused, seed_total) = cache!().partition_stats();
-            report.frontier_rescans = rescans;
+            let (heap_ops, seeds, seed_reused, seed_total) = cache!().partition_stats();
             report.heap_ops = heap_ops;
             report.partition_seeds = seeds;
             report.partition_seed_reused = seed_reused;
@@ -1554,11 +1460,11 @@ mod tests {
     }
 
     #[test]
-    fn single_graph_mode_falls_back_and_rerecords() {
-        // `replay_cache_size = 1` must reproduce the original engine
-        // byte for byte: every divergence discards the graph and blindly
-        // re-records on the next iteration — the alternating body never
-        // replays.
+    fn one_entry_cache_thrashes_on_alternating_body() {
+        // `replay_cache_size = 1` is the same engine with an undersized
+        // cache: every phase flip diverges, misses, freezes the new shape
+        // and evicts the other — the alternating body never replays, but
+        // stays serially correct and every iteration is classified.
         let rt = Runtime::new(
             RuntimeConfig::optimized()
                 .workers(2)
@@ -1579,11 +1485,60 @@ mod tests {
         });
         assert_eq!(unsafe { (*a, *b) }, (12, 12));
         assert_eq!(report.iterations, 6);
-        // Records on iterations 0/2/4, divergent fallbacks on 1/3/5.
-        assert_eq!(report.rerecords, 3);
-        assert_eq!(report.diverged, 3);
+        // Record on iteration 0, then a divergent cache miss (freeze +
+        // evict) on every flip.
+        assert_eq!(report.rerecords, 6);
+        assert_eq!(report.diverged, 5);
+        assert_eq!(report.cache_evictions, 5);
         assert_eq!(report.replayed, 0);
-        assert_eq!(report.pinned_iterations, 0, "no give-up policy at size 1");
+        assert_eq!(report.cache_hits, 0);
+        assert_eq!(report.pinned_iterations, 0, "below the give-up threshold");
+        check_invariants(&report);
+        unsafe {
+            drop(Box::from_raw(a));
+            drop(Box::from_raw(b));
+        }
+    }
+
+    #[test]
+    fn one_entry_cache_gives_up_like_any_other_size() {
+        // The give-up policy is not a property of the cache size: a
+        // thrashing one-entry cache pins after `replay_giveup_after`
+        // consecutive failures, and the re-stabilization probe brings a
+        // body that settles on one shape back to replay.
+        const ITERS: usize = 12;
+        let rt = Runtime::new(
+            RuntimeConfig::optimized()
+                .workers(2)
+                .with_replay_cache_size(1)
+                .with_replay_giveup_after(3)
+                .with_replay_recheck_every(2),
+        );
+        let a = Box::leak(Box::new(0u64)) as *mut u64;
+        let b = Box::leak(Box::new(0u64)) as *mut u64;
+        let (pa, pb) = (SendPtr::new(a), SendPtr::new(b));
+        let iter = Arc::new(AtomicU64::new(0));
+        let report = rt.run_iterative(ITERS, move |ctx| {
+            let i = iter.fetch_add(1, Ordering::Relaxed);
+            // Alternate for 3 iterations, then settle on `a`.
+            let p = if i < 3 && !i.is_multiple_of(2) {
+                pb
+            } else {
+                pa
+            };
+            ctx.spawn(Deps::new().readwrite_addr(p.addr()), move |_| unsafe {
+                *p.get() += 1;
+            });
+        });
+        assert_eq!(unsafe { (*a, *b) }, (ITERS as u64 - 1, 1));
+        // it0 record a, it1/it2 divergent misses → pin at the 3rd
+        // consecutive failure; it3 pinned, it4 probe hits the cached `a`
+        // (frozen at it2), it5.. replay.
+        assert_eq!(report.giveups, 1, "{report}");
+        assert_eq!(report.rerecords, 3, "{report}");
+        assert_eq!(report.pinned_iterations, 2, "{report}");
+        assert_eq!(report.replayed, ITERS - 5, "{report}");
+        assert!(!report.pinned_nested);
         check_invariants(&report);
         unsafe {
             drop(Box::from_raw(a));
@@ -1593,9 +1548,9 @@ mod tests {
 
     #[test]
     fn alternating_body_served_from_cache() {
-        // The same alternating body as the single-graph test, with the
-        // default cache: each phase records once, then every iteration
-        // replays — the divergence hysteresis this PR is about.
+        // The same alternating body as the one-entry-cache test, with
+        // the default cache: each phase records once, then every
+        // iteration replays — divergence hysteresis.
         let rt = Runtime::new(RuntimeConfig::optimized().workers(2));
         let a = Box::leak(Box::new(0u64)) as *mut u64;
         let b = Box::leak(Box::new(0u64)) as *mut u64;
@@ -1898,39 +1853,50 @@ mod tests {
         // Nested children appear only *after* the graph was recorded
         // (record saw no nesting, so the graph got cached): the replay
         // path must notice the nested-spawn delta and pin, not keep
-        // replaying a graph that cannot order the children.
+        // replaying a graph that cannot order the children — at every
+        // cache size, a one-entry cache included.
         const ITERS: usize = 6;
-        let rt = Runtime::new(RuntimeConfig::optimized().workers(2));
-        let count = Arc::new(AtomicU64::new(0));
-        let iter = Arc::new(AtomicU64::new(0));
-        let report = {
-            let (count, iter) = (Arc::clone(&count), Arc::clone(&iter));
-            rt.run_iterative(ITERS, move |ctx| {
-                let i = iter.fetch_add(1, Ordering::Relaxed);
-                for _ in 0..2 {
-                    let count = Arc::clone(&count);
-                    ctx.spawn(Deps::new(), move |tc| {
-                        if i >= 2 {
-                            let count = Arc::clone(&count);
-                            tc.spawn(Deps::new(), move |_| {
+        for cache_size in [1, 2, 4] {
+            let rt = Runtime::new(
+                RuntimeConfig::optimized()
+                    .workers(2)
+                    .with_replay_cache_size(cache_size),
+            );
+            let count = Arc::new(AtomicU64::new(0));
+            let iter = Arc::new(AtomicU64::new(0));
+            let report = {
+                let (count, iter) = (Arc::clone(&count), Arc::clone(&iter));
+                rt.run_iterative(ITERS, move |ctx| {
+                    let i = iter.fetch_add(1, Ordering::Relaxed);
+                    for _ in 0..2 {
+                        let count = Arc::clone(&count);
+                        ctx.spawn(Deps::new(), move |tc| {
+                            if i >= 2 {
+                                let count = Arc::clone(&count);
+                                tc.spawn(Deps::new(), move |_| {
+                                    count.fetch_add(1, Ordering::Relaxed);
+                                });
+                            } else {
                                 count.fetch_add(1, Ordering::Relaxed);
-                            });
-                        } else {
-                            count.fetch_add(1, Ordering::Relaxed);
-                        }
-                    });
-                }
-            })
-        };
-        assert_eq!(count.load(Ordering::Relaxed), (2 * ITERS) as u64);
-        // Iterations 0/1 record + replay cleanly; iteration 2 replays
-        // but observes nested spawns and pins; 3.. stay pinned.
-        assert!(report.pinned_nested, "{report:?}");
-        assert_eq!(report.nested_spawns, 2, "{report:?}");
-        assert_eq!(report.replayed, 2, "{report:?}");
-        assert_eq!(report.pinned_iterations, ITERS - 3, "{report:?}");
-        assert_eq!(report.giveups, 1);
-        check_invariants(&report);
+                            }
+                        });
+                    }
+                })
+            };
+            assert_eq!(count.load(Ordering::Relaxed), (2 * ITERS) as u64);
+            // Iterations 0/1 record + replay cleanly; iteration 2 replays
+            // but observes nested spawns and pins; 3.. stay pinned.
+            assert!(report.pinned_nested, "cache={cache_size}: {report:?}");
+            assert_eq!(report.nested_spawns, 2, "cache={cache_size}: {report:?}");
+            assert_eq!(report.replayed, 2, "cache={cache_size}: {report:?}");
+            assert_eq!(
+                report.pinned_iterations,
+                ITERS - 3,
+                "cache={cache_size}: {report:?}"
+            );
+            assert_eq!(report.giveups, 1, "cache={cache_size}");
+            check_invariants(&report);
+        }
     }
 
     #[test]
@@ -1963,8 +1929,8 @@ mod tests {
 
     #[test]
     fn divergent_replay_correct_under_fast_path() {
-        // Single-graph mode: divergence mid-iteration taskwaits on the
-        // fed prefix every other iteration — the deferred-release flush
+        // One-entry cache: every phase flip diverges on its first spawn
+        // and taskwaits before falling back — the deferred-release flush
         // at taskwait entry must make that safe, repeatedly.
         let rt = Runtime::new(
             nanotask_core::RuntimeConfig::optimized()
@@ -1986,7 +1952,7 @@ mod tests {
             }
         });
         assert_eq!(unsafe { (*a, *b) }, (12, 12));
-        assert_eq!(report.diverged, 3);
+        assert_eq!(report.diverged, 5);
         assert_eq!(rt.live_tasks(), 0);
         unsafe {
             drop(Box::from_raw(a));
@@ -2198,7 +2164,6 @@ mod tests {
         assert_eq!(unsafe { *data }, 120);
         assert_eq!(report.replayed, 5);
         assert!(report.routed_releases > 0, "{report}");
-        assert_eq!(report.frontier_rescans, 0, "heap partitioner active");
         assert!(report.heap_ops > 0, "{report}");
         let rr = rt.run_report();
         assert!(
@@ -2212,42 +2177,6 @@ mod tests {
         );
         check_invariants(&report);
         assert_eq!(rt.live_tasks(), 0);
-        unsafe { drop(Box::from_raw(data)) };
-    }
-
-    #[test]
-    fn compat_mode_runs_reference_path() {
-        // `replay_compat` selects the retained PR 4 data path: sweep
-        // reset, full-rescan partitioner, no inline-routing composition.
-        // Results are identical; only the counters differ.
-        let rt = Runtime::new(
-            RuntimeConfig::optimized()
-                .workers(4)
-                .with_numa_nodes(2)
-                .with_replay_partitioning(true)
-                .with_replay_compat(true)
-                .fast_path(true),
-        );
-        let data = Box::leak(Box::new(0u64)) as *mut u64;
-        let p = SendPtr::new(data);
-        let report = rt.run_iterative(6, move |ctx| {
-            for _ in 0..20 {
-                ctx.spawn(Deps::new().readwrite_addr(p.addr()), move |_| unsafe {
-                    *p.get() += 1;
-                });
-            }
-        });
-        assert_eq!(unsafe { *data }, 120);
-        assert_eq!(report.replayed, 5);
-        assert!(report.frontier_rescans > 0, "naive partitioner: {report}");
-        assert_eq!(report.heap_ops, 0, "{report}");
-        assert_eq!(report.partition_seeds, 0, "no eviction seeding");
-        let rr = rt.run_report();
-        assert_eq!(
-            rr.sched.inline_routed, 0,
-            "reference path never keeps routed releases inline"
-        );
-        check_invariants(&report);
         unsafe { drop(Box::from_raw(data)) };
     }
 

@@ -34,7 +34,7 @@
 //!    work-stealing — replay is scheduler-agnostic) the moment its
 //!    in-degree counter hits zero.
 //!
-//! Divergence is detected by a cheap structural hash (FNV-1a over
+//! Divergence is detected by a cheap structural hash (word-folded over
 //! labels, priorities and access sets, in creation order) and handled
 //! with *hysteresis*: up to [`nanotask_core::RuntimeConfig::replay_cache_size`]
 //! frozen graphs are kept in a [`GraphCache`] keyed by that hash, so a
@@ -51,9 +51,10 @@
 //! via foreign dependency edges plus the runtime's nested-spawn counter
 //! — is pinned immediately. Correctness never depends on the graphs
 //! actually matching: a divergent iteration awaits its replayed prefix
-//! and runs the rest through the dependency system.
-//! `replay_cache_size = 1` restores the original single-graph engine
-//! (discard on divergence, blind re-record) byte for byte.
+//! and runs the rest through the dependency system. The policy is the
+//! same at every cache size; `replay_cache_size = 1` is merely a cache
+//! too small for an alternating body (every shape change evicts and
+//! re-records).
 //!
 //! The public surface is the [`RunIterative`] extension trait:
 //!
@@ -93,11 +94,9 @@
 //!   iteration is a known hazard window: a nested child conflicting
 //!   with a *replayed root* task is unordered during it (the root
 //!   bypassed dependency registration), unlike at record time where the
-//!   dependency system ordered both. Two carve-outs are deliberate:
-//!   `replay_cache_size = 1` reproduces the original engine byte for
-//!   byte *including* its no-pinning nested-domain limitation, and the
-//!   hazard window above. *Recording* nested domains (which would close
-//!   both) remains open — see ROADMAP "taskwait nesting".
+//!   dependency system ordered both. *Recording* nested domains (which
+//!   would close the window) remains open — see ROADMAP "nested
+//!   domains".
 //! * Iteration boundaries are barriers: replay trades the dependency
 //!   system's cross-iteration pipelining for zero dependency-system
 //!   cost, which is the winning trade at fine granularity (the

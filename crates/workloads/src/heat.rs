@@ -277,7 +277,9 @@ mod tests {
     }
 
     #[test]
-    fn phased_replay_single_graph_mode_rerecords_every_flip() {
+    fn phased_replay_one_entry_cache_rerecords_every_flip() {
+        // Two shapes, one cache slot: every flip misses, freezes the
+        // new shape and evicts the other — correct, but never replays.
         let rt = Runtime::new(
             RuntimeConfig::optimized()
                 .workers(3)
@@ -287,7 +289,8 @@ mod tests {
         let report = w.run_phased_replay(&rt, &[8, 16]);
         w.verify().unwrap();
         assert_eq!(report.replayed, 0);
-        assert_eq!(report.rerecords, 3);
+        assert_eq!(report.rerecords, 6);
+        assert_eq!(report.cache_evictions, 5);
     }
 
     #[test]

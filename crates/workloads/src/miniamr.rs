@@ -356,8 +356,9 @@ mod tests {
     }
 
     #[test]
-    fn replay_single_graph_mode_rerecords_every_phase_change() {
-        // The pre-cache engine: every phase change discards the graph.
+    fn replay_one_entry_cache_rerecords_every_phase_change() {
+        // One cache slot for four shapes: every phase change misses,
+        // freezes the new shape and evicts the previous one.
         let rt = Runtime::new(
             RuntimeConfig::optimized()
                 .workers(3)
@@ -366,8 +367,8 @@ mod tests {
         let mut w = MiniAmr::new(1);
         let report = w.run_replay_report(&rt, 64);
         w.verify().unwrap();
-        assert_eq!(report.replayed, 0, "phases always diverge without a cache");
-        assert_eq!(report.rerecords, 4);
-        assert_eq!(report.diverged, 4);
+        assert_eq!(report.replayed, 0, "phases always diverge without room");
+        assert_eq!(report.rerecords, 8);
+        assert_eq!(report.diverged, 7);
     }
 }

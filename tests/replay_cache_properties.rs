@@ -372,38 +372,51 @@ fn partial_reduction_carryover_on_cache_hits() {
 /// Regression: a body whose tasks spawn nested children with
 /// cross-sibling dependencies (two root tasks' children conflict on one
 /// address) must be pinned to the dependency system — the frozen graph
-/// cannot order the children, so silently replaying it would race.
-/// Before this PR `foreign_edges` was only a diagnostic.
+/// cannot order the children, so silently replaying it would race. The
+/// pin is engine policy, not a property of the cache size: a one-entry
+/// cache (which once skipped every nested-safety check and replayed 5 of
+/// these 6 iterations) pins exactly like the default.
 #[test]
 fn nested_children_with_cross_sibling_deps_are_pinned() {
     const ITERS: usize = 6;
-    let rt = Runtime::new(RuntimeConfig::optimized().workers(3));
-    let shared = Box::leak(Box::new(0u64)) as *mut u64;
-    let p = SendPtr::new(shared);
-    let report = rt.run_iterative(ITERS, move |ctx| {
-        // Two independent root tasks; each spawns a nested child that
-        // read-modify-writes the same address. Only the (global)
-        // dependency system serializes the children.
-        for _ in 0..2 {
-            ctx.spawn(Deps::new(), move |tc| {
-                tc.spawn(Deps::new().readwrite_addr(p.addr()), move |_| unsafe {
-                    *p.get() += 1;
+    for cache_size in [1, 2, 4] {
+        let rt = Runtime::new(
+            RuntimeConfig::optimized()
+                .workers(3)
+                .with_replay_cache_size(cache_size),
+        );
+        let shared = Box::leak(Box::new(0u64)) as *mut u64;
+        let p = SendPtr::new(shared);
+        let report = rt.run_iterative(ITERS, move |ctx| {
+            // Two independent root tasks; each spawns a nested child that
+            // read-modify-writes the same address. Only the (global)
+            // dependency system serializes the children.
+            for _ in 0..2 {
+                ctx.spawn(Deps::new(), move |tc| {
+                    tc.spawn(Deps::new().readwrite_addr(p.addr()), move |_| unsafe {
+                        *p.get() += 1;
+                    });
                 });
-            });
-        }
-    });
-    assert_eq!(unsafe { *shared }, 2 * ITERS as u64, "children all ran");
-    assert!(
-        report.pinned_nested,
-        "nested domains must pin the body: {report:?}"
-    );
-    assert!(report.nested_spawns >= 2, "{report:?}");
-    assert_eq!(report.replayed, 0, "never silently replayed");
-    assert_eq!(report.rerecords, 1, "one record, then permanent fallback");
-    assert_eq!(report.pinned_iterations, ITERS - 1);
-    assert_eq!(report.giveups, 1);
-    check_report(&report, "nested");
-    unsafe { drop(Box::from_raw(shared)) };
+            }
+        });
+        let label = format!("nested cache={cache_size}");
+        assert_eq!(
+            unsafe { *shared },
+            2 * ITERS as u64,
+            "{label}: children all ran"
+        );
+        assert!(
+            report.pinned_nested,
+            "{label}: nested domains must pin the body: {report:?}"
+        );
+        assert!(report.nested_spawns >= 2, "{label}: {report:?}");
+        assert_eq!(report.replayed, 0, "{label}: never silently replayed");
+        assert_eq!(report.rerecords, 1, "{label}: one record, then fallback");
+        assert_eq!(report.pinned_iterations, ITERS - 1, "{label}");
+        assert_eq!(report.giveups, 1, "{label}");
+        check_report(&report, &label);
+        unsafe { drop(Box::from_raw(shared)) };
+    }
 }
 
 /// The give-up policy interacts correctly with the conformance
