@@ -1,4 +1,4 @@
-//! Design-choice ablation called out in DESIGN.md: how many SPSC add
+//! Design-choice ablation next to `t34_sched_speedup`: how many SPSC add
 //! buffers should the delegation scheduler use? §3.1 of the paper: "The
 //! number of SPSC queues can be configured from a single one to one per
 //! core. [...] In our experiments, we use one SPSC queue and lock per

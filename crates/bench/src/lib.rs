@@ -1,5 +1,8 @@
 //! Benchmark harness regenerating every figure and quantitative claim of
-//! the paper's evaluation (§6). See DESIGN.md for the experiment index.
+//! the paper's evaluation (§6): `fig03`–`fig11`, the §3.4 in-text
+//! scheduler claim (`t34_sched_speedup`) and one design-choice ablation
+//! (`ablation_spsc_partitioning`). Tracked numbers come from the
+//! `benchmark/` ledger, not from these binaries.
 //!
 //! Each `fig*` binary prints the same series the corresponding figure
 //! plots, as CSV: `benchmark,variant,granularity,block,perf,efficiency`.
@@ -17,9 +20,6 @@
 use nanotask_core::{Platform, Runtime, RuntimeConfig};
 use nanotask_workloads::sweep::{SweepPoint, efficiency, sweep, to_csv};
 use nanotask_workloads::workload_by_name;
-
-pub mod json;
-use json::Json;
 
 /// Harness options read from the environment.
 #[derive(Debug, Clone, Copy)]
@@ -67,7 +67,6 @@ pub fn run_figure(
         platform.name, platform.numa_nodes, opts.scale, opts.reps
     );
     println!("# benchmark,variant,ops_per_task,block,perf,efficiency");
-    let mut rows: Vec<Json> = Vec::new();
     for bench in benchmarks {
         let mut all_points: Vec<Vec<SweepPoint>> = Vec::new();
         let mut labels = Vec::new();
@@ -88,31 +87,7 @@ pub fn run_figure(
         let effs = efficiency(&all_points);
         for ((points, eff), label) in all_points.iter().zip(&effs).zip(&labels) {
             print!("{}", to_csv(bench, label, points, eff));
-            for (p, e) in points.iter().zip(eff) {
-                rows.push(Json::obj([
-                    ("benchmark", Json::from(*bench)),
-                    ("variant", Json::from(*label)),
-                    ("ops_per_task", Json::from(p.ops_per_task)),
-                    ("block", Json::from(p.block_size)),
-                    ("seconds", Json::from(p.seconds)),
-                    ("perf", Json::from(p.perf)),
-                    ("efficiency", Json::from(*e)),
-                ]));
-            }
         }
-    }
-    let doc = Json::obj([
-        ("figure", Json::from(figure)),
-        ("platform", Json::from(platform.name)),
-        ("workers", Json::from(workers)),
-        ("scale", Json::from(opts.scale)),
-        ("reps", Json::from(opts.reps)),
-        ("rows", Json::Arr(rows)),
-    ]);
-    match json::write_bench_json(figure, &doc) {
-        Ok(Some(path)) => eprintln!("# wrote {}", path.display()),
-        Ok(None) => {}
-        Err(e) => eprintln!("# BENCH json write failed: {e}"),
     }
 }
 

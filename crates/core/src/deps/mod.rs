@@ -273,6 +273,12 @@ pub unsafe trait DependencySystem: Send + Sync {
     /// Implementation identifier.
     fn kind(&self) -> DepsKind;
 
+    /// Delivery statistics snapshot: (accesses, deliveries, duplicates).
+    /// Only the wait-free system delivers messages; the default is zero.
+    fn delivery_stats(&self) -> (u64, u64, u64) {
+        (0, 0, 0)
+    }
+
     /// Clear run-scoped failure-propagation state at a run boundary
     /// (called by the runtime between runs, never concurrently with
     /// register/complete traffic). The wait-free system's POISON flags

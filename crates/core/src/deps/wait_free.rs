@@ -74,15 +74,6 @@ impl WaitFreeDeps {
         }
     }
 
-    /// Delivery statistics snapshot: (accesses, deliveries, duplicates).
-    pub fn stats(&self) -> (u64, u64, u64) {
-        (
-            self.stats.accesses.load(Ordering::Relaxed),
-            self.stats.deliveries.load(Ordering::Relaxed),
-            self.stats.duplicates.load(Ordering::Relaxed),
-        )
-    }
-
     /// Deliver one message: a single fetch-OR plus crossing-rule
     /// evaluation. New messages go to `mb`.
     ///
@@ -450,6 +441,14 @@ unsafe impl DependencySystem for WaitFreeDeps {
 
     fn kind(&self) -> DepsKind {
         DepsKind::WaitFree
+    }
+
+    fn delivery_stats(&self) -> (u64, u64, u64) {
+        (
+            self.stats.accesses.load(Ordering::Relaxed),
+            self.stats.deliveries.load(Ordering::Relaxed),
+            self.stats.duplicates.load(Ordering::Relaxed),
+        )
     }
 
     unsafe fn reset_faults_under(&self, parent: *mut Task) {
@@ -851,7 +850,7 @@ mod tests {
         for &t in &ts {
             h.complete(t);
         }
-        let (accesses, deliveries, _dups) = h.deps.stats();
+        let (accesses, deliveries, _dups) = h.deps.delivery_stats();
         assert_eq!(accesses, 50);
         assert!(
             deliveries <= accesses * flags::FLAG_COUNT as u64,

@@ -104,21 +104,6 @@ impl Topology {
         }
     }
 
-    /// Detect a topology for `workers` workers from the environment:
-    /// `NANOTASK_NUMA_NODES` wins when set; otherwise one node per 32
-    /// hardware threads of the host — a deterministic stand-in for real
-    /// NUMA discovery (this build has no libnuma), matching the paper's
-    /// machines (48-core/2-node Xeon, 128-core/8-node Rome ≈ 1 node per
-    /// 16–32 cores; small hosts get 1 node).
-    pub fn detect(workers: usize) -> Self {
-        let nodes = std::env::var("NANOTASK_NUMA_NODES")
-            .ok()
-            .and_then(|v| v.parse::<usize>().ok())
-            .filter(|&n| n >= 1)
-            .unwrap_or_else(|| Self::host_parallelism().div_ceil(32));
-        Self::contiguous(workers, nodes)
-    }
-
     /// Number of NUMA nodes.
     pub fn nodes(&self) -> usize {
         self.nodes
@@ -148,11 +133,6 @@ impl Topology {
     /// empty or out-of-range node).
     pub fn first_worker_of(&self, node: usize) -> usize {
         self.workers_of(node).next().unwrap_or(0)
-    }
-
-    /// Host parallelism (same source as [`Platform::host_parallelism`]).
-    fn host_parallelism() -> usize {
-        Platform::host_parallelism()
     }
 }
 
@@ -229,14 +209,5 @@ mod tests {
     fn topology_out_of_range_worker_wraps() {
         let t = Topology::contiguous(4, 2);
         assert_eq!(t.node_of(4), t.node_of(0));
-    }
-
-    #[test]
-    fn topology_detect_is_deterministic() {
-        // Whatever the host offers, detection must be stable and valid.
-        let a = Topology::detect(4);
-        let b = Topology::detect(4);
-        assert_eq!(a, b);
-        assert!(a.nodes() >= 1 && a.nodes() <= 4);
     }
 }

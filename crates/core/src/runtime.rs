@@ -166,8 +166,7 @@ impl FaultPlan {
     }
 
     /// A plan that never fires — every injection check still runs, so
-    /// this measures the full bookkeeping overhead of an armed plan
-    /// (the `fig19_chaos` no-fault-overhead row).
+    /// this carries the full bookkeeping of an armed plan.
     pub fn never() -> Self {
         Self {
             seed: 0,
@@ -457,8 +456,8 @@ impl RuntimeConfig {
 
     /// Toggle the whole zero-queue fast path at once: immediate-successor
     /// inline execution + batched ready-task release + a small per-worker
-    /// pop cache. This is the knob the `fig13_inline_succ` ablation
-    /// flips; everything defaults to off.
+    /// pop cache. Everything defaults to off;
+    /// `tests/fastpath_properties.rs` flips it.
     pub fn fast_path(mut self, on: bool) -> Self {
         self.inline_successors = on;
         self.batched_release = on;
@@ -562,15 +561,6 @@ impl RuntimeConfig {
         self
     }
 
-    /// Set the NUMA-node count from the environment/host
-    /// ([`crate::platform::Topology::detect`]): `NANOTASK_NUMA_NODES`
-    /// when set, a deterministic host-parallelism-based fallback
-    /// otherwise.
-    pub fn with_detected_numa(self) -> Self {
-        let nodes = crate::platform::Topology::detect(self.workers).nodes();
-        self.with_numa_nodes(nodes)
-    }
-
     /// The four §6.2 ablation configurations, in paper order.
     pub fn ablations() -> Vec<RuntimeConfig> {
         vec![
@@ -596,7 +586,8 @@ pub struct RunReport {
     pub sched: crate::sched::SchedOpStats,
     /// Per-NUMA-node insertion counters (one entry per node; empty for
     /// schedulers without per-node structures) — the evidence behind the
-    /// NUMA-aware replay partitioning claim (`fig15_numa_replay`).
+    /// NUMA-aware replay partitioning claim
+    /// (`tests/replay_partition_properties.rs`).
     pub node_stats: Vec<crate::sched::NodeOpStats>,
     /// Task activations that skipped the scheduler queue entirely
     /// (immediate-successor inline runs).
@@ -607,9 +598,8 @@ pub struct RunReport {
 
 impl RunReport {
     /// Fraction of queue-or-inline task activations that bypassed the
-    /// scheduler queue: `inline_runs / (inline_runs + pops)`. The
-    /// `fig13_inline_succ` acceptance check (≥ 0.5 on chain-heavy
-    /// workloads) reads this.
+    /// scheduler queue: `inline_runs / (inline_runs + pops)` (≥ 0.5 on
+    /// chain-heavy workloads with the fast path on).
     pub fn queue_bypass_fraction(&self) -> f64 {
         let total = self.inline_runs + self.sched.pops;
         if total == 0 {
@@ -2167,20 +2157,6 @@ impl Runtime {
 
     /// Aggregate counters.
     pub fn stats(&self) -> RuntimeStats {
-        let deps_deliveries = if let DepsKind::WaitFree = self.shared.cfg.deps {
-            // Downcast through the concrete type to read its counters.
-            let any: &dyn DependencySystem = &*self.shared.deps;
-            let wf = unsafe {
-                // SAFETY: kind() == WaitFree ⇒ the concrete type is
-                // WaitFreeDeps (the factory builds no other).
-                debug_assert_eq!(any.kind(), DepsKind::WaitFree);
-                &*(any as *const dyn DependencySystem
-                    as *const crate::deps::wait_free::WaitFreeDeps)
-            };
-            wf.stats()
-        } else {
-            (0, 0, 0)
-        };
         let m = &self.shared.metrics;
         let mut alloc = self.shared.alloc.stats();
         // Fold the task-slab recycling counters into the allocator view:
@@ -2194,7 +2170,7 @@ impl Runtime {
             tasks_executed: m.tasks_executed.value(),
             tasks_freed: m.tasks_freed.value(),
             alloc,
-            deps_deliveries,
+            deps_deliveries: self.shared.deps.delivery_stats(),
         }
     }
 

@@ -29,10 +29,10 @@ use std::sync::Arc;
 use crate::task::Task;
 
 /// Snapshot of scheduler operation counters — the machine-checkable side
-/// of the zero-queue fast-path claim (`fig13_inline_succ`): how many
-/// tasks entered the ready structures one at a time vs. in batches, how
-/// many pops were served from a per-worker cache, and how often the
-/// scheduler's lock was actually acquired.
+/// of the zero-queue fast-path claim: how many tasks entered the ready
+/// structures one at a time vs. in batches, how many pops were served
+/// from a per-worker cache, and how often the scheduler's lock was
+/// actually acquired.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SchedOpStats {
     /// Tasks added one at a time (`add_ready`).
@@ -68,10 +68,10 @@ pub struct SchedOpStats {
 }
 
 /// Per-NUMA-node insertion counters of one scheduler, the
-/// machine-checkable side of the NUMA-aware replay partitioning claim
-/// (`fig15_numa_replay`): how many tasks entered this node's ready
-/// structure because a caller *targeted* it (the replay partitioner's
-/// release path) vs because the producing worker happened to live there.
+/// machine-checkable side of the NUMA-aware replay partitioning claim:
+/// how many tasks entered this node's ready structure because a caller
+/// *targeted* it (the replay partitioner's release path) vs because the
+/// producing worker happened to live there.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct NodeOpStats {
     /// Tasks inserted into this node's structure via

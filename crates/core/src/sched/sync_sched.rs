@@ -15,7 +15,7 @@
 //!
 //! §3.4 reports a 4× speedup over a PTLock-protected scheduler and 12×
 //! over serial insertion from these two mechanisms combined; the
-//! `sched_micro` benchmark regenerates that comparison.
+//! `t34_sched_speedup` harness regenerates that comparison.
 
 use core::cell::UnsafeCell;
 use std::collections::VecDeque;

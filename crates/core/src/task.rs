@@ -78,8 +78,8 @@ const fn field_max(bits: u32) -> u64 {
 }
 
 /// Total number of lazily-created bottom maps, process-wide. Leaf tasks
-/// (the overwhelming majority of a graph) never create one; the fig18
-/// harness asserts exactly that.
+/// (the overwhelming majority of a graph) never create one;
+/// `tests/scale_guards.rs` asserts exactly that.
 static BOTTOM_MAPS_CREATED: AtomicU64 = AtomicU64::new(0);
 
 /// Process-wide count of demand-created child bottom maps (monotone).

@@ -23,7 +23,7 @@
 //!   Open it at `https://ui.perfetto.dev` or `chrome://tracing`.
 //! * [`prometheus`] — text-exposition dump of a snapshot (`nanotask_*`
 //!   metric names, scheduler/dep-system/node labels) plus a line-by-line
-//!   validator used by tests and the `fig17_observatory` harness.
+//!   validator (`tests/obs_integration.rs` runs it on a live snapshot).
 //! * [`flight`] — an in-run flight recorder: a ring of the last N
 //!   registry snapshots taken every `every` ticks, so replay-health
 //!   anomalies (divergence storms, giveup spirals, routing-ratio

@@ -5,8 +5,7 @@
 //! dep-system) merge with per-metric labels (e.g. `node="1"`);
 //! histograms expand into cumulative `_bucket{le="..."}` series plus
 //! `_sum` and `_count`. [`validate`] is the consumer side: a
-//! line-by-line parser used by tests and the `fig17_observatory`
-//! harness to prove the dump is well-formed.
+//! line-by-line parser the tests use to prove the dump is well-formed.
 
 use crate::registry::{HistogramSnapshot, MetricValue, Snapshot};
 

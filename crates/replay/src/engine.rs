@@ -212,7 +212,7 @@ impl core::fmt::Display for ReplayReport {
 /// (`nanotask_replay_*_total`) plus the per-iteration feed-time
 /// histogram. The bespoke report stays the source of truth — the
 /// registry view is written from it once per `run_iterative` call, so
-/// the two can be compared field-by-field (the fig17 differential) and
+/// the two can be compared field-by-field (`registry_mirrors_the_report`) and
 /// the registry accumulates across calls on the same runtime.
 #[derive(Clone)]
 struct ReplayObs {
@@ -1334,8 +1334,8 @@ mod tests {
     }
 
     /// The registry view written by [`ReplayObs::mirror`] must agree
-    /// with the bespoke report field-by-field (the same differential the
-    /// fig17 harness asserts), and accumulate across runs on one runtime.
+    /// with the bespoke report field-by-field, and accumulate across
+    /// runs on one runtime.
     #[test]
     fn registry_mirrors_the_report() {
         let rt = Runtime::new(RuntimeConfig::optimized().workers(3).with_metrics(true));

@@ -100,7 +100,7 @@
 //! * Iteration boundaries are barriers: replay trades the dependency
 //!   system's cross-iteration pipelining for zero dependency-system
 //!   cost, which is the winning trade at fine granularity (the
-//!   `fig12_replay_speedup` experiment).
+//!   `heat_replay` vs `heat_deps` workloads of the `benchmark/` ledger).
 
 mod cache;
 mod engine;

@@ -216,7 +216,7 @@ impl IterativeWorkload for Heat {
 impl Heat {
     /// Phase-alternating replay driver: timestep `t` uses block size
     /// `sizes[t % sizes.len()]`, so the spawned task graph alternates
-    /// between `sizes.len()` distinct shapes — the `fig14_graph_cache`
+    /// between `sizes.len()` distinct shapes — the graph-cache
     /// stress. Every block size still performs one full Gauss–Seidel
     /// sweep in row-major cell order, so [`Workload::verify`] holds
     /// regardless of the phase pattern. Returns the full

@@ -87,7 +87,7 @@ pub trait IterativeWorkload: Workload {
 
     /// Like [`IterativeWorkload::run_replay`], but hands back the replay
     /// engine's [`nanotask_replay::ReplayReport`] — the counters the
-    /// replay harnesses (fig12/fig14/fig15) make their claims with.
+    /// replay property tests and the `benchmark/` ledger read.
     fn run_replay_report(&mut self, rt: &Runtime, bs: usize) -> nanotask_replay::ReplayReport;
 }
 

@@ -41,6 +41,8 @@ pub use nanotask_alloc as alloc;
 pub use nanotask_core as runtime_core;
 /// Lock designs: Ticket, PTLock, MCS, TWA, DTLock (§3.2–3.3).
 pub use nanotask_locks as locks;
+/// Metrics registry, Perfetto/Prometheus exporters, flight recorder.
+pub use nanotask_obs as obs;
 /// Task-graph record & replay for iterative applications.
 pub use nanotask_replay as replay;
 /// Bounded wait-free SPSC queue (§3.1).

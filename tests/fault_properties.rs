@@ -12,8 +12,8 @@
 use proptest::prelude::*;
 
 use nanotask::{
-    Deps, DepsKind, FAULT_PANIC_PREFIX, FaultPlan, RunIterative, Runtime, RuntimeConfig, SchedKind,
-    SendPtr,
+    Deps, DepsKind, FAULT_PANIC_PREFIX, FailureKind, FaultPlan, RunIterative, Runtime,
+    RuntimeConfig, SchedKind, SendPtr,
 };
 use nanotask_core::sched::{LockKind, WsVariant};
 use std::sync::Arc;
@@ -254,5 +254,62 @@ proptest! {
         prop_assert_eq!(s1.tasks_created, s2.tasks_created);
         prop_assert_eq!(s1.tasks_executed, s2.tasks_executed);
         prop_assert_eq!(s1.tasks_freed, s2.tasks_freed);
+    }
+}
+
+/// An injected mid-chain panic on every scheduler × dependency-system
+/// combination cancels exactly the victim's successors and leaks
+/// nothing, and the same still-armed runtime then records afresh and
+/// replays a fault-free `run_iterative` with no residual poison.
+#[test]
+fn injected_panic_then_clean_replay_on_same_runtime() {
+    const CHAIN: u64 = 24;
+    const KILL_AT: u64 = 15;
+    // 3 × 4 = 12 eligible bodies: the follow-up stays below KILL_AT, so
+    // the still-armed plan cannot re-fire.
+    const ITERS: usize = 3;
+    const ITER_CHAIN: u64 = 4;
+
+    for combo in 0..6 {
+        let rt = Runtime::new(
+            RuntimeConfig::optimized()
+                .scheduler(sched_for(combo))
+                .dependency_system(deps_for(combo))
+                .workers(3)
+                .with_fault_plan(FaultPlan::panic_at(KILL_AT)),
+        );
+        let cell = Box::into_raw(Box::new(0u64));
+        let p = SendPtr::new(cell);
+        let chain = move |ctx: &nanotask::TaskCtx, len: u64| {
+            for _ in 0..len {
+                // SAFETY: serialized by the readwrite chain.
+                ctx.spawn(Deps::new().readwrite_addr(p.addr()), move |_| unsafe {
+                    *p.get() += 1
+                });
+            }
+        };
+
+        let outcome = rt.run_outcome(move |ctx| chain(ctx, CHAIN));
+        assert_eq!(outcome.failures.len(), 1, "{combo}: {}", outcome.summary());
+        assert_eq!(outcome.failures[0].kind, FailureKind::Panic, "{combo}");
+        assert_eq!(outcome.tasks_cancelled, CHAIN - KILL_AT - 1, "{combo}");
+        assert!(outcome.completed, "{combo}: graph drained");
+        assert_eq!(unsafe { *cell }, KILL_AT, "{combo}: only predecessors ran");
+        assert_eq!(rt.live_tasks(), 0, "{combo}: no leaked tasks");
+        let s = rt.stats();
+        assert_eq!(s.tasks_created, s.tasks_freed, "{combo}");
+
+        let (report, outcome) = rt.run_iterative_outcome(ITERS, move |ctx| chain(ctx, ITER_CHAIN));
+        assert!(outcome.is_ok(), "{combo}: {}", outcome.summary());
+        assert_eq!(report.faulted, 0, "{combo}: {report}");
+        assert_eq!(report.rerecords, 1, "{combo}: fresh recording: {report}");
+        assert_eq!(report.replayed, ITERS - 1, "{combo}: {report}");
+        assert_eq!(
+            unsafe { *cell },
+            KILL_AT + ITERS as u64 * ITER_CHAIN,
+            "{combo}: every follow-up body ran"
+        );
+        assert_eq!(rt.live_tasks(), 0, "{combo}");
+        unsafe { drop(Box::from_raw(cell)) };
     }
 }
