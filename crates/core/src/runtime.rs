@@ -30,7 +30,7 @@ use crate::deps::access::DataAccess;
 use crate::deps::{DepHooks, DependencySystem, Deps, DepsKind, make_deps};
 use crate::graph::{EdgeKind, GraphEdge};
 use crate::platform::Platform;
-use crate::sched::{Policy, SchedKind, Scheduler, TaskPtr, make_scheduler};
+use crate::sched::{Policy, SchedKind, Scheduler, Scope, TaskPtr, make_scheduler};
 use crate::task::{Task, TaskBody, TaskId, TaskState};
 
 /// Observer of task spawns issued by the *root* task — the hook the
@@ -594,6 +594,8 @@ pub struct RunReport {
     pub inline_runs: u64,
     /// Longest inline chain observed.
     pub max_inline_depth: u64,
+    /// Deepest `taskwait` nesting observed on one worker's stack.
+    pub max_taskwait_depth: u64,
 }
 
 impl RunReport {
@@ -728,6 +730,7 @@ pub(crate) struct Metrics {
     pub live_tasks: Gauge,
     pub inline_runs: Counter,
     pub max_inline_depth: MaxGauge,
+    pub max_taskwait_depth: MaxGauge,
     pub inline_routed: Counter,
     pub nested_spawns: Counter,
     /// Task bodies that panicked (caught at the body seam).
@@ -776,6 +779,7 @@ impl Metrics {
             live_tasks: registry.gauge("nanotask_live_tasks"),
             inline_runs: registry.counter("nanotask_inline_runs_total"),
             max_inline_depth: registry.max_gauge("nanotask_max_inline_depth"),
+            max_taskwait_depth: registry.max_gauge("nanotask_max_taskwait_depth"),
             inline_routed: registry.counter("nanotask_inline_routed_total"),
             nested_spawns: registry.counter("nanotask_nested_spawns_total"),
             tasks_failed: registry.counter("nanotask_tasks_failed_total"),
@@ -892,6 +896,11 @@ impl Shared {
             } else {
                 t.write(Task::new(id, label, parent, created_by, body, decls));
             }
+            (*t).level = if parent.is_null() {
+                0
+            } else {
+                (*parent).level + 1
+            };
         }
         t
     }
@@ -942,6 +951,9 @@ pub(crate) struct WorkerCtx {
     /// `inline_routed` counter equal to releases that actually run
     /// inline.
     inline_depth: core::cell::Cell<usize>,
+    /// `taskwait` / `taskwait_on` calls active on this worker's stack
+    /// (maintained by [`TaskCtx::help_until`]).
+    taskwait_depth: core::cell::Cell<usize>,
     /// Newly-released tasks awaiting one batched scheduler hand-off,
     /// minus at most one kept as the worker's inline next task.
     pending: RefCell<Vec<TaskPtr>>,
@@ -964,6 +976,7 @@ impl WorkerCtx {
             collecting: core::cell::Cell::new(false),
             defer_held: core::cell::Cell::new(false),
             inline_depth: core::cell::Cell::new(0),
+            taskwait_depth: core::cell::Cell::new(0),
             pending: RefCell::new(Vec::new()),
             scratch: RefCell::new(Vec::new()),
             metrics_enq_tick: core::cell::Cell::new(0),
@@ -1128,6 +1141,11 @@ unsafe impl DepHooks for Hooks<'_> {
 /// find the cell empty and re-fetch from the runtime, which is correct,
 /// just slower.
 type CaptureCache = core::cell::Cell<Option<(u64, Option<Arc<dyn SpawnCapture>>)>>;
+
+/// `taskwait` nesting depth on one worker at which a waiter stops taking
+/// unrelated tasks and runs only its own descendants (see
+/// [`TaskCtx::taskwait`]).
+const TASKWAIT_NESTING_CAP: usize = 32;
 
 pub struct TaskCtx<'a> {
     task: *mut Task,
@@ -1444,8 +1462,9 @@ impl TaskCtx<'_> {
     /// OmpSs-2 `taskwait on(...)`: block until every earlier task whose
     /// accesses conflict with `deps` has completed — without waiting for
     /// unrelated children. Implemented exactly as the model defines it: an
-    /// empty task carrying `deps` is inserted into the dependency system
-    /// and the worker helps execute other tasks until it runs.
+    /// empty child task carrying `deps` is inserted into the dependency
+    /// system and the worker helps execute ready tasks until it runs, in
+    /// the order and under the nesting cap of [`TaskCtx::taskwait`].
     pub fn taskwait_on(&self, deps: Deps) {
         // Deferred releases must be visible to the scheduler before this
         // worker starts waiting on them.
@@ -1460,23 +1479,7 @@ impl TaskCtx<'_> {
             Box::new(|_| {}),
             Some(Arc::clone(&done)),
         );
-        let mut backoff = Backoff::new();
-        while !done.load(Ordering::Acquire) {
-            let got = {
-                let mut rec = self.worker.recorder.borrow_mut();
-                self.worker
-                    .shared
-                    .sched
-                    .get_ready(self.worker.id, Some(&mut rec))
-            };
-            match got {
-                Some(t) => {
-                    execute_task(self.worker, t.0);
-                    backoff.reset();
-                }
-                None => backoff.snooze(),
-            }
-        }
+        self.help_until(|| done.load(Ordering::Acquire));
         self.worker.record(EventKind::TaskwaitEnd, task.id);
     }
 
@@ -1520,8 +1523,28 @@ impl TaskCtx<'_> {
     }
 
     /// Wait until every child spawned so far (and their descendants) has
-    /// completed. The worker executes other ready tasks while waiting
-    /// (work-assisting), so taskwait never deadlocks the thread pool.
+    /// completed. The worker executes ready tasks while it waits
+    /// (work-assisting), on its own stack, work-first: the newest queued
+    /// descendant of this task; else, below a nesting cap of 32 waits on
+    /// this worker, the newest queued task of any kind; else it snoozes
+    /// (the order of [`crate::sched::Scope`]). Descendants first keep a
+    /// recursive fork-join tree depth-first, so live tasks and stack depth
+    /// follow the tree's depth instead of its width; the cap bounds how
+    /// many unrelated waits pile up on one stack. The root task's waits
+    /// keep the policy's order: every task descends from the root.
+    ///
+    /// The cap cannot deadlock. This runtime has no weak accesses and
+    /// dependency domains are per parent, so the unfinished descendants
+    /// of the waited-in task `T` depend only on each other: while any is
+    /// unfinished, one is queued or running. A queued one is found by
+    /// `T`'s waiter even at the cap (a capped waiter searches the whole
+    /// queue and first hands its private pop cache back to it). A running
+    /// one started after `T` and sits on some worker's stack below that
+    /// worker's innermost wait, which started after it. Following "my
+    /// descendant runs below your innermost wait" from waiter to waiter
+    /// therefore strictly increases start times and cannot cycle: the
+    /// innermost wait that started last always has a queued descendant
+    /// or none left.
     pub fn taskwait(&self) {
         // Deferred releases must be visible to the scheduler before this
         // worker starts waiting on them (they may be the very children
@@ -1532,28 +1555,49 @@ impl TaskCtx<'_> {
             return;
         }
         self.worker.record(EventKind::TaskwaitBegin, task.id);
+        self.help_until(|| task.pending_children() <= 1);
+        self.worker.record(EventKind::TaskwaitEnd, task.id);
+    }
+
+    /// The work-assisting wait loop shared by [`TaskCtx::taskwait`] and
+    /// [`TaskCtx::taskwait_on`]: run tasks in this task's scope until
+    /// `done`, accounting the worker's nesting depth.
+    fn help_until(&self, done: impl Fn() -> bool) {
+        let w = self.worker;
+        let depth = w.taskwait_depth.get() + 1;
+        w.taskwait_depth.set(depth);
+        w.shared
+            .metrics
+            .max_taskwait_depth
+            .record(w.id, depth as u64);
+        // Every queued task descends from the root, so a scope there would
+        // only reverse the policy's order: the root waits like an idle
+        // worker.
+        // SAFETY: `self.task` is the task running this wait.
+        let scope = if unsafe { (*self.task).parent.is_null() } {
+            Scope::ANY
+        } else {
+            Scope::within(self.task, depth >= TASKWAIT_NESTING_CAP)
+        };
         let mut backoff = Backoff::new();
-        while task.pending_children() > 1 {
+        while !done() {
             let got = {
-                let mut rec = self.worker.recorder.borrow_mut();
-                self.worker
-                    .shared
-                    .sched
-                    .get_ready(self.worker.id, Some(&mut rec))
+                let mut rec = w.recorder.borrow_mut();
+                w.shared.sched.get_ready_within(w.id, scope, Some(&mut rec))
             };
             match got {
                 Some(t) => {
-                    execute_task(self.worker, t.0);
+                    execute_task(w, t.0);
                     backoff.reset();
                 }
                 None => backoff.snooze(),
             }
-            if let Some(noise) = &self.worker.shared.noise {
-                let mut rec = self.worker.recorder.borrow_mut();
-                noise.check(self.worker.id as u16, &mut rec);
+            if let Some(noise) = &w.shared.noise {
+                let mut rec = w.recorder.borrow_mut();
+                noise.check(w.id as u16, &mut rec);
             }
         }
-        self.worker.record(EventKind::TaskwaitEnd, task.id);
+        w.taskwait_depth.set(depth - 1);
     }
 
     /// The private reduction slot of the current worker for the reduction
@@ -2202,6 +2246,7 @@ impl Runtime {
             node_stats: self.shared.sched.node_stats(),
             inline_runs: m.inline_runs.value(),
             max_inline_depth: m.max_inline_depth.value(),
+            max_taskwait_depth: m.max_taskwait_depth.value(),
         }
     }
 

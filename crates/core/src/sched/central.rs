@@ -16,7 +16,9 @@ use nanotask_locks::RawLock;
 use nanotask_obs::Registry;
 use nanotask_trace::EventKind;
 
-use super::{Policy, PolicyQueue, Rec, SchedCounters, SchedKind, SchedOpStats, Scheduler, TaskPtr};
+use super::{
+    Policy, PolicyQueue, Rec, SchedCounters, SchedKind, SchedOpStats, Scheduler, Scope, TaskPtr,
+};
 
 /// A policy queue behind one global lock `L`.
 pub struct CentralScheduler<L: RawLock> {
@@ -121,11 +123,12 @@ impl<L: RawLock> Scheduler for CentralScheduler<L> {
         }
     }
 
-    fn get_ready(&self, worker: usize, _rec: Rec<'_>) -> Option<TaskPtr> {
+    fn get_ready_within(&self, worker: usize, scope: Scope, _rec: Rec<'_>) -> Option<TaskPtr> {
         self.lock.lock();
         self.counters.lock(worker);
-        // SAFETY: queue accessed only under `lock`.
-        let t = unsafe { (*self.queue.get()).pop() };
+        // SAFETY: queue accessed only under `lock`; queued tasks and the
+        // waiter's task are live (the scheduler contract).
+        let t = unsafe { (*self.queue.get()).pop_within(scope) };
         self.lock.unlock();
         if t.is_some() {
             self.len.fetch_sub(1, core::sync::atomic::Ordering::Relaxed);

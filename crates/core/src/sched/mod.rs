@@ -220,6 +220,10 @@ pub enum Policy {
     #[default]
     Fifo,
     /// Last-in first-out (depth-first, cache-friendlier for some loads).
+    /// Idle workers then pop the newest task too; a waiter inside
+    /// `taskwait` pops newest-first under every policy but `Priority`
+    /// (see [`Scope`]), so `Lifo` only changes what idle workers and the
+    /// root task's waits take.
     Lifo,
     /// Highest task priority first, FIFO among equals — the OmpSs-2
     /// `priority` clause. Exists partly to demonstrate the paper's §3.2
@@ -227,6 +231,87 @@ pub enum Policy {
     /// policies should be easy" (a lock-free design would need a new
     /// ad-hoc structure per policy; this one is a 20-line change).
     Priority,
+}
+
+/// Where a pop may take work from: the work-first discipline of
+/// work-stealing runtimes (Cilk-5: the owner runs its newest work, thieves
+/// take the oldest) applied to a waiter inside `taskwait`.
+///
+/// [`Scope::ANY`] is an idle worker, a thief, or a wait in the root task
+/// (every task descends from it): it gets the policy's own order (oldest
+/// first under [`Policy::Fifo`]). Any other waiter passes
+/// [`Scope::within`] the task it waits in and is answered in this order:
+///
+/// 1. the newest queued descendant of that task, among the newest 32
+///    entries;
+/// 2. below the nesting cap, the newest queued task of any kind;
+/// 3. at the cap, the newest descendant anywhere in the queue, and
+///    otherwise nothing (OpenMP's task scheduling constraint for tied
+///    tasks: the waiter may only run what its own wait needs).
+///
+/// [`Policy::Priority`] ignores the scope: priority order is its point.
+/// The task pointer and the capped flag share one word (tasks are at
+/// least 2-aligned), so the delegation scheduler can publish a waiter's
+/// scope in one atomic slot.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Scope(*const Task);
+
+impl Scope {
+    /// No scope: the policy's own order.
+    pub const ANY: Scope = Scope(core::ptr::null());
+    const CAPPED: usize = 1;
+
+    /// The scope of a waiter in `task`; `capped` when the waiter sits at
+    /// the nesting cap and may only run descendants of `task`.
+    pub fn within(task: *const Task, capped: bool) -> Self {
+        const { assert!(core::mem::align_of::<Task>() > Self::CAPPED) };
+        debug_assert!(!task.is_null());
+        Scope(task.map_addr(|a| a | capped as usize))
+    }
+
+    /// The task waited in (null for [`Scope::ANY`]).
+    pub(crate) fn task(self) -> *const Task {
+        self.0.map_addr(|a| a & !Self::CAPPED)
+    }
+
+    /// Whether only descendants of [`Scope::task`] may be returned.
+    pub(crate) fn is_capped(self) -> bool {
+        self.0.addr() & Self::CAPPED != 0
+    }
+
+    /// The packed word, for a slot another thread reads.
+    pub(crate) fn into_raw(self) -> *mut Task {
+        self.0.cast_mut()
+    }
+
+    /// Inverse of [`Scope::into_raw`].
+    pub(crate) fn from_raw(p: *mut Task) -> Self {
+        Scope(p)
+    }
+}
+
+/// How many of the newest queued tasks a scoped pop searches for a
+/// descendant before it falls back (step 1 of [`Scope`]).
+const SCOPE_SCAN: usize = 32;
+
+/// The scoped pop of [`Scope`] over a queue whose back holds the newest
+/// task. `scope` must not be [`Scope::ANY`].
+///
+/// # Safety
+/// Every queued pointer and `scope.task()` must point to live tasks.
+pub(crate) unsafe fn take_within(q: &mut VecDeque<TaskPtr>, scope: Scope) -> Option<TaskPtr> {
+    let waited = scope.task();
+    // SAFETY: queued tasks and the waited-in task are live (caller).
+    let descends = |t: &TaskPtr| unsafe { Task::descends_from(t.0, waited) };
+    let near = q.len().saturating_sub(SCOPE_SCAN);
+    if let Some(i) = q.range(near..).rposition(descends) {
+        return q.remove(near + i);
+    }
+    if !scope.is_capped() {
+        return q.pop_back();
+    }
+    let i = q.range(..near).rposition(descends)?;
+    q.remove(i)
 }
 
 /// Heap entry: priority first, then insertion order (older wins ties).
@@ -304,6 +389,22 @@ impl PolicyQueue {
             Policy::Lifo => self.q.pop_back(),
             Policy::Priority => self.heap.pop().map(|e| e.task),
         }
+    }
+
+    /// Remove the next task for a pop in `scope` (see [`Scope`]).
+    /// [`Scope::ANY`], and every scope under [`Policy::Priority`], is
+    /// exactly [`PolicyQueue::pop`].
+    ///
+    /// # Safety
+    /// For any other scope, every queued pointer and `scope.task()` must
+    /// point to live tasks.
+    #[inline]
+    pub unsafe fn pop_within(&mut self, scope: Scope) -> Option<TaskPtr> {
+        if scope == Scope::ANY || self.policy == Policy::Priority {
+            return self.pop();
+        }
+        // SAFETY: forwarded from the caller.
+        unsafe { take_within(&mut self.q, scope) }
     }
 
     /// Tasks currently queued.
@@ -398,8 +499,18 @@ pub trait Scheduler: Send + Sync {
         let _ = node;
         self.add_ready_batch(tasks, worker, rec);
     }
-    /// Ask for a task for `worker`; `None` means no work available now.
-    fn get_ready(&self, worker: usize, rec: Rec<'_>) -> Option<TaskPtr>;
+    /// Ask for a task for `worker` on behalf of a pop in `scope`; `None`
+    /// means no work this scope may take is available now. Every
+    /// implementation answers a waiter's scope in the order [`Scope`]
+    /// documents and [`Scope::ANY`] in its usual order; this is each
+    /// scheduler's one pop path. A scope's task must stay live for the
+    /// call (it is the caller's own running task).
+    fn get_ready_within(&self, worker: usize, scope: Scope, rec: Rec<'_>) -> Option<TaskPtr>;
+    /// Ask for a task for an idle `worker`, in the policy's own order;
+    /// `None` means no work available now.
+    fn get_ready(&self, worker: usize, rec: Rec<'_>) -> Option<TaskPtr> {
+        self.get_ready_within(worker, Scope::ANY, rec)
+    }
     /// Approximate number of queued tasks (diagnostics only).
     fn approx_len(&self) -> usize;
     /// Which configuration this is.
@@ -538,6 +649,150 @@ mod tests {
         for t in tasks {
             unsafe { drop(Box::from_raw(t)) };
         }
+    }
+
+    /// A task under `parent` (null for a root), leaked until [`free`].
+    fn node(parent: *mut Task, priority: i32) -> *mut Task {
+        let mut t = Task::new(0, "t", parent, 0, Box::new(|_| {}), vec![]);
+        if !parent.is_null() {
+            t.level = unsafe { (*parent).level } + 1;
+        }
+        t.priority = priority;
+        Box::into_raw(Box::new(t))
+    }
+
+    fn free(tasks: &[*mut Task]) {
+        for &t in tasks {
+            unsafe { drop(Box::from_raw(t)) };
+        }
+    }
+
+    #[test]
+    fn pop_within_takes_newest_descendant_over_newer_strangers() {
+        let root = node(core::ptr::null_mut(), 0);
+        let (a, b) = (node(root, 0), node(root, 0));
+        let (a1, b1) = (node(a, 0), node(b, 0));
+        let (a2, b2) = (node(a1, 0), node(b, 0));
+        let mut q = PolicyQueue::new(Policy::Fifo);
+        for t in [a1, b1, a2, b2] {
+            q.push(TaskPtr(t));
+        }
+        let scope = Scope::within(a, false);
+        let mut got = vec![];
+        while let Some(t) = unsafe { q.pop_within(scope) } {
+            got.push(t.0);
+        }
+        // a2 is a grandchild of a; then a1; then the strangers, newest
+        // first.
+        assert_eq!(got, vec![a2, a1, b2, b1]);
+        free(&[root, a, b, a1, b1, a2, b2]);
+    }
+
+    #[test]
+    fn pop_within_falls_back_to_newest_below_the_cap_and_waits_at_it() {
+        let root = node(core::ptr::null_mut(), 0);
+        let (a, b) = (node(root, 0), node(root, 0));
+        let strangers: Vec<*mut Task> = (0..SCOPE_SCAN + 8).map(|_| node(b, 0)).collect();
+        let mut q = PolicyQueue::new(Policy::Fifo);
+        for &t in &strangers {
+            q.push(TaskPtr(t));
+        }
+        assert_eq!(unsafe { q.pop_within(Scope::within(a, true)) }, None);
+        assert_eq!(q.len(), strangers.len(), "a capped miss takes nothing");
+        assert_eq!(
+            unsafe { q.pop_within(Scope::within(a, false)) },
+            Some(TaskPtr(*strangers.last().unwrap()))
+        );
+        // A descendant older than the scan window: only the capped pop
+        // searches that far.
+        let mut q = PolicyQueue::new(Policy::Fifo);
+        let a1 = node(a, 0);
+        q.push(TaskPtr(a1));
+        for &t in &strangers {
+            q.push(TaskPtr(t));
+        }
+        assert_eq!(
+            unsafe { q.pop_within(Scope::within(a, true)) },
+            Some(TaskPtr(a1))
+        );
+        free(&[root, a, b, a1]);
+        free(&strangers);
+    }
+
+    #[test]
+    fn pop_within_ignores_the_scope_under_priority() {
+        let root = node(core::ptr::null_mut(), 0);
+        let a = node(root, 0);
+        let (low_child, high_stranger) = (node(a, 1), node(root, 9));
+        for capped in [false, true] {
+            let mut q = PolicyQueue::new(Policy::Priority);
+            q.push(TaskPtr(low_child));
+            q.push(TaskPtr(high_stranger));
+            assert_eq!(
+                unsafe { q.pop_within(Scope::within(a, capped)) },
+                Some(TaskPtr(high_stranger))
+            );
+        }
+        free(&[root, a, low_child, high_stranger]);
+    }
+
+    #[test]
+    fn pop_within_any_is_pop() {
+        for policy in [Policy::Fifo, Policy::Lifo] {
+            let (mut a, mut b) = (PolicyQueue::new(policy), PolicyQueue::new(policy));
+            for i in 1..=5 {
+                a.push(fake(i));
+                b.push(fake(i));
+            }
+            loop {
+                let got = unsafe { a.pop_within(Scope::ANY) };
+                assert_eq!(got, b.pop(), "{policy:?}");
+                if got.is_none() {
+                    break;
+                }
+            }
+        }
+    }
+
+    /// Every scheduler answers a scope in [`Scope`]'s order. Worker 1 pops
+    /// what worker 0 queued, so work stealing shows its capped steal.
+    #[test]
+    fn every_scheduler_pops_within_the_scope() {
+        let root = node(core::ptr::null_mut(), 0);
+        let (a, b) = (node(root, 0), node(root, 0));
+        let (a1, b1, a2, b2) = (node(a, 0), node(b, 0), node(a, 0), node(b, 0));
+        for kind in [
+            SchedKind::Delegation,
+            SchedKind::DelegationFlat,
+            SchedKind::Central(LockKind::PtLock),
+            SchedKind::WorkSteal(WsVariant::LifoLocal),
+            SchedKind::WorkSteal(WsVariant::FifoLocal),
+        ] {
+            let s = make_scheduler(kind, 2, 1, Policy::Fifo, 8, 0, None);
+            for t in [a1, b1, a2, b2] {
+                s.add_ready(TaskPtr(t), 0, None);
+            }
+            let (near, capped) = (Scope::within(a, false), Scope::within(a, true));
+            assert_eq!(
+                s.get_ready_within(0, near, None),
+                Some(TaskPtr(a2)),
+                "{kind:?}"
+            );
+            assert_eq!(
+                s.get_ready_within(1, capped, None),
+                Some(TaskPtr(a1)),
+                "{kind:?}"
+            );
+            assert_eq!(s.get_ready_within(1, capped, None), None, "{kind:?}");
+            assert_eq!(
+                s.get_ready_within(0, near, None),
+                Some(TaskPtr(b2)),
+                "{kind:?}"
+            );
+            assert_eq!(s.get_ready(1, None), Some(TaskPtr(b1)), "{kind:?}");
+            assert_eq!(s.approx_len(), 0, "{kind:?}");
+        }
+        free(&[root, a, b, a1, b1, a2, b2]);
     }
 
     #[test]

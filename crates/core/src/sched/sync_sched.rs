@@ -7,11 +7,12 @@
 //!   scheduler does not affect the performance of cores that are creating
 //!   tasks". If the buffer is full, the producer opportunistically tries
 //!   to take the scheduler lock and drain the buffers itself.
-//! * **Retrieval** (`get_ready`): workers call `lockOrDelegate`. The one
+//! * **Retrieval** (`get_ready_within`): workers call `lockOrDelegate`,
+//!   with their pop's [`Scope`] published in a per-worker slot. The one
 //!   that acquires the lock drains the SPSC buffers into the policy queue
-//!   and then *serves* every waiting worker a task through the DTLock
-//!   (`front`/`set_item`/`pop_front` — the yellow arrows of Figure 10),
-//!   takes one for itself, and releases the lock.
+//!   and then *serves* every waiting worker a task in that worker's scope
+//!   through the DTLock (`front`/`set_item`/`pop_front` — the yellow
+//!   arrows of Figure 10), takes one for itself, and releases the lock.
 //!
 //! §3.4 reports a 4× speedup over a PTLock-protected scheduler and 12×
 //! over serial insertion from these two mechanisms combined; the
@@ -28,8 +29,9 @@ use nanotask_trace::EventKind;
 
 use super::{
     NodeOpStats, Policy, PolicyQueue, Rec, SchedCounters, SchedKind, SchedOpStats, Scheduler,
-    TaskPtr,
+    Scope, TaskPtr, take_within,
 };
+use crate::task::Task;
 
 /// Maximum workers the DTLock can register (its waiting-array size).
 pub const MAX_WORKERS: usize = 128;
@@ -82,12 +84,19 @@ pub struct SyncScheduler {
     /// that acquires the DTLock takes up to `pop_cache` extra tasks out
     /// of the policy queue into its private cache, so its next pops never
     /// touch the lock — one delegation-lock acquisition serves several
-    /// `get_ready` calls.
+    /// `get_ready` calls. Only idle pops refill it: a waiter would hoard
+    /// strangers ahead of its own descendants.
     pop_cache: usize,
     /// The caches themselves. Thread-confinement contract: slot `w` is
-    /// only ever touched from `get_ready(w, ..)`, which the runtime calls
-    /// exclusively on worker `w`'s thread.
+    /// only ever touched from `get_ready_within(w, ..)`, which the
+    /// runtime calls exclusively on worker `w`'s thread.
     caches: Box<[CachePadded<UnsafeCell<VecDeque<TaskPtr>>>]>,
+    /// Per-worker scope of the worker's latest DTLock request
+    /// ([`Scope::into_raw`]; null is [`Scope::ANY`]): the scope travels
+    /// with the request, and the owner that serves worker `w` pops within
+    /// slot `w`. Written by its worker only when the value changes, so
+    /// idle polling writes no shared line.
+    scopes: Box<[CachePadded<core::sync::atomic::AtomicPtr<Task>>]>,
     counters: SchedCounters,
     len: core::sync::atomic::AtomicUsize,
     /// Tasks on the *global* path only (add buffers + policy queue), not
@@ -167,6 +176,11 @@ impl SyncScheduler {
             caches: (0..workers.max(1))
                 .map(|_| CachePadded::new(UnsafeCell::new(VecDeque::new())))
                 .collect(),
+            scopes: (0..workers.max(1))
+                .map(|_| {
+                    CachePadded::new(core::sync::atomic::AtomicPtr::new(Scope::ANY.into_raw()))
+                })
+                .collect(),
             counters: SchedCounters::detached(workers.max(1), nodes),
             len: core::sync::atomic::AtomicUsize::new(0),
             global_len: core::sync::atomic::AtomicUsize::new(0),
@@ -244,6 +258,34 @@ impl SyncScheduler {
         }
     }
 
+    /// Hand `worker`'s cached tasks back to the policy queue, where every
+    /// worker can reach them: a waiter at the nesting cap may not run
+    /// them, and a task only it can see could be what another waiter
+    /// needs (the deadlock-freedom argument on `TaskCtx::taskwait`).
+    ///
+    /// # Safety
+    /// As [`Self::refill_cache`].
+    unsafe fn surrender_cache(&self, worker: usize) {
+        let ready = unsafe { &mut *self.ready.get() };
+        let cache = unsafe { &mut *self.caches[worker].get() };
+        let n = cache.len();
+        for t in cache.drain(..) {
+            ready.push(t);
+        }
+        self.len.fetch_add(n, core::sync::atomic::Ordering::Relaxed);
+        self.global_len
+            .fetch_add(n, core::sync::atomic::Ordering::Relaxed);
+    }
+
+    /// The scope worker `wid` published with its pending DTLock request.
+    /// Relaxed suffices: the waiter stores the slot before the Release
+    /// store that registers it in the DTLock log queue, and the owner
+    /// reads the slot only after the Acquire load in `front`/`waiters`
+    /// that found that registration.
+    fn scope_of(&self, wid: usize) -> Scope {
+        Scope::from_raw(self.scopes[wid].load(core::sync::atomic::Ordering::Relaxed))
+    }
+
     /// Push a whole batch into `q`: one producer-lock acquisition per
     /// buffer pass, opportunistically draining into the policy queue when
     /// the buffer fills up (Listing 5, lines 17–20). Shared by the
@@ -278,8 +320,10 @@ impl SyncScheduler {
     /// (or an idle node) pay essentially nothing.
     ///
     /// Cached tasks leave the `len` accounting immediately (the worker
-    /// owns them), exactly like the DTLock pop cache.
-    fn pop_node(&self, n: usize, worker: usize) -> Option<TaskPtr> {
+    /// owns them), exactly like the DTLock pop cache. A waiter's scoped
+    /// pop takes one task in its scope's order and caches none: cached
+    /// strangers would run ahead of its own descendants.
+    fn pop_node(&self, n: usize, worker: usize, scope: Scope) -> Option<TaskPtr> {
         let nq = &self.nodeqs[n];
         if nq.len.load(core::sync::atomic::Ordering::Acquire) == 0 {
             return None;
@@ -293,7 +337,12 @@ impl SyncScheduler {
         {
             // SAFETY: queue accessed only under `nq.lock`.
             let q = unsafe { &mut *nq.q.get() };
-            if let Some(t) = q.pop_front() {
+            if scope != Scope::ANY {
+                // SAFETY: queued tasks and the waiter's task are live
+                // (the scheduler contract).
+                first = unsafe { take_within(q, scope) };
+                taken = usize::from(first.is_some());
+            } else if let Some(t) = q.pop_front() {
                 first = Some(t);
                 taken = 1;
                 while taken <= Self::NODE_POP_BATCH {
@@ -323,10 +372,10 @@ impl SyncScheduler {
     /// Sweep every partition queue (own node first): the idle-worker
     /// fallback that keeps the machine work-conserving — and drain loops
     /// correct — when another node has a backlog.
-    fn steal_node(&self, home: usize, worker: usize) -> Option<TaskPtr> {
+    fn steal_node(&self, home: usize, worker: usize, scope: Scope) -> Option<TaskPtr> {
         let n = self.nodeqs.len();
         for i in 0..n {
-            if let Some(t) = self.pop_node((home + i) % n, worker) {
+            if let Some(t) = self.pop_node((home + i) % n, worker, scope) {
                 return Some(t);
             }
         }
@@ -416,7 +465,7 @@ impl Scheduler for SyncScheduler {
         nq.lock.unlock();
     }
 
-    fn get_ready(&self, worker: usize, rec: Rec<'_>) -> Option<TaskPtr> {
+    fn get_ready_within(&self, worker: usize, scope: Scope, rec: Rec<'_>) -> Option<TaskPtr> {
         debug_assert!(worker < self.workers);
         {
             // The private cache first — filled by the DTLock pop cache
@@ -425,17 +474,30 @@ impl Scheduler for SyncScheduler {
             // SAFETY: cache slot `worker` is confined to this thread (see
             // the field docs).
             let cache = unsafe { &mut *self.caches[worker].get() };
-            if let Some(t) = cache.pop_front() {
+            let hit = if scope == Scope::ANY {
+                cache.pop_front()
+            } else {
+                // SAFETY: cached tasks and the waiter's task are live.
+                unsafe { take_within(cache, scope) }
+            };
+            if let Some(t) = hit {
                 self.counters.cache_hit(worker);
                 self.counters.pop(worker);
                 return Some(t);
+            }
+            if scope.is_capped() && !cache.is_empty() {
+                self.lock.lock();
+                self.counters.lock(worker);
+                // SAFETY: our thread's cache slot, DTLock held.
+                unsafe { self.surrender_cache(worker) };
+                self.lock.unlock();
             }
         }
         // The worker's own partition queue next: node-targeted tasks are
         // this node's static schedule, popped under the node's small lock
         // with no global DTLock involvement. One atomic load when empty.
         let home = self.numa_of(worker);
-        if let Some(t) = self.pop_node(home, worker) {
+        if let Some(t) = self.pop_node(home, worker, scope) {
             return Some(t);
         }
         if self
@@ -449,7 +511,11 @@ impl Scheduler for SyncScheduler {
             // is the steady state — the DTLock goes quiet. Runtimes that
             // never target a node never take this branch, keeping the
             // pre-partitioning delegation behavior untouched.
-            return self.steal_node(home, worker);
+            return self.steal_node(home, worker, scope);
+        }
+        let slot = &self.scopes[worker];
+        if slot.load(core::sync::atomic::Ordering::Relaxed) != scope.into_raw() {
+            slot.store(scope.into_raw(), core::sync::atomic::Ordering::Relaxed);
         }
         let got = match self.lock.lock_or_delegate(worker) {
             LockOrDelegate::Served(t) => {
@@ -477,7 +543,9 @@ impl Scheduler for SyncScheduler {
                     loop {
                         let mut rec_ref = local_rec.as_deref_mut();
                         let served = self.lock.serve_batch(|wid| {
-                            let t = ready.pop()?;
+                            // SAFETY: queued tasks are live, and so is the
+                            // task `wid` waits in while it is parked here.
+                            let t = unsafe { ready.pop_within(self.scope_of(wid)) }?;
                             if let Some(r) = rec_ref.as_deref_mut() {
                                 r.record(EventKind::SchedServe, wid as u64);
                             }
@@ -490,8 +558,9 @@ impl Scheduler for SyncScheduler {
                             continue;
                         }
                     }
-                    let own = ready.pop();
-                    if own.is_some() {
+                    // SAFETY: queued tasks and our own scope's task are live.
+                    let own = unsafe { ready.pop_within(scope) };
+                    if own.is_some() && scope == Scope::ANY {
                         // SAFETY: our thread's cache slot, DTLock held.
                         unsafe { self.refill_cache(worker) };
                     }
@@ -502,7 +571,7 @@ impl Scheduler for SyncScheduler {
                             .fetch_sub(1, core::sync::atomic::Ordering::Relaxed);
                         self.counters.pop(worker);
                     }
-                    return own.or_else(|| self.steal_node(home, worker));
+                    return own.or_else(|| self.steal_node(home, worker, scope));
                 }
                 // Serve every waiting worker while tasks remain.
                 while !self.lock.empty() {
@@ -511,15 +580,21 @@ impl Scheduler for SyncScheduler {
                         // Unservable plain-lock waiter: admit it and stop.
                         break;
                     }
-                    let task = match ready.pop() {
+                    // SAFETY: queued tasks are live, and so is the task
+                    // `wid` waits in while it is parked here.
+                    let wscope = self.scope_of(wid);
+                    let task = match unsafe { ready.pop_within(wscope) } {
                         Some(t) => t,
                         None => {
                             // Extension mentioned in §3.4: re-drain when
-                            // the queue runs dry before giving up.
+                            // the queue runs dry before giving up. (A
+                            // capped waiter with no descendant queued is
+                            // not served either; it takes the lock and
+                            // comes back empty-handed.)
                             if unsafe { self.process_ready_tasks() } == 0 {
                                 break;
                             }
-                            match ready.pop() {
+                            match unsafe { ready.pop_within(wscope) } {
                                 Some(t) => t,
                                 None => break,
                             }
@@ -531,9 +606,11 @@ impl Scheduler for SyncScheduler {
                         r.record(EventKind::SchedServe, wid as u64);
                     }
                 }
-                // One for ourselves (plus a cache refill), then release.
-                let own = ready.pop();
-                if own.is_some() {
+                // One for ourselves (plus a cache refill on an idle pop;
+                // a waiter would hoard strangers), then release.
+                // SAFETY: queued tasks and our own scope's task are live.
+                let own = unsafe { ready.pop_within(scope) };
+                if own.is_some() && scope == Scope::ANY {
                     // SAFETY: our thread's cache slot, DTLock held.
                     unsafe { self.refill_cache(worker) };
                 }
@@ -550,7 +627,7 @@ impl Scheduler for SyncScheduler {
         // Nothing on the global path: sweep the partition queues (own
         // node first) so an idle worker is work-conserving and drain
         // loops see every targeted task.
-        got.or_else(|| self.steal_node(home, worker))
+        got.or_else(|| self.steal_node(home, worker, scope))
     }
 
     fn approx_len(&self) -> usize {

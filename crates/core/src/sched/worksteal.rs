@@ -21,7 +21,8 @@ use parking_lot::Mutex;
 use std::collections::VecDeque;
 
 use super::{
-    NodeOpStats, Rec, SchedCounters, SchedKind, SchedOpStats, Scheduler, TaskPtr, WsVariant,
+    NodeOpStats, Rec, SchedCounters, SchedKind, SchedOpStats, Scheduler, Scope, TaskPtr, WsVariant,
+    take_within,
 };
 use crate::platform::Topology;
 
@@ -90,15 +91,24 @@ impl WorkStealScheduler {
         x
     }
 
-    fn pop_local(&self, worker: usize) -> Option<TaskPtr> {
+    /// Pop from `worker`'s own deque: newest-first for a waiter's scope
+    /// (the work-first owner), the variant's end otherwise.
+    fn pop_local(&self, worker: usize, scope: Scope) -> Option<TaskPtr> {
         let mut dq = self.deques[worker].lock();
+        if scope != Scope::ANY {
+            // SAFETY: queued tasks and the waiter's task are live (the
+            // scheduler contract).
+            return unsafe { take_within(&mut dq, scope) };
+        }
         match self.variant {
             WsVariant::LifoLocal => dq.pop_back(),
             WsVariant::FifoLocal => dq.pop_front(),
         }
     }
 
-    fn steal(&self, thief: usize) -> Option<TaskPtr> {
+    /// Steal from another worker's deque; a capped waiter steals only
+    /// descendants of its scope.
+    fn steal(&self, thief: usize, scope: Scope) -> Option<TaskPtr> {
         let n = self.deques.len();
         if n <= 1 {
             return None;
@@ -110,9 +120,17 @@ impl WorkStealScheduler {
                 continue;
             }
             // Steal the *oldest* task (opposite end of LIFO local pops):
-            // the standard work-stealing discipline.
-            if let Some(t) = self.deques[victim].lock().pop_front() {
-                return Some(t);
+            // the standard work-stealing discipline. A capped waiter takes
+            // a descendant or nothing.
+            let mut dq = self.deques[victim].lock();
+            let t = if scope.is_capped() {
+                // SAFETY: as in `pop_local`.
+                unsafe { take_within(&mut dq, scope) }
+            } else {
+                dq.pop_front()
+            };
+            if t.is_some() {
+                return t;
             }
         }
         None
@@ -178,9 +196,9 @@ impl Scheduler for WorkStealScheduler {
         dq.extend(tasks.iter().copied());
     }
 
-    fn get_ready(&self, worker: usize, _rec: Rec<'_>) -> Option<TaskPtr> {
+    fn get_ready_within(&self, worker: usize, scope: Scope, _rec: Rec<'_>) -> Option<TaskPtr> {
         let w = worker % self.deques.len();
-        let t = self.pop_local(w).or_else(|| self.steal(w));
+        let t = self.pop_local(w, scope).or_else(|| self.steal(w, scope));
         if t.is_some() {
             self.len.fetch_sub(1, Ordering::Relaxed);
             self.counters.pop(worker);
@@ -281,7 +299,10 @@ mod tests {
         assert_eq!(ns[1].targeted_tasks, 4, "{ns:?}");
         assert_eq!(ns[0].targeted_tasks, 0, "{ns:?}");
         let mut local = vec![];
-        while let Some(t) = s.pop_local(2).or_else(|| s.pop_local(3)) {
+        while let Some(t) = s
+            .pop_local(2, Scope::ANY)
+            .or_else(|| s.pop_local(3, Scope::ANY))
+        {
             local.push(t.0 as usize);
         }
         local.sort();
@@ -297,8 +318,11 @@ mod tests {
         s.add_ready_batch_to(0, &[fake(1), fake(2)], 3, None);
         s.add_ready_batch_to(0, &[fake(3), fake(4)], 3, None);
         // Two batches round-robin over node 0's workers {0, 1}.
-        assert!(s.pop_local(0).is_some(), "worker 0 got a batch");
-        assert!(s.pop_local(1).is_some(), "worker 1 got the next batch");
+        assert!(s.pop_local(0, Scope::ANY).is_some(), "worker 0 got a batch");
+        assert!(
+            s.pop_local(1, Scope::ANY).is_some(),
+            "worker 1 got the next batch"
+        );
     }
 
     #[test]

@@ -258,6 +258,9 @@ pub struct Task {
     pub label: &'static str,
     /// Parent task; null for the root task.
     pub parent: *mut Task,
+    /// Nesting level: 0 for the root task, `parent.level + 1` otherwise.
+    /// Bounds the walk of [`Task::descends_from`].
+    pub level: u32,
     /// Worker that created the task.
     pub created_by: u32,
     /// The body; taken exactly once by the executing worker.
@@ -315,6 +318,7 @@ impl Task {
             id,
             label,
             parent,
+            level: 0,
             created_by,
             body: UnsafeCell::new(Some(body)),
             state: TaskState::new_registered(n),
@@ -422,6 +426,27 @@ impl Task {
     #[inline]
     pub fn drop_removal_ref(&self) -> bool {
         self.state.drop_removal_ref()
+    }
+
+    /// Whether `t` is a strict descendant of `scope`: `t`'s parent chain
+    /// reaches `scope` after exactly `level(t) − level(scope)` hops.
+    ///
+    /// # Safety
+    /// `t` and `scope` must point to live tasks. Every ancestor of a live
+    /// task is live (a parent is not reclaimed before its children have
+    /// finished), so the walk only touches live tasks.
+    #[inline]
+    pub unsafe fn descends_from(t: *const Task, scope: *const Task) -> bool {
+        unsafe {
+            let Some(hops) = (*t).level.checked_sub((*scope).level) else {
+                return false;
+            };
+            let mut t = t;
+            for _ in 0..hops {
+                t = (*t).parent;
+            }
+            hops > 0 && core::ptr::eq(t, scope)
+        }
     }
 
     /// Take the body for execution. Returns `None` if already taken.

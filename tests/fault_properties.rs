@@ -313,3 +313,58 @@ fn injected_panic_then_clean_replay_on_same_runtime() {
         unsafe { drop(Box::from_raw(cell)) };
     }
 }
+
+/// One node of a fan-out-4 fork-join tree: spawn the children, then wait
+/// for them. Siblings form a `readwrite` chain on a cell their parent
+/// owns, so a panicking child cancels its later siblings, and cancelled
+/// bodies spawn no subtree.
+fn nested_node(ctx: &nanotask::TaskCtx, depth: u32) {
+    if depth == 0 {
+        return;
+    }
+    let cell = Arc::new(AtomicU64::new(0));
+    for _ in 0..4 {
+        let keep = Arc::clone(&cell);
+        ctx.spawn(
+            Deps::new().readwrite_addr(Arc::as_ptr(&cell) as usize),
+            move |c| {
+                keep.fetch_add(1, Ordering::Relaxed);
+                nested_node(c, depth - 1);
+            },
+        );
+    }
+    ctx.taskwait();
+}
+
+/// A panic injected anywhere in a nested fork-join tree, on every
+/// scheduler × dependency-system combination, is reported once and the
+/// tree still drains: the cancelled siblings and their waiting ancestors
+/// complete through the scoped `taskwait` pop, and nothing leaks.
+#[test]
+fn injected_panic_in_a_nested_tree_drains() {
+    // Depth 4: 340 eligible bodies below the root.
+    for combo in 0..6 {
+        for kill_at in [0, 7, 60, 300] {
+            let what = format!("combo {combo}, panic at {kill_at}");
+            let rt = Runtime::new(
+                RuntimeConfig::optimized()
+                    .scheduler(sched_for(combo))
+                    .dependency_system(deps_for(combo))
+                    .workers(3)
+                    .with_fault_plan(FaultPlan::panic_at(kill_at)),
+            );
+            let outcome = rt.run_outcome(|ctx| nested_node(ctx, 4));
+            assert_eq!(outcome.failures.len(), 1, "{what}: {}", outcome.summary());
+            assert_eq!(outcome.failures[0].kind, FailureKind::Panic, "{what}");
+            assert!(outcome.completed, "{what}: tree drained");
+            if kill_at == 0 {
+                // Only the root's first child is ready at first: its three
+                // later siblings are cancelled before spawning anything.
+                assert_eq!(outcome.tasks_cancelled, 3, "{what}");
+            }
+            assert_eq!(rt.live_tasks(), 0, "{what}: no leaked tasks");
+            let s = rt.stats();
+            assert_eq!(s.tasks_created, s.tasks_freed, "{what}");
+        }
+    }
+}

@@ -175,6 +175,7 @@ fn metric_schema_is_pinned() {
         ("nanotask_inline_runs_total", &[]),
         ("nanotask_live_tasks", &[]),
         ("nanotask_max_inline_depth", &[]),
+        ("nanotask_max_taskwait_depth", &[]),
         ("nanotask_nested_spawns_total", &[]),
         ("nanotask_node_home_tasks_total", &["node"]),
         ("nanotask_node_targeted_tasks_total", &["node"]),
