@@ -47,12 +47,12 @@ pub mod task;
 
 pub use deps::reduction::RedOp;
 pub use deps::{AccessDecl, AccessMode, Deps, DepsKind};
-pub use platform::{Platform, Topology};
+pub use platform::Platform;
 pub use runtime::{
     FAULT_PANIC_PREFIX, FailureKind, FaultPlan, HeldTask, RunOutcome, RunReport, Runtime,
     RuntimeConfig, RuntimeStats, SpawnCapture, TaskCtx, TaskEpilogue, TaskFailure,
 };
-pub use sched::{NodeOpStats, SchedKind, SchedOpStats};
+pub use sched::{SchedKind, SchedOpStats};
 pub use task::{TaskBody, TaskId};
 
 /// A raw pointer that asserts `Send`/`Sync`, for moving addresses of user

@@ -262,15 +262,6 @@ pub struct RuntimeConfig {
     /// cheap hash-only probe (no graph build) to detect that the body
     /// re-stabilized onto a cached or repeating shape.
     pub replay_recheck_every: usize,
-    /// NUMA-aware replay partitioning: partition every frozen replay
-    /// graph across the runtime's NUMA nodes and route each released
-    /// batch to its partition's node via the scheduler's node-targeted
-    /// insertion, turning replay into a locality-aware static schedule.
-    /// Like the zero-queue fast path, this trades strict global queue
-    /// ordering (and, under [`crate::sched::Policy::Priority`], strict
-    /// priority order) for placement: routed tasks are served FIFO per
-    /// node ahead of the global policy queue. Off by default.
-    pub replay_partitioning: bool,
     /// Latency histograms (task execution time, ready-queue wait,
     /// release-batch size): sampled clock reads on the hot path when on.
     /// Plain counters are registry-backed and always on regardless —
@@ -326,7 +317,6 @@ impl RuntimeConfig {
             replay_cache_size: 4,
             replay_giveup_after: 8,
             replay_recheck_every: 16,
-            replay_partitioning: false,
             metrics: false,
             metrics_sample: 32,
             flight_every: 0,
@@ -510,14 +500,6 @@ impl RuntimeConfig {
         self
     }
 
-    /// Toggle NUMA-aware replay partitioning (see
-    /// [`RuntimeConfig::replay_partitioning`]; off by default). Only
-    /// affects `run_iterative` — plain `run` never partitions.
-    pub fn with_replay_partitioning(mut self, on: bool) -> Self {
-        self.replay_partitioning = on;
-        self
-    }
-
     /// Set the NUMA-node count (min 1).
     pub fn with_numa_nodes(mut self, n: usize) -> Self {
         self.numa_nodes = n.max(1);
@@ -582,13 +564,8 @@ pub struct RunReport {
     /// Task life-cycle and allocator counters.
     pub stats: RuntimeStats,
     /// Scheduler operation counters (adds, batch adds, pops, pop-cache
-    /// hits, lock acquisitions, node-targeted adds).
+    /// hits, lock acquisitions).
     pub sched: crate::sched::SchedOpStats,
-    /// Per-NUMA-node insertion counters (one entry per node; empty for
-    /// schedulers without per-node structures) — the evidence behind the
-    /// NUMA-aware replay partitioning claim
-    /// (`tests/replay_partition_properties.rs`).
-    pub node_stats: Vec<crate::sched::NodeOpStats>,
     /// Task activations that skipped the scheduler queue entirely
     /// (immediate-successor inline runs).
     pub inline_runs: u64,
@@ -731,7 +708,6 @@ pub(crate) struct Metrics {
     pub inline_runs: Counter,
     pub max_inline_depth: MaxGauge,
     pub max_taskwait_depth: MaxGauge,
-    pub inline_routed: Counter,
     pub nested_spawns: Counter,
     /// Task bodies that panicked (caught at the body seam).
     pub tasks_failed: Counter,
@@ -780,7 +756,6 @@ impl Metrics {
             inline_runs: registry.counter("nanotask_inline_runs_total"),
             max_inline_depth: registry.max_gauge("nanotask_max_inline_depth"),
             max_taskwait_depth: registry.max_gauge("nanotask_max_taskwait_depth"),
-            inline_routed: registry.counter("nanotask_inline_routed_total"),
             nested_spawns: registry.counter("nanotask_nested_spawns_total"),
             tasks_failed: registry.counter("nanotask_tasks_failed_total"),
             tasks_cancelled: registry.counter("nanotask_tasks_cancelled_total"),
@@ -821,9 +796,6 @@ impl Metrics {
 
 pub(crate) struct Shared {
     pub cfg: RuntimeConfig,
-    /// The realized worker→NUMA-node placement (contiguous blocks over
-    /// `cfg.numa_nodes`); every placement-aware layer reads this one map.
-    pub topology: crate::platform::Topology,
     pub sched: Arc<dyn Scheduler>,
     pub deps: Arc<dyn DependencySystem>,
     pub alloc: Arc<dyn RuntimeAllocator>,
@@ -862,9 +834,7 @@ pub(crate) struct Shared {
     pub watchdog_diag: Mutex<String>,
     /// Registry-backed counters, gauges and histograms. The life-cycle
     /// counters (created/executed/freed/live), the fast-path counters
-    /// (`inline_runs`, `max_inline_depth`, `inline_routed` — the
-    /// partition-routed releases kept inline by
-    /// [`TaskCtx::release_held_inline_to`]) and `nested_spawns` (the
+    /// (`inline_runs`, `max_inline_depth`) and `nested_spawns` (the
     /// nested-task-domain detector the replay engine reads deltas of)
     /// all live here.
     pub metrics: Metrics,
@@ -944,13 +914,6 @@ pub(crate) struct WorkerCtx {
     /// released tasks into `pending`; they are handed over (or run
     /// inline) when the executing body's completion window closes.
     defer_held: core::cell::Cell<bool>,
-    /// Inline-chain depth of the task currently executing on this worker
-    /// (fast path; maintained by `execute_task`). Read by
-    /// [`TaskCtx::release_held_inline_to`] to decline inline keeps that
-    /// the depth bound would hand to the scheduler anyway — keeping the
-    /// `inline_routed` counter equal to releases that actually run
-    /// inline.
-    inline_depth: core::cell::Cell<usize>,
     /// `taskwait` / `taskwait_on` calls active on this worker's stack
     /// (maintained by [`TaskCtx::help_until`]).
     taskwait_depth: core::cell::Cell<usize>,
@@ -975,7 +938,6 @@ impl WorkerCtx {
             recorder: RefCell::new(recorder),
             collecting: core::cell::Cell::new(false),
             defer_held: core::cell::Cell::new(false),
-            inline_depth: core::cell::Cell::new(0),
             taskwait_depth: core::cell::Cell::new(0),
             pending: RefCell::new(Vec::new()),
             scratch: RefCell::new(Vec::new()),
@@ -1383,82 +1345,6 @@ impl TaskCtx<'_> {
         }
     }
 
-    /// Release a batch of tasks created by [`TaskCtx::spawn_held`],
-    /// handing them to the scheduler *targeted at NUMA node `node`*
-    /// ([`crate::sched::Scheduler::add_ready_batch_to`]) — the NUMA-aware
-    /// replay partitioning release path: the replay engine knows which
-    /// partition each released task belongs to, so the batch goes
-    /// straight into that node's add buffer instead of the releasing
-    /// worker's home buffer.
-    ///
-    /// Unlike [`TaskCtx::release_held`], targeted releases are never
-    /// deferred by the zero-queue fast path: the whole point is placing
-    /// the tasks on their assigned node *now*, and direct insertion
-    /// during a task body is always safe (it is the pre-fast-path
-    /// behavior). Each handle must be released exactly once.
-    pub fn release_held_batch_to(&self, node: usize, tasks: &[HeldTask]) {
-        if tasks.is_empty() {
-            return;
-        }
-        for h in tasks {
-            let became_ready = unsafe { (*h.0).unblock() };
-            debug_assert!(became_ready, "held task released twice");
-        }
-        let w = self.worker;
-        w.stamp_ready(tasks[0].0);
-        if w.shared.metrics.enabled {
-            w.shared
-                .metrics
-                .release_batch_tasks
-                .record(w.id, tasks.len() as u64);
-        }
-        // SAFETY: `HeldTask` and `TaskPtr` are both `repr(transparent)`
-        // over `*mut Task`.
-        let batch: &[TaskPtr] =
-            unsafe { core::slice::from_raw_parts(tasks.as_ptr() as *const TaskPtr, tasks.len()) };
-        let mut rec = w.recorder.borrow_mut();
-        w.shared
-            .sched
-            .add_ready_batch_to(node, batch, w.id, Some(&mut rec));
-    }
-
-    /// Try to keep one node-targeted held-task release as this worker's
-    /// *inline* next task instead of inserting it into node `node`'s
-    /// queue — the composition of the zero-queue fast path with the
-    /// NUMA-aware replay partitioning: when the released task's assigned
-    /// node is the releasing worker's own node, running it inline
-    /// preserves the static schedule's placement *and* skips the queue
-    /// round-trip (dependence locality composes with partition locality
-    /// instead of bypassing it).
-    ///
-    /// Returns `true` when the task was taken (released exactly like
-    /// [`TaskCtx::release_held`] in deferred mode: it becomes the
-    /// worker's inline next task when the executing body's completion
-    /// window closes — the caller offers at most one candidate per
-    /// completion, so acceptance here means the task runs inline and
-    /// the `inline_routed` counter is exact). Returns `false` — and
-    /// does **not** release the handle — when the fast path is off, the
-    /// caller is the root task (whose releases must reach the other
-    /// workers eagerly), the inline depth bound has been reached (the
-    /// completion window would hand the task to the scheduler anyway),
-    /// or `node` is not this worker's node; the caller then routes the
-    /// task normally ([`TaskCtx::release_held_batch_to`]).
-    pub fn release_held_inline_to(&self, node: usize, h: HeldTask) -> bool {
-        let w = self.worker;
-        if !w.shared.cfg.inline_successors || !w.defer_held.get() {
-            return false;
-        }
-        if w.inline_depth.get() >= w.shared.cfg.inline_max_depth {
-            return false;
-        }
-        if w.shared.topology.node_of(w.id) != node {
-            return false;
-        }
-        self.release_held(h);
-        w.shared.metrics.inline_routed.inc(w.id);
-        true
-    }
-
     /// OmpSs-2 `taskwait on(...)`: block until every earlier task whose
     /// accesses conflict with `deps` has completed — without waiting for
     /// unrelated children. Implemented exactly as the model defines it: an
@@ -1810,16 +1696,13 @@ fn execute_task(w: &WorkerCtx, t: *mut Task) {
     let mut t = t;
     let mut depth: usize = 0;
     let saved_defer = w.defer_held.get();
-    let saved_depth = w.inline_depth.get();
     loop {
         // Held-task releases issued by this body become inline/batch
         // candidates — except from the root task, whose spawn-phase
         // releases must reach the other workers eagerly.
         w.defer_held.set(!unsafe { (*t).parent.is_null() });
-        w.inline_depth.set(depth);
         run_body(w, t);
         w.defer_held.set(saved_defer);
-        w.inline_depth.set(saved_depth);
 
         // Completion window: collect every task this completion releases.
         w.collecting.set(true);
@@ -1888,8 +1771,8 @@ fn finish_subtree(w: &WorkerCtx, t: *mut Task) {
 }
 
 /// Build the stall diagnostic the watchdog attaches to its
-/// [`FailureKind::WatchdogStall`] failure: life-cycle counters,
-/// per-scheduler queue depths and the flight-recorder tail.
+/// [`FailureKind::WatchdogStall`] failure: life-cycle counters, the
+/// scheduler's queue depth and the flight-recorder tail.
 fn build_stall_diagnostic(shared: &Shared) -> String {
     let m = &shared.metrics;
     let mut s = format!(
@@ -1902,10 +1785,6 @@ fn build_stall_diagnostic(shared: &Shared) -> String {
         m.tasks_failed.value(),
         shared.sched.approx_len(),
     );
-    let nodes = shared.sched.node_stats();
-    if !nodes.is_empty() {
-        s.push_str(&format!("; node stats {nodes:?}"));
-    }
     let frames = m.flight.frames();
     if let Some(last) = frames.last() {
         s.push_str(&format!(
@@ -2035,9 +1914,7 @@ impl Runtime {
         );
         let tracer = Tracer::new(cfg.workers, cfg.trace);
         let noise = cfg.noise.map(NoiseInjector::new);
-        let topology = crate::platform::Topology::contiguous(cfg.workers, cfg.numa_nodes);
         let shared = Arc::new(Shared {
-            topology,
             sched,
             deps,
             alloc,
@@ -2194,11 +2071,6 @@ impl Runtime {
         &self.shared.cfg
     }
 
-    /// The realized worker→NUMA-node placement of this runtime.
-    pub fn topology(&self) -> &crate::platform::Topology {
-        &self.shared.topology
-    }
-
     /// Aggregate counters.
     pub fn stats(&self) -> RuntimeStats {
         let m = &self.shared.metrics;
@@ -2235,15 +2107,9 @@ impl Runtime {
     /// counters — the machine-checkable evidence behind perf claims.
     pub fn run_report(&self) -> RunReport {
         let m = &self.shared.metrics;
-        let mut sched = self.shared.sched.op_stats();
-        // Runtime-side counter folded into the scheduler snapshot: the
-        // scheduler never sees an inline-kept routed release (that is
-        // the point), so it cannot count them itself.
-        sched.inline_routed = m.inline_routed.value();
         RunReport {
             stats: self.stats(),
-            sched,
-            node_stats: self.shared.sched.node_stats(),
+            sched: self.shared.sched.op_stats(),
             inline_runs: m.inline_runs.value(),
             max_inline_depth: m.max_inline_depth.value(),
             max_taskwait_depth: m.max_taskwait_depth.value(),

@@ -44,7 +44,7 @@ impl<L: RawLock> CentralScheduler<L> {
             lock: L::default(),
             queue: UnsafeCell::new(PolicyQueue::new(policy)),
             kind,
-            counters: SchedCounters::detached(Self::DETACHED_SHARDS, 0),
+            counters: SchedCounters::detached(Self::DETACHED_SHARDS),
             len: core::sync::atomic::AtomicUsize::new(0),
         }
     }
@@ -53,7 +53,7 @@ impl<L: RawLock> CentralScheduler<L> {
     /// (`None` keeps the private detached counters).
     pub fn with_registry(mut self, reg: Option<&Registry>) -> Self {
         if let Some(reg) = reg {
-            self.counters = SchedCounters::new(reg, 0);
+            self.counters = SchedCounters::new(reg);
         }
         self
     }
@@ -94,32 +94,6 @@ impl<L: RawLock> Scheduler for CentralScheduler<L> {
             .fetch_add(tasks.len(), core::sync::atomic::Ordering::Relaxed);
         if let Some(r) = rec {
             r.record(EventKind::ReadyBatch, tasks.len() as u64);
-        }
-    }
-
-    fn add_ready_batch_to(&self, node: usize, tasks: &[TaskPtr], worker: usize, rec: Rec<'_>) {
-        if tasks.is_empty() {
-            return;
-        }
-        // One queue, no per-node structure: the node target is advisory.
-        // The batch still amortizes the lock, and the targeted counters
-        // keep the replay partitioner's routing observable.
-        self.counters.targeted(worker, tasks.len());
-        self.lock.lock();
-        self.counters.lock(worker);
-        // SAFETY: queue accessed only under `lock`.
-        let q = unsafe { &mut *self.queue.get() };
-        for &t in tasks {
-            q.push(t);
-        }
-        self.lock.unlock();
-        self.len
-            .fetch_add(tasks.len(), core::sync::atomic::Ordering::Relaxed);
-        if let Some(r) = rec {
-            r.record(
-                EventKind::NodeReadyBatch,
-                ((node as u64) << 32) | tasks.len() as u64,
-            );
         }
     }
 
@@ -190,23 +164,6 @@ mod tests {
             got.push(t.0 as usize);
         }
         assert_eq!(got, (1..=6).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn targeted_batch_is_accepted_and_counted() {
-        let s =
-            CentralScheduler::<PtLock<16>>::new(Policy::Fifo, SchedKind::Central(LockKind::PtLock));
-        let batch: Vec<TaskPtr> = (1..=4).map(fake).collect();
-        s.add_ready_batch_to(1, &batch, 0, None);
-        let ops = s.op_stats();
-        assert_eq!(ops.targeted_batch_adds, 1);
-        assert_eq!(ops.targeted_tasks, 4);
-        assert_eq!(ops.batch_adds, 0, "targeted adds counted separately");
-        let mut got = vec![];
-        while let Some(t) = s.get_ready(0, None) {
-            got.push(t.0 as usize);
-        }
-        assert_eq!(got, (1..=4).collect::<Vec<_>>());
     }
 
     #[test]

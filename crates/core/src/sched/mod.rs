@@ -45,45 +45,16 @@ pub struct SchedOpStats {
     pub pops: u64,
     /// Pops served from the per-worker pop cache (no lock touched).
     pub pop_cache_hits: u64,
-    /// *Global* scheduler-lock acquisitions (DTLock ownership
-    /// transitions for the delegation scheduler, central-lock
-    /// acquisitions otherwise; work-stealing counts per-deque lock
-    /// acquisitions). Deliberately excludes the delegation scheduler's
-    /// per-node partition-queue locks and SPSC producer locks: those are
-    /// node-local — the whole point of node-targeted insertion is
-    /// replacing machine-wide serialization with node-scoped locks, and
-    /// this counter measures exactly the machine-wide part.
+    /// Scheduler-lock acquisitions: DTLock ownership transitions for the
+    /// delegation scheduler, central-lock acquisitions otherwise;
+    /// work-stealing counts per-deque lock acquisitions. Excludes the
+    /// delegation scheduler's SPSC producer locks, which only serialize
+    /// the workers of one NUMA node.
     pub lock_acquisitions: u64,
-    /// `add_ready_batch_to` calls (node-targeted insertion, the NUMA-aware
-    /// replay partitioning release path).
-    pub targeted_batch_adds: u64,
-    /// Tasks added through node-targeted batches.
-    pub targeted_tasks: u64,
-    /// Partition-routed releases kept as the releasing worker's inline
-    /// next task instead of entering their node's queue — the zero-queue
-    /// fast path composed with the static schedule. Runtime-side: the
-    /// scheduler never sees these (that is the point), so scheduler
-    /// snapshots report 0 and `Runtime::run_report` folds the counter in.
-    pub inline_routed: u64,
 }
 
-/// Per-NUMA-node insertion counters of one scheduler, the
-/// machine-checkable side of the NUMA-aware replay partitioning claim:
-/// how many tasks entered this node's ready structure because a caller
-/// *targeted* it (the replay partitioner's release path) vs because the
-/// producing worker happened to live there.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct NodeOpStats {
-    /// Tasks inserted into this node's structure via
-    /// [`Scheduler::add_ready_batch_to`].
-    pub targeted_tasks: u64,
-    /// Tasks inserted via producer-home routing (`add_ready` /
-    /// `add_ready_batch` from a worker placed on this node).
-    pub home_tasks: u64,
-}
-
-/// Registry-backed counters behind [`SchedOpStats`] and [`NodeOpStats`].
-/// Every update is a plain load+store on the calling worker's shard of a
+/// Registry-backed counters behind [`SchedOpStats`]. Every update is a
+/// plain load+store on the calling worker's shard of a
 /// [`nanotask_obs::Counter`] (the §5 tracer discipline applied to
 /// metrics); the snapshot aggregates shards and is advisory (diagnostics
 /// and benchmark reporting, never control flow). Schedulers built
@@ -98,20 +69,11 @@ pub(crate) struct SchedCounters {
     pops: Counter,
     pop_cache_hits: Counter,
     lock_acquisitions: Counter,
-    targeted_batch_adds: Counter,
-    targeted_tasks: Counter,
-    node_targeted: Arc<[Counter]>,
-    node_home: Arc<[Counter]>,
 }
 
 impl SchedCounters {
-    /// Counters registered in `reg`, with one labeled per-node counter
-    /// pair per NUMA node (`nodes == 0` for schedulers without per-node
-    /// structures).
-    pub(crate) fn new(reg: &Registry, nodes: usize) -> Self {
-        let node_counter = |name: &'static str, node: usize| {
-            reg.counter_with(name, vec![("node", node.to_string())])
-        };
+    /// Counters registered in `reg`.
+    pub(crate) fn new(reg: &Registry) -> Self {
         Self {
             adds: reg.counter("nanotask_sched_adds_total"),
             batch_adds: reg.counter("nanotask_sched_batch_adds_total"),
@@ -119,21 +81,13 @@ impl SchedCounters {
             pops: reg.counter("nanotask_sched_pops_total"),
             pop_cache_hits: reg.counter("nanotask_sched_pop_cache_hits_total"),
             lock_acquisitions: reg.counter("nanotask_sched_lock_acquisitions_total"),
-            targeted_batch_adds: reg.counter("nanotask_sched_targeted_batch_adds_total"),
-            targeted_tasks: reg.counter("nanotask_sched_targeted_tasks_total"),
-            node_targeted: (0..nodes)
-                .map(|n| node_counter("nanotask_node_targeted_tasks_total", n))
-                .collect(),
-            node_home: (0..nodes)
-                .map(|n| node_counter("nanotask_node_home_tasks_total", n))
-                .collect(),
         }
     }
 
     /// Counters over a private registry, for schedulers constructed
     /// outside a runtime (unit tests, microbenchmarks).
-    pub(crate) fn detached(shards: usize, nodes: usize) -> Self {
-        Self::new(&Registry::new(shards), nodes)
+    pub(crate) fn detached(shards: usize) -> Self {
+        Self::new(&Registry::new(shards))
     }
 
     #[inline]
@@ -157,23 +111,6 @@ impl SchedCounters {
     pub(crate) fn lock(&self, worker: usize) {
         self.lock_acquisitions.inc(worker);
     }
-    #[inline]
-    pub(crate) fn targeted(&self, worker: usize, n: usize) {
-        self.targeted_batch_adds.inc(worker);
-        self.targeted_tasks.add(worker, n as u64);
-    }
-    #[inline]
-    pub(crate) fn node_home(&self, worker: usize, node: usize, n: u64) {
-        if let Some(c) = self.node_home.get(node) {
-            c.add(worker, n);
-        }
-    }
-    #[inline]
-    pub(crate) fn node_targeted(&self, worker: usize, node: usize, n: u64) {
-        if let Some(c) = self.node_targeted.get(node) {
-            c.add(worker, n);
-        }
-    }
 
     pub(crate) fn snapshot(&self) -> SchedOpStats {
         SchedOpStats {
@@ -183,21 +120,7 @@ impl SchedCounters {
             pops: self.pops.value(),
             pop_cache_hits: self.pop_cache_hits.value(),
             lock_acquisitions: self.lock_acquisitions.value(),
-            targeted_batch_adds: self.targeted_batch_adds.value(),
-            targeted_tasks: self.targeted_tasks.value(),
-            inline_routed: 0,
         }
-    }
-
-    pub(crate) fn node_snapshot(&self) -> Vec<NodeOpStats> {
-        self.node_targeted
-            .iter()
-            .zip(self.node_home.iter())
-            .map(|(t, h)| NodeOpStats {
-                targeted_tasks: t.value(),
-                home_tasks: h.value(),
-            })
-            .collect()
     }
 }
 
@@ -481,24 +404,6 @@ pub trait Scheduler: Send + Sync {
             self.add_ready(t, worker, rec.as_deref_mut());
         }
     }
-    /// Add several ready tasks *targeted at NUMA node `node`* instead of
-    /// the producing worker's home node — the NUMA-aware replay
-    /// partitioning release path: the frozen replay graph knows where
-    /// each released task will run, so its batch goes straight into that
-    /// node's ready structure. `worker` is still the *producing* worker
-    /// (trace attribution, deque fallback). The default ignores the
-    /// target and falls back to [`Scheduler::add_ready_batch`];
-    /// implementations with per-node structures override it.
-    ///
-    /// Ordering contract: node-targeted tasks are served FIFO per node,
-    /// *ahead of* the globally-ordered queue, so — like the zero-queue
-    /// fast path — this trades strict global policy ordering (including
-    /// [`Policy::Priority`] order) for placement. Callers opt in via
-    /// `RuntimeConfig::replay_partitioning`.
-    fn add_ready_batch_to(&self, node: usize, tasks: &[TaskPtr], worker: usize, rec: Rec<'_>) {
-        let _ = node;
-        self.add_ready_batch(tasks, worker, rec);
-    }
     /// Ask for a task for `worker` on behalf of a pop in `scope`; `None`
     /// means no work this scope may take is available now. Every
     /// implementation answers a waiter's scope in the order [`Scope`]
@@ -520,17 +425,13 @@ pub trait Scheduler: Send + Sync {
     fn op_stats(&self) -> SchedOpStats {
         SchedOpStats::default()
     }
-    /// Per-NUMA-node insertion counters (see [`NodeOpStats`]), one entry
-    /// per node; empty for schedulers without per-node structures.
-    fn node_stats(&self) -> Vec<NodeOpStats> {
-        Vec::new()
-    }
 }
 
 /// Build a scheduler.
 ///
-/// `workers` is the worker-thread count, `numa_nodes` partitions the
-/// delegation scheduler's SPSC add-buffers, `spsc_capacity` bounds each
+/// `workers` is the worker-thread count, `numa_nodes` is the number of
+/// the delegation schedulers' SPSC add-buffers (one per NUMA node, §3.1;
+/// the other schedulers ignore it), `spsc_capacity` bounds each
 /// buffer (Listing 5 uses 100), and `pop_cache` enables the delegation
 /// scheduler's per-worker pop cache (0 = disabled; part of the
 /// zero-queue fast path, see [`crate::RuntimeConfig::fast_path`]).
@@ -574,9 +475,9 @@ pub fn make_scheduler(
         SchedKind::Central(LockKind::Spin) => Arc::new(
             central::CentralScheduler::<SpinLock>::new(policy, kind).with_registry(registry),
         ),
-        SchedKind::WorkSteal(v) => Arc::new(
-            worksteal::WorkStealScheduler::new(workers, numa_nodes, v).with_registry(registry),
-        ),
+        SchedKind::WorkSteal(v) => {
+            Arc::new(worksteal::WorkStealScheduler::new(workers, v).with_registry(registry))
+        }
     }
 }
 

@@ -28,8 +28,8 @@ use nanotask_spsc as spsc;
 use nanotask_trace::EventKind;
 
 use super::{
-    NodeOpStats, Policy, PolicyQueue, Rec, SchedCounters, SchedKind, SchedOpStats, Scheduler,
-    Scope, TaskPtr, take_within,
+    Policy, PolicyQueue, Rec, SchedCounters, SchedKind, SchedOpStats, Scheduler, Scope, TaskPtr,
+    take_within,
 };
 use crate::task::Task;
 
@@ -49,32 +49,11 @@ struct AddQueue {
 unsafe impl Send for AddQueue {}
 unsafe impl Sync for AddQueue {}
 
-/// One per-NUMA *partition queue* for node-targeted insertion
-/// ([`Scheduler::add_ready_batch_to`], the replay partitioner's release
-/// path). Unlike the add buffers — which every consumer drains into the
-/// one global policy queue behind the DTLock — a partition queue is both
-/// filled *and popped* per node: the node's workers take from it under
-/// its own small lock before touching the global scheduler path at all,
-/// which is what makes the frozen replay graph's placement an actual
-/// static schedule rather than an insertion hint.
-struct NodeQueue {
-    lock: PtLock<64>,
-    q: UnsafeCell<VecDeque<TaskPtr>>,
-    /// Fast empty check so the non-partitioned hot path pays one relaxed
-    /// load, never a lock.
-    len: core::sync::atomic::AtomicUsize,
-}
-
-unsafe impl Send for NodeQueue {}
-unsafe impl Sync for NodeQueue {}
-
 /// The synchronized delegation scheduler.
 pub struct SyncScheduler {
     lock: DtLock<TaskPtr, MAX_WORKERS>,
     ready: UnsafeCell<PolicyQueue>,
     addqs: Box<[AddQueue]>,
-    /// Per-node partition queues (node-targeted insertion + pop).
-    nodeqs: Box<[CachePadded<NodeQueue>]>,
     workers: usize,
     numa_nodes: usize,
     /// Serve waiters via the flat-combining batch interface (§8 future
@@ -99,20 +78,6 @@ pub struct SyncScheduler {
     scopes: Box<[CachePadded<core::sync::atomic::AtomicPtr<Task>>]>,
     counters: SchedCounters,
     len: core::sync::atomic::AtomicUsize,
-    /// Tasks on the *global* path only (add buffers + policy queue), not
-    /// in partition queues. Lets `get_ready` skip the whole DTLock
-    /// delegation round when the global path is empty — during
-    /// partitioned replay every task is node-targeted, so workers run
-    /// entirely off their partition queues and the DTLock goes quiet.
-    /// Advisory like `len`: producers increment before inserting and the
-    /// polling loops guarantee eventual visibility.
-    global_len: core::sync::atomic::AtomicUsize,
-    /// Sticky: set on the first node-targeted insertion, never cleared.
-    /// The DTLock-bypass gate below only engages once targeted insertion
-    /// has actually been used, so a runtime that never partitions keeps
-    /// the exact pre-partitioning delegation behavior (idle workers park
-    /// as DTLock waiters and get served — the fig10 serve pattern).
-    targeted_ever: core::sync::atomic::AtomicBool,
 }
 
 unsafe impl Send for SyncScheduler {}
@@ -155,20 +120,10 @@ impl SyncScheduler {
                 }
             })
             .collect();
-        let nodeqs = (0..nodes)
-            .map(|_| {
-                CachePadded::new(NodeQueue {
-                    lock: PtLock::new(),
-                    q: UnsafeCell::new(VecDeque::new()),
-                    len: core::sync::atomic::AtomicUsize::new(0),
-                })
-            })
-            .collect();
         Self {
             lock: DtLock::new(),
             ready: UnsafeCell::new(PolicyQueue::new(policy)),
             addqs,
-            nodeqs,
             workers: workers.max(1),
             numa_nodes: nodes,
             flat,
@@ -181,10 +136,8 @@ impl SyncScheduler {
                     CachePadded::new(core::sync::atomic::AtomicPtr::new(Scope::ANY.into_raw()))
                 })
                 .collect(),
-            counters: SchedCounters::detached(workers.max(1), nodes),
+            counters: SchedCounters::detached(workers.max(1)),
             len: core::sync::atomic::AtomicUsize::new(0),
-            global_len: core::sync::atomic::AtomicUsize::new(0),
-            targeted_ever: core::sync::atomic::AtomicBool::new(false),
         }
     }
 
@@ -198,7 +151,7 @@ impl SyncScheduler {
     /// (`None` keeps the private detached counters).
     pub fn with_registry(mut self, reg: Option<&Registry>) -> Self {
         if let Some(reg) = reg {
-            self.counters = SchedCounters::new(reg, self.numa_nodes);
+            self.counters = SchedCounters::new(reg);
         }
         self
     }
@@ -250,8 +203,6 @@ impl SyncScheduler {
                 Some(t) => {
                     cache.push_back(t);
                     self.len.fetch_sub(1, core::sync::atomic::Ordering::Relaxed);
-                    self.global_len
-                        .fetch_sub(1, core::sync::atomic::Ordering::Relaxed);
                 }
                 None => break,
             }
@@ -273,8 +224,6 @@ impl SyncScheduler {
             ready.push(t);
         }
         self.len.fetch_add(n, core::sync::atomic::Ordering::Relaxed);
-        self.global_len
-            .fetch_add(n, core::sync::atomic::Ordering::Relaxed);
     }
 
     /// The scope worker `wid` published with its pending DTLock request.
@@ -288,8 +237,7 @@ impl SyncScheduler {
 
     /// Push a whole batch into `q`: one producer-lock acquisition per
     /// buffer pass, opportunistically draining into the policy queue when
-    /// the buffer fills up (Listing 5, lines 17–20). Shared by the
-    /// home-routed and node-targeted batch paths.
+    /// the buffer fills up (Listing 5, lines 17–20).
     fn push_batch(&self, q: &AddQueue, tasks: &[TaskPtr], worker: usize) {
         let mut idx = 0;
         while idx < tasks.len() {
@@ -306,81 +254,6 @@ impl SyncScheduler {
             }
         }
     }
-
-    /// How many extra partition-queue tasks one `pop_node` lock
-    /// acquisition moves into the popping worker's private cache: the
-    /// pop-side amortization of the static schedule (one small-lock
-    /// round-trip serves several `get_ready` calls).
-    const NODE_POP_BATCH: usize = 4;
-
-    /// Pop from node `n`'s partition queue for `worker`: returns one task
-    /// and moves up to [`Self::NODE_POP_BATCH`] more into the worker's
-    /// private cache under the same lock acquisition. The empty fast
-    /// path is a single atomic load, so workers on an unpartitioned run
-    /// (or an idle node) pay essentially nothing.
-    ///
-    /// Cached tasks leave the `len` accounting immediately (the worker
-    /// owns them), exactly like the DTLock pop cache. A waiter's scoped
-    /// pop takes one task in its scope's order and caches none: cached
-    /// strangers would run ahead of its own descendants.
-    fn pop_node(&self, n: usize, worker: usize, scope: Scope) -> Option<TaskPtr> {
-        let nq = &self.nodeqs[n];
-        if nq.len.load(core::sync::atomic::Ordering::Acquire) == 0 {
-            return None;
-        }
-        // SAFETY: cache slot `worker` is confined to this thread (see
-        // the field docs).
-        let cache = unsafe { &mut *self.caches[worker].get() };
-        let mut taken = 0usize;
-        let mut first = None;
-        nq.lock.lock();
-        {
-            // SAFETY: queue accessed only under `nq.lock`.
-            let q = unsafe { &mut *nq.q.get() };
-            if scope != Scope::ANY {
-                // SAFETY: queued tasks and the waiter's task are live
-                // (the scheduler contract).
-                first = unsafe { take_within(q, scope) };
-                taken = usize::from(first.is_some());
-            } else if let Some(t) = q.pop_front() {
-                first = Some(t);
-                taken = 1;
-                while taken <= Self::NODE_POP_BATCH {
-                    match q.pop_front() {
-                        Some(t) => {
-                            cache.push_back(t);
-                            taken += 1;
-                        }
-                        None => break,
-                    }
-                }
-            }
-        }
-        if taken > 0 {
-            nq.len
-                .fetch_sub(taken, core::sync::atomic::Ordering::Release);
-        }
-        nq.lock.unlock();
-        if taken > 0 {
-            self.len
-                .fetch_sub(taken, core::sync::atomic::Ordering::Relaxed);
-            self.counters.pop(worker);
-        }
-        first
-    }
-
-    /// Sweep every partition queue (own node first): the idle-worker
-    /// fallback that keeps the machine work-conserving — and drain loops
-    /// correct — when another node has a backlog.
-    fn steal_node(&self, home: usize, worker: usize, scope: Scope) -> Option<TaskPtr> {
-        let n = self.nodeqs.len();
-        for i in 0..n {
-            if let Some(t) = self.pop_node((home + i) % n, worker, scope) {
-                return Some(t);
-            }
-        }
-        None
-    }
 }
 
 impl Scheduler for SyncScheduler {
@@ -390,11 +263,7 @@ impl Scheduler for SyncScheduler {
         }
         self.counters.add(worker);
         self.len.fetch_add(1, core::sync::atomic::Ordering::Relaxed);
-        self.global_len
-            .fetch_add(1, core::sync::atomic::Ordering::Relaxed);
-        let node = self.numa_of(worker);
-        self.counters.node_home(worker, node, 1);
-        let q = &self.addqs[node];
+        let q = &self.addqs[self.numa_of(worker)];
         let mut item = task;
         loop {
             q.lock.lock();
@@ -427,50 +296,15 @@ impl Scheduler for SyncScheduler {
         self.counters.batch(worker, tasks.len());
         self.len
             .fetch_add(tasks.len(), core::sync::atomic::Ordering::Relaxed);
-        self.global_len
-            .fetch_add(tasks.len(), core::sync::atomic::Ordering::Relaxed);
-        let node = self.numa_of(worker);
-        self.counters.node_home(worker, node, tasks.len() as u64);
-        self.push_batch(&self.addqs[node], tasks, worker);
-    }
-
-    fn add_ready_batch_to(&self, node: usize, tasks: &[TaskPtr], worker: usize, rec: Rec<'_>) {
-        if tasks.is_empty() {
-            return;
-        }
-        if let Some(r) = rec {
-            r.record(
-                EventKind::NodeReadyBatch,
-                ((node as u64) << 32) | tasks.len() as u64,
-            );
-        }
-        self.counters.targeted(worker, tasks.len());
-        self.len
-            .fetch_add(tasks.len(), core::sync::atomic::Ordering::Relaxed);
-        // The target node's *partition queue*, not the producer's home
-        // add buffer: the batch is both placed and popped on its node,
-        // one lock acquisition for the whole batch, never touching the
-        // global DTLock path.
-        let node = node.min(self.nodeqs.len() - 1);
-        let nq = &self.nodeqs[node];
-        self.targeted_ever
-            .store(true, core::sync::atomic::Ordering::Relaxed);
-        self.counters
-            .node_targeted(worker, node, tasks.len() as u64);
-        nq.lock.lock();
-        let q = unsafe { &mut *nq.q.get() };
-        q.extend(tasks.iter().copied());
-        nq.len
-            .fetch_add(tasks.len(), core::sync::atomic::Ordering::Release);
-        nq.lock.unlock();
+        self.push_batch(&self.addqs[self.numa_of(worker)], tasks, worker);
     }
 
     fn get_ready_within(&self, worker: usize, scope: Scope, rec: Rec<'_>) -> Option<TaskPtr> {
         debug_assert!(worker < self.workers);
         {
-            // The private cache first — filled by the DTLock pop cache
-            // (when enabled) and by batched partition-queue pops. The
-            // slot is thread-confined, so this is lock-free.
+            // The private cache first (filled by the DTLock pop cache
+            // when enabled). The slot is thread-confined, so this is
+            // lock-free.
             // SAFETY: cache slot `worker` is confined to this thread (see
             // the field docs).
             let cache = unsafe { &mut *self.caches[worker].get() };
@@ -493,36 +327,14 @@ impl Scheduler for SyncScheduler {
                 self.lock.unlock();
             }
         }
-        // The worker's own partition queue next: node-targeted tasks are
-        // this node's static schedule, popped under the node's small lock
-        // with no global DTLock involvement. One atomic load when empty.
-        let home = self.numa_of(worker);
-        if let Some(t) = self.pop_node(home, worker, scope) {
-            return Some(t);
-        }
-        if self
-            .targeted_ever
-            .load(core::sync::atomic::Ordering::Relaxed)
-            && self.global_len.load(core::sync::atomic::Ordering::Relaxed) == 0
-        {
-            // Partitioned mode has been used and the global path is
-            // empty: skip the whole DTLock round and sweep the other
-            // partition queues instead. During partitioned replay this
-            // is the steady state — the DTLock goes quiet. Runtimes that
-            // never target a node never take this branch, keeping the
-            // pre-partitioning delegation behavior untouched.
-            return self.steal_node(home, worker, scope);
-        }
         let slot = &self.scopes[worker];
         if slot.load(core::sync::atomic::Ordering::Relaxed) != scope.into_raw() {
             slot.store(scope.into_raw(), core::sync::atomic::Ordering::Relaxed);
         }
-        let got = match self.lock.lock_or_delegate(worker) {
+        match self.lock.lock_or_delegate(worker) {
             LockOrDelegate::Served(t) => {
                 // Another worker executed our request inside the lock.
                 self.len.fetch_sub(1, core::sync::atomic::Ordering::Relaxed);
-                self.global_len
-                    .fetch_sub(1, core::sync::atomic::Ordering::Relaxed);
                 self.counters.pop(worker);
                 Some(t)
             }
@@ -567,11 +379,9 @@ impl Scheduler for SyncScheduler {
                     self.lock.unlock();
                     if own.is_some() {
                         self.len.fetch_sub(1, core::sync::atomic::Ordering::Relaxed);
-                        self.global_len
-                            .fetch_sub(1, core::sync::atomic::Ordering::Relaxed);
                         self.counters.pop(worker);
                     }
-                    return own.or_else(|| self.steal_node(home, worker, scope));
+                    return own;
                 }
                 // Serve every waiting worker while tasks remain.
                 while !self.lock.empty() {
@@ -617,17 +427,11 @@ impl Scheduler for SyncScheduler {
                 self.lock.unlock();
                 if own.is_some() {
                     self.len.fetch_sub(1, core::sync::atomic::Ordering::Relaxed);
-                    self.global_len
-                        .fetch_sub(1, core::sync::atomic::Ordering::Relaxed);
                     self.counters.pop(worker);
                 }
                 own
             }
-        };
-        // Nothing on the global path: sweep the partition queues (own
-        // node first) so an idle worker is work-conserving and drain
-        // loops see every targeted task.
-        got.or_else(|| self.steal_node(home, worker, scope))
+        }
     }
 
     fn approx_len(&self) -> usize {
@@ -644,10 +448,6 @@ impl Scheduler for SyncScheduler {
 
     fn op_stats(&self) -> SchedOpStats {
         self.counters.snapshot()
-    }
-
-    fn node_stats(&self) -> Vec<NodeOpStats> {
-        self.counters.node_snapshot()
     }
 }
 
@@ -725,70 +525,6 @@ mod tests {
         assert_eq!(ops.batch_adds, 1);
         assert_eq!(ops.batch_tasks, 10);
         assert_eq!(ops.pops, 10);
-    }
-
-    #[test]
-    fn targeted_batches_land_in_target_node_buffer() {
-        let s = SyncScheduler::new(4, 2, Policy::Fifo, 8);
-        let batch: Vec<TaskPtr> = (1..=6).map(fake).collect();
-        // Producer lives on node 0 but targets node 1.
-        s.add_ready_batch_to(1, &batch, 0, None);
-        let ns = s.node_stats();
-        assert_eq!(ns.len(), 2);
-        assert_eq!(ns[1].targeted_tasks, 6, "{ns:?}");
-        assert_eq!(ns[0].targeted_tasks, 0, "{ns:?}");
-        assert_eq!(ns[0].home_tasks + ns[1].home_tasks, 0, "{ns:?}");
-        let ops = s.op_stats();
-        assert_eq!(ops.targeted_batch_adds, 1);
-        assert_eq!(ops.targeted_tasks, 6);
-        assert_eq!(ops.batch_adds, 0, "targeted adds counted separately");
-        let mut got = vec![];
-        while let Some(t) = s.get_ready(0, None) {
-            got.push(t.0 as usize);
-        }
-        assert_eq!(got, (1..=6).collect::<Vec<_>>(), "FIFO order preserved");
-    }
-
-    #[test]
-    fn targeted_batches_are_unbounded_by_spsc_capacity() {
-        // Partition queues grow on demand: a batch far beyond the SPSC
-        // capacity (2) is accepted whole — the targeted path never
-        // touches the bounded add buffers or their overflow drain.
-        let s = SyncScheduler::new(2, 2, Policy::Fifo, 2);
-        let batch: Vec<TaskPtr> = (1..=10).map(fake).collect();
-        s.add_ready_batch_to(1, &batch, 0, None);
-        let mut got = vec![];
-        while let Some(t) = s.get_ready(0, None) {
-            got.push(t.0 as usize);
-        }
-        assert_eq!(got, (1..=10).collect::<Vec<_>>());
-        assert_eq!(s.node_stats()[1].targeted_tasks, 10);
-    }
-
-    #[test]
-    fn out_of_range_target_node_clamps() {
-        let s = SyncScheduler::new(2, 2, Policy::Fifo, 8);
-        s.add_ready_batch_to(99, &[fake(1), fake(2)], 0, None);
-        assert_eq!(s.node_stats()[1].targeted_tasks, 2);
-        assert_eq!(s.get_ready(0, None), Some(fake(1)));
-        assert_eq!(s.get_ready(0, None), Some(fake(2)));
-    }
-
-    #[test]
-    fn home_routing_counts_per_node() {
-        let s = SyncScheduler::new(4, 2, Policy::Fifo, 8);
-        s.add_ready(fake(1), 0, None); // node 0
-        s.add_ready(fake(2), 3, None); // node 1
-        s.add_ready_batch(&[fake(3), fake(4)], 2, None); // node 1
-        let ns = s.node_stats();
-        assert_eq!(ns[0].home_tasks, 1);
-        assert_eq!(ns[1].home_tasks, 3);
-        assert_eq!(ns[0].targeted_tasks + ns[1].targeted_tasks, 0);
-        let mut n = 0;
-        while s.get_ready(0, None).is_some() {
-            n += 1;
-        }
-        assert_eq!(n, 4);
     }
 
     #[test]

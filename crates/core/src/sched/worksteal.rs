@@ -21,38 +21,22 @@ use parking_lot::Mutex;
 use std::collections::VecDeque;
 
 use super::{
-    NodeOpStats, Rec, SchedCounters, SchedKind, SchedOpStats, Scheduler, Scope, TaskPtr, WsVariant,
-    take_within,
+    Rec, SchedCounters, SchedKind, SchedOpStats, Scheduler, Scope, TaskPtr, WsVariant, take_within,
 };
-use crate::platform::Topology;
 
 /// Work-stealing scheduler with one deque per worker.
 pub struct WorkStealScheduler {
     deques: Box<[CachePadded<Mutex<VecDeque<TaskPtr>>>]>,
     seeds: Box<[CachePadded<AtomicU64>]>,
-    /// Worker→NUMA-node placement: node-targeted batches go to a deque
-    /// of a worker on the target node (round-robin within the node).
-    topo: Topology,
-    /// Round-robin cursor per node for targeted insertion.
-    rr: Box<[CachePadded<AtomicUsize>]>,
-    /// Workers of each node, precomputed so the targeted hot path never
-    /// allocates.
-    node_members: Box<[Box<[usize]>]>,
     variant: WsVariant,
     counters: SchedCounters,
     len: AtomicUsize,
 }
 
 impl WorkStealScheduler {
-    /// Create a scheduler for `workers` workers over `numa_nodes` nodes
-    /// (the node map only matters for node-targeted insertion; local
-    /// pushes and steals are per-worker as before).
-    pub fn new(workers: usize, numa_nodes: usize, variant: WsVariant) -> Self {
+    /// Create a scheduler for `workers` workers.
+    pub fn new(workers: usize, variant: WsVariant) -> Self {
         let n = workers.max(1);
-        let topo = Topology::contiguous(n, numa_nodes);
-        let nodes = topo.nodes();
-        let node_members: Box<[Box<[usize]>]> =
-            (0..nodes).map(|nd| topo.workers_of(nd).collect()).collect();
         Self {
             deques: (0..n)
                 .map(|_| CachePadded::new(Mutex::new(VecDeque::new())))
@@ -60,13 +44,8 @@ impl WorkStealScheduler {
             seeds: (0..n)
                 .map(|i| CachePadded::new(AtomicU64::new(0x9E37_79B9 ^ (i as u64 + 1))))
                 .collect(),
-            topo,
-            rr: (0..nodes)
-                .map(|_| CachePadded::new(AtomicUsize::new(0)))
-                .collect(),
-            node_members,
             variant,
-            counters: SchedCounters::detached(n, nodes),
+            counters: SchedCounters::detached(n),
             len: AtomicUsize::new(0),
         }
     }
@@ -75,7 +54,7 @@ impl WorkStealScheduler {
     /// (`None` keeps the private detached counters).
     pub fn with_registry(mut self, reg: Option<&Registry>) -> Self {
         if let Some(reg) = reg {
-            self.counters = SchedCounters::new(reg, self.topo.nodes());
+            self.counters = SchedCounters::new(reg);
         }
         self
     }
@@ -145,7 +124,6 @@ impl Scheduler for WorkStealScheduler {
         self.counters.add(worker);
         self.len.fetch_add(1, Ordering::Relaxed);
         let w = worker % self.deques.len();
-        self.counters.node_home(worker, self.topo.node_of(w), 1);
         let mut dq = self.deques[w].lock();
         self.counters.lock(worker);
         dq.push_back(task);
@@ -163,35 +141,8 @@ impl Scheduler for WorkStealScheduler {
         self.counters.batch(worker, tasks.len());
         self.len.fetch_add(tasks.len(), Ordering::Relaxed);
         let w = worker % self.deques.len();
-        self.counters
-            .node_home(worker, self.topo.node_of(w), tasks.len() as u64);
         // One deque-lock acquisition pushes the whole released batch.
         let mut dq = self.deques[w].lock();
-        self.counters.lock(worker);
-        dq.extend(tasks.iter().copied());
-    }
-
-    fn add_ready_batch_to(&self, node: usize, tasks: &[TaskPtr], worker: usize, rec: Rec<'_>) {
-        if tasks.is_empty() {
-            return;
-        }
-        if let Some(r) = rec {
-            r.record(
-                nanotask_trace::EventKind::NodeReadyBatch,
-                ((node as u64) << 32) | tasks.len() as u64,
-            );
-        }
-        self.counters.targeted(worker, tasks.len());
-        self.len.fetch_add(tasks.len(), Ordering::Relaxed);
-        // A deque of a worker on the target node, round-robin within the
-        // node so one hot partition does not pile onto a single deque.
-        let node = node.min(self.topo.nodes() - 1);
-        self.counters
-            .node_targeted(worker, node, tasks.len() as u64);
-        let members = &self.node_members[node];
-        let k = self.rr[node].fetch_add(1, Ordering::Relaxed) % members.len().max(1);
-        let target = members.get(k).copied().unwrap_or(0);
-        let mut dq = self.deques[target].lock();
         self.counters.lock(worker);
         dq.extend(tasks.iter().copied());
     }
@@ -217,10 +168,6 @@ impl Scheduler for WorkStealScheduler {
     fn op_stats(&self) -> SchedOpStats {
         self.counters.snapshot()
     }
-
-    fn node_stats(&self) -> Vec<NodeOpStats> {
-        self.counters.node_snapshot()
-    }
 }
 
 #[cfg(test)]
@@ -235,7 +182,7 @@ mod tests {
 
     #[test]
     fn local_lifo_order() {
-        let s = WorkStealScheduler::new(2, 1, WsVariant::LifoLocal);
+        let s = WorkStealScheduler::new(2, WsVariant::LifoLocal);
         s.add_ready(fake(1), 0, None);
         s.add_ready(fake(2), 0, None);
         assert_eq!(s.get_ready(0, None), Some(fake(2)));
@@ -244,7 +191,7 @@ mod tests {
 
     #[test]
     fn local_fifo_order() {
-        let s = WorkStealScheduler::new(2, 1, WsVariant::FifoLocal);
+        let s = WorkStealScheduler::new(2, WsVariant::FifoLocal);
         s.add_ready(fake(1), 0, None);
         s.add_ready(fake(2), 0, None);
         assert_eq!(s.get_ready(0, None), Some(fake(1)));
@@ -253,7 +200,7 @@ mod tests {
 
     #[test]
     fn steals_oldest_from_victim() {
-        let s = WorkStealScheduler::new(2, 1, WsVariant::LifoLocal);
+        let s = WorkStealScheduler::new(2, WsVariant::LifoLocal);
         s.add_ready(fake(1), 0, None);
         s.add_ready(fake(2), 0, None);
         // Worker 1 has nothing: it must steal worker 0's oldest task.
@@ -264,7 +211,7 @@ mod tests {
 
     #[test]
     fn single_worker_cannot_steal() {
-        let s = WorkStealScheduler::new(1, 1, WsVariant::LifoLocal);
+        let s = WorkStealScheduler::new(1, WsVariant::LifoLocal);
         assert_eq!(s.get_ready(0, None), None);
         s.add_ready(fake(1), 0, None);
         assert_eq!(s.get_ready(0, None), Some(fake(1)));
@@ -272,7 +219,7 @@ mod tests {
 
     #[test]
     fn batch_add_one_deque_lock() {
-        let s = WorkStealScheduler::new(2, 1, WsVariant::FifoLocal);
+        let s = WorkStealScheduler::new(2, WsVariant::FifoLocal);
         let batch: Vec<TaskPtr> = (1..=5).map(fake).collect();
         s.add_ready_batch(&batch, 0, None);
         let ops = s.op_stats();
@@ -287,48 +234,9 @@ mod tests {
     }
 
     #[test]
-    fn targeted_batch_lands_on_target_node_deques() {
-        // 4 workers over 2 nodes: node 1 = workers {2, 3}. A batch
-        // targeted at node 1 must be poppable locally by those workers
-        // without stealing.
-        let s = WorkStealScheduler::new(4, 2, WsVariant::FifoLocal);
-        let batch: Vec<TaskPtr> = (1..=4).map(fake).collect();
-        s.add_ready_batch_to(1, &batch, 0, None);
-        let ns = s.node_stats();
-        assert_eq!(ns.len(), 2);
-        assert_eq!(ns[1].targeted_tasks, 4, "{ns:?}");
-        assert_eq!(ns[0].targeted_tasks, 0, "{ns:?}");
-        let mut local = vec![];
-        while let Some(t) = s
-            .pop_local(2, Scope::ANY)
-            .or_else(|| s.pop_local(3, Scope::ANY))
-        {
-            local.push(t.0 as usize);
-        }
-        local.sort();
-        assert_eq!(local, (1..=4).collect::<Vec<_>>(), "all on node-1 deques");
-        let ops = s.op_stats();
-        assert_eq!(ops.targeted_batch_adds, 1);
-        assert_eq!(ops.targeted_tasks, 4);
-    }
-
-    #[test]
-    fn targeted_round_robin_spreads_within_node() {
-        let s = WorkStealScheduler::new(4, 2, WsVariant::FifoLocal);
-        s.add_ready_batch_to(0, &[fake(1), fake(2)], 3, None);
-        s.add_ready_batch_to(0, &[fake(3), fake(4)], 3, None);
-        // Two batches round-robin over node 0's workers {0, 1}.
-        assert!(s.pop_local(0, Scope::ANY).is_some(), "worker 0 got a batch");
-        assert!(
-            s.pop_local(1, Scope::ANY).is_some(),
-            "worker 1 got the next batch"
-        );
-    }
-
-    #[test]
     fn concurrent_conservation() {
         const COUNT: usize = 20_000;
-        let s = Arc::new(WorkStealScheduler::new(4, 1, WsVariant::LifoLocal));
+        let s = Arc::new(WorkStealScheduler::new(4, WsVariant::LifoLocal));
         let prod = {
             let s = Arc::clone(&s);
             std::thread::spawn(move || {

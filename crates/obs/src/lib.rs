@@ -7,9 +7,9 @@
 //! backed by one cache-padded cell per worker shard, incremented with a
 //! plain load+store by its owning worker and only aggregated when a
 //! [`registry::Snapshot`] is taken. That turns the runtime's ad-hoc
-//! report structs (`RunReport`, `SchedOpStats`, `ReplayReport`,
-//! `node_stats`) into *views over one registry* that exists while the
-//! run is still going, which is what the exporters need:
+//! report structs (`RunReport`, `SchedOpStats`, `ReplayReport`) into
+//! *views over one registry* that exists while the run is still going,
+//! which is what the exporters need:
 //!
 //! * [`registry`] — sharded [`registry::Counter`] / [`registry::Gauge`] /
 //!   [`registry::MaxGauge`] cells plus log-bucketed fixed-64-bucket
@@ -22,13 +22,13 @@
 //!   replay-iteration events, instants for cache hits and giveups).
 //!   Open it at `https://ui.perfetto.dev` or `chrome://tracing`.
 //! * [`prometheus`] — text-exposition dump of a snapshot (`nanotask_*`
-//!   metric names, scheduler/dep-system/node labels) plus a line-by-line
-//!   validator (`tests/obs_integration.rs` runs it on a live snapshot).
+//!   metric names, scheduler/dep-system base labels plus any per-metric
+//!   labels) plus a line-by-line validator (`tests/obs_integration.rs`
+//!   runs it on a live snapshot).
 //! * [`flight`] — an in-run flight recorder: a ring of the last N
 //!   registry snapshots taken every `every` ticks, so replay-health
-//!   anomalies (divergence storms, giveup spirals, routing-ratio
-//!   collapse) can be localized to an iteration window instead of one
-//!   end-of-run total.
+//!   anomalies (divergence storms, giveup spirals) can be localized to
+//!   an iteration window instead of one end-of-run total.
 
 pub mod flight;
 pub mod perfetto;

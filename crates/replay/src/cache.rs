@@ -17,7 +17,6 @@
 use std::sync::Arc;
 
 use crate::graph::ReplayGraph;
-use crate::partition::Partitioning;
 
 /// One cached frozen graph.
 struct Entry {
@@ -29,12 +28,6 @@ struct Entry {
     /// Structural hash of the iteration observed right after one of this
     /// graph's iterations — the phase predictor.
     next: Option<u64>,
-    /// NUMA partitioning of the graph, computed once at first use and
-    /// cached with the entry (freeze-time analysis, reused by every
-    /// replay of the graph), keyed by the *requested* part count so a
-    /// changed request recomputes regardless of how
-    /// [`Partitioning::compute`] clamps internally.
-    part: Option<(usize, Arc<Partitioning>)>,
 }
 
 /// A bounded LRU of frozen replay graphs, keyed by structural hash.
@@ -43,28 +36,9 @@ pub struct GraphCache {
     tick: u64,
     entries: Vec<Entry>,
     evictions: u64,
-    /// Partitionings that survived their entry's eviction, FIFO-bounded:
-    /// `(structural hash, requested part count, assignment)`. A graph
-    /// re-entering the cache seeds its partitioning from here
-    /// ([`Partitioning::compute_seeded`]) instead of recomputing from
-    /// scratch, so worker caches stay warm across evictions.
-    evicted_parts: Vec<(u64, usize, Arc<Partitioning>)>,
-    /// Partitionings seeded from an evicted assignment.
-    part_seeds: u64,
-    /// Nodes adopted from seeds / total nodes of seeded computations.
-    part_seed_reused: u64,
-    part_seed_total: u64,
-    /// Accumulated partitioner operation counters across every
-    /// computation this cache performed (cached entries recompute once,
-    /// so these measure exactly the first-replay partitioning cost).
-    part_heap_ops: u64,
 }
 
 impl GraphCache {
-    /// Evicted assignments kept per cache slot (the stash is
-    /// `cap * EVICTED_PART_KEEP` entries, oldest dropped first).
-    const EVICTED_PART_KEEP: usize = 2;
-
     /// An empty cache holding at most `cap` graphs (min 1).
     pub fn new(cap: usize) -> Self {
         Self {
@@ -72,11 +46,6 @@ impl GraphCache {
             tick: 0,
             entries: Vec::new(),
             evictions: 0,
-            evicted_parts: Vec::new(),
-            part_seeds: 0,
-            part_seed_reused: 0,
-            part_seed_total: 0,
-            part_heap_ops: 0,
         }
     }
 
@@ -158,18 +127,7 @@ impl GraphCache {
                 .min_by_key(|(_, e)| e.last_used)
                 .map(|(i, _)| i)
                 .expect("cache is non-empty when full");
-            let victim = self.entries.swap_remove(lru);
-            // Eviction survival: stash the victim's partitioning so a
-            // re-entering graph seeds from it instead of recomputing.
-            if let Some((parts, p)) = victim.part {
-                let hash = victim.graph.structural_hash();
-                self.evicted_parts
-                    .retain(|&(h, n, _)| (h, n) != (hash, parts));
-                if self.evicted_parts.len() >= self.cap * Self::EVICTED_PART_KEEP {
-                    self.evicted_parts.remove(0);
-                }
-                self.evicted_parts.push((hash, parts, p));
-            }
+            self.entries.swap_remove(lru);
             self.evictions += 1;
         }
         self.tick += 1;
@@ -178,71 +136,15 @@ impl GraphCache {
             last_used: self.tick,
             replays: 0,
             next: None,
-            part: None,
         });
     }
 
-    /// The NUMA partitioning of `graph` into `parts` parts: returned from
-    /// the entry cache when already computed (with a matching part
-    /// count), computed and cached otherwise. Graphs not in the cache
-    /// (e.g. nested-pinned shapes) are partitioned without caching.
-    ///
-    /// A fresh computation first checks the eviction stash: a graph that
-    /// re-enters after being evicted seeds from its saved assignment
-    /// ([`Partitioning::compute_seeded`], 100 % reuse on an unchanged
-    /// graph). Operation counters of every computation accumulate on
-    /// the cache ([`GraphCache::partition_stats`]).
-    pub fn partitioning(&mut self, graph: &Arc<ReplayGraph>, parts: usize) -> Arc<Partitioning> {
-        let hash = graph.structural_hash();
-        if let Some(idx) = self.position(hash)
-            && let Some((requested, p)) = &self.entries[idx].part
-            && *requested == parts
-        {
-            return Arc::clone(p);
-        }
-        let p = Arc::new(
-            if let Some(pos) = self
-                .evicted_parts
-                .iter()
-                .position(|&(h, n, _)| (h, n) == (hash, parts))
-            {
-                let (_, _, seed) = self.evicted_parts.remove(pos);
-                Partitioning::compute_seeded(graph, parts, &seed)
-            } else {
-                Partitioning::compute(graph, parts)
-            },
-        );
-        let st = p.stats();
-        self.part_heap_ops += st.heap_ops;
-        if st.seeded {
-            self.part_seeds += 1;
-            self.part_seed_reused += st.seed_reused as u64;
-            self.part_seed_total += graph.len() as u64;
-        }
-        if let Some(idx) = self.position(hash) {
-            self.entries[idx].part = Some((parts, Arc::clone(&p)));
-        }
-        p
-    }
-
-    /// Accumulated partitioner counters: `(heap_ops, seeds,
-    /// seed_reused_nodes, seed_total_nodes)` across every partitioning
-    /// this cache computed.
-    pub fn partition_stats(&self) -> (u64, u64, u64, u64) {
-        (
-            self.part_heap_ops,
-            self.part_seeds,
-            self.part_seed_reused,
-            self.part_seed_total,
-        )
-    }
-
-    /// Drop the graph with this structural hash (no eviction-stash
-    /// entry — an invalidated graph must not seed anything). The engine
-    /// calls this when an iteration of the graph faulted: a cancellation
-    /// wave ran a subset of the recorded bodies, so the frozen schedule
-    /// is no longer trusted and the next occurrence of the shape
-    /// re-records from the dependency system. Dangling predictor edges
+    /// Drop the graph with this structural hash (not counted as an
+    /// eviction). The engine calls this when an iteration of the graph
+    /// faulted: a cancellation wave ran a subset of the recorded bodies,
+    /// so the frozen schedule is no longer trusted and the next
+    /// occurrence of the shape re-records from the dependency system.
+    /// Dangling predictor edges
     /// pointing at the removed graph are harmless —
     /// [`GraphCache::predict_next`] resolves through `get`, which misses.
     pub fn invalidate(&mut self, hash: u64) {
@@ -311,15 +213,6 @@ mod tests {
         Arc::new(ReplayGraph::build(&captured, &[]))
     }
 
-    /// A two-independent-task graph (so a 2-way split is possible).
-    fn graph2(a: usize, b: usize) -> Arc<ReplayGraph> {
-        let captured = vec![
-            CapturedSpawn::bare("a", 0, vec![AccessDecl::new(a, 8, AccessMode::ReadWrite)]),
-            CapturedSpawn::bare("b", 0, vec![AccessDecl::new(b, 8, AccessMode::ReadWrite)]),
-        ];
-        Arc::new(ReplayGraph::build(&captured, &[]))
-    }
-
     #[test]
     fn insert_get_roundtrip() {
         let mut c = GraphCache::new(2);
@@ -374,46 +267,6 @@ mod tests {
             a.structural_hash()
         );
         assert!(c.get_by_first_sig(sig_a ^ 1).is_none());
-    }
-
-    #[test]
-    fn partitioning_computed_once_and_cached() {
-        let mut c = GraphCache::new(2);
-        let g = graph2(0x10, 0x20);
-        c.insert(Arc::clone(&g));
-        let p1 = c.partitioning(&g, 2);
-        let p2 = c.partitioning(&g, 2);
-        assert!(Arc::ptr_eq(&p1, &p2), "second call served from the entry");
-        // A different part count recomputes.
-        let p3 = c.partitioning(&g, 1);
-        assert!(!Arc::ptr_eq(&p1, &p3));
-        assert_eq!(p3.parts(), 1);
-        // Uncached graphs still get a (fresh) partitioning.
-        let foreign = graph(0x999);
-        let pf = c.partitioning(&foreign, 2);
-        assert_eq!(pf.assignments().len(), 1);
-    }
-
-    #[test]
-    fn evicted_partitioning_seeds_reentry() {
-        // Cache of 1: inserting a second graph evicts the first along
-        // with its partitioning; when the first graph re-enters, its
-        // partitioning must be seeded from the stash (full reuse), not
-        // recomputed from scratch.
-        let mut c = GraphCache::new(1);
-        let g = graph2(0x10, 0x20);
-        c.insert(Arc::clone(&g));
-        let original = c.partitioning(&g, 2);
-        c.insert(graph2(0x30, 0x40));
-        assert_eq!(c.evictions(), 1);
-        c.insert(Arc::clone(&g));
-        let reseeded = c.partitioning(&g, 2);
-        assert_eq!(*reseeded, *original, "identical placement after eviction");
-        assert!(reseeded.stats().seeded);
-        assert_eq!(reseeded.stats().seed_reused, 2);
-        let (_, seeds, reused, total) = c.partition_stats();
-        assert_eq!(seeds, 1);
-        assert_eq!((reused, total), (2, 2), "100% of the assignment reused");
     }
 
     #[test]

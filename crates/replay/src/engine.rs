@@ -19,7 +19,7 @@
 
 use core::cell::UnsafeCell;
 use std::sync::Arc;
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU32, AtomicUsize, Ordering};
 
 use nanotask_core::deps::reduction::ReductionInfo;
 use nanotask_core::{
@@ -30,7 +30,6 @@ use nanotask_trace::EventKind;
 
 use crate::cache::GraphCache;
 use crate::graph::ReplayGraph;
-use crate::partition::Partitioning;
 use crate::recorder::{
     CaptureMode, CapturedSpawn, GraphRecorder, STRUCTURAL_HASH_SEED, mix, spawn_sig_hash,
 };
@@ -89,27 +88,8 @@ pub struct ReplayReport {
     /// from it)`, most recently used first. Graphs evicted before the
     /// run ended are not listed.
     pub per_graph_replays: Vec<(u64, usize, u64)>,
-    /// NUMA partitions the replay engine routed to (0 = partitioning
-    /// off, see [`nanotask_core::RuntimeConfig::replay_partitioning`]).
-    pub partitions: usize,
-    /// Held-task releases routed to their partition's node through the
-    /// scheduler's node-targeted insertion.
+    /// Always 0; read by `benchmark/src/adapters.rs::Counts::of_replay`.
     pub routed_releases: u64,
-    /// Cut edges of the last replayed graph's partitioning (edges whose
-    /// endpoints live on different NUMA nodes).
-    pub partition_cut_edges: usize,
-    /// Heap pushes + pops the partitioner performed across this run —
-    /// the machine-checkable side of its O(n log n) claim.
-    pub heap_ops: u64,
-    /// Partitionings seeded from an assignment that survived cache
-    /// eviction (a graph re-entering the `GraphCache` adopts its old
-    /// placement instead of recomputing, keeping worker caches warm).
-    pub partition_seeds: u64,
-    /// Nodes adopted from eviction seeds / total nodes of seeded
-    /// computations (equal on unchanged graphs: 100 % reuse).
-    pub partition_seed_reused: u64,
-    /// See [`ReplayReport::partition_seed_reused`].
-    pub partition_seed_total: u64,
     /// Wall time spent freezing captured iterations into CSR graphs
     /// (the initial record plus every divergence re-freeze), summed.
     pub freeze_ns: u64,
@@ -161,7 +141,7 @@ impl ReplayReport {
 impl core::fmt::Display for ReplayReport {
     /// One-line summary of everything the report counts — including the
     /// cache counters (hits/misses/evictions, pinned iterations,
-    /// give-ups) and the partitioning counters.
+    /// give-ups).
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
         write!(
             f,
@@ -192,18 +172,6 @@ impl core::fmt::Display for ReplayReport {
         if self.faulted > 0 {
             write!(f, " | faulted={}", self.faulted)?;
         }
-        if self.partitions > 0 {
-            write!(
-                f,
-                " | numa: partitions={} routed={} cut_edges={} \
-                 heap_ops={} seeds={}",
-                self.partitions,
-                self.routed_releases,
-                self.partition_cut_edges,
-                self.heap_ops,
-                self.partition_seeds,
-            )?;
-        }
         Ok(())
     }
 }
@@ -226,11 +194,6 @@ struct ReplayObs {
     pinned_iterations: Counter,
     giveups: Counter,
     nested_spawns: Counter,
-    routed_releases: Counter,
-    heap_ops: Counter,
-    partition_seeds: Counter,
-    partition_seed_reused: Counter,
-    partition_seed_total: Counter,
     freeze_ns: Counter,
     tasks_recycled: Counter,
     faulted: Counter,
@@ -257,11 +220,6 @@ impl ReplayObs {
             pinned_iterations: reg.counter("nanotask_replay_pinned_iterations_total"),
             giveups: reg.counter("nanotask_replay_giveups_total"),
             nested_spawns: reg.counter("nanotask_replay_nested_spawns_total"),
-            routed_releases: reg.counter("nanotask_replay_routed_releases_total"),
-            heap_ops: reg.counter("nanotask_replay_heap_ops_total"),
-            partition_seeds: reg.counter("nanotask_replay_partition_seeds_total"),
-            partition_seed_reused: reg.counter("nanotask_replay_partition_seed_reused_total"),
-            partition_seed_total: reg.counter("nanotask_replay_partition_seed_total_total"),
             freeze_ns: reg.counter("nanotask_replay_freeze_ns_total"),
             tasks_recycled: reg.counter("nanotask_replay_tasks_recycled_total"),
             faulted: reg.counter("nanotask_replay_faulted_iterations_total"),
@@ -285,11 +243,6 @@ impl ReplayObs {
         self.pinned_iterations.add(0, r.pinned_iterations as u64);
         self.giveups.add(0, r.giveups as u64);
         self.nested_spawns.add(0, r.nested_spawns);
-        self.routed_releases.add(0, r.routed_releases);
-        self.heap_ops.add(0, r.heap_ops);
-        self.partition_seeds.add(0, r.partition_seeds);
-        self.partition_seed_reused.add(0, r.partition_seed_reused);
-        self.partition_seed_total.add(0, r.partition_seed_total);
         self.freeze_ns.add(0, r.freeze_ns);
         self.tasks_recycled.add(0, r.tasks_recycled);
         self.faulted.add(0, r.faulted as u64);
@@ -355,11 +308,6 @@ struct IterState {
     groups: Vec<GroupState>,
     /// Released-node count (debug cross-check against graph size).
     launched: AtomicUsize,
-    /// NUMA partitioning of the graph — `Some` activates node-targeted
-    /// release routing ([`nanotask_core::RuntimeConfig::replay_partitioning`]).
-    part: Option<Arc<Partitioning>>,
-    /// Held-task releases routed through the node-targeted path.
-    routed: AtomicU64,
     /// Per-node cancellation marks — the replay mirror of the dependency
     /// systems' failure poisoning. A failed (or already-cancelled) task
     /// sets its successors' flags *before* dropping their pending
@@ -371,7 +319,7 @@ struct IterState {
 }
 
 impl IterState {
-    fn new(graph: Arc<ReplayGraph>, workers: usize, part: Option<Arc<Partitioning>>) -> Self {
+    fn new(graph: Arc<ReplayGraph>, workers: usize) -> Self {
         graph.reset();
         let groups = graph
             .groups()
@@ -386,8 +334,6 @@ impl IterState {
             graph,
             groups,
             launched: AtomicUsize::new(0),
-            part,
-            routed: AtomicU64::new(0),
             poisoned,
         }
     }
@@ -438,114 +384,8 @@ impl IterState {
         }
     }
 
-    /// Partition-routed variant of [`IterState::countdown`] over a whole
-    /// successor list: newly-released tasks are grouped by their
-    /// partition's NUMA node and each group is handed to the scheduler
-    /// as one node-targeted batch — the locality-aware static schedule
-    /// of the frozen graph. Scratch buffers are thread-local so the
-    /// per-completion hot path never allocates.
-    ///
-    /// With the zero-queue fast path on, one *same-node* successor is
-    /// kept as the releasing worker's inline next task
-    /// ([`TaskCtx::release_held_inline_to`]): dependence
-    /// locality composes with partition locality — the task still runs
-    /// on its assigned node, it just skips the node queue.
-    ///
-    /// # Re-entrancy audit (thread-local scratch)
-    ///
-    /// The `SCRATCH` borrow spans calls into `release_held_inline_to`
-    /// and `release_held_batch_to`. Neither can re-enter this function
-    /// on the same thread: an inline-kept release only *defers* the task
-    /// into the worker's pending buffer (the body runs after the current
-    /// completion window closes, long after the borrow is dropped), and
-    /// node-targeted insertion never executes task bodies synchronously
-    /// — every scheduler path ends at a queue push. The `try_borrow_mut`
-    /// below is the audit's backstop: if a future runtime change ever
-    /// makes a release path execute bodies synchronously, the fallback
-    /// keeps routing correct (with a one-off allocation) instead of
-    /// panicking mid-release.
-    fn countdown_routed(&self, ctx: &TaskCtx, succs: &[u32], part: &Partitioning) {
-        /// Reusable (node, handle) release buffer + contiguous handle
-        /// batch, one pair per worker thread.
-        type RouteScratch = (Vec<(usize, HeldTask)>, Vec<HeldTask>);
-        thread_local! {
-            static SCRATCH: core::cell::RefCell<RouteScratch> =
-                const { core::cell::RefCell::new((Vec::new(), Vec::new())) };
-        }
-        SCRATCH.with(|cell| match cell.try_borrow_mut() {
-            Ok(mut scratch) => {
-                let (ready, handles) = &mut *scratch;
-                self.route(ctx, succs, part, ready, handles);
-            }
-            // Re-entered (see the audit above — impossible today):
-            // degrade to fresh buffers rather than poisoning the borrow.
-            Err(_) => self.route(ctx, succs, part, &mut Vec::new(), &mut Vec::new()),
-        });
-    }
-
-    /// The body of [`IterState::countdown_routed`], parameterized over
-    /// the scratch buffers.
-    fn route(
-        &self,
-        ctx: &TaskCtx,
-        succs: &[u32],
-        part: &Partitioning,
-        ready: &mut Vec<(usize, HeldTask)>,
-        handles: &mut Vec<HeldTask>,
-    ) {
-        ready.clear();
-        for &s in succs {
-            if let Some(t) = self.graph.countdown(s as usize) {
-                self.launched.fetch_add(1, Ordering::Relaxed);
-                // SAFETY: as in `countdown` — published by the
-                // creator, released exactly once.
-                let h = unsafe { HeldTask::from_raw(t) };
-                self.take_poison(s as usize, &h);
-                ready.push((part.node_of(s as usize), h));
-            }
-        }
-        if ready.is_empty() {
-            return;
-        }
-        self.routed.fetch_add(ready.len() as u64, Ordering::Relaxed);
-        // Fast-path composition: keep the first same-node successor
-        // inline (no-op when the fast path is off or the releaser is the
-        // root — `release_held_inline_to` declines and the task falls
-        // through to normal routing below).
-        let kept = ready
-            .iter()
-            .position(|&(node, h)| ctx.release_held_inline_to(node, h));
-        if let Some(pos) = kept {
-            ready.remove(pos);
-            if ready.is_empty() {
-                return;
-            }
-        }
-        if let [(node, h)] = ready[..] {
-            // Single release (chains — the common case): no grouping.
-            ctx.release_held_batch_to(node, &[h]);
-            return;
-        }
-        // Group by node, preserving release order within each node
-        // (stable sort; successor lists are short).
-        ready.sort_by_key(|&(node, _)| node);
-        handles.clear();
-        handles.extend(ready.iter().map(|&(_, h)| h));
-        let mut start = 0;
-        while start < ready.len() {
-            let node = ready[start].0;
-            let mut end = start + 1;
-            while end < ready.len() && ready[end].0 == node {
-                end += 1;
-            }
-            ctx.release_held_batch_to(node, &handles[start..end]);
-            start = end;
-        }
-    }
-
     /// The post-body half of one fed task: fold finished reduction
-    /// groups, then release the node's successors (routed when
-    /// partitioning is on).
+    /// groups, then release the node's successors.
     fn after_body(&self, tc: &TaskCtx, i: usize) {
         // Failure propagation during replay: a failed task (marked
         // cancelled by the runtime's panic isolation) or a task that was
@@ -568,17 +408,8 @@ impl IterState {
                 unsafe { g.info.combine_into_target() };
             }
         }
-        match &self.part {
-            // Partitioning off: release through the producer's home
-            // buffer.
-            None => {
-                for &s in self.graph.succs(i) {
-                    self.countdown(tc, s);
-                }
-            }
-            // Partitioning on: group the newly-released successors by
-            // their partition and batch each group to its node.
-            Some(p) => self.countdown_routed(tc, self.graph.succs(i), p),
+        for &s in self.graph.succs(i) {
+            self.countdown(tc, s);
         }
     }
 
@@ -607,29 +438,8 @@ impl IterState {
         let held = ctx.spawn_held(node.label, node.priority, decls, body, Some(epilogue));
         self.graph.publish(i, held.into_raw());
         // Drop the creation hold; releases the task if all its
-        // predecessors already finished (or it has none) — routed to its
-        // partition's node when partitioning is on.
-        match &self.part {
-            None => self.countdown(ctx, i as u32),
-            // Decrement first — only the rare hold drop that
-            // actually releases (a root of the graph, or a node whose
-            // predecessors all finished during the spawn phase) pays the
-            // routing path; interior nodes cost one atomic decrement.
-            Some(p) => {
-                if let Some(t) = self.graph.countdown(i) {
-                    self.launched.fetch_add(1, Ordering::Relaxed);
-                    self.routed.fetch_add(1, Ordering::Relaxed);
-                    // SAFETY: as in `countdown` — published by the
-                    // creator (just above), released exactly once.
-                    let h = unsafe { HeldTask::from_raw(t) };
-                    self.take_poison(i, &h);
-                    let node = p.node_of(i);
-                    if !ctx.release_held_inline_to(node, h) {
-                        ctx.release_held_batch_to(node, &[h]);
-                    }
-                }
-            }
-        }
+        // predecessors already finished (or it has none).
+        self.countdown(ctx, i as u32);
     }
 }
 
@@ -639,21 +449,6 @@ impl TaskEpilogue for IterState {
     /// — no per-task wrapper closure survives freezing.
     fn run(&self, ctx: &TaskCtx, tag: u64) {
         self.after_body(ctx, tag as usize);
-    }
-}
-
-/// Emit one [`EventKind::ReplayPartitionAssign`] record per partition of
-/// the iteration about to feed (`(partition << 32) | tasks_in_partition`)
-/// — called on both ways a graph becomes the feed target: the scheduled
-/// replay branch and the mid-start phase-switch takeover.
-fn mark_partitions(ctx: &TaskCtx, state: &IterState) {
-    if let Some(p) = &state.part {
-        for n in 0..p.parts() {
-            ctx.trace_mark(
-                EventKind::ReplayPartitionAssign,
-                ((n as u64) << 32) | p.tasks_in(n) as u64,
-            );
-        }
     }
 }
 
@@ -707,37 +502,24 @@ struct EngineCapture {
     /// Worker count, needed to build per-iteration reduction state when
     /// swapping feed targets.
     workers: usize,
-    /// NUMA partitions for release routing; 0 = partitioning off
-    /// ([`nanotask_core::RuntimeConfig::replay_partitioning`]).
-    parts: usize,
 }
 
 unsafe impl Send for EngineCapture {}
 unsafe impl Sync for EngineCapture {}
 
 impl EngineCapture {
-    fn new(workers: usize, cache_size: usize, parts: usize) -> Self {
+    fn new(workers: usize, cache_size: usize) -> Self {
         Self {
             mode: UnsafeCell::new(Mode::Off),
             recorder: GraphRecorder::new(),
             cache: UnsafeCell::new(GraphCache::new(cache_size)),
             workers,
-            parts,
         }
     }
 
-    /// Build the per-iteration state for feeding `g`: attaches the
-    /// graph's (entry-cached) NUMA partitioning when partitioning is on.
-    ///
-    /// # Safety-adjacent note
-    /// Calls `self.cache()` — root-thread confinement (see type docs).
+    /// Build the per-iteration state for feeding `g`.
     fn make_state(&self, g: Arc<ReplayGraph>) -> Arc<IterState> {
-        let part = if self.parts > 0 {
-            Some(unsafe { self.cache() }.partitioning(&g, self.parts))
-        } else {
-            None
-        };
-        Arc::new(IterState::new(g, self.workers, part))
+        Arc::new(IterState::new(g, self.workers))
     }
 
     /// # Safety
@@ -871,7 +653,6 @@ impl SpawnCapture for EngineCapture {
                     // phase-switch fast path of alternating bodies.
                     if let Some(g) = unsafe { self.cache() }.get_by_first_sig(sig) {
                         let st = self.make_state(g);
-                        mark_partitions(ctx, &st);
                         *state = Arc::clone(&st);
                         *switched = true;
                         st.feed(&st, ctx, 0, body);
@@ -932,16 +713,9 @@ impl RunIterative for Runtime {
         let cache_size = cfg.replay_cache_size.max(1);
         let giveup_after = cfg.replay_giveup_after;
         let recheck_every = cfg.replay_recheck_every.max(1);
-        // NUMA-aware replay partitioning: one partition per node of the
-        // runtime's topology. 0 disables routing entirely.
-        let parts = if cfg.replay_partitioning {
-            self.topology().nodes()
-        } else {
-            0
-        };
 
         let body = Arc::new(body);
-        let capture = Arc::new(EngineCapture::new(workers, cache_size, parts));
+        let capture = Arc::new(EngineCapture::new(workers, cache_size));
         self.set_spawn_capture(Some(Arc::clone(&capture) as _));
         let prev_graph_recording = self.graph_recording();
         self.clear_graph_edges();
@@ -1114,7 +888,6 @@ impl RunIterative for Runtime {
                         ctx.trace_mark(EventKind::ReplayIterBegin, iter as u64);
                         let nested0 = ctx.nested_spawn_count();
                         let state = cap.make_state(g);
-                        mark_partitions(ctx, &state);
                         cap.set_feed(Arc::clone(&state));
                         let feed_t0 = feed_hist.as_ref().map(|_| std::time::Instant::now());
                         body(ctx);
@@ -1124,14 +897,9 @@ impl RunIterative for Runtime {
                         let end = cap.end_feed().expect("feed mode active");
                         ctx.taskwait();
                         // The feed target may have been swapped by the
-                        // first-spawn phase switch: count the state that
+                        // first-spawn phase switch: judge the state that
                         // actually fed (`end.state`), not the scheduled
                         // one.
-                        report.routed_releases += end.state.routed.load(Ordering::Relaxed);
-                        if let Some(p) = &end.state.part {
-                            report.partitions = p.parts();
-                            report.partition_cut_edges = p.cut_edges();
-                        }
                         let complete = !end.diverged && end.spawned == end.state.graph.len();
                         let nested = ctx.nested_spawn_count() - nested0;
                         // Macro (not a closure: it mutates half the loop
@@ -1254,11 +1022,6 @@ impl RunIterative for Runtime {
             }
             report.cache_evictions = cache!().evictions();
             report.per_graph_replays = cache!().per_graph_replays();
-            let (heap_ops, seeds, seed_reused, seed_total) = cache!().partition_stats();
-            report.heap_ops = heap_ops;
-            report.partition_seeds = seeds;
-            report.partition_seed_reused = seed_reused;
-            report.partition_seed_total = seed_total;
             *result.lock().unwrap() = report;
         });
         self.set_spawn_capture(None);
@@ -2014,213 +1777,7 @@ mod tests {
     }
 
     #[test]
-    fn partitioned_replay_routes_every_release() {
-        let rt = Runtime::new(
-            RuntimeConfig::optimized()
-                .workers(4)
-                .with_numa_nodes(2)
-                .with_replay_partitioning(true),
-        );
-        let data = Box::leak(Box::new(0u64)) as *mut u64;
-        let p = SendPtr::new(data);
-        let report = rt.run_iterative(6, move |ctx| {
-            for _ in 0..10 {
-                ctx.spawn(Deps::new().readwrite_addr(p.addr()), move |_| unsafe {
-                    *p.get() += 1;
-                });
-            }
-        });
-        assert_eq!(unsafe { *data }, 60);
-        assert_eq!(report.replayed, 5);
-        assert_eq!(report.partitions, 2);
-        // Every replayed release was routed: 10 tasks × 5 replays.
-        assert_eq!(report.routed_releases, 50, "{report}");
-        assert_eq!(report.partition_cut_edges, 1, "a split chain cuts once");
-        let rr = rt.run_report();
-        assert_eq!(
-            rr.sched.targeted_tasks, report.routed_releases,
-            "engine-side and scheduler-side routing counts agree"
-        );
-        let targeted: u64 = rr.node_stats.iter().map(|n| n.targeted_tasks).sum();
-        assert_eq!(targeted, 50, "{:?}", rr.node_stats);
-        assert!(
-            rr.node_stats.iter().all(|n| n.targeted_tasks > 0),
-            "a split chain feeds both node buffers: {:?}",
-            rr.node_stats
-        );
-        check_invariants(&report);
-        assert_eq!(rt.live_tasks(), 0);
-        unsafe { drop(Box::from_raw(data)) };
-    }
-
-    #[test]
-    fn partitioning_off_keeps_paths_untouched() {
-        let rt = Runtime::new(RuntimeConfig::optimized().workers(4).with_numa_nodes(2));
-        let data = Box::leak(Box::new(0u64)) as *mut u64;
-        let p = SendPtr::new(data);
-        let report = rt.run_iterative(4, move |ctx| {
-            for _ in 0..8 {
-                ctx.spawn(Deps::new().readwrite_addr(p.addr()), move |_| unsafe {
-                    *p.get() += 1;
-                });
-            }
-        });
-        assert_eq!(unsafe { *data }, 32);
-        assert_eq!(report.partitions, 0, "knob off: no partitioning");
-        assert_eq!(report.routed_releases, 0);
-        let rr = rt.run_report();
-        assert_eq!(rr.sched.targeted_batch_adds, 0, "no targeted inserts");
-        assert_eq!(rr.sched.targeted_tasks, 0);
-        check_invariants(&report);
-        unsafe { drop(Box::from_raw(data)) };
-    }
-
-    #[test]
-    fn partitioned_replay_correct_under_fast_path_and_divergence() {
-        // Partitioning + zero-queue fast path + an alternating body that
-        // exercises the phase switch and the divergence path: routed
-        // releases must stay correct through all of it.
-        let rt = Runtime::new(
-            RuntimeConfig::optimized()
-                .workers(4)
-                .with_numa_nodes(2)
-                .with_replay_partitioning(true)
-                .fast_path(true),
-        );
-        let a = Box::leak(Box::new(0u64)) as *mut u64;
-        let b = Box::leak(Box::new(0u64)) as *mut u64;
-        let (pa, pb) = (SendPtr::new(a), SendPtr::new(b));
-        let iter = Arc::new(AtomicU64::new(0));
-        let report = rt.run_iterative(8, move |ctx| {
-            let i = iter.fetch_add(1, Ordering::Relaxed);
-            let p = if i.is_multiple_of(2) { pa } else { pb };
-            for _ in 0..6 {
-                ctx.spawn(Deps::new().readwrite_addr(p.addr()), move |_| unsafe {
-                    *p.get() += 1;
-                });
-            }
-        });
-        assert_eq!(unsafe { (*a, *b) }, (24, 24));
-        assert_eq!(report.partitions, 2);
-        assert!(report.routed_releases > 0, "{report}");
-        check_invariants(&report);
-        assert_eq!(rt.live_tasks(), 0);
-        unsafe {
-            drop(Box::from_raw(a));
-            drop(Box::from_raw(b));
-        }
-    }
-
-    #[test]
-    fn partitioned_reductions_replay_correctly() {
-        let rt = Runtime::new(
-            RuntimeConfig::optimized()
-                .workers(4)
-                .with_numa_nodes(2)
-                .with_replay_partitioning(true),
-        );
-        let acc = Box::leak(Box::new(0.0f64)) as *mut f64;
-        let p = SendPtr::new(acc);
-        let iters = 5u64;
-        let n = 12u64;
-        rt.run_iterative(iters as usize, move |ctx| {
-            for i in 0..n {
-                ctx.spawn(
-                    Deps::new().reduce_addr(p.addr(), 8, nanotask_core::RedOp::SumF64),
-                    move |c| unsafe {
-                        *c.red_slot(&*(p.addr() as *const f64)) += (i + 1) as f64;
-                    },
-                );
-            }
-            ctx.spawn(Deps::new().read_addr(p.addr()), move |_| {});
-        });
-        let per_iter: f64 = (n * (n + 1) / 2) as f64;
-        assert_eq!(unsafe { *acc }, per_iter * iters as f64);
-        unsafe { drop(Box::from_raw(acc)) };
-    }
-
-    #[test]
-    fn partitioned_fast_path_keeps_same_node_successors_inline() {
-        // Zero-queue fast path × NUMA partitioning: a replayed chain's
-        // same-node successors must run inline (dependence locality
-        // composing with partition locality) instead of round-tripping
-        // their node queue — counted by `SchedOpStats::inline_routed`.
-        let rt = Runtime::new(
-            RuntimeConfig::optimized()
-                .workers(4)
-                .with_numa_nodes(2)
-                .with_replay_partitioning(true)
-                .fast_path(true),
-        );
-        let data = Box::leak(Box::new(0u64)) as *mut u64;
-        let p = SendPtr::new(data);
-        let report = rt.run_iterative(6, move |ctx| {
-            for _ in 0..20 {
-                ctx.spawn(Deps::new().readwrite_addr(p.addr()), move |_| unsafe {
-                    *p.get() += 1;
-                });
-            }
-        });
-        assert_eq!(unsafe { *data }, 120);
-        assert_eq!(report.replayed, 5);
-        assert!(report.routed_releases > 0, "{report}");
-        assert!(report.heap_ops > 0, "{report}");
-        let rr = rt.run_report();
-        assert!(
-            rr.sched.inline_routed > 0,
-            "same-node successors kept inline: {:?}",
-            rr.sched
-        );
-        assert!(
-            rr.sched.inline_routed <= report.routed_releases,
-            "inline-kept releases are a subset of routed releases"
-        );
-        check_invariants(&report);
-        assert_eq!(rt.live_tasks(), 0);
-        unsafe { drop(Box::from_raw(data)) };
-    }
-
-    #[test]
-    fn eviction_reentry_seeds_partitioning() {
-        // Period-3 phase cycle with a 2-entry cache and partitioning on:
-        // shapes keep evicting each other, and every re-entry must adopt
-        // the evicted assignment (100 % reuse — the graphs re-enter
-        // unchanged) instead of recomputing from scratch.
-        let rt = Runtime::new(
-            RuntimeConfig::optimized()
-                .workers(2)
-                .with_numa_nodes(2)
-                .with_replay_partitioning(true)
-                .with_replay_cache_size(2)
-                .with_replay_giveup_after(0),
-        );
-        let slots = Box::leak(vec![0u64; 3].into_boxed_slice());
-        let base = SendPtr::new(slots.as_mut_ptr());
-        let iter = Arc::new(AtomicU64::new(0));
-        let report = rt.run_iterative(12, move |ctx| {
-            let i = iter.fetch_add(1, Ordering::Relaxed) as usize;
-            let p = unsafe { base.add(i % 3) };
-            for _ in 0..4 {
-                ctx.spawn(Deps::new().readwrite_addr(p.addr()), move |_| unsafe {
-                    *p.get() += 1;
-                });
-            }
-        });
-        for s in slots.iter() {
-            assert_eq!(*s, 16);
-        }
-        assert!(report.cache_evictions > 0, "{report:?}");
-        assert!(report.partition_seeds > 0, "re-entries seeded: {report}");
-        assert_eq!(
-            report.partition_seed_reused, report.partition_seed_total,
-            "unchanged graphs reuse the full assignment: {report}"
-        );
-        check_invariants(&report);
-        unsafe { drop(Box::from_raw(slots as *mut [u64])) };
-    }
-
-    #[test]
-    fn report_display_includes_cache_and_partition_counters() {
+    fn report_display_includes_cache_counters() {
         let report = ReplayReport {
             iterations: 4,
             replayed: 3,
@@ -2229,9 +1786,6 @@ mod tests {
             cache_evictions: 2,
             pinned_iterations: 0,
             giveups: 1,
-            partitions: 2,
-            routed_releases: 30,
-            partition_cut_edges: 5,
             ..ReplayReport::default()
         };
         let s = report.to_string();
@@ -2240,8 +1794,6 @@ mod tests {
         assert!(s.contains("evictions=2"), "{s}");
         assert!(s.contains("pinned=0"), "{s}");
         assert!(s.contains("giveups=1"), "{s}");
-        assert!(s.contains("partitions=2"), "{s}");
-        assert!(s.contains("routed=30"), "{s}");
         report.assert_classification();
     }
 
@@ -2379,14 +1931,14 @@ mod tests {
     }
 
     #[test]
-    fn partitioned_replay_fault_routes_cancellation() {
-        // The poison transfer must also cover the node-targeted release
-        // paths (routed batches and the inline fast-path keep).
+    fn fast_path_replay_fault_cancels_successors() {
+        // The poison transfer must also cover releases the zero-queue fast
+        // path defers (batched hand-off and the inline keep), over two
+        // NUMA add buffers.
         let rt = Runtime::new(
             RuntimeConfig::optimized()
                 .workers(4)
                 .with_numa_nodes(2)
-                .with_replay_partitioning(true)
                 .fast_path(true)
                 .with_fault_plan(nanotask_core::FaultPlan::never()),
         );

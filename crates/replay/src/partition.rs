@@ -1,17 +1,11 @@
-//! Graph partitioning over a frozen [`ReplayGraph`]: the NUMA-aware
-//! replay partitioning of the frozen schedule.
+//! Graph partitioning over a frozen [`ReplayGraph`]: pure graph
+//! analysis, kept for the benchmark's `replay.partition_ns_per_task`
+//! probe. Nothing in the runtime or the replay engine reads it.
 //!
-//! Replay uniquely knows the *complete* future schedule of an iteration
-//! — the one thing the online scheduler never has. This module exploits
-//! it: the graph's nodes are split into one partition per NUMA node by a
-//! deterministic greedy BFS growth from the roots, weighted by the
-//! granule hints in each node's recorded access declarations and biased
-//! toward keeping data-sharing tasks together (cut-edge/affinity
-//! minimization). The replay engine then routes every released batch to
-//! its partition's node through the scheduler's node-targeted insertion
-//! (`add_ready_batch_to`), so a replayed iteration becomes a
-//! locality-aware *static* schedule instead of landing wherever the
-//! releasing worker happens to live.
+//! The graph's nodes are split into `parts` partitions by a deterministic
+//! greedy BFS growth from the roots, weighted by the granule hints in
+//! each node's recorded access declarations and biased toward keeping
+//! data-sharing tasks together (cut-edge/affinity minimization).
 //!
 //! **Pick complexity.** [`Partitioning::compute`] drives the growth with
 //! a score-indexed binary max-heap under lazy invalidation: affinity
@@ -24,44 +18,25 @@
 //! assignment (same scores, same tie-breaks — property-tested), and
 //! [`PartitionStats`] counts `heap_ops` so the complexity claim is
 //! machine-checkable.
-//!
-//! **Eviction survival.** A graph that re-enters the `GraphCache` after
-//! eviction does not recompute from scratch:
-//! [`Partitioning::compute_seeded`] adopts the evicted entry's saved
-//! assignment (the graph is keyed by structural hash, so an unchanged
-//! graph reuses 100 % of it) and only recomputes the bookkeeping —
-//! worker caches stay warm across evictions.
-//!
-//! The partitioner runs once per frozen graph (cached in the
-//! `GraphCache` entry) and is pure analysis: correctness never depends
-//! on the partition — any assignment yields a valid execution because
-//! readiness still comes from the graph's in-degree counters.
 
 use crate::graph::ReplayGraph;
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap, HashSet};
 
 /// Operation counters of one partitioning computation — the
-/// machine-checkable side of the O(n log n) claim and the
-/// eviction-seeding claim. Excluded from [`Partitioning`]'s equality
-/// (two computations are equal when their *assignments* agree,
-/// regardless of how they were produced).
+/// machine-checkable side of the O(n log n) claim. Excluded from
+/// [`Partitioning`]'s equality (two computations are equal when their
+/// *assignments* agree, regardless of how they were produced).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PartitionStats {
-    /// Heap pushes + pops performed (0 when the assignment was adopted
-    /// from a seed).
+    /// Heap pushes + pops performed.
     pub heap_ops: u64,
-    /// This partitioning was seeded from a saved (evicted) assignment.
-    pub seeded: bool,
-    /// Nodes whose assignment was adopted from the seed (equals the
-    /// graph size when the graph re-entered unchanged).
-    pub seed_reused: usize,
 }
 
 /// A computed node→partition assignment of one frozen graph.
 #[derive(Debug, Clone)]
 pub struct Partitioning {
-    /// `assign[i]` = partition (NUMA node) of graph node `i`.
+    /// `assign[i]` = partition of graph node `i`.
     assign: Vec<u32>,
     /// Number of partitions (≥ 1).
     parts: usize,
@@ -77,8 +52,8 @@ pub struct Partitioning {
 
 impl PartialEq for Partitioning {
     /// Assignment equality: two partitionings are equal when they place
-    /// every node identically (stats — how many heap ops, seeded or not
-    /// — are deliberately excluded; the heap/oracle parity tests compare
+    /// every node identically (stats — how many heap ops — are
+    /// deliberately excluded; the heap/oracle parity tests compare
     /// exactly this).
     fn eq(&self, other: &Self) -> bool {
         self.assign == other.assign
@@ -255,52 +230,7 @@ impl Partitioning {
             cut_edges,
             weights,
             counts,
-            stats: PartitionStats {
-                heap_ops,
-                ..PartitionStats::default()
-            },
-        }
-    }
-
-    /// Partition `graph` seeded from a previously computed assignment
-    /// (eviction survival): when the seed matches the graph — same node
-    /// count, same part count, every label in range — it is adopted
-    /// wholesale and only the cut/weight bookkeeping is recomputed, so a
-    /// graph re-entering the cache keeps the exact placement its worker
-    /// caches are already warm for. A mismatched seed (structural-hash
-    /// collision, changed part count) falls back to a fresh
-    /// [`Partitioning::compute`]. `stats.seed_reused` counts the adopted
-    /// nodes.
-    pub fn compute_seeded(graph: &ReplayGraph, parts: usize, seed: &Partitioning) -> Self {
-        let n = graph.len();
-        let clamped = parts.max(1).min(n.max(1));
-        let usable = seed.assign.len() == n
-            && seed.parts == clamped
-            && seed.assign.iter().all(|&p| (p as usize) < clamped);
-        if !usable {
-            let mut p = Self::compute(graph, parts);
-            p.stats.seeded = true;
-            return p;
-        }
-        let assign = seed.assign.clone();
-        let mut weights = vec![0u64; clamped];
-        let mut counts = vec![0usize; clamped];
-        for (i, &p) in assign.iter().enumerate() {
-            weights[p as usize] += node_weight(graph, i);
-            counts[p as usize] += 1;
-        }
-        let cut_edges = count_cuts(graph, &assign);
-        Self {
-            assign,
-            parts: clamped,
-            cut_edges,
-            weights,
-            counts,
-            stats: PartitionStats {
-                seeded: true,
-                seed_reused: n,
-                ..PartitionStats::default()
-            },
+            stats: PartitionStats { heap_ops },
         }
     }
 
@@ -309,7 +239,7 @@ impl Partitioning {
         self.parts
     }
 
-    /// Partition (NUMA node) of graph node `i`.
+    /// Partition of graph node `i`.
     pub fn node_of(&self, i: usize) -> usize {
         self.assign[i] as usize
     }
@@ -634,41 +564,13 @@ mod tests {
         assert_eq!(rescans, n as u64, "one per pick");
     }
 
-    #[test]
-    fn seeded_compute_adopts_assignment_wholesale() {
-        let mk = |addr: usize| cap("t", vec![rw(addr)]);
-        let g = ReplayGraph::build(
-            &[mk(0x10), mk(0x20), mk(0x10), mk(0x20), mk(0x10), mk(0x20)],
-            &[],
-        );
-        let original = Partitioning::compute(&g, 2);
-        let seeded = Partitioning::compute_seeded(&g, 2, &original);
-        assert_eq!(seeded, original, "unchanged graph: identical placement");
-        assert!(seeded.stats().seeded);
-        assert_eq!(seeded.stats().seed_reused, 6, "100% reuse");
-        assert_eq!(seeded.stats().heap_ops, 0, "no growth at all");
-    }
-
-    #[test]
-    fn mismatched_seed_falls_back_to_fresh_compute() {
-        let g = ReplayGraph::build(&[cap("a", vec![rw(0x10)]), cap("b", vec![rw(0x20)])], &[]);
-        let seed = Partitioning::compute(&g, 1);
-        // Wrong part count: recompute, but still flag the seed attempt.
-        let p = Partitioning::compute_seeded(&g, 2, &seed);
-        exact_cover(&p, 2);
-        assert_eq!(p.parts(), 2);
-        assert!(p.stats().seeded);
-        assert_eq!(p.stats().seed_reused, 0, "nothing adopted");
-        assert_eq!(p, Partitioning::compute(&g, 2));
-    }
-
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(8))]
 
         /// The heap partitioner and the full-rescan oracle place every
-        /// node identically on randomized graphs (exact cover + cut
-        /// parity are implied by full assignment equality, and asserted
-        /// anyway).
+        /// node identically on randomized graphs (exact cover, per-part
+        /// bookkeeping and cut parity are implied by full assignment
+        /// equality, and asserted anyway against independent recounts).
         #[test]
         fn heap_partitioner_matches_naive_oracle(
             tasks in proptest::collection::vec(
@@ -701,6 +603,14 @@ mod tests {
                 let (naive, _) = compute_naive(&g, parts);
                 prop_assert_eq!(&heap, &naive, "assignment parity, parts={}", parts);
                 exact_cover(&heap, g.len());
+                let mut weights = vec![0u64; heap.parts()];
+                for i in 0..g.len() {
+                    let w: u64 = g.decls_of(i).iter().map(|d| d.len as u64).sum();
+                    weights[heap.node_of(i)] += w.max(1);
+                }
+                for (part, &w) in weights.iter().enumerate() {
+                    prop_assert_eq!(w, heap.weight_of(part), "weight bookkeeping");
+                }
                 let recount = g
                     .edge_pairs()
                     .iter()

@@ -230,10 +230,15 @@ mod tests {
     fn rejects_bad_kind() {
         let mut buf = Vec::new();
         write_trace(&sample_trace(), &mut buf).unwrap();
-        // Corrupt the kind byte of the first record.
+        // Corrupt the kind byte of the first record: an unassigned value,
+        // then a retired one (26, replay-partition assignment) that older
+        // writers emitted under the same format version.
         let kind_off = 4 + 4 + 2 + 8 + 18;
-        buf[kind_off] = 250;
-        assert!(read_trace(&mut buf.as_slice()).is_err());
+        for bad in [250, 26] {
+            buf[kind_off] = bad;
+            let err = read_trace(&mut buf.as_slice()).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "kind {bad}");
+        }
     }
 
     #[test]
@@ -263,14 +268,18 @@ mod prop_tests {
     use proptest::prelude::*;
 
     fn arb_event() -> impl Strategy<Value = Event> {
-        (any::<u64>(), any::<u64>(), any::<u16>(), 0u8..28).prop_map(|(ns, payload, core, k)| {
-            Event {
+        (
+            any::<u64>(),
+            any::<u64>(),
+            any::<u16>(),
+            0..EventKind::all().len() as u8,
+        )
+            .prop_map(|(ns, payload, core, k)| Event {
                 ns,
                 payload,
                 core,
                 kind: EventKind::from_u8(k).unwrap(),
-            }
-        })
+            })
     }
 
     proptest! {

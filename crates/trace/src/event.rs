@@ -76,14 +76,6 @@ pub enum EventKind {
     /// divergences, or nested task domains detected) and pinned the body
     /// to the dependency system. Payload: iteration index.
     ReplayGiveUp = 25,
-    /// The replay engine attached a NUMA partitioning to the iteration it
-    /// is about to replay: one record per partition. Payload:
-    /// `(partition << 32) | tasks_in_partition`.
-    ReplayPartitionAssign = 26,
-    /// A batch of ready tasks was inserted *targeted at a NUMA node*
-    /// (`Scheduler::add_ready_batch_to`, the replay partitioner's release
-    /// path). Payload: `(node << 32) | batch_size`.
-    NodeReadyBatch = 27,
 }
 
 impl EventKind {
@@ -117,8 +109,6 @@ impl EventKind {
             23 => ReadyBatch,
             24 => ReplayCacheHit,
             25 => ReplayGiveUp,
-            26 => ReplayPartitionAssign,
-            27 => NodeReadyBatch,
             _ => return None,
         })
     }
@@ -153,8 +143,6 @@ impl EventKind {
             ReadyBatch,
             ReplayCacheHit,
             ReplayGiveUp,
-            ReplayPartitionAssign,
-            NodeReadyBatch,
         ]
     }
 }
@@ -187,6 +175,10 @@ mod tests {
     fn unknown_kind_rejected() {
         assert_eq!(EventKind::from_u8(200), None);
         assert_eq!(EventKind::from_u8(28), None);
+        // Retired wire values: replay-partition assignment (26) and
+        // node-targeted ready batches (27).
+        assert_eq!(EventKind::from_u8(26), None);
+        assert_eq!(EventKind::from_u8(27), None);
     }
 
     /// On-disk stability: `kind` is stored as a raw `u8`, so reordering
@@ -224,8 +216,6 @@ mod tests {
             (ReadyBatch, 23),
             (ReplayCacheHit, 24),
             (ReplayGiveUp, 25),
-            (ReplayPartitionAssign, 26),
-            (NodeReadyBatch, 27),
         ];
         assert_eq!(
             pinned.len(),

@@ -420,9 +420,7 @@ impl Timeline {
                 | EventKind::InlineRun
                 | EventKind::ReadyBatch
                 | EventKind::ReplayCacheHit
-                | EventKind::ReplayGiveUp
-                | EventKind::ReplayPartitionAssign
-                | EventKind::NodeReadyBatch => {}
+                | EventKind::ReplayGiveUp => {}
             }
         }
         // Close any open interval (and phase window) at the trace end.

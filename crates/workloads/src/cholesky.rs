@@ -284,24 +284,4 @@ mod tests {
             w.verify().unwrap_or_else(|e| panic!("replay bs={bs}: {e}"));
         }
     }
-
-    #[test]
-    fn replay_with_partitioning_matches_reference() {
-        let rt = Runtime::new(
-            RuntimeConfig::optimized()
-                .workers(4)
-                .with_numa_nodes(2)
-                .with_replay_partitioning(true),
-        );
-        let mut w = Cholesky::new(1);
-        w.set_iterations(3);
-        w.run_replay(&rt, 16);
-        w.verify().unwrap();
-        let rr = rt.run_report();
-        assert!(
-            rr.sched.targeted_tasks > 0,
-            "partitioned replay routed releases: {:?}",
-            rr.sched
-        );
-    }
 }

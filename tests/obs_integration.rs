@@ -171,14 +171,11 @@ fn metric_schema_is_pinned() {
         ("nanotask_alloc_slab_bytes", &[]),
         ("nanotask_alloc_task_recycle_misses", &[]),
         ("nanotask_alloc_tasks_recycled", &[]),
-        ("nanotask_inline_routed_total", &[]),
         ("nanotask_inline_runs_total", &[]),
         ("nanotask_live_tasks", &[]),
         ("nanotask_max_inline_depth", &[]),
         ("nanotask_max_taskwait_depth", &[]),
         ("nanotask_nested_spawns_total", &[]),
-        ("nanotask_node_home_tasks_total", &["node"]),
-        ("nanotask_node_targeted_tasks_total", &["node"]),
         ("nanotask_queue_wait_ns", &[]),
         ("nanotask_release_batch_tasks", &[]),
         ("nanotask_replay_cache_evictions_total", &[]),
@@ -190,17 +187,12 @@ fn metric_schema_is_pinned() {
         ("nanotask_replay_freeze_ns_total", &[]),
         ("nanotask_replay_giveups_total", &[]),
         ("nanotask_replay_graph_bytes", &[]),
-        ("nanotask_replay_heap_ops_total", &[]),
         ("nanotask_replay_iterations_total", &[]),
         ("nanotask_replay_nested_spawns_total", &[]),
-        ("nanotask_replay_partition_seed_reused_total", &[]),
-        ("nanotask_replay_partition_seed_total_total", &[]),
-        ("nanotask_replay_partition_seeds_total", &[]),
         ("nanotask_replay_peak_task_bytes", &[]),
         ("nanotask_replay_pinned_iterations_total", &[]),
         ("nanotask_replay_replayed_total", &[]),
         ("nanotask_replay_rerecords_total", &[]),
-        ("nanotask_replay_routed_releases_total", &[]),
         ("nanotask_replay_tasks_recycled_total", &[]),
         ("nanotask_sched_adds_total", &[]),
         ("nanotask_sched_batch_adds_total", &[]),
@@ -208,8 +200,6 @@ fn metric_schema_is_pinned() {
         ("nanotask_sched_lock_acquisitions_total", &[]),
         ("nanotask_sched_pop_cache_hits_total", &[]),
         ("nanotask_sched_pops_total", &[]),
-        ("nanotask_sched_targeted_batch_adds_total", &[]),
-        ("nanotask_sched_targeted_tasks_total", &[]),
         ("nanotask_task_exec_ns", &[]),
         ("nanotask_tasks_cancelled_total", &[]),
         ("nanotask_tasks_created_total", &[]),

@@ -1,8 +1,7 @@
 //! Conformance suite of the **steady-state replay hot loop** (CSR
-//! graphs + memcpy reset, word-folded signature hashing, the O(log n)
-//! heap partitioner with eviction seeding, and inline-successor
-//! routing). The engine has one data path, so its oracle is a set of
-//! executable models rather than a second production path:
+//! graphs + memcpy reset, word-folded signature hashing). The engine has
+//! one data path, so its oracle is a set of executable models rather
+//! than a second production path:
 //!
 //! 1. **Frozen-graph model**: an interpreter that executes random
 //!    task programs honouring *only* the CSR successor arrays of its
@@ -16,16 +15,9 @@
 //!    `run_iterative` across the full {Delegation, Central, WorkSteal} ×
 //!    {WaitFree, Locking} matrix must match the serial interpreter, must
 //!    have frozen exactly the edge list the model graph has, and must
-//!    classify every iteration identically with the fast path +
-//!    partitioning on and off (live-vs-live differential).
-//! 3. **Wide flat graphs**: first-replay partitioning of ≥ 4k
-//!    independent tasks does O(n log n) heap ops (counter-verified
-//!    through the engine report).
-//! 4. **Eviction survival**: a phase cycle under cache pressure reuses
-//!    ≥ 90 % of every evicted assignment on re-entry.
-//!
-//! (Heap-vs-naive partitioner parity lives next to the `#[cfg(test)]`
-//! oracle in `crates/replay/src/partition.rs`.)
+//!    classify every iteration identically with the fast path on over
+//!    two NUMA add buffers and with both off (live-vs-live
+//!    differential).
 
 use proptest::prelude::*;
 
@@ -229,10 +221,7 @@ fn run_engine(
         .dependency_system(deps)
         .workers(3);
     if knobs_on {
-        cfg = cfg
-            .with_numa_nodes(2)
-            .with_replay_partitioning(true)
-            .fast_path(true);
+        cfg = cfg.with_numa_nodes(2).fast_path(true);
     }
     let rt = Runtime::new(cfg);
     let mut trace = Trace::new(phases);
@@ -274,11 +263,11 @@ fn run_engine(
     Outcome { report, trace }
 }
 
-/// Live-vs-live differential: the fast path + partitioning change *how*
-/// released tasks reach workers, never how iterations are classified or
-/// what gets frozen. Structural-hash values are excluded (each run hashes
-/// its own heap addresses); cached-graph entries are compared by
-/// (tasks, replays) shape instead.
+/// Live-vs-live differential: the fast path and the NUMA add buffers
+/// change *how* released tasks reach workers, never how iterations are
+/// classified or what gets frozen. Structural-hash values are excluded
+/// (each run hashes its own heap addresses); cached-graph entries are
+/// compared by (tasks, replays) shape instead.
 fn assert_same_classification(on: &ReplayReport, off: &ReplayReport, what: &str) {
     on.assert_classification();
     off.assert_classification();
@@ -307,14 +296,6 @@ fn assert_same_classification(on: &ReplayReport, off: &ReplayReport, what: &str)
             .collect::<Vec<_>>()
     };
     assert_eq!(shape(on), shape(off), "{what}: per-graph replay shape");
-    // The knobs' own counters are one-sided.
-    assert_eq!(off.partitions, 0, "{what}: partitioning off");
-    assert_eq!(off.routed_releases, 0, "{what}: nothing routed when off");
-    assert_eq!(off.heap_ops, 0, "{what}: no partitioner ran when off");
-    if on.replayed + on.diverged > 0 && on.tasks > 1 {
-        assert!(on.partitions > 0, "{what}: partitioning on");
-        assert!(on.heap_ops > 0, "{what}: heap partitioner ran");
-    }
 }
 
 const SCHEDS: [SchedKind; 3] = [
@@ -389,76 +370,4 @@ proptest! {
             }
         }
     }
-}
-
-/// Property 3: a wide flat graph (≥ 4k independent tasks) partitions on
-/// first replay with O(n log n) heap ops — counter-verified end to end
-/// through the engine report.
-#[test]
-fn wide_flat_graph_first_replay_stays_n_log_n() {
-    const N: usize = 4096;
-    let cells = Box::leak(vec![0u64; N].into_boxed_slice());
-    let base = SendPtr::new(cells.as_mut_ptr());
-    let rt = Runtime::new(
-        RuntimeConfig::optimized()
-            .workers(4)
-            .with_numa_nodes(2)
-            .with_replay_partitioning(true),
-    );
-    let report = rt.run_iterative(3, move |ctx| {
-        for i in 0..N {
-            let p = unsafe { base.add(i) };
-            ctx.spawn(Deps::new().readwrite_addr(p.addr()), move |_| unsafe {
-                *p.get() += 1;
-            });
-        }
-    });
-    assert_eq!(report.tasks, N);
-    assert_eq!(report.replayed, 2);
-    let bound = 8 * (N as u64) * (usize::BITS - N.leading_zeros()) as u64;
-    assert!(
-        report.heap_ops > 0 && report.heap_ops <= bound,
-        "heap ops {} within the O(n log n) bound {bound}",
-        report.heap_ops
-    );
-    for (i, c) in cells.iter().enumerate() {
-        assert_eq!(*c, 3, "cell {i} ran in all three iterations");
-    }
-    unsafe { drop(Box::from_raw(cells as *mut [u64])) };
-}
-
-/// Property 4: under cache pressure (period-3 phase cycle, 2-entry
-/// cache) every evicted graph re-enters with its partitioning seeded
-/// from the evicted assignment, reusing ≥ 90 % of it (100 % here — the
-/// graphs re-enter unchanged).
-#[test]
-fn eviction_reentry_reuses_at_least_ninety_percent() {
-    let rt = Runtime::new(
-        RuntimeConfig::optimized()
-            .workers(2)
-            .with_numa_nodes(2)
-            .with_replay_partitioning(true)
-            .with_replay_cache_size(2)
-            .with_replay_giveup_after(0),
-    );
-    let slots = Box::leak(vec![0u64; 3].into_boxed_slice());
-    let base = SendPtr::new(slots.as_mut_ptr());
-    let iter = Arc::new(AtomicU64::new(0));
-    let report = rt.run_iterative(15, move |ctx| {
-        let i = iter.fetch_add(1, Ordering::Relaxed) as usize;
-        let p = unsafe { base.add(i % 3) };
-        for _ in 0..6 {
-            ctx.spawn(Deps::new().readwrite_addr(p.addr()), move |_| unsafe {
-                *p.get() += 1;
-            });
-        }
-    });
-    assert!(report.cache_evictions > 0, "{report:?}");
-    assert!(report.partition_seeds > 0, "{report}");
-    assert!(
-        report.partition_seed_reused as f64 >= 0.9 * report.partition_seed_total as f64,
-        "seed reuse below 90%: {report}"
-    );
-    report.assert_classification();
-    unsafe { drop(Box::from_raw(slots as *mut [u64])) };
 }
