@@ -3,11 +3,10 @@
 //! number of SPSC queues can be configured from a single one to one per
 //! core. [...] In our experiments, we use one SPSC queue and lock per
 //! NUMA node." This binary sweeps the partitioning on the
-//! scheduler-bound DotProduct workload, and also compares the classic
-//! serve loop against the flat-combining extension (§8 future work).
+//! scheduler-bound DotProduct workload.
 
 use nanotask_bench::Opts;
-use nanotask_core::{Runtime, RuntimeConfig, SchedKind};
+use nanotask_core::{Runtime, RuntimeConfig};
 use nanotask_workloads::workload_by_name;
 use std::time::Instant;
 
@@ -42,21 +41,4 @@ fn main() {
         };
         println!("  {:<28} {:>12.4}", what, t);
     }
-    let t_classic = measure(
-        RuntimeConfig::optimized()
-            .workers(workers)
-            .with_numa_nodes(2),
-        opts.scale,
-        opts.reps,
-    );
-    let t_flat = measure(
-        RuntimeConfig::flat_combining()
-            .workers(workers)
-            .with_numa_nodes(2),
-        opts.scale,
-        opts.reps,
-    );
-    println!("  {:<28} {:>12.4}", "serve loop (Listing 5)", t_classic);
-    println!("  {:<28} {:>12.4}", "flat combining (§8)", t_flat);
-    let _ = SchedKind::DelegationFlat;
 }

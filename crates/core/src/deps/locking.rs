@@ -279,11 +279,11 @@ unsafe impl DependencySystem for LockingDeps {
                 hooks.task_free(task);
             }
         }
-        // Hand every successor this completion released to the runtime as
-        // one batch: a single scheduler operation (and one chance for the
-        // worker to keep an immediate successor) instead of per-task
-        // `add_ready` round-trips.
-        hooks.task_ready_batch(&to_ready);
+        // Hand every successor this completion released to the runtime
+        // once no shard lock is held.
+        for t in to_ready {
+            hooks.task_ready(t);
+        }
     }
 
     fn kind(&self) -> DepsKind {

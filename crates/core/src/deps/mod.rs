@@ -219,16 +219,6 @@ pub enum DepsKind {
 pub unsafe trait DepHooks {
     /// The task's last blocker cleared: hand it to the scheduler.
     fn task_ready(&self, task: *mut Task);
-    /// Several tasks lost their last blocker in one release operation
-    /// (e.g. a completing writer waking a reader batch). The default
-    /// forwards to [`DepHooks::task_ready`] per task; the runtime
-    /// overrides it to hand the whole batch to the scheduler in one
-    /// operation when batched release is enabled.
-    fn task_ready_batch(&self, tasks: &[*mut Task]) {
-        for &t in tasks {
-            self.task_ready(t);
-        }
-    }
     /// All references dropped: reclaim the task's memory.
     fn task_free(&self, task: *mut Task);
     /// A dependency edge was discovered (successor/child link); used by

@@ -113,9 +113,8 @@ impl WaitFreeDeps {
 
         // Rule 1: readiness — the owning task lost one blocker. One
         // completion's `deliver_all` may fire this for many successors
-        // (e.g. a writer releasing a reader batch); the runtime's hooks
-        // collect them during the completion window and hand them to the
-        // scheduler as one batch when batched release is enabled.
+        // (e.g. a writer releasing a reader batch), each handed to the
+        // scheduler on its own.
         if crossed(old, new, flags::is_satisfied) {
             debug_assert_eq!(new & flags::COMPLETE, 0, "satisfied after completion");
             let t = unsafe { &*a.task };

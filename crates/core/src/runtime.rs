@@ -93,10 +93,7 @@ pub trait TaskEpilogue: Send + Sync {
 ///
 /// The raw pointer is only valid until the task executes; see
 /// [`HeldTask::into_raw`] for the safety contract of round-tripping it.
-/// `repr(transparent)` so a `&[HeldTask]` batch can be handed to the
-/// scheduler as `&[TaskPtr]` without copying.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[repr(transparent)]
 pub struct HeldTask(*mut Task);
 
 unsafe impl Send for HeldTask {}
@@ -227,21 +224,6 @@ pub struct RuntimeConfig {
     pub record_graph: bool,
     /// Synthetic OS-noise injection (Figure 11).
     pub noise: Option<NoiseConfig>,
-    /// Immediate-successor execution: a completing task keeps one of the
-    /// successors it released as its worker's next task, run inline with
-    /// no queue and no lock (the zero-queue hot path; Nanos6 ships the
-    /// same fast path). Off by default — enabling it trades strict
-    /// global queue ordering (and, under [`Policy::Priority`], strict
-    /// priority order) for a shorter per-task critical path.
-    pub inline_successors: bool,
-    /// Bound on consecutive inline executions before the worker must go
-    /// back through the scheduler — preserves fairness and guarantees
-    /// taskwait loops re-check their condition at bounded intervals.
-    pub inline_max_depth: usize,
-    /// Batched release: all successors released by one task completion
-    /// are handed to the scheduler as a single slice (one lock
-    /// acquisition / buffer pass / trace record). Off by default.
-    pub batched_release: bool,
     /// Per-worker pop-cache capacity of the delegation scheduler: one
     /// delegation-lock acquisition pre-pops up to this many extra tasks
     /// for the acquiring worker. 0 (default) disables the cache.
@@ -262,8 +244,8 @@ pub struct RuntimeConfig {
     /// cheap hash-only probe (no graph build) to detect that the body
     /// re-stabilized onto a cached or repeating shape.
     pub replay_recheck_every: usize,
-    /// Latency histograms (task execution time, ready-queue wait,
-    /// release-batch size): sampled clock reads on the hot path when on.
+    /// Latency histograms (task execution time, ready-queue wait):
+    /// sampled clock reads on the hot path when on.
     /// Plain counters are registry-backed and always on regardless —
     /// this knob only gates the paths that need a timestamp.
     pub metrics: bool,
@@ -310,9 +292,6 @@ impl RuntimeConfig {
             trace: false,
             record_graph: false,
             noise: None,
-            inline_successors: false,
-            inline_max_depth: 64,
-            batched_release: false,
             pop_cache: 0,
             replay_cache_size: 4,
             replay_giveup_after: 8,
@@ -351,16 +330,6 @@ impl RuntimeConfig {
         Self {
             sched: SchedKind::Central(crate::sched::LockKind::PtLock),
             label: "w/o DTLock",
-            ..Self::optimized()
-        }
-    }
-
-    /// §8 future work, implemented: the optimized runtime with the
-    /// flat-combining DTLock serve path (batched waiter service).
-    pub fn flat_combining() -> Self {
-        Self {
-            sched: SchedKind::DelegationFlat,
-            label: "flat combining",
             ..Self::optimized()
         }
     }
@@ -441,35 +410,6 @@ impl RuntimeConfig {
     /// Set the ready-queue policy.
     pub fn with_policy(mut self, p: Policy) -> Self {
         self.policy = p;
-        self
-    }
-
-    /// Toggle the whole zero-queue fast path at once: immediate-successor
-    /// inline execution + batched ready-task release + a small per-worker
-    /// pop cache. Everything defaults to off;
-    /// `tests/fastpath_properties.rs` flips it.
-    pub fn fast_path(mut self, on: bool) -> Self {
-        self.inline_successors = on;
-        self.batched_release = on;
-        self.pop_cache = if on { 4 } else { 0 };
-        self
-    }
-
-    /// Toggle immediate-successor inline execution only.
-    pub fn with_inline_successors(mut self, on: bool) -> Self {
-        self.inline_successors = on;
-        self
-    }
-
-    /// Set the inline-chain depth bound (min 1).
-    pub fn with_inline_max_depth(mut self, n: usize) -> Self {
-        self.inline_max_depth = n.max(1);
-        self
-    }
-
-    /// Toggle batched ready-task release only.
-    pub fn with_batched_release(mut self, on: bool) -> Self {
-        self.batched_release = on;
         self
     }
 
@@ -556,9 +496,9 @@ impl RuntimeConfig {
 
 /// Everything a harness needs to make a per-run performance claim
 /// machine-checkable: the aggregate runtime counters plus the scheduler
-/// operation counters and the zero-queue fast-path counters. Returned by
-/// [`Runtime::run_report`]; counters are cumulative across a runtime's
-/// lifetime (diff two reports to isolate one run).
+/// operation counters. Returned by [`Runtime::run_report`]; counters are
+/// cumulative across a runtime's lifetime (diff two reports to isolate
+/// one run).
 #[derive(Debug, Clone, Default)]
 pub struct RunReport {
     /// Task life-cycle and allocator counters.
@@ -566,27 +506,11 @@ pub struct RunReport {
     /// Scheduler operation counters (adds, batch adds, pops, pop-cache
     /// hits, lock acquisitions).
     pub sched: crate::sched::SchedOpStats,
-    /// Task activations that skipped the scheduler queue entirely
-    /// (immediate-successor inline runs).
+    /// Always 0: every task activation goes through the scheduler. Read
+    /// by `benchmark/src/adapters.rs::Counts::of_runtime`.
     pub inline_runs: u64,
-    /// Longest inline chain observed.
-    pub max_inline_depth: u64,
     /// Deepest `taskwait` nesting observed on one worker's stack.
     pub max_taskwait_depth: u64,
-}
-
-impl RunReport {
-    /// Fraction of queue-or-inline task activations that bypassed the
-    /// scheduler queue: `inline_runs / (inline_runs + pops)` (≥ 0.5 on
-    /// chain-heavy workloads with the fast path on).
-    pub fn queue_bypass_fraction(&self) -> f64 {
-        let total = self.inline_runs + self.sched.pops;
-        if total == 0 {
-            0.0
-        } else {
-            self.inline_runs as f64 / total as f64
-        }
-    }
 }
 
 /// How a [`TaskFailure`] came about.
@@ -705,8 +629,6 @@ pub(crate) struct Metrics {
     pub tasks_executed: Counter,
     pub tasks_freed: Counter,
     pub live_tasks: Gauge,
-    pub inline_runs: Counter,
-    pub max_inline_depth: MaxGauge,
     pub max_taskwait_depth: MaxGauge,
     pub nested_spawns: Counter,
     /// Task bodies that panicked (caught at the body seam).
@@ -719,9 +641,6 @@ pub(crate) struct Metrics {
     pub task_exec_ns: Histogram,
     /// Ready-queue wait: scheduler hand-off → body start (sampled).
     pub queue_wait_ns: Histogram,
-    /// Ready-task release batch sizes (no clock; recorded when
-    /// `enabled`).
-    pub release_batch_tasks: Histogram,
     pub flight: FlightRecorder,
     /// Allocator-pressure gauges, published as absolute values from
     /// [`AllocStats`] at snapshot time ([`Runtime::metrics_snapshot`]) so
@@ -753,8 +672,6 @@ impl Metrics {
             tasks_executed: registry.counter("nanotask_tasks_executed_total"),
             tasks_freed: registry.counter("nanotask_tasks_freed_total"),
             live_tasks: registry.gauge("nanotask_live_tasks"),
-            inline_runs: registry.counter("nanotask_inline_runs_total"),
-            max_inline_depth: registry.max_gauge("nanotask_max_inline_depth"),
             max_taskwait_depth: registry.max_gauge("nanotask_max_taskwait_depth"),
             nested_spawns: registry.counter("nanotask_nested_spawns_total"),
             tasks_failed: registry.counter("nanotask_tasks_failed_total"),
@@ -762,7 +679,6 @@ impl Metrics {
             watchdog_trips: registry.counter("nanotask_watchdog_trips_total"),
             task_exec_ns: registry.histogram("nanotask_task_exec_ns"),
             queue_wait_ns: registry.histogram("nanotask_queue_wait_ns"),
-            release_batch_tasks: registry.histogram("nanotask_release_batch_tasks"),
             flight: if cfg.flight_every > 0 {
                 FlightRecorder::new(cfg.flight_every, cfg.flight_capacity.max(1))
             } else {
@@ -833,10 +749,9 @@ pub(crate) struct Shared {
     pub watchdog_tripped: AtomicBool,
     pub watchdog_diag: Mutex<String>,
     /// Registry-backed counters, gauges and histograms. The life-cycle
-    /// counters (created/executed/freed/live), the fast-path counters
-    /// (`inline_runs`, `max_inline_depth`) and `nested_spawns` (the
-    /// nested-task-domain detector the replay engine reads deltas of)
-    /// all live here.
+    /// counters (created/executed/freed/live), `max_taskwait_depth` and
+    /// `nested_spawns` (the nested-task-domain detector the replay engine
+    /// reads deltas of) all live here.
     pub metrics: Metrics,
 }
 
@@ -906,23 +821,9 @@ pub(crate) struct WorkerCtx {
     pub id: usize,
     pub shared: Arc<Shared>,
     pub recorder: RefCell<CoreRecorder>,
-    /// Completion-window flag (fast path): while set, dependency-release
-    /// `task_ready` callbacks collect into `pending` instead of entering
-    /// the scheduler one by one.
-    collecting: core::cell::Cell<bool>,
-    /// Body-execution flag (fast path): while set, `release_held` defers
-    /// released tasks into `pending`; they are handed over (or run
-    /// inline) when the executing body's completion window closes.
-    defer_held: core::cell::Cell<bool>,
     /// `taskwait` / `taskwait_on` calls active on this worker's stack
     /// (maintained by [`TaskCtx::help_until`]).
     taskwait_depth: core::cell::Cell<usize>,
-    /// Newly-released tasks awaiting one batched scheduler hand-off,
-    /// minus at most one kept as the worker's inline next task.
-    pending: RefCell<Vec<TaskPtr>>,
-    /// Reusable drain buffer `pending` is swapped into during hand-off,
-    /// so the hot path never re-allocates per completion.
-    scratch: RefCell<Vec<TaskPtr>>,
     /// Metrics sampling cursors (thread-confined): enqueue-side for the
     /// queue-wait stamp, execute-side for the body-time histogram. One
     /// clock read per `metrics_sample` tasks each.
@@ -936,11 +837,7 @@ impl WorkerCtx {
             id,
             shared,
             recorder: RefCell::new(recorder),
-            collecting: core::cell::Cell::new(false),
-            defer_held: core::cell::Cell::new(false),
             taskwait_depth: core::cell::Cell::new(0),
-            pending: RefCell::new(Vec::new()),
-            scratch: RefCell::new(Vec::new()),
             metrics_enq_tick: core::cell::Cell::new(0),
             metrics_exec_tick: core::cell::Cell::new(0),
         }
@@ -967,42 +864,14 @@ impl WorkerCtx {
         }
     }
 
-    /// Hand `batch` to the scheduler: as one slice when batched release
-    /// is enabled, per task otherwise (so the inline-only ablation
-    /// measures inline execution alone, not hidden batching).
-    fn hand_off(&self, batch: &[TaskPtr]) {
-        if batch.is_empty() {
-            return;
-        }
+    /// A task became ready: stamp it for the queue-wait histogram and
+    /// hand it to the scheduler.
+    fn add_ready(&self, t: *mut Task) {
+        self.stamp_ready(t);
         let mut rec = self.recorder.borrow_mut();
-        if self.shared.cfg.batched_release {
-            if self.shared.metrics.enabled {
-                self.shared
-                    .metrics
-                    .release_batch_tasks
-                    .record(self.id, batch.len() as u64);
-            }
-            self.shared
-                .sched
-                .add_ready_batch(batch, self.id, Some(&mut rec));
-        } else {
-            for &t in batch {
-                self.shared.sched.add_ready(t, self.id, Some(&mut rec));
-            }
-        }
-    }
-
-    /// Hand any deferred/collected ready tasks to the scheduler. Called
-    /// before a worker starts waiting (taskwait), so deferred releases
-    /// can never deadlock the waiter against its own buffer.
-    fn flush_pending(&self) {
-        if self.pending.borrow().is_empty() {
-            return;
-        }
-        let mut scratch = self.scratch.borrow_mut();
-        std::mem::swap(&mut *self.pending.borrow_mut(), &mut *scratch);
-        self.hand_off(&scratch);
-        scratch.clear();
+        self.shared
+            .sched
+            .add_ready(TaskPtr(t), self.id, Some(&mut rec));
     }
 }
 
@@ -1013,54 +882,7 @@ struct Hooks<'a> {
 
 unsafe impl DepHooks for Hooks<'_> {
     fn task_ready(&self, task: *mut Task) {
-        self.w.stamp_ready(task);
-        if self.w.collecting.get() {
-            // Fast path, completion window: collect instead of queueing.
-            self.w.pending.borrow_mut().push(TaskPtr(task));
-            return;
-        }
-        let mut rec = self.w.recorder.borrow_mut();
-        self.w
-            .shared
-            .sched
-            .add_ready(TaskPtr(task), self.w.id, Some(&mut rec));
-    }
-
-    fn task_ready_batch(&self, tasks: &[*mut Task]) {
-        if tasks.is_empty() {
-            return;
-        }
-        self.w.stamp_ready(tasks[0]);
-        if self.w.collecting.get() {
-            self.w
-                .pending
-                .borrow_mut()
-                .extend(tasks.iter().map(|&t| TaskPtr(t)));
-            return;
-        }
-        if self.w.shared.cfg.batched_release {
-            if self.w.shared.metrics.enabled {
-                self.w
-                    .shared
-                    .metrics
-                    .release_batch_tasks
-                    .record(self.w.id, tasks.len() as u64);
-            }
-            // SAFETY: `TaskPtr` is `repr(transparent)` over `*mut Task`.
-            let batch: &[TaskPtr] = unsafe {
-                core::slice::from_raw_parts(tasks.as_ptr() as *const TaskPtr, tasks.len())
-            };
-            let mut rec = self.w.recorder.borrow_mut();
-            self.w
-                .shared
-                .sched
-                .add_ready_batch(batch, self.w.id, Some(&mut rec));
-        } else {
-            // Feature disabled: byte-for-byte the pre-batching behavior.
-            for &t in tasks {
-                self.task_ready(t);
-            }
-        }
+        self.w.add_ready(task);
     }
 
     fn task_free(&self, task: *mut Task) {
@@ -1320,26 +1142,10 @@ impl TaskCtx<'_> {
 
     /// Release a task created by [`TaskCtx::spawn_held`], handing it to
     /// the scheduler. Must be called exactly once per handle.
-    ///
-    /// With the zero-queue fast path enabled
-    /// ([`RuntimeConfig::inline_successors`] / `batched_release`), a
-    /// release issued from a non-root task body is *deferred*: the task
-    /// is handed over (in a batch, or run inline as the worker's
-    /// immediate successor) when the releasing body completes — this is
-    /// how replayed task chains bypass the scheduler entirely. Releases
-    /// from the root task, and all releases with the feature disabled,
-    /// reach the scheduler immediately.
     pub fn release_held(&self, h: HeldTask) {
         let t = h.0;
         if unsafe { (*t).unblock() } {
-            let w = self.worker;
-            w.stamp_ready(t);
-            if w.defer_held.get() || w.collecting.get() {
-                w.pending.borrow_mut().push(TaskPtr(t));
-                return;
-            }
-            let mut rec = w.recorder.borrow_mut();
-            w.shared.sched.add_ready(TaskPtr(t), w.id, Some(&mut rec));
+            self.worker.add_ready(t);
         } else {
             debug_assert!(false, "held task released twice");
         }
@@ -1352,9 +1158,6 @@ impl TaskCtx<'_> {
     /// system and the worker helps execute ready tasks until it runs, in
     /// the order and under the nesting cap of [`TaskCtx::taskwait`].
     pub fn taskwait_on(&self, deps: Deps) {
-        // Deferred releases must be visible to the scheduler before this
-        // worker starts waiting on them.
-        self.worker.flush_pending();
         let task = unsafe { &*self.task };
         self.worker.record(EventKind::TaskwaitBegin, task.id);
         let done = Arc::new(AtomicBool::new(false));
@@ -1432,10 +1235,6 @@ impl TaskCtx<'_> {
     /// innermost wait that started last always has a queued descendant
     /// or none left.
     pub fn taskwait(&self) {
-        // Deferred releases must be visible to the scheduler before this
-        // worker starts waiting on them (they may be the very children
-        // the taskwait is for).
-        self.worker.flush_pending();
         let task = unsafe { &*self.task };
         if task.pending_children() <= 1 {
             return;
@@ -1653,94 +1452,15 @@ fn run_body(w: &WorkerCtx, t: *mut Task) {
     m.flight.tick(&m.registry);
 }
 
-/// Pick the task to keep as the worker's inline next task: the first one
-/// this completion released (its immediate successor), or — under the
-/// priority policy — the highest-priority one (FIFO among equals).
-fn pick_inline(pending: &mut Vec<TaskPtr>, policy: Policy) -> TaskPtr {
-    let idx = match policy {
-        Policy::Priority => pending
-            .iter()
-            .enumerate()
-            .max_by_key(|(i, t)| (unsafe { (*t.0).priority }, core::cmp::Reverse(*i)))
-            .map(|(i, _)| i)
-            .unwrap_or(0),
-        _ => 0,
-    };
-    pending.remove(idx)
-}
-
-/// Execute a task body and run the completion protocol.
-///
-/// With the zero-queue fast path enabled
-/// ([`RuntimeConfig::inline_successors`] / `batched_release`), every
-/// successor released by the completion is collected; one is kept and run
-/// inline on this worker (hot cache, no queue, no lock — the
-/// immediate-successor chain, bounded by `inline_max_depth`), the rest
-/// are handed to the scheduler as a single batch.
+/// Execute a task body and run the completion protocol: every successor
+/// the completion releases goes to the scheduler.
 fn execute_task(w: &WorkerCtx, t: *mut Task) {
-    let shared = &w.shared;
-    let inline_on = shared.cfg.inline_successors;
-    if !inline_on && !shared.cfg.batched_release {
-        // Feature off: the exact pre-fast-path protocol.
-        run_body(w, t);
-        let hooks = Hooks { w };
-        unsafe {
-            shared.deps.body_done(t, &hooks);
-            if (*t).drop_child_ref() {
-                finish_subtree(w, t);
-            }
-        }
-        return;
-    }
-
-    let mut t = t;
-    let mut depth: usize = 0;
-    let saved_defer = w.defer_held.get();
-    loop {
-        // Held-task releases issued by this body become inline/batch
-        // candidates — except from the root task, whose spawn-phase
-        // releases must reach the other workers eagerly.
-        w.defer_held.set(!unsafe { (*t).parent.is_null() });
-        run_body(w, t);
-        w.defer_held.set(saved_defer);
-
-        // Completion window: collect every task this completion releases.
-        w.collecting.set(true);
-        let hooks = Hooks { w };
-        unsafe {
-            shared.deps.body_done(t, &hooks);
-            if (*t).drop_child_ref() {
-                finish_subtree(w, t);
-            }
-        }
-        w.collecting.set(false);
-
-        let mut next = None;
-        {
-            let mut scratch = w.scratch.borrow_mut();
-            {
-                let mut pending = w.pending.borrow_mut();
-                if inline_on && depth < shared.cfg.inline_max_depth && !pending.is_empty() {
-                    next = Some(pick_inline(&mut pending, shared.cfg.policy));
-                }
-                std::mem::swap(&mut *pending, &mut *scratch);
-            }
-            w.hand_off(&scratch);
-            scratch.clear();
-        }
-        match next {
-            Some(nt) => {
-                depth += 1;
-                shared.metrics.inline_runs.inc(w.id);
-                shared.metrics.max_inline_depth.record(w.id, depth as u64);
-                w.record(EventKind::InlineRun, unsafe { (*nt.0).id });
-                if let Some(noise) = &shared.noise {
-                    let mut rec = w.recorder.borrow_mut();
-                    noise.check(w.id as u16, &mut rec);
-                }
-                t = nt.0;
-            }
-            None => break,
+    run_body(w, t);
+    let hooks = Hooks { w };
+    unsafe {
+        w.shared.deps.body_done(t, &hooks);
+        if (*t).drop_child_ref() {
+            finish_subtree(w, t);
         }
     }
 }
@@ -2103,16 +1823,14 @@ impl Runtime {
         self.shared.task_slab.stats().peak_live * core::mem::size_of::<Task>() as u64
     }
 
-    /// Aggregate counters plus scheduler-operation and fast-path
-    /// counters — the machine-checkable evidence behind perf claims.
+    /// Aggregate counters plus scheduler-operation counters — the
+    /// machine-checkable evidence behind perf claims.
     pub fn run_report(&self) -> RunReport {
-        let m = &self.shared.metrics;
         RunReport {
             stats: self.stats(),
             sched: self.shared.sched.op_stats(),
-            inline_runs: m.inline_runs.value(),
-            max_inline_depth: m.max_inline_depth.value(),
-            max_taskwait_depth: m.max_taskwait_depth.value(),
+            inline_runs: 0,
+            max_taskwait_depth: self.shared.metrics.max_taskwait_depth.value(),
         }
     }
 
@@ -2541,190 +2259,34 @@ mod tests {
     }
 
     #[test]
-    fn fast_path_runs_chains_inline() {
-        // A pure readwrite chain: with the fast path on, every activation
-        // after the head should bypass the queue.
-        let rt = Runtime::new(RuntimeConfig::optimized().workers(2).fast_path(true));
-        let data = Box::leak(Box::new(0u64)) as *mut u64;
-        let p = crate::SendPtr::new(data);
-        rt.run(move |ctx| {
-            for _ in 0..100 {
-                ctx.spawn(Deps::new().readwrite_addr(p.addr()), move |_| unsafe {
-                    *p.get() += 1;
-                });
-            }
-        });
-        assert_eq!(unsafe { *data }, 100);
-        let report = rt.run_report();
-        assert!(
-            report.inline_runs >= 50,
-            "chain mostly ran inline: {report:?}"
-        );
-        assert!(report.max_inline_depth <= 64);
-        assert_eq!(rt.live_tasks(), 0, "fast path leaks no tasks");
-        unsafe { drop(Box::from_raw(data)) };
-    }
-
-    #[test]
-    fn fast_path_correct_on_all_ablations_and_knob_combos() {
+    fn pop_cache_correct_on_all_ablations() {
         for base in RuntimeConfig::ablations() {
-            for (inline, batch) in [(true, false), (false, true), (true, true)] {
-                let label = base.label;
-                let rt = Runtime::new(
-                    base.clone()
-                        .workers(3)
-                        .with_inline_successors(inline)
-                        .with_batched_release(batch)
-                        .with_pop_cache(2),
-                );
-                let count = Arc::new(TestAtomicU64::new(0));
-                let c = Arc::clone(&count);
-                let data = Box::leak(Box::new(0u64)) as *mut u64;
-                let p = crate::SendPtr::new(data);
-                rt.run(move |ctx| {
-                    for _ in 0..40 {
-                        let c2 = Arc::clone(&c);
-                        ctx.spawn(Deps::new().readwrite_addr(p.addr()), move |_| {
-                            unsafe { *p.get() += 1 };
-                            c2.fetch_add(1, Ordering::Relaxed);
-                        });
-                    }
-                    // Independent tasks too (batch-released by register).
-                    for _ in 0..10 {
-                        let c2 = Arc::clone(&c);
-                        ctx.spawn(Deps::new(), move |_| {
-                            c2.fetch_add(1, Ordering::Relaxed);
-                        });
-                    }
-                });
-                assert_eq!(
-                    count.load(Ordering::Relaxed),
-                    50,
-                    "{label} inline={inline} batch={batch}"
-                );
-                assert_eq!(unsafe { *data }, 40, "{label}");
-                assert_eq!(rt.live_tasks(), 0, "{label}");
-                if !batch {
-                    // The inline-only ablation must not batch covertly.
-                    assert_eq!(
-                        rt.run_report().sched.batch_adds,
-                        0,
-                        "{label} inline={inline}: no batches with batched_release off"
-                    );
+            let label = base.label;
+            let rt = Runtime::new(base.workers(3).with_pop_cache(2));
+            let count = Arc::new(TestAtomicU64::new(0));
+            let c = Arc::clone(&count);
+            let data = Box::leak(Box::new(0u64)) as *mut u64;
+            let p = crate::SendPtr::new(data);
+            rt.run(move |ctx| {
+                for _ in 0..40 {
+                    let c2 = Arc::clone(&c);
+                    ctx.spawn(Deps::new().readwrite_addr(p.addr()), move |_| {
+                        unsafe { *p.get() += 1 };
+                        c2.fetch_add(1, Ordering::Relaxed);
+                    });
                 }
-                unsafe { drop(Box::from_raw(data)) };
-            }
+                for _ in 0..10 {
+                    let c2 = Arc::clone(&c);
+                    ctx.spawn(Deps::new(), move |_| {
+                        c2.fetch_add(1, Ordering::Relaxed);
+                    });
+                }
+            });
+            assert_eq!(count.load(Ordering::Relaxed), 50, "{label}");
+            assert_eq!(unsafe { *data }, 40, "{label}");
+            assert_eq!(rt.live_tasks(), 0, "{label}");
+            unsafe { drop(Box::from_raw(data)) };
         }
-    }
-
-    #[test]
-    fn inline_depth_bound_is_respected() {
-        let rt = Runtime::new(
-            RuntimeConfig::optimized()
-                .workers(1)
-                .fast_path(true)
-                .with_inline_max_depth(4),
-        );
-        let data = Box::leak(Box::new(0u64)) as *mut u64;
-        let p = crate::SendPtr::new(data);
-        rt.run(move |ctx| {
-            for _ in 0..64 {
-                ctx.spawn(Deps::new().readwrite_addr(p.addr()), move |_| unsafe {
-                    *p.get() += 1;
-                });
-            }
-        });
-        assert_eq!(unsafe { *data }, 64);
-        let report = rt.run_report();
-        assert!(report.inline_runs > 0, "fast path engaged");
-        assert!(
-            report.max_inline_depth <= 4,
-            "depth bound violated: {}",
-            report.max_inline_depth
-        );
-        assert!(
-            report.sched.pops > 0,
-            "bounded chains must return to the scheduler"
-        );
-        unsafe { drop(Box::from_raw(data)) };
-    }
-
-    #[test]
-    fn taskwait_progresses_under_inline_chains() {
-        // The depth bound guarantees a task-waiting worker re-checks its
-        // condition at bounded intervals even when every completion keeps
-        // releasing an inline-able successor. A tiny bound + a single
-        // worker is the worst case: the root's taskwait must still return.
-        let rt = Runtime::new(
-            RuntimeConfig::optimized()
-                .workers(1)
-                .fast_path(true)
-                .with_inline_max_depth(2),
-        );
-        let data = Box::leak(Box::new(0u64)) as *mut u64;
-        let p = crate::SendPtr::new(data);
-        let observed = Arc::new(TestAtomicU64::new(0));
-        let o = Arc::clone(&observed);
-        rt.run(move |ctx| {
-            for _ in 0..500 {
-                ctx.spawn(Deps::new().readwrite_addr(p.addr()), move |_| unsafe {
-                    *p.get() += 1;
-                });
-            }
-            ctx.taskwait();
-            o.store(unsafe { *p.get() }, Ordering::SeqCst);
-        });
-        assert_eq!(
-            observed.load(Ordering::SeqCst),
-            500,
-            "taskwait saw every chained child complete"
-        );
-        unsafe { drop(Box::from_raw(data)) };
-    }
-
-    #[test]
-    fn fast_path_respects_priority_pick() {
-        // Inline pick under the priority policy keeps the highest-priority
-        // released task; the rest still execute.
-        let rt = Runtime::new(
-            RuntimeConfig::optimized()
-                .workers(2)
-                .fast_path(true)
-                .with_policy(crate::sched::Policy::Priority),
-        );
-        let count = Arc::new(TestAtomicU64::new(0));
-        let c = Arc::clone(&count);
-        rt.run(move |ctx| {
-            for i in 0..100 {
-                let c = Arc::clone(&c);
-                ctx.spawn_prioritized("p", i % 5, Deps::new(), move |_| {
-                    c.fetch_add(1, Ordering::Relaxed);
-                });
-            }
-        });
-        assert_eq!(count.load(Ordering::Relaxed), 100);
-    }
-
-    #[test]
-    fn fast_path_reductions_and_taskwait_on() {
-        let rt = Runtime::new(RuntimeConfig::optimized().workers(3).fast_path(true));
-        let acc = Box::leak(Box::new(0.0f64)) as *mut f64;
-        let p = crate::SendPtr::new(acc);
-        rt.run(move |ctx| {
-            for i in 0..32 {
-                ctx.spawn(
-                    Deps::new().reduce_addr(p.addr(), 8, RedOp::SumF64),
-                    move |c| unsafe {
-                        let slot = c.red_slot(&*(p.addr() as *const f64));
-                        *slot += (i + 1) as f64;
-                    },
-                );
-            }
-            ctx.taskwait_on(Deps::new().read_addr(p.addr()));
-            assert_eq!(unsafe { *p.get() }, 528.0);
-        });
-        assert_eq!(unsafe { *acc }, 528.0);
-        unsafe { drop(Box::from_raw(acc)) };
     }
 
     #[test]
@@ -2736,11 +2298,13 @@ mod tests {
             }
         });
         let report = rt.run_report();
-        assert_eq!(report.inline_runs, 0, "fast path off by default");
-        assert_eq!(report.sched.batch_adds, 0, "no batches with feature off");
+        assert_eq!(report.inline_runs, 0, "every activation is queued");
+        assert_eq!(
+            report.sched.batch_adds, 0,
+            "releases add one task at a time"
+        );
         assert_eq!(report.sched.adds, 20);
         assert_eq!(report.sched.pops, 20);
-        assert_eq!(report.queue_bypass_fraction(), 0.0);
     }
 
     #[test]

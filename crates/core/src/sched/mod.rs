@@ -28,9 +28,10 @@ use std::sync::Arc;
 
 use crate::task::Task;
 
-/// Snapshot of scheduler operation counters — the machine-checkable side
-/// of the zero-queue fast-path claim: how many tasks entered the ready
-/// structures one at a time vs. in batches, how many pops were served
+/// Snapshot of scheduler operation counters: how many tasks entered the
+/// ready structures one at a time vs. in batches (the runtime adds one
+/// at a time; batches come only from direct
+/// [`Scheduler::add_ready_batch`] callers), how many pops were served
 /// from a per-worker cache, and how often the scheduler's lock was
 /// actually acquired.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -125,10 +126,7 @@ impl SchedCounters {
 }
 
 /// Send/Sync wrapper for task pointers travelling through queues.
-/// `repr(transparent)` so a `&[*mut Task]` can be reinterpreted as a
-/// `&[TaskPtr]` without copying (the batched-release hand-off).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-#[repr(transparent)]
 pub struct TaskPtr(pub *mut Task);
 
 unsafe impl Send for TaskPtr {}
@@ -377,11 +375,6 @@ pub enum SchedKind {
     /// uses one per NUMA node.
     #[default]
     Delegation,
-    /// Delegation scheduler using the flat-combining DTLock extension
-    /// (§8 future work, implemented): the owner serves *batches* of
-    /// waiters in one pass instead of one `front`/`set_item`/`pop_front`
-    /// round-trip each.
-    DelegationFlat,
     /// Central lock-protected scheduler.
     Central(LockKind),
     /// Work-stealing comparator.
@@ -395,10 +388,12 @@ pub type Rec<'a> = Option<&'a mut CoreRecorder>;
 pub trait Scheduler: Send + Sync {
     /// Add a ready task (any worker, any time).
     fn add_ready(&self, task: TaskPtr, worker: usize, rec: Rec<'_>);
-    /// Add several ready tasks released by one completion, amortizing
-    /// lock acquisitions, buffer operations and trace records across the
-    /// whole batch. The default forwards to [`Scheduler::add_ready`] one
-    /// task at a time; the real implementations override it.
+    /// Add several ready tasks at once, amortizing lock acquisitions,
+    /// buffer operations and trace records across the whole batch. The
+    /// runtime never calls it (it releases one task at a time); it stays
+    /// for direct scheduler users such as the benchmark's batch probe.
+    /// The default forwards to [`Scheduler::add_ready`] one task at a
+    /// time; the real implementations override it.
     fn add_ready_batch(&self, tasks: &[TaskPtr], worker: usize, mut rec: Rec<'_>) {
         for &t in tasks {
             self.add_ready(t, worker, rec.as_deref_mut());
@@ -430,11 +425,11 @@ pub trait Scheduler: Send + Sync {
 /// Build a scheduler.
 ///
 /// `workers` is the worker-thread count, `numa_nodes` is the number of
-/// the delegation schedulers' SPSC add-buffers (one per NUMA node, §3.1;
+/// the delegation scheduler's SPSC add-buffers (one per NUMA node, §3.1;
 /// the other schedulers ignore it), `spsc_capacity` bounds each
 /// buffer (Listing 5 uses 100), and `pop_cache` enables the delegation
-/// scheduler's per-worker pop cache (0 = disabled; part of the
-/// zero-queue fast path, see [`crate::RuntimeConfig::fast_path`]).
+/// scheduler's per-worker pop cache (0 = disabled, see
+/// [`crate::RuntimeConfig::pop_cache`]).
 /// `registry` binds the scheduler's operation counters to a shared
 /// metrics registry (the runtime passes its own, so scheduler activity
 /// shows up live in snapshots and the Prometheus export); `None` keeps
@@ -452,11 +447,6 @@ pub fn make_scheduler(
     match kind {
         SchedKind::Delegation => Arc::new(
             sync_sched::SyncScheduler::new(workers, numa_nodes, policy, spsc_capacity)
-                .with_pop_cache(pop_cache)
-                .with_registry(registry),
-        ),
-        SchedKind::DelegationFlat => Arc::new(
-            sync_sched::SyncScheduler::new_flat(workers, numa_nodes, policy, spsc_capacity)
                 .with_pop_cache(pop_cache)
                 .with_registry(registry),
         ),
@@ -664,7 +654,6 @@ mod tests {
         let (a1, b1, a2, b2) = (node(a, 0), node(b, 0), node(a, 0), node(b, 0));
         for kind in [
             SchedKind::Delegation,
-            SchedKind::DelegationFlat,
             SchedKind::Central(LockKind::PtLock),
             SchedKind::WorkSteal(WsVariant::LifoLocal),
             SchedKind::WorkSteal(WsVariant::FifoLocal),
@@ -709,7 +698,6 @@ mod tests {
     fn factory_builds_every_kind() {
         for kind in [
             SchedKind::Delegation,
-            SchedKind::DelegationFlat,
             SchedKind::Central(LockKind::PtLock),
             SchedKind::Central(LockKind::Ticket),
             SchedKind::Central(LockKind::Mcs),
@@ -728,7 +716,6 @@ mod tests {
     fn factory_roundtrip_tasks() {
         for kind in [
             SchedKind::Delegation,
-            SchedKind::DelegationFlat,
             SchedKind::Central(LockKind::PtLock),
             SchedKind::WorkSteal(WsVariant::LifoLocal),
         ] {

@@ -56,15 +56,13 @@ pub struct SyncScheduler {
     addqs: Box<[AddQueue]>,
     workers: usize,
     numa_nodes: usize,
-    /// Serve waiters via the flat-combining batch interface (§8 future
-    /// work of the paper) instead of one-at-a-time front/set_item.
-    flat: bool,
-    /// Per-worker pop-cache capacity (0 = disabled). When > 0, a worker
-    /// that acquires the DTLock takes up to `pop_cache` extra tasks out
-    /// of the policy queue into its private cache, so its next pops never
-    /// touch the lock — one delegation-lock acquisition serves several
-    /// `get_ready` calls. Only idle pops refill it: a waiter would hoard
-    /// strangers ahead of its own descendants.
+    /// Per-worker pop-cache capacity ([`crate::RuntimeConfig::pop_cache`];
+    /// 0, the default, disables it). When > 0, a worker that acquires
+    /// the DTLock takes up to `pop_cache` extra tasks out of the policy
+    /// queue into its private cache, so its next pops never touch the
+    /// lock — one delegation-lock acquisition serves several `get_ready`
+    /// calls. Only idle pops refill it: a waiter would hoard strangers
+    /// ahead of its own descendants.
     pop_cache: usize,
     /// The caches themselves. Thread-confinement contract: slot `w` is
     /// only ever touched from `get_ready_within(w, ..)`, which the
@@ -87,27 +85,6 @@ impl SyncScheduler {
     /// Create the scheduler for `workers` workers spread over
     /// `numa_nodes` nodes, with per-node SPSC buffers of `spsc_capacity`.
     pub fn new(workers: usize, numa_nodes: usize, policy: Policy, spsc_capacity: usize) -> Self {
-        Self::build(workers, numa_nodes, policy, spsc_capacity, false)
-    }
-
-    /// Like [`SyncScheduler::new`], but serving waiters through the
-    /// flat-combining batch interface of the DTLock.
-    pub fn new_flat(
-        workers: usize,
-        numa_nodes: usize,
-        policy: Policy,
-        spsc_capacity: usize,
-    ) -> Self {
-        Self::build(workers, numa_nodes, policy, spsc_capacity, true)
-    }
-
-    fn build(
-        workers: usize,
-        numa_nodes: usize,
-        policy: Policy,
-        spsc_capacity: usize,
-        flat: bool,
-    ) -> Self {
         assert!(workers <= MAX_WORKERS, "at most {MAX_WORKERS} workers");
         let nodes = numa_nodes.clamp(1, workers.max(1));
         let addqs = (0..nodes)
@@ -126,7 +103,6 @@ impl SyncScheduler {
             addqs,
             workers: workers.max(1),
             numa_nodes: nodes,
-            flat,
             pop_cache: 0,
             caches: (0..workers.max(1))
                 .map(|_| CachePadded::new(UnsafeCell::new(VecDeque::new())))
@@ -154,11 +130,6 @@ impl SyncScheduler {
             self.counters = SchedCounters::new(reg);
         }
         self
-    }
-
-    /// Whether the flat-combining serve path is active.
-    pub fn is_flat(&self) -> bool {
-        self.flat
     }
 
     /// NUMA node a worker belongs to (contiguous block partitioning).
@@ -229,8 +200,8 @@ impl SyncScheduler {
     /// The scope worker `wid` published with its pending DTLock request.
     /// Relaxed suffices: the waiter stores the slot before the Release
     /// store that registers it in the DTLock log queue, and the owner
-    /// reads the slot only after the Acquire load in `front`/`waiters`
-    /// that found that registration.
+    /// reads the slot only after the Acquire load in `front` that found
+    /// that registration.
     fn scope_of(&self, wid: usize) -> Scope {
         Scope::from_raw(self.scopes[wid].load(core::sync::atomic::Ordering::Relaxed))
     }
@@ -350,39 +321,6 @@ impl Scheduler for SyncScheduler {
                     r.record(EventKind::SchedDrain, drained);
                 }
                 let ready = unsafe { &mut *self.ready.get() };
-                if self.flat {
-                    // Flat combining: one pass over the whole waiter batch.
-                    loop {
-                        let mut rec_ref = local_rec.as_deref_mut();
-                        let served = self.lock.serve_batch(|wid| {
-                            // SAFETY: queued tasks are live, and so is the
-                            // task `wid` waits in while it is parked here.
-                            let t = unsafe { ready.pop_within(self.scope_of(wid)) }?;
-                            if let Some(r) = rec_ref.as_deref_mut() {
-                                r.record(EventKind::SchedServe, wid as u64);
-                            }
-                            Some(t)
-                        });
-                        if served == 0 || ready.is_empty() {
-                            if unsafe { self.process_ready_tasks() } == 0 {
-                                break;
-                            }
-                            continue;
-                        }
-                    }
-                    // SAFETY: queued tasks and our own scope's task are live.
-                    let own = unsafe { ready.pop_within(scope) };
-                    if own.is_some() && scope == Scope::ANY {
-                        // SAFETY: our thread's cache slot, DTLock held.
-                        unsafe { self.refill_cache(worker) };
-                    }
-                    self.lock.unlock();
-                    if own.is_some() {
-                        self.len.fetch_sub(1, core::sync::atomic::Ordering::Relaxed);
-                        self.counters.pop(worker);
-                    }
-                    return own;
-                }
                 // Serve every waiting worker while tasks remain.
                 while !self.lock.empty() {
                     let wid = self.lock.front();
@@ -439,11 +377,7 @@ impl Scheduler for SyncScheduler {
     }
 
     fn kind(&self) -> SchedKind {
-        if self.flat {
-            SchedKind::DelegationFlat
-        } else {
-            SchedKind::Delegation
-        }
+        SchedKind::Delegation
     }
 
     fn op_stats(&self) -> SchedOpStats {

@@ -181,60 +181,6 @@ impl<T, const N: usize> DtLock<T, N> {
     pub fn pop_front(&self) {
         self.inner.publish_tail();
     }
-
-    // ----- flat-combining extension -------------------------------------
-    //
-    // §8 of the paper: "we plan to investigate extensions of the DTLock
-    // interface to support flat combining. This interface will require
-    // the ability to access and unblock several waiting threads
-    // simultaneously to be able to combine their operations." The two
-    // methods below are that interface.
-
-    /// Ids of up to `max` *consecutive* servable waiters, in queue order
-    /// (owner-only). Scanning stops at the first ticket that has not
-    /// registered yet or at an unservable (plain-`lock`) waiter.
-    ///
-    /// Safe against stale log entries: an old entry in slot `t % N` holds
-    /// at most `t - N + (N-1) < t`, so it can never masquerade as the
-    /// current ticket `t`.
-    pub fn waiters(&self, max: usize) -> Vec<usize> {
-        let tail = self.inner.tail();
-        let mut out = Vec::new();
-        for i in 0..max.min(N) as u64 {
-            let t = tail + i;
-            let entry = self.logq[(t % N as u64) as usize].load(Ordering::Acquire);
-            if entry < t {
-                break; // ticket t has not arrived yet
-            }
-            let id = (entry - t) as usize;
-            if id >= N {
-                break; // plain-lock waiter: can only be admitted
-            }
-            out.push(id);
-        }
-        out
-    }
-
-    /// Serve a whole batch of waiters in one combining pass: for each
-    /// currently-waiting servable thread (in queue order), `supply` is
-    /// asked for its result; `None` stops the batch. Returns the number
-    /// of waiters served and released. Owner-only; the owner keeps the
-    /// lock.
-    pub fn serve_batch(&self, mut supply: impl FnMut(usize) -> Option<T>) -> usize {
-        let ids = self.waiters(N);
-        let mut served = 0;
-        for id in ids {
-            match supply(id) {
-                Some(item) => {
-                    self.set_item(id, item);
-                    self.pop_front();
-                    served += 1;
-                }
-                None => break,
-            }
-        }
-        served
-    }
 }
 
 impl<T: Send, const N: usize> RawLock for DtLock<T, N> {
@@ -449,75 +395,5 @@ mod tests {
     fn capacity_reports_n() {
         let l: DtLock<u32, 16> = DtLock::new();
         assert_eq!(l.capacity(), 16);
-    }
-
-    #[test]
-    fn waiters_empty_without_contention() {
-        let l: DtLock<u64, 8> = DtLock::new();
-        assert!(matches!(l.lock_or_delegate(0), LockOrDelegate::Acquired));
-        assert!(l.waiters(8).is_empty());
-        l.unlock();
-    }
-
-    #[test]
-    fn waiters_lists_queue_in_order() {
-        let l: Arc<DtLock<u64, 8>> = Arc::new(DtLock::new());
-        assert!(matches!(l.lock_or_delegate(7), LockOrDelegate::Acquired));
-        let mut hs = Vec::new();
-        for (i, &id) in [3usize, 5, 1].iter().enumerate() {
-            let l2 = Arc::clone(&l);
-            hs.push(std::thread::spawn(move || l2.lock_or_delegate(id)));
-            // Stagger arrivals so ticket order is deterministic.
-            while l.waiters(8).len() < i + 1 {
-                std::hint::spin_loop();
-            }
-        }
-        let ws = l.waiters(8);
-        assert_eq!(ws, vec![3, 5, 1], "queue order == arrival order");
-        assert_eq!(ws[0], l.front());
-        // Serve them all in one combining pass.
-        let served = l.serve_batch(|id| Some(1000 + id as u64));
-        assert_eq!(served, 3);
-        l.unlock();
-        for h in hs {
-            match h.join().unwrap() {
-                LockOrDelegate::Served(v) => assert!(v >= 1000),
-                LockOrDelegate::Acquired => panic!("batch should have served all"),
-            }
-        }
-    }
-
-    #[test]
-    fn serve_batch_stops_when_supply_dries() {
-        let l: Arc<DtLock<u64, 8>> = Arc::new(DtLock::new());
-        assert!(matches!(l.lock_or_delegate(0), LockOrDelegate::Acquired));
-        let l2 = Arc::clone(&l);
-        let h1 = std::thread::spawn(move || l2.lock_or_delegate(1));
-        while l.waiters(8).is_empty() {
-            std::hint::spin_loop();
-        }
-        let l3 = Arc::clone(&l);
-        let h2 = std::thread::spawn(move || l3.lock_or_delegate(2));
-        while l.waiters(8).len() < 2 {
-            std::hint::spin_loop();
-        }
-        // Supply only one item: first waiter served, second admitted by
-        // the subsequent unlock.
-        let mut budget = 1;
-        let served = l.serve_batch(|_| {
-            if budget > 0 {
-                budget -= 1;
-                Some(42)
-            } else {
-                None
-            }
-        });
-        assert_eq!(served, 1);
-        l.unlock();
-        assert_eq!(h1.join().unwrap(), LockOrDelegate::Served(42));
-        match h2.join().unwrap() {
-            LockOrDelegate::Acquired => l.unlock(),
-            LockOrDelegate::Served(_) => panic!("only one item was supplied"),
-        }
     }
 }

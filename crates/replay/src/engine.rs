@@ -364,14 +364,8 @@ impl IterState {
     }
 
     /// Drop one pending reference of node `i`, releasing its held task
-    /// if that was the last one.
-    ///
-    /// This is the replay engine's release path onto the zero-queue fast
-    /// path: with [`nanotask_core::RuntimeConfig::fast_path`] enabled,
-    /// `release_held` *defers* releases issued from a completing task's
-    /// body — the runtime then keeps one released successor as the
-    /// worker's inline next task and hands the rest to the scheduler as
-    /// one batch, so a replayed chain never round-trips the ready queue.
+    /// to the scheduler (`TaskCtx::release_held`) if that was the last
+    /// one.
     fn countdown(&self, ctx: &TaskCtx, i: u32) {
         if let Some(t) = self.graph.countdown(i as usize) {
             self.launched.fetch_add(1, Ordering::Relaxed);
@@ -1663,102 +1657,6 @@ mod tests {
     }
 
     #[test]
-    fn replay_chains_bypass_queue_with_fast_path() {
-        let rt = Runtime::new(
-            nanotask_core::RuntimeConfig::optimized()
-                .workers(2)
-                .fast_path(true),
-        );
-        let data = Box::leak(Box::new(0u64)) as *mut u64;
-        let p = SendPtr::new(data);
-        let report = rt.run_iterative(6, move |ctx| {
-            for _ in 0..20 {
-                ctx.spawn(Deps::new().readwrite_addr(p.addr()), move |_| unsafe {
-                    *p.get() += 1;
-                });
-            }
-        });
-        assert_eq!(unsafe { *data }, 120);
-        assert_eq!(report.replayed, 5);
-        assert_eq!(report.diverged, 0);
-        let rr = rt.run_report();
-        assert!(
-            rr.inline_runs > 0,
-            "replayed chain successors ran inline: {rr:?}"
-        );
-        assert_eq!(rt.live_tasks(), 0);
-        unsafe { drop(Box::from_raw(data)) };
-    }
-
-    #[test]
-    fn divergent_replay_correct_under_fast_path() {
-        // One-entry cache: every phase flip diverges on its first spawn
-        // and taskwaits before falling back — the deferred-release flush
-        // at taskwait entry must make that safe, repeatedly.
-        let rt = Runtime::new(
-            nanotask_core::RuntimeConfig::optimized()
-                .workers(2)
-                .fast_path(true)
-                .with_replay_cache_size(1),
-        );
-        let a = Box::leak(Box::new(0u64)) as *mut u64;
-        let b = Box::leak(Box::new(0u64)) as *mut u64;
-        let (pa, pb) = (SendPtr::new(a), SendPtr::new(b));
-        let iter = Arc::new(AtomicU64::new(0));
-        let report = rt.run_iterative(6, move |ctx| {
-            let i = iter.fetch_add(1, Ordering::Relaxed);
-            let p = if i.is_multiple_of(2) { pa } else { pb };
-            for _ in 0..4 {
-                ctx.spawn(Deps::new().readwrite_addr(p.addr()), move |_| unsafe {
-                    *p.get() += 1;
-                });
-            }
-        });
-        assert_eq!(unsafe { (*a, *b) }, (12, 12));
-        assert_eq!(report.diverged, 5);
-        assert_eq!(rt.live_tasks(), 0);
-        unsafe {
-            drop(Box::from_raw(a));
-            drop(Box::from_raw(b));
-        }
-    }
-
-    #[test]
-    fn alternating_replay_correct_under_fast_path() {
-        // Cached mode + zero-queue fast path: the phase switch swaps the
-        // feed target before anything was committed, so every phase
-        // replays and the deferred-release machinery sees only complete
-        // iterations.
-        let rt = Runtime::new(
-            nanotask_core::RuntimeConfig::optimized()
-                .workers(2)
-                .fast_path(true),
-        );
-        let a = Box::leak(Box::new(0u64)) as *mut u64;
-        let b = Box::leak(Box::new(0u64)) as *mut u64;
-        let (pa, pb) = (SendPtr::new(a), SendPtr::new(b));
-        let iter = Arc::new(AtomicU64::new(0));
-        let report = rt.run_iterative(6, move |ctx| {
-            let i = iter.fetch_add(1, Ordering::Relaxed);
-            let p = if i.is_multiple_of(2) { pa } else { pb };
-            for _ in 0..4 {
-                ctx.spawn(Deps::new().readwrite_addr(p.addr()), move |_| unsafe {
-                    *p.get() += 1;
-                });
-            }
-        });
-        assert_eq!(unsafe { (*a, *b) }, (12, 12));
-        assert_eq!(report.diverged, 1);
-        assert_eq!(report.replayed, 4);
-        assert_eq!(rt.live_tasks(), 0);
-        check_invariants(&report);
-        unsafe {
-            drop(Box::from_raw(a));
-            drop(Box::from_raw(b));
-        }
-    }
-
-    #[test]
     fn tasks_reclaimed_after_replay() {
         let rt = Runtime::new(RuntimeConfig::optimized().workers(2));
         let data = Box::leak(Box::new(0u64)) as *mut u64;
@@ -1927,45 +1825,6 @@ mod tests {
         });
         assert_eq!(report.iterations, 2);
         assert_eq!(unsafe { *data }, 29);
-        unsafe { drop(Box::from_raw(data)) };
-    }
-
-    #[test]
-    fn fast_path_replay_fault_cancels_successors() {
-        // The poison transfer must also cover releases the zero-queue fast
-        // path defers (batched hand-off and the inline keep), over two
-        // NUMA add buffers.
-        let rt = Runtime::new(
-            RuntimeConfig::optimized()
-                .workers(4)
-                .with_numa_nodes(2)
-                .fast_path(true)
-                .with_fault_plan(nanotask_core::FaultPlan::never()),
-        );
-        let data = Box::leak(Box::new(0u64)) as *mut u64;
-        let p = SendPtr::new(data);
-        let iter = Arc::new(AtomicU64::new(0));
-        let (report, outcome) = rt.run_iterative_outcome(4, move |ctx| {
-            let it = iter.fetch_add(1, Ordering::Relaxed);
-            for k in 0..12u64 {
-                ctx.spawn(Deps::new().readwrite_addr(p.addr()), move |_| {
-                    if it == 2 && k == 6 {
-                        std::panic::panic_any(format!(
-                            "{}: planted",
-                            nanotask_core::FAULT_PANIC_PREFIX
-                        ));
-                    }
-                    unsafe { *p.get() += 1 };
-                });
-            }
-        });
-        // 12 + 12 + 6 (faulted replay prefix) + 12.
-        assert_eq!(unsafe { *data }, 42);
-        assert_eq!(outcome.failures.len(), 1, "{}", outcome.summary());
-        assert_eq!(outcome.tasks_cancelled, 5);
-        assert_eq!(report.faulted, 1);
-        assert_eq!(rt.live_tasks(), 0);
-        check_invariants(&report);
         unsafe { drop(Box::from_raw(data)) };
     }
 }

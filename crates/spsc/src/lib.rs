@@ -20,6 +20,10 @@ use core::mem::MaybeUninit;
 use core::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
+/// Cache-line size assumed for padding (two 64-byte lines, as
+/// `nanotask_locks::CachePadded` assumes, for adjacent-line prefetch).
+const LINE: usize = 128;
+
 /// Pads to a cache line (kept local to avoid a cross-crate dependency for
 /// one type; same layout rationale as `nanotask_locks::CachePadded`).
 #[repr(align(128))]
@@ -31,8 +35,20 @@ struct Ring<T> {
     head: Pad<AtomicUsize>,
     /// Next slot to read. Owned by the consumer, read by the producer.
     tail: Pad<AtomicUsize>,
+    /// The slots plus up to a line of slack on either side: slot `i` is
+    /// `buf[off + i]`, and `off` puts slot 0 on a line boundary. The slots
+    /// then share no line with a neighbouring heap block, so which slots
+    /// false-share no longer depends on where the allocator placed them.
     buf: Box<[UnsafeCell<MaybeUninit<T>>]>,
+    off: usize,
     cap: usize,
+}
+
+impl<T> Ring<T> {
+    #[inline]
+    fn slot(&self, i: usize) -> &UnsafeCell<MaybeUninit<T>> {
+        &self.buf[self.off + i]
+    }
 }
 
 unsafe impl<T: Send> Send for Ring<T> {}
@@ -71,13 +87,20 @@ pub fn channel<T>(capacity: usize) -> (Producer<T>, Consumer<T>) {
     assert!(capacity > 0, "capacity must be positive");
     // One slot is sacrificed to distinguish full from empty.
     let cap = capacity + 1;
-    let buf = (0..cap)
+    let slack = LINE.div_ceil(core::mem::size_of::<T>().max(1));
+    let buf: Box<[UnsafeCell<MaybeUninit<T>>]> = (0..cap + 2 * slack)
         .map(|_| UnsafeCell::new(MaybeUninit::uninit()))
         .collect();
+    // `usize::MAX` (alignment unreachable, e.g. odd-sized `T`): start at 0.
+    let off = match buf.as_ptr().align_offset(LINE) {
+        o if o <= slack => o,
+        _ => 0,
+    };
     let ring = Arc::new(Ring {
         head: Pad(AtomicUsize::new(0)),
         tail: Pad(AtomicUsize::new(0)),
         buf,
+        off,
         cap,
     });
     (
@@ -116,7 +139,7 @@ impl<T> Producer<T> {
         }
         // SAFETY: slot `head` is outside the consumer's visible window
         // (tail..head), and we are the only producer.
-        unsafe { (*ring.buf[head].get()).write(value) };
+        unsafe { (*ring.slot(head).get()).write(value) };
         ring.head.0.store(nxt, Ordering::Release);
         Ok(())
     }
@@ -152,7 +175,7 @@ impl<T> Consumer<T> {
         }
         // SAFETY: head > tail so the producer has published this slot; we
         // are the only consumer.
-        let value = unsafe { (*ring.buf[tail].get()).assume_init_read() };
+        let value = unsafe { (*ring.slot(tail).get()).assume_init_read() };
         ring.tail.0.store(next(tail, ring.cap), Ordering::Release);
         Some(value)
     }
@@ -171,7 +194,7 @@ impl<T> Consumer<T> {
         self.cached_head.set(head);
         let mut tail = ring.tail.0.load(Ordering::Relaxed);
         while tail != head {
-            let value = unsafe { (*ring.buf[tail].get()).assume_init_read() };
+            let value = unsafe { (*ring.slot(tail).get()).assume_init_read() };
             tail = next(tail, ring.cap);
             ring.tail.0.store(tail, Ordering::Release);
             f(value);
@@ -203,7 +226,7 @@ impl<T> Drop for Ring<T> {
         let mut tail = *self.tail.0.get_mut();
         let head = *self.head.0.get_mut();
         while tail != head {
-            unsafe { (*self.buf[tail].get()).assume_init_drop() };
+            unsafe { (*self.slot(tail).get()).assume_init_drop() };
             tail = next(tail, self.cap);
         }
     }
@@ -212,6 +235,19 @@ impl<T> Drop for Ring<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn slots_own_their_cache_lines() {
+        for capacity in [1, 7, 100] {
+            let (p, _c) = channel::<usize>(capacity);
+            let ring = &*p.ring;
+            let first = ring.slot(0) as *const _ as usize;
+            let end = first + ring.cap * core::mem::size_of::<usize>();
+            let buf_end = ring.buf.as_ptr_range().end as usize;
+            assert_eq!(first % LINE, 0, "capacity {capacity}");
+            assert!(buf_end >= end.next_multiple_of(LINE), "capacity {capacity}");
+        }
+    }
 
     #[test]
     fn fifo_order() {

@@ -60,10 +60,7 @@ pub enum EventKind {
     ReplayIterBegin = 20,
     /// The replayed iteration finished. Payload: iteration index.
     ReplayIterEnd = 21,
-    /// A completing task handed one newly-ready successor straight to its
-    /// worker (immediate-successor fast path: no queue, no lock).
-    /// Payload: the inlined task's id.
-    InlineRun = 22,
+    // 22 is retired (immediate-successor inline runs); never reassign it.
     /// A batch of ready tasks was added to the scheduler in one
     /// operation (amortized locks/buffers). Payload: batch size.
     ReadyBatch = 23,
@@ -105,7 +102,6 @@ impl EventKind {
             19 => ReplayRecordEnd,
             20 => ReplayIterBegin,
             21 => ReplayIterEnd,
-            22 => InlineRun,
             23 => ReadyBatch,
             24 => ReplayCacheHit,
             25 => ReplayGiveUp,
@@ -139,7 +135,6 @@ impl EventKind {
             ReplayRecordEnd,
             ReplayIterBegin,
             ReplayIterEnd,
-            InlineRun,
             ReadyBatch,
             ReplayCacheHit,
             ReplayGiveUp,
@@ -175,8 +170,10 @@ mod tests {
     fn unknown_kind_rejected() {
         assert_eq!(EventKind::from_u8(200), None);
         assert_eq!(EventKind::from_u8(28), None);
-        // Retired wire values: replay-partition assignment (26) and
-        // node-targeted ready batches (27).
+        // Retired wire values: immediate-successor inline runs (22),
+        // replay-partition assignment (26) and node-targeted ready
+        // batches (27).
+        assert_eq!(EventKind::from_u8(22), None);
         assert_eq!(EventKind::from_u8(26), None);
         assert_eq!(EventKind::from_u8(27), None);
     }
@@ -212,7 +209,6 @@ mod tests {
             (ReplayRecordEnd, 19),
             (ReplayIterBegin, 20),
             (ReplayIterEnd, 21),
-            (InlineRun, 22),
             (ReadyBatch, 23),
             (ReplayCacheHit, 24),
             (ReplayGiveUp, 25),
@@ -226,9 +222,9 @@ mod tests {
             assert_eq!(kind as u8, value, "{kind:?} moved its wire value");
             assert_eq!(EventKind::from_u8(value), Some(kind));
         }
-        // The value one past the table stays unassigned until a variant
-        // claims it (and is added above).
-        assert_eq!(EventKind::from_u8(pinned.len() as u8), None);
+        // The value one past the highest ever assigned (27) stays
+        // unassigned until a variant claims it (and is added above).
+        assert_eq!(EventKind::from_u8(28), None);
     }
 
     #[test]

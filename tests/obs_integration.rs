@@ -171,13 +171,10 @@ fn metric_schema_is_pinned() {
         ("nanotask_alloc_slab_bytes", &[]),
         ("nanotask_alloc_task_recycle_misses", &[]),
         ("nanotask_alloc_tasks_recycled", &[]),
-        ("nanotask_inline_runs_total", &[]),
         ("nanotask_live_tasks", &[]),
-        ("nanotask_max_inline_depth", &[]),
         ("nanotask_max_taskwait_depth", &[]),
         ("nanotask_nested_spawns_total", &[]),
         ("nanotask_queue_wait_ns", &[]),
-        ("nanotask_release_batch_tasks", &[]),
         ("nanotask_replay_cache_evictions_total", &[]),
         ("nanotask_replay_cache_hits_total", &[]),
         ("nanotask_replay_cache_misses_total", &[]),

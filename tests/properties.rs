@@ -1,12 +1,14 @@
 //! Property-based tests: for *random task programs*, the parallel
 //! runtime must be serially equivalent — every conflicting pair of
 //! accesses executes in spawn order, readers observe exactly the value a
-//! serial execution would produce, and reductions fold to the serial
-//! total. Checked on both dependency systems.
+//! serial execution would produce, every task runs exactly once, and
+//! reductions fold to the serial total. Checked on both dependency
+//! systems under each of the paper's three schedulers.
 
 use proptest::prelude::*;
 
-use nanotask::{Deps, DepsKind, RedOp, Runtime, RuntimeConfig, SendPtr};
+use nanotask::runtime_core::sched::{LockKind, WsVariant};
+use nanotask::{Deps, DepsKind, RedOp, Runtime, RuntimeConfig, SchedKind, SendPtr};
 use std::sync::Arc;
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -71,11 +73,18 @@ fn serial(program: &[(Vec<Acc>, u64)]) -> ([u64; ADDRS], Vec<Vec<u64>>) {
     (mem, reads)
 }
 
+const SCHEDS: [SchedKind; 3] = [
+    SchedKind::Delegation,
+    SchedKind::Central(LockKind::PtLock),
+    SchedKind::WorkSteal(WsVariant::LifoLocal),
+];
+
 /// Run the program on the runtime and compare against serial execution.
-fn check(program: Vec<(Vec<Acc>, u64)>, deps_kind: DepsKind, workers: usize) {
-    let (want_mem, want_reads) = serial(&program);
+fn check(program: &[(Vec<Acc>, u64)], sched: SchedKind, deps_kind: DepsKind, workers: usize) {
+    let (want_mem, want_reads) = serial(program);
     let rt = Runtime::new(
         RuntimeConfig::optimized()
+            .scheduler(sched)
             .dependency_system(deps_kind)
             .workers(workers),
     );
@@ -86,10 +95,12 @@ fn check(program: Vec<(Vec<Acc>, u64)>, deps_kind: DepsKind, workers: usize) {
             .map(|(accs, _)| accs.iter().map(|_| AtomicU64::new(u64::MAX)).collect())
             .collect(),
     );
+    let runs: Arc<Vec<AtomicU64>> = Arc::new(program.iter().map(|_| AtomicU64::new(0)).collect());
     {
         let base = SendPtr::new(mem.as_mut_ptr());
-        let program = program.clone();
+        let program = program.to_vec();
         let observed = Arc::clone(&observed);
+        let runs = Arc::clone(&runs);
         rt.run(move |ctx| {
             for (ti, (accs, seed)) in program.iter().enumerate() {
                 let mut d = Deps::new();
@@ -104,7 +115,9 @@ fn check(program: Vec<(Vec<Acc>, u64)>, deps_kind: DepsKind, workers: usize) {
                 let accs = accs.clone();
                 let seed = *seed;
                 let observed = Arc::clone(&observed);
+                let runs = Arc::clone(&runs);
                 ctx.spawn(d, move |_| {
+                    runs[ti].fetch_add(1, Ordering::Relaxed);
                     for (ai, acc) in accs.iter().enumerate() {
                         let p = unsafe { base.add(acc.addr_idx()).get() };
                         match acc {
@@ -120,14 +133,26 @@ fn check(program: Vec<(Vec<Acc>, u64)>, deps_kind: DepsKind, workers: usize) {
             }
         });
     }
-    assert_eq!(*mem, want_mem, "final memory differs from serial execution");
+    let what = format!("{sched:?} {deps_kind:?}");
+    assert_eq!(
+        *mem, want_mem,
+        "{what}: final memory differs from serial execution"
+    );
     for (ti, (accs, _)) in program.iter().enumerate() {
+        assert_eq!(
+            runs[ti].load(Ordering::Relaxed),
+            1,
+            "{what}: task {ti} not run exactly once"
+        );
         let mut ri = 0;
         for (ai, acc) in accs.iter().enumerate() {
             if matches!(acc, Acc::Read(_)) {
                 let got = observed[ti][ai].load(Ordering::Relaxed);
                 let want = want_reads[ti][ri];
-                assert_eq!(got, want, "task {ti} read access {ai} observed wrong value");
+                assert_eq!(
+                    got, want,
+                    "{what}: task {ti} read access {ai} observed wrong value"
+                );
                 ri += 1;
             }
         }
@@ -139,12 +164,16 @@ proptest! {
 
     #[test]
     fn waitfree_serially_equivalent(program in proptest::collection::vec(task_strategy(), 1..40)) {
-        check(program, DepsKind::WaitFree, 3);
+        for sched in SCHEDS {
+            check(&program, sched, DepsKind::WaitFree, 3);
+        }
     }
 
     #[test]
     fn locking_serially_equivalent(program in proptest::collection::vec(task_strategy(), 1..40)) {
-        check(program, DepsKind::Locking, 3);
+        for sched in SCHEDS {
+            check(&program, sched, DepsKind::Locking, 3);
+        }
     }
 
     #[test]

@@ -15,7 +15,7 @@
 //!    `run_iterative` across the full {Delegation, Central, WorkSteal} ×
 //!    {WaitFree, Locking} matrix must match the serial interpreter, must
 //!    have frozen exactly the edge list the model graph has, and must
-//!    classify every iteration identically with the fast path on over
+//!    classify every iteration identically with the pop cache on over
 //!    two NUMA add buffers and with both off (live-vs-live
 //!    differential).
 
@@ -221,7 +221,7 @@ fn run_engine(
         .dependency_system(deps)
         .workers(3);
     if knobs_on {
-        cfg = cfg.with_numa_nodes(2).fast_path(true);
+        cfg = cfg.with_numa_nodes(2).with_pop_cache(4);
     }
     let rt = Runtime::new(cfg);
     let mut trace = Trace::new(phases);
@@ -263,7 +263,7 @@ fn run_engine(
     Outcome { report, trace }
 }
 
-/// Live-vs-live differential: the fast path and the NUMA add buffers
+/// Live-vs-live differential: the pop cache and the NUMA add buffers
 /// change *how* released tasks reach workers, never how iterations are
 /// classified or what gets frozen. Structural-hash values are excluded
 /// (each run hashes its own heap addresses); cached-graph entries are

@@ -46,7 +46,6 @@ fn mixed_iteration(
 fn replay_stress_all_sched_and_deps_kinds() {
     let scheds = [
         SchedKind::Delegation,
-        SchedKind::DelegationFlat,
         SchedKind::Central(LockKind::PtLock),
         SchedKind::WorkSteal(WsVariant::LifoLocal),
         SchedKind::WorkSteal(WsVariant::FifoLocal),

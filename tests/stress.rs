@@ -116,7 +116,6 @@ fn heavy_oversubscription_sixteen_workers() {
 fn every_scheduler_survives_fine_grained_burst() {
     for kind in [
         SchedKind::Delegation,
-        SchedKind::DelegationFlat,
         SchedKind::Central(LockKind::PtLock),
         SchedKind::Central(LockKind::Ticket),
         SchedKind::Central(LockKind::Mcs),

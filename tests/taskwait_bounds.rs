@@ -33,9 +33,8 @@ const STACK_BYTES: usize = 2 << 20;
 const HANG_GUARD: Duration = Duration::from_secs(300);
 const MAX_LIVE_TASKS: u64 = 4096;
 
-const SCHEDS: [SchedKind; 5] = [
+const SCHEDS: [SchedKind; 4] = [
     SchedKind::Delegation,
-    SchedKind::DelegationFlat,
     SchedKind::Central(LockKind::PtLock),
     SchedKind::WorkSteal(WsVariant::LifoLocal),
     SchedKind::WorkSteal(WsVariant::FifoLocal),
@@ -222,11 +221,6 @@ fn tree_matrix(sched: SchedKind) {
 #[test]
 fn tree_on_delegation() {
     tree_matrix(SchedKind::Delegation);
-}
-
-#[test]
-fn tree_on_delegation_flat() {
-    tree_matrix(SchedKind::DelegationFlat);
 }
 
 #[test]
