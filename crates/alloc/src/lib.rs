@@ -218,9 +218,9 @@ impl Drop for Slabs {
 /// jemalloc stand-in.
 ///
 /// Hot path: pop/push on a thread-private magazine (an uncontended
-/// `parking_lot::Mutex`, ~1 CAS). Miss path: batch transfer of [`BATCH`]
-/// blocks between the magazine and a per-class global free list; if the
-/// global list is empty a new [`SLAB_BYTES`] slab is carved.
+/// `parking_lot::Mutex`, ~1 CAS). Miss path: batch transfer of `BATCH`
+/// (32) blocks between the magazine and a per-class global free list; if
+/// the global list is empty a new `SLAB_BYTES` (64 KiB) slab is carved.
 pub struct PoolAllocator {
     id: u64,
     magazines: Box<[Mutex<Magazine>]>,

@@ -83,7 +83,7 @@ impl<T> SendPtr<T> {
     /// Offset like `ptr::add`.
     ///
     /// # Safety
-    /// Same contract as [`pointer::add`].
+    /// Same contract as `<*mut T>::add`.
     pub unsafe fn add(&self, n: usize) -> SendPtr<T> {
         SendPtr(unsafe { self.0.add(n) })
     }

@@ -216,8 +216,6 @@ pub struct RuntimeConfig {
     pub alloc: AllocatorKind,
     /// Ready-queue ordering policy.
     pub policy: Policy,
-    /// Capacity of each SPSC add buffer (Listing 5 uses 100).
-    pub spsc_capacity: usize,
     /// Record trace events.
     pub trace: bool,
     /// Record dependency edges (Figure 1 graph dump).
@@ -228,36 +226,14 @@ pub struct RuntimeConfig {
     /// delegation-lock acquisition pre-pops up to this many extra tasks
     /// for the acquiring worker. 0 (default) disables the cache.
     pub pop_cache: usize,
-    /// Frozen replay graphs the replay engine keeps, LRU-keyed by
-    /// structural hash (`nanotask-replay`'s `GraphCache`). Values > 1
-    /// let phase-alternating iterative bodies (miniAMR-style
-    /// refine/coarsen cycles) replay every phase instead of re-recording
-    /// on each alternation; 1 is the same engine with a one-entry cache
-    /// (every shape change evicts and re-records).
-    pub replay_cache_size: usize,
-    /// After this many *consecutive* iterations that could not replay
-    /// (record or divergence), the replay engine pins the body to the
-    /// dependency system and stops recording. 0 disables the give-up
-    /// policy.
-    pub replay_giveup_after: usize,
-    /// While pinned, every this-many iterations the engine runs one
-    /// cheap hash-only probe (no graph build) to detect that the body
-    /// re-stabilized onto a cached or repeating shape.
-    pub replay_recheck_every: usize,
     /// Latency histograms (task execution time, ready-queue wait):
     /// sampled clock reads on the hot path when on.
     /// Plain counters are registry-backed and always on regardless —
     /// this knob only gates the paths that need a timestamp.
     pub metrics: bool,
-    /// Histogram sampling interval: one timed task per this many
-    /// (per worker), rounded up to a power of two so the hot-path
-    /// sample check is a mask instead of a division. 1 times every task.
-    pub metrics_sample: usize,
     /// Flight-recorder snapshot interval in executed tasks (and replay
     /// iterations); 0 disables the recorder.
     pub flight_every: u64,
-    /// Snapshots the flight-recorder ring retains.
-    pub flight_capacity: usize,
     /// Stall watchdog: when set, a monitor thread trips after tasks have
     /// been pending with no completed body for this long, failing the
     /// run with a [`FailureKind::WatchdogStall`] diagnostic (flight
@@ -288,18 +264,12 @@ impl RuntimeConfig {
             deps: DepsKind::WaitFree,
             alloc: AllocatorKind::Pool,
             policy: Policy::Fifo,
-            spsc_capacity: 100,
             trace: false,
             record_graph: false,
             noise: None,
             pop_cache: 0,
-            replay_cache_size: 4,
-            replay_giveup_after: 8,
-            replay_recheck_every: 16,
             metrics: false,
-            metrics_sample: 32,
             flight_every: 0,
-            flight_capacity: 64,
             watchdog: None,
             fault_plan: None,
             label: "optimized",
@@ -420,26 +390,6 @@ impl RuntimeConfig {
         self
     }
 
-    /// Set the replay engine's frozen-graph cache capacity (min 1).
-    pub fn with_replay_cache_size(mut self, n: usize) -> Self {
-        self.replay_cache_size = n.max(1);
-        self
-    }
-
-    /// Set how many consecutive non-replayed iterations make the replay
-    /// engine give up and pin the body to the dependency system
-    /// (0 = never give up).
-    pub fn with_replay_giveup_after(mut self, n: usize) -> Self {
-        self.replay_giveup_after = n;
-        self
-    }
-
-    /// Set the pinned-mode re-stabilization probe interval (min 1).
-    pub fn with_replay_recheck_every(mut self, n: usize) -> Self {
-        self.replay_recheck_every = n.max(1);
-        self
-    }
-
     /// Set the NUMA-node count (min 1).
     pub fn with_numa_nodes(mut self, n: usize) -> Self {
         self.numa_nodes = n.max(1);
@@ -453,19 +403,11 @@ impl RuntimeConfig {
         self
     }
 
-    /// Set the histogram sampling interval (min 1 = time every task;
-    /// rounded up to a power of two).
-    pub fn with_metrics_sample(mut self, n: usize) -> Self {
-        self.metrics_sample = n.max(1);
-        self
-    }
-
     /// Enable the in-run flight recorder: snapshot the registry every
     /// `every` executed tasks (or replay iterations), keeping the last
-    /// `capacity` snapshots. `every = 0` disables it.
-    pub fn with_flight_recorder(mut self, every: u64, capacity: usize) -> Self {
+    /// 64 snapshots. `every = 0` disables it.
+    pub fn with_flight_recorder(mut self, every: u64) -> Self {
         self.flight_every = every;
-        self.flight_capacity = capacity.max(1);
         self
     }
 
@@ -615,16 +557,12 @@ pub struct RuntimeStats {
 /// increments only its own cache-padded cell; readers aggregate).
 /// Counters and gauges are always live — they replace the old `Shared`
 /// atomics one for one. Histograms need a clock read, so they are gated
-/// by [`RuntimeConfig::metrics`] and sampled every
-/// [`RuntimeConfig::metrics_sample`] tasks per worker.
+/// by [`RuntimeConfig::metrics`] and sampled every 32nd task per worker
+/// ([`Metrics::SAMPLE_MASK`]).
 pub(crate) struct Metrics {
     pub registry: Registry,
     /// Histogram/timestamp gate ([`RuntimeConfig::metrics`]).
     pub enabled: bool,
-    /// Sampling mask for the timed paths: `metrics_sample` rounded up to
-    /// a power of two, minus one — `tick & mask == 0` selects samples
-    /// with an AND instead of a division on the per-task hot path.
-    pub sample_mask: u64,
     pub tasks_created: Counter,
     pub tasks_executed: Counter,
     pub tasks_freed: Counter,
@@ -657,6 +595,13 @@ pub(crate) struct Metrics {
 }
 
 impl Metrics {
+    /// Sampling mask for the timed paths: one sample per 32 tasks, so
+    /// `tick & SAMPLE_MASK == 0` selects samples with an AND instead of a
+    /// division on the per-task hot path.
+    const SAMPLE_MASK: u64 = 31;
+    /// Snapshots the flight-recorder ring retains.
+    const FLIGHT_CAPACITY: usize = 64;
+
     fn new(cfg: &RuntimeConfig) -> Self {
         let registry = Registry::with_base(
             cfg.workers.max(1),
@@ -667,7 +612,6 @@ impl Metrics {
         );
         Self {
             enabled: cfg.metrics,
-            sample_mask: (cfg.metrics_sample.max(1) as u64).next_power_of_two() - 1,
             tasks_created: registry.counter("nanotask_tasks_created_total"),
             tasks_executed: registry.counter("nanotask_tasks_executed_total"),
             tasks_freed: registry.counter("nanotask_tasks_freed_total"),
@@ -680,7 +624,7 @@ impl Metrics {
             task_exec_ns: registry.histogram("nanotask_task_exec_ns"),
             queue_wait_ns: registry.histogram("nanotask_queue_wait_ns"),
             flight: if cfg.flight_every > 0 {
-                FlightRecorder::new(cfg.flight_every, cfg.flight_capacity.max(1))
+                FlightRecorder::new(cfg.flight_every, Self::FLIGHT_CAPACITY)
             } else {
                 FlightRecorder::disabled()
             },
@@ -826,7 +770,7 @@ pub(crate) struct WorkerCtx {
     taskwait_depth: core::cell::Cell<usize>,
     /// Metrics sampling cursors (thread-confined): enqueue-side for the
     /// queue-wait stamp, execute-side for the body-time histogram. One
-    /// clock read per `metrics_sample` tasks each.
+    /// clock read per 32 tasks each.
     metrics_enq_tick: core::cell::Cell<u64>,
     metrics_exec_tick: core::cell::Cell<u64>,
 }
@@ -847,7 +791,7 @@ impl WorkerCtx {
         self.recorder.borrow_mut().record(kind, payload);
     }
 
-    /// Queue-wait sampling, producer side: every `metrics_sample`-th
+    /// Queue-wait sampling, producer side: every 32nd
     /// release stamps its task with the tracer clock; the executing
     /// worker reads the stamp back in `run_body`. One clock read per
     /// sample interval, nothing at all with metrics off.
@@ -858,7 +802,7 @@ impl WorkerCtx {
         }
         let tick = self.metrics_enq_tick.get().wrapping_add(1);
         self.metrics_enq_tick.set(tick);
-        if tick & m.sample_mask == 0 {
+        if tick & Metrics::SAMPLE_MASK == 0 {
             // `max(1)`: 0 means "never stamped".
             unsafe { (*t).ready_ns = self.shared.tracer.now().max(1) };
         }
@@ -1401,7 +1345,7 @@ fn run_body(w: &WorkerCtx, t: *mut Task) {
         let ready_ns = unsafe { core::mem::replace(&mut (*t).ready_ns, 0) };
         let tick = w.metrics_exec_tick.get().wrapping_add(1);
         w.metrics_exec_tick.set(tick);
-        let sampled = tick & m.sample_mask == 0;
+        let sampled = tick & Metrics::SAMPLE_MASK == 0;
         if ready_ns != 0 || sampled {
             let now = w.shared.tracer.now();
             if ready_ns != 0 {
@@ -1614,7 +1558,7 @@ impl Runtime {
             cfg.workers,
             cfg.numa_nodes,
             cfg.policy,
-            cfg.spsc_capacity,
+            crate::sched::sync_sched::SPSC_CAPACITY,
             cfg.pop_cache,
             Some(&metrics.registry),
         );
@@ -1960,6 +1904,44 @@ mod tests {
 
     fn small(cfg: RuntimeConfig) -> Runtime {
         Runtime::new(cfg.workers(3))
+    }
+
+    /// Pins the configuration surface: a new `RuntimeConfig` field, lock
+    /// kind or policy does not compile until this test names it, so every
+    /// new knob shows up in review. Also pins the `optimized()` values
+    /// that no preset varies, and the former knobs' constants.
+    #[test]
+    fn config_surface_is_pinned() {
+        let RuntimeConfig {
+            workers: _,
+            numa_nodes,
+            sched: _,
+            deps: _,
+            alloc: _,
+            policy,
+            trace: _,
+            record_graph: _,
+            noise: _,
+            pop_cache,
+            metrics: _,
+            flight_every: _,
+            watchdog: _,
+            fault_plan: _,
+            label: _,
+        } = RuntimeConfig::optimized();
+        assert_eq!(numa_nodes, 1);
+        assert_eq!(pop_cache, 0);
+        assert_eq!(policy, Policy::Fifo);
+        // No wildcard arms: a new variant fails to compile here.
+        match crate::sched::LockKind::default() {
+            crate::sched::LockKind::PtLock | crate::sched::LockKind::Ticket => {}
+        }
+        match policy {
+            Policy::Fifo | Policy::Priority => {}
+        }
+        assert_eq!(crate::sched::sync_sched::SPSC_CAPACITY, 100);
+        assert_eq!(Metrics::SAMPLE_MASK + 1, 32);
+        assert_eq!(Metrics::FLIGHT_CAPACITY, 64);
     }
 
     #[test]

@@ -8,8 +8,8 @@
 //! Instantiated with the [`nanotask_locks::PtLock`] this is exactly the
 //! paper's "w/o DTLock" ablation (every `addReadyTask` and every
 //! `getReadyTask` fights for the same lock — the behaviour Figure 10's
-//! lower trace visualizes); the generic parameter also allows the
-//! Ticket/MCS/TWA lock studies of §3.2 at the scheduler level.
+//! lower trace visualizes). Instantiated with the ticket lock it is a
+//! comparison point of the §3.4 claim (`t34_sched_speedup`).
 
 use core::cell::UnsafeCell;
 use nanotask_locks::RawLock;

@@ -12,7 +12,8 @@
 //!   workers.
 //! * [`central::CentralScheduler`] — a single lock around the policy
 //!   queue; instantiated with the PTLock it is the "w/o DTLock" ablation
-//!   of §6.2, and it accepts any [`RawLock`] for the lock-design studies.
+//!   of §6.2, and with the ticket lock a comparison point of the §3.4
+//!   claim (`t34_sched_speedup`; see [`LockKind`]).
 //! * [`worksteal::WorkStealScheduler`] — per-worker deques with stealing,
 //!   the architecture of the OpenMP runtimes the paper compares against
 //!   in §6.3.
@@ -134,18 +135,14 @@ unsafe impl Sync for TaskPtr {}
 
 /// Ordering policy of the (unsynchronized) ready queue — the paper keeps
 /// the policy pluggable behind the scheduler lock, which is the stated
-/// reason for rejecting a lock-free scheduler design.
+/// reason for rejecting a lock-free scheduler design. Two policies ship:
+/// creation order, and the OmpSs-2 `priority` clause. A waiter inside
+/// `taskwait` pops newest-first under `Fifo` (see [`Scope`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Policy {
     /// First-in first-out (creation order; the paper's Figure 3 example).
     #[default]
     Fifo,
-    /// Last-in first-out (depth-first, cache-friendlier for some loads).
-    /// Idle workers then pop the newest task too; a waiter inside
-    /// `taskwait` pops newest-first under every policy but `Priority`
-    /// (see [`Scope`]), so `Lifo` only changes what idle workers and the
-    /// root task's waits take.
-    Lifo,
     /// Highest task priority first, FIFO among equals — the OmpSs-2
     /// `priority` clause. Exists partly to demonstrate the paper's §3.2
     /// argument for a lock-protected scheduler: "adding new scheduling
@@ -289,7 +286,7 @@ impl PolicyQueue {
             Policy::Priority => {
                 // SAFETY-free read: priority is an immutable task field
                 // written before publication; test doubles pass null-ish
-                // fake pointers only under Fifo/Lifo.
+                // fake pointers only under Fifo.
                 let prio = unsafe { (*t.0).priority };
                 self.seq += 1;
                 self.heap.push(PrioEntry {
@@ -298,7 +295,7 @@ impl PolicyQueue {
                     task: t,
                 });
             }
-            _ => self.q.push_back(t),
+            Policy::Fifo => self.q.push_back(t),
         }
     }
 
@@ -307,7 +304,6 @@ impl PolicyQueue {
     pub fn pop(&mut self) -> Option<TaskPtr> {
         match self.policy {
             Policy::Fifo => self.q.pop_front(),
-            Policy::Lifo => self.q.pop_back(),
             Policy::Priority => self.heap.pop().map(|e| e.task),
         }
     }
@@ -341,20 +337,15 @@ impl PolicyQueue {
     }
 }
 
-/// Which lock protects a [`central::CentralScheduler`].
+/// Which lock protects a [`central::CentralScheduler`]: the two locks the
+/// paper measures the DTLock against.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum LockKind {
     /// Partitioned Ticket Lock (the "w/o DTLock" ablation).
     #[default]
     PtLock,
-    /// Classic ticket lock.
+    /// Classic ticket lock (a comparison point of `t34_sched_speedup`, §3.4).
     Ticket,
-    /// MCS queue lock.
-    Mcs,
-    /// Ticket lock with waiting array.
-    Twa,
-    /// Test-and-set spin lock.
-    Spin,
 }
 
 /// Work-stealing flavour, modelling the §6.3 OpenMP comparators.
@@ -443,7 +434,7 @@ pub fn make_scheduler(
     pop_cache: usize,
     registry: Option<&Registry>,
 ) -> Arc<dyn Scheduler> {
-    use nanotask_locks::{McsLock, PtLock, SpinLock, TicketLock, TwaLock};
+    use nanotask_locks::{PtLock, TicketLock};
     match kind {
         SchedKind::Delegation => Arc::new(
             sync_sched::SyncScheduler::new(workers, numa_nodes, policy, spsc_capacity)
@@ -455,15 +446,6 @@ pub fn make_scheduler(
         ),
         SchedKind::Central(LockKind::Ticket) => Arc::new(
             central::CentralScheduler::<TicketLock>::new(policy, kind).with_registry(registry),
-        ),
-        SchedKind::Central(LockKind::Mcs) => Arc::new(
-            central::CentralScheduler::<McsLock>::new(policy, kind).with_registry(registry),
-        ),
-        SchedKind::Central(LockKind::Twa) => Arc::new(
-            central::CentralScheduler::<TwaLock>::new(policy, kind).with_registry(registry),
-        ),
-        SchedKind::Central(LockKind::Spin) => Arc::new(
-            central::CentralScheduler::<SpinLock>::new(policy, kind).with_registry(registry),
         ),
         SchedKind::WorkSteal(v) => {
             Arc::new(worksteal::WorkStealScheduler::new(workers, v).with_registry(registry))
@@ -487,15 +469,6 @@ mod tests {
         assert_eq!(q.pop(), Some(fake(1)));
         assert_eq!(q.pop(), Some(fake(2)));
         assert_eq!(q.pop(), None);
-    }
-
-    #[test]
-    fn policy_lifo() {
-        let mut q = PolicyQueue::new(Policy::Lifo);
-        q.push(fake(1));
-        q.push(fake(2));
-        assert_eq!(q.pop(), Some(fake(2)));
-        assert_eq!(q.pop(), Some(fake(1)));
     }
 
     /// The seq-order-among-equals contract of [`PrioEntry`]: the
@@ -629,18 +602,17 @@ mod tests {
 
     #[test]
     fn pop_within_any_is_pop() {
-        for policy in [Policy::Fifo, Policy::Lifo] {
-            let (mut a, mut b) = (PolicyQueue::new(policy), PolicyQueue::new(policy));
-            for i in 1..=5 {
-                a.push(fake(i));
-                b.push(fake(i));
-            }
-            loop {
-                let got = unsafe { a.pop_within(Scope::ANY) };
-                assert_eq!(got, b.pop(), "{policy:?}");
-                if got.is_none() {
-                    break;
-                }
+        let mut a = PolicyQueue::new(Policy::Fifo);
+        let mut b = PolicyQueue::new(Policy::Fifo);
+        for i in 1..=5 {
+            a.push(fake(i));
+            b.push(fake(i));
+        }
+        loop {
+            let got = unsafe { a.pop_within(Scope::ANY) };
+            assert_eq!(got, b.pop());
+            if got.is_none() {
+                break;
             }
         }
     }
@@ -700,9 +672,6 @@ mod tests {
             SchedKind::Delegation,
             SchedKind::Central(LockKind::PtLock),
             SchedKind::Central(LockKind::Ticket),
-            SchedKind::Central(LockKind::Mcs),
-            SchedKind::Central(LockKind::Twa),
-            SchedKind::Central(LockKind::Spin),
             SchedKind::WorkSteal(WsVariant::LifoLocal),
             SchedKind::WorkSteal(WsVariant::FifoLocal),
         ] {

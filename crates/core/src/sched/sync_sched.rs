@@ -36,6 +36,10 @@ use crate::task::Task;
 /// Maximum workers the DTLock can register (its waiting-array size).
 pub const MAX_WORKERS: usize = 128;
 
+/// Capacity of each per-NUMA SPSC add buffer (Listing 5 uses 100); the
+/// runtime builds its delegation scheduler with it.
+pub(crate) const SPSC_CAPACITY: usize = 100;
+
 /// One per-NUMA add buffer: a wait-free SPSC queue whose producer side is
 /// shared by the node's workers under a PTLock (§3.1: "We use the lock to
 /// synchronize between producers, but the synchronization between

@@ -1,59 +1,52 @@
 //! Scalable lock designs for task-based runtime systems.
 //!
-//! This crate implements every lock discussed in §3 of *Advanced
-//! Synchronization Techniques for Task-based Runtime Systems* (PPoPP '21):
+//! This crate implements the three locks §3 of *Advanced Synchronization
+//! Techniques for Task-based Runtime Systems* (PPoPP '21) builds on and
+//! measures:
 //!
-//! * [`TicketLock`](ticket::TicketLock) — the classic fair FIFO ticket lock
+//! * [`TicketLock`] — the classic fair FIFO ticket lock
 //!   (Reed & Kanodia), used as the baseline that "has contention problems
 //!   under high-load conditions".
-//! * [`PtLock`](ptlock::PtLock) — the *Partitioned Ticket Lock* (Dice,
+//! * [`PtLock`] — the *Partitioned Ticket Lock* (Dice,
 //!   SPAA '11), Listing 3 of the paper: a ticket lock whose waiters spin on
 //!   a padded circular array so each core busy-waits on a private cache
 //!   line.
-//! * [`McsLock`](mcs::McsLock) — the Mellor-Crummey/Scott queue lock, the
-//!   classic scalable design PTLock is compared against.
-//! * [`TwaLock`](twa::TwaLock) — *Ticket lock augmented With a waiting
-//!   Array* (Dice & Kogan, Euro-Par '19), the third comparison point.
-//! * [`DtLock`](dtlock::DtLock) — the paper's novel **Delegation Ticket
+//! * [`DtLock`] — the paper's novel **Delegation Ticket
 //!   Lock** (Listing 4): a PTLock extended with a waiter log (`_logq`) and
 //!   a result array (`_readyq`) so the lock owner can *serve* operations on
 //!   behalf of the threads that are still waiting.
 //!
-//! All locks implement the [`RawLock`] trait so the runtime's central
-//! scheduler can be instantiated with any of them (the paper's
-//! "w/o DTLock" ablation uses the PTLock through exactly this seam).
+//! The ticket lock and the PTLock implement the [`RawLock`] trait, the seam
+//! through which the runtime's central scheduler is instantiated with
+//! either (the paper's "w/o DTLock" ablation uses the PTLock).
 //!
 //! # Spinning policy
 //!
 //! The paper evaluates on 48–256 hardware threads where pure busy-waiting
 //! is fine. This reproduction must also run correctly on heavily
 //! oversubscribed hosts (CI containers with a single core), so every spin
-//! loop uses [`Backoff`](backoff::Backoff): a short burst of
+//! loop uses [`Backoff`]: a short burst of
 //! `core::hint::spin_loop` followed by `std::thread::yield_now`. This
 //! preserves the algorithms' fairness and cache behaviour while remaining
 //! live under oversubscription.
 
 pub mod backoff;
 pub mod dtlock;
-pub mod mcs;
 pub mod pad;
 pub mod ptlock;
 pub mod ticket;
-pub mod twa;
 
 pub use backoff::Backoff;
 pub use dtlock::DtLock;
-pub use mcs::McsLock;
 pub use pad::CachePadded;
 pub use ptlock::PtLock;
 pub use ticket::TicketLock;
-pub use twa::TwaLock;
 
 /// A raw mutual-exclusion primitive.
 ///
-/// The runtime's central scheduler (and the producer side of the ready-task
-/// SPSC buffers) are generic over this trait so the paper's lock ablations
-/// are a one-line configuration change.
+/// The runtime's central scheduler is generic over this trait, so its
+/// PTLock ("w/o DTLock") and ticket-lock (`t34_sched_speedup`) variants
+/// differ in one type parameter.
 pub trait RawLock: Send + Sync + Default {
     /// Acquire the lock, blocking (spinning) until it is held.
     fn lock(&self);
@@ -96,42 +89,6 @@ pub trait LockExt: RawLock + Sized {
 
 impl<L: RawLock + Sized> LockExt for L {}
 
-/// A trivial spin lock on one atomic bool; used in tests as a reference
-/// implementation and as the cheapest possible `RawLock`.
-#[derive(Default)]
-pub struct SpinLock {
-    locked: core::sync::atomic::AtomicBool,
-}
-
-impl RawLock for SpinLock {
-    #[inline]
-    fn lock(&self) {
-        use core::sync::atomic::Ordering;
-        let mut backoff = Backoff::new();
-        loop {
-            if !self.locked.swap(true, Ordering::Acquire) {
-                return;
-            }
-            while self.locked.load(Ordering::Relaxed) {
-                backoff.snooze();
-            }
-        }
-    }
-
-    #[inline]
-    fn unlock(&self) {
-        self.locked
-            .store(false, core::sync::atomic::Ordering::Release);
-    }
-
-    #[inline]
-    fn try_lock(&self) -> bool {
-        !self
-            .locked
-            .swap(true, core::sync::atomic::Ordering::Acquire)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -166,23 +123,8 @@ mod tests {
     }
 
     #[test]
-    fn spinlock_mutual_exclusion() {
-        mutual_exclusion::<SpinLock>(4, 2_000);
-    }
-
-    #[test]
-    fn spinlock_try_lock() {
-        let l = SpinLock::default();
-        assert!(l.try_lock());
-        assert!(!l.try_lock());
-        l.unlock();
-        assert!(l.try_lock());
-        l.unlock();
-    }
-
-    #[test]
     fn guard_releases_on_drop() {
-        let l = SpinLock::default();
+        let l = TicketLock::new();
         {
             let _g = l.guard();
             assert!(!l.try_lock());
@@ -193,7 +135,7 @@ mod tests {
 
     #[test]
     fn with_returns_value() {
-        let l = SpinLock::default();
+        let l = TicketLock::new();
         let v = l.with(|| 42);
         assert_eq!(v, 42);
         assert!(l.try_lock());

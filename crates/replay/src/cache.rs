@@ -2,13 +2,13 @@
 //! structural hash, plus the one-step phase predictor the engine uses to
 //! pick the graph an alternating body will spawn *next*.
 //!
-//! With one entry, a body alternating between two shapes (miniAMR-style
-//! refine/coarsen phases) evicts on every flip, re-records every
-//! iteration and never replays. A larger cache gives divergence
-//! hysteresis: a diverging iteration first probes for an already-frozen
-//! graph that matches
-//! (by the first spawn's signature hash mid-switch, or by the full
-//! structural hash after the fact) and only re-records on a miss. Each
+//! The cache gives divergence hysteresis: a body alternating between a
+//! few shapes (miniAMR-style refine/coarsen phases) does not re-record
+//! on every flip, because a diverging iteration first probes for an
+//! already-frozen graph that matches (by the first spawn's signature hash
+//! mid-switch, or by the full structural hash after the fact) and only
+//! re-records on a miss. A phase cycle longer than the capacity evicts on
+//! every shape change, re-records every iteration and never replays. Each
 //! entry also remembers the structural hash of the iteration that
 //! *followed* it last time — for any stable phase cycle that fits in the
 //! cache, predicting `next_of(current)` converges to full replay of

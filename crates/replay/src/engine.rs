@@ -6,12 +6,12 @@
 //! divergence *hysteresis*: a body that alternates between a small set
 //! of shapes (miniAMR-style refine/coarsen phases) re-records each shape
 //! once and then replays every phase, instead of re-recording on every
-//! alternation (what a one-entry cache, `replay_cache_size = 1`, still
-//! does: every flip evicts). A body that keeps diverging is eventually
-//! *pinned* to the dependency system
-//! ([`nanotask_core::RuntimeConfig::replay_giveup_after`]), with a cheap
-//! hash-only probe every [`nanotask_core::RuntimeConfig::replay_recheck_every`]
-//! iterations to detect re-stabilization. A recorded iteration that
+//! alternation. The cache holds [`GRAPH_CACHE_CAPACITY`] (4) graphs; a
+//! phase cycle longer than that still evicts on every change. A body that
+//! keeps diverging is *pinned* to the dependency system after
+//! [`GIVEUP_AFTER`] (8) consecutive iterations that did not replay, with a
+//! cheap hash-only probe every [`RECHECK_EVERY`] (16) pinned iterations to
+//! detect re-stabilization. A recorded iteration that
 //! spawned nested task domains (cross-sibling dependencies of nested
 //! tasks are invisible to the frozen graph) is never replayed: the body
 //! is pinned immediately, detected via the dependency-edge tap's foreign
@@ -33,6 +33,21 @@ use crate::graph::ReplayGraph;
 use crate::recorder::{
     CaptureMode, CapturedSpawn, GraphRecorder, STRUCTURAL_HASH_SEED, mix, spawn_sig_hash,
 };
+
+/// Frozen graphs the engine keeps, LRU-keyed by structural hash: enough
+/// for the phase cycles of the shipped workloads (miniAMR cycles through
+/// four shapes, phased Heat through two block sizes).
+const GRAPH_CACHE_CAPACITY: usize = 4;
+
+/// Consecutive iterations that could not replay (a record or a
+/// divergence) after which the engine pins the body to the dependency
+/// system and stops recording.
+const GIVEUP_AFTER: usize = 8;
+
+/// While pinned, every this-many iterations the engine runs one cheap
+/// hash-only probe (no graph build) to detect that the body re-stabilized
+/// onto a cached or repeating shape.
+const RECHECK_EVERY: usize = 16;
 
 /// What a [`RunIterative::run_iterative`] call did.
 ///
@@ -262,8 +277,7 @@ pub trait RunIterative {
     /// subtree completed) and the call returns after the last one.
     ///
     /// The body does *not* have to spawn the same graph every call: up
-    /// to [`nanotask_core::RuntimeConfig::replay_cache_size`] distinct
-    /// shapes are kept frozen (keyed by structural hash) and a
+    /// to four distinct shapes are kept frozen (keyed by structural hash) and a
     /// divergence probes the cache before re-recording, so stable phase
     /// cycles replay every phase. Divergence is still detected per spawn
     /// (cheap signature hash over label, priority and access set) and
@@ -502,11 +516,11 @@ unsafe impl Send for EngineCapture {}
 unsafe impl Sync for EngineCapture {}
 
 impl EngineCapture {
-    fn new(workers: usize, cache_size: usize) -> Self {
+    fn new(workers: usize) -> Self {
         Self {
             mode: UnsafeCell::new(Mode::Off),
             recorder: GraphRecorder::new(),
-            cache: UnsafeCell::new(GraphCache::new(cache_size)),
+            cache: UnsafeCell::new(GraphCache::new(GRAPH_CACHE_CAPACITY)),
             workers,
         }
     }
@@ -702,14 +716,8 @@ impl RunIterative for Runtime {
         if iters == 0 {
             return (ReplayReport::default(), RunOutcome::default());
         }
-        let cfg = self.config();
-        let workers = cfg.workers;
-        let cache_size = cfg.replay_cache_size.max(1);
-        let giveup_after = cfg.replay_giveup_after;
-        let recheck_every = cfg.replay_recheck_every.max(1);
-
         let body = Arc::new(body);
-        let capture = Arc::new(EngineCapture::new(workers, cache_size));
+        let capture = Arc::new(EngineCapture::new(self.config().workers));
         self.set_spawn_capture(Some(Arc::clone(&capture) as _));
         let prev_graph_recording = self.graph_recording();
         self.clear_graph_edges();
@@ -789,7 +797,7 @@ impl RunIterative for Runtime {
                 if pinned {
                     report.pinned_iterations += 1;
                     since_probe += 1;
-                    if !pinned_forever && since_probe >= recheck_every {
+                    if !pinned_forever && since_probe >= RECHECK_EVERY {
                         // Cheap hash-only probe: did the body
                         // re-stabilize onto a cached (or repeating)
                         // shape?
@@ -986,7 +994,7 @@ impl RunIterative for Runtime {
                                     cur = Some(pick_next(cache!(), h, ng));
                                 }
                             }
-                            if !pinned && giveup_after > 0 && fails >= giveup_after {
+                            if !pinned && fails >= GIVEUP_AFTER {
                                 // Too many consecutive failures to replay:
                                 // stop paying record costs, pin to the
                                 // dependency system. The predictor must
@@ -1217,97 +1225,9 @@ mod tests {
     }
 
     #[test]
-    fn one_entry_cache_thrashes_on_alternating_body() {
-        // `replay_cache_size = 1` is the same engine with an undersized
-        // cache: every phase flip diverges, misses, freezes the new shape
-        // and evicts the other — the alternating body never replays, but
-        // stays serially correct and every iteration is classified.
-        let rt = Runtime::new(
-            RuntimeConfig::optimized()
-                .workers(2)
-                .with_replay_cache_size(1),
-        );
-        let a = Box::leak(Box::new(0u64)) as *mut u64;
-        let b = Box::leak(Box::new(0u64)) as *mut u64;
-        let (pa, pb) = (SendPtr::new(a), SendPtr::new(b));
-        let iter = Arc::new(AtomicU64::new(0));
-        let report = rt.run_iterative(6, move |ctx| {
-            let i = iter.fetch_add(1, Ordering::Relaxed);
-            let p = if i.is_multiple_of(2) { pa } else { pb };
-            for _ in 0..4 {
-                ctx.spawn(Deps::new().readwrite_addr(p.addr()), move |_| unsafe {
-                    *p.get() += 1;
-                });
-            }
-        });
-        assert_eq!(unsafe { (*a, *b) }, (12, 12));
-        assert_eq!(report.iterations, 6);
-        // Record on iteration 0, then a divergent cache miss (freeze +
-        // evict) on every flip.
-        assert_eq!(report.rerecords, 6);
-        assert_eq!(report.diverged, 5);
-        assert_eq!(report.cache_evictions, 5);
-        assert_eq!(report.replayed, 0);
-        assert_eq!(report.cache_hits, 0);
-        assert_eq!(report.pinned_iterations, 0, "below the give-up threshold");
-        check_invariants(&report);
-        unsafe {
-            drop(Box::from_raw(a));
-            drop(Box::from_raw(b));
-        }
-    }
-
-    #[test]
-    fn one_entry_cache_gives_up_like_any_other_size() {
-        // The give-up policy is not a property of the cache size: a
-        // thrashing one-entry cache pins after `replay_giveup_after`
-        // consecutive failures, and the re-stabilization probe brings a
-        // body that settles on one shape back to replay.
-        const ITERS: usize = 12;
-        let rt = Runtime::new(
-            RuntimeConfig::optimized()
-                .workers(2)
-                .with_replay_cache_size(1)
-                .with_replay_giveup_after(3)
-                .with_replay_recheck_every(2),
-        );
-        let a = Box::leak(Box::new(0u64)) as *mut u64;
-        let b = Box::leak(Box::new(0u64)) as *mut u64;
-        let (pa, pb) = (SendPtr::new(a), SendPtr::new(b));
-        let iter = Arc::new(AtomicU64::new(0));
-        let report = rt.run_iterative(ITERS, move |ctx| {
-            let i = iter.fetch_add(1, Ordering::Relaxed);
-            // Alternate for 3 iterations, then settle on `a`.
-            let p = if i < 3 && !i.is_multiple_of(2) {
-                pb
-            } else {
-                pa
-            };
-            ctx.spawn(Deps::new().readwrite_addr(p.addr()), move |_| unsafe {
-                *p.get() += 1;
-            });
-        });
-        assert_eq!(unsafe { (*a, *b) }, (ITERS as u64 - 1, 1));
-        // it0 record a, it1/it2 divergent misses → pin at the 3rd
-        // consecutive failure; it3 pinned, it4 probe hits the cached `a`
-        // (frozen at it2), it5.. replay.
-        assert_eq!(report.giveups, 1, "{report}");
-        assert_eq!(report.rerecords, 3, "{report}");
-        assert_eq!(report.pinned_iterations, 2, "{report}");
-        assert_eq!(report.replayed, ITERS - 5, "{report}");
-        assert!(!report.pinned_nested);
-        check_invariants(&report);
-        unsafe {
-            drop(Box::from_raw(a));
-            drop(Box::from_raw(b));
-        }
-    }
-
-    #[test]
     fn alternating_body_served_from_cache() {
-        // The same alternating body as the one-entry-cache test, with
-        // the default cache: each phase records once, then every
-        // iteration replays — divergence hysteresis.
+        // A body alternating between two shapes: each phase records
+        // once, then every iteration replays — divergence hysteresis.
         let rt = Runtime::new(RuntimeConfig::optimized().workers(2));
         let a = Box::leak(Box::new(0u64)) as *mut u64;
         let b = Box::leak(Box::new(0u64)) as *mut u64;
@@ -1492,88 +1412,81 @@ mod tests {
         }
     }
 
-    #[test]
-    fn permanently_dynamic_body_gives_up_and_pins() {
-        // A body whose shape never repeats: after `replay_giveup_after`
-        // consecutive failures the engine pins it to the dependency
-        // system; hash probes never see a repeat, so it stays pinned.
-        const ITERS: usize = 20;
-        let rt = Runtime::new(
-            RuntimeConfig::optimized()
-                .workers(2)
-                .with_replay_giveup_after(3)
-                .with_replay_recheck_every(4),
-        );
-        let slots = Box::leak(vec![0u64; ITERS].into_boxed_slice());
+    /// Runs a body whose first [`GIVEUP_AFTER`] iterations each spawn a
+    /// shape never seen before (one task on a fresh slot), enough
+    /// consecutive failures to pin it; from then on every iteration spawns
+    /// the shape of slot `settle`, or a fresh shape per iteration when
+    /// `settle` is `None`. Checks serial correctness slot by slot.
+    fn pin_then_settle(iters: usize, settle: Option<usize>) -> ReplayReport {
+        let rt = Runtime::new(RuntimeConfig::optimized().workers(2));
+        let slots = Box::leak(vec![0u64; iters].into_boxed_slice());
         let base = SendPtr::new(slots.as_mut_ptr());
+        let slot_of = move |i: usize| match settle {
+            Some(s) if i >= GIVEUP_AFTER => s,
+            _ => i,
+        };
         let iter = Arc::new(AtomicU64::new(0));
-        let report = rt.run_iterative(ITERS, move |ctx| {
+        let report = rt.run_iterative(iters, move |ctx| {
             let i = iter.fetch_add(1, Ordering::Relaxed) as usize;
-            let p = unsafe { base.add(i) };
-            for _ in 0..2 {
-                ctx.spawn(Deps::new().readwrite_addr(p.addr()), move |_| unsafe {
-                    *p.get() += 1;
-                });
-            }
+            let p = unsafe { base.add(slot_of(i)) };
+            ctx.spawn(Deps::new().readwrite_addr(p.addr()), move |_| unsafe {
+                *p.get() += 1;
+            });
         });
-        for (i, s) in slots.iter().enumerate() {
-            assert_eq!(*s, 2, "slot {i} ran in every mode");
+        let mut want = vec![0u64; iters];
+        for i in 0..iters {
+            want[slot_of(i)] += 1;
         }
-        assert_eq!(report.replayed, 0);
-        assert_eq!(report.giveups, 1);
-        // Record + two divergences hit the threshold of 3; the rest of
-        // the run is pinned.
-        assert_eq!(report.rerecords, 3);
-        assert_eq!(report.pinned_iterations, ITERS - 3);
+        assert_eq!(&slots[..], &want[..], "every iteration ran exactly once");
         check_invariants(&report);
         unsafe { drop(Box::from_raw(slots as *mut [u64])) };
+        report
+    }
+
+    #[test]
+    fn permanently_dynamic_body_gives_up_and_pins() {
+        // A body whose shape never repeats: the record plus
+        // `GIVEUP_AFTER - 1` divergences pin it to the dependency system;
+        // the two re-check probes never see a repeat, so it stays pinned.
+        let iters = GIVEUP_AFTER + 2 * RECHECK_EVERY + 1;
+        let report = pin_then_settle(iters, None);
+        assert_eq!(report.replayed, 0, "{report}");
+        assert_eq!(report.giveups, 1, "{report}");
+        assert_eq!(report.rerecords, GIVEUP_AFTER, "{report}");
+        assert_eq!(report.pinned_iterations, iters - GIVEUP_AFTER, "{report}");
+        assert!(!report.pinned_nested);
     }
 
     #[test]
     fn pinned_body_restabilizes_to_cached_graph() {
-        // Stable phase A, a dynamic burst that pins the body, then back
-        // to A: the periodic hash probe finds A in the cache and replay
-        // resumes.
-        const ITERS: usize = 8;
-        let rt = Runtime::new(
-            RuntimeConfig::optimized()
-                .workers(2)
-                .with_replay_giveup_after(2)
-                .with_replay_recheck_every(2),
-        );
-        let a = Box::leak(Box::new(0u64)) as *mut u64;
-        let noise = Box::leak(vec![0u64; ITERS].into_boxed_slice());
-        let pa = SendPtr::new(a);
-        let pn = SendPtr::new(noise.as_mut_ptr());
-        let iter = Arc::new(AtomicU64::new(0));
-        let report = rt.run_iterative(ITERS, move |ctx| {
-            let i = iter.fetch_add(1, Ordering::Relaxed) as usize;
-            if (2..4).contains(&i) {
-                // Dynamic burst: a unique shape per iteration.
-                let p = unsafe { pn.add(i) };
-                ctx.spawn(Deps::new().readwrite_addr(p.addr()), move |_| unsafe {
-                    *p.get() += 1;
-                });
-            } else {
-                ctx.spawn(Deps::new().readwrite_addr(pa.addr()), move |_| unsafe {
-                    *pa.get() += 1;
-                });
-            }
-        });
-        assert_eq!(unsafe { *a }, (ITERS - 2) as u64);
-        assert_eq!((noise[2], noise[3]), (1, 1));
-        // it0 record A, it1 replay A, it2/it3 diverge (pin at the 2nd
-        // consecutive failure), it4 pinned, it5 probe hits A, it6..7
-        // replay A again.
-        assert_eq!(report.giveups, 1);
-        assert_eq!(report.replayed, 3);
-        assert_eq!(report.pinned_iterations, 2);
+        // After the give-up the body keeps spawning the shape of the
+        // iteration that pinned it, which that iteration froze into the
+        // cache: the first re-check probe finds it and replay resumes
+        // without another record.
+        const STABLE: usize = 4;
+        let iters = GIVEUP_AFTER + RECHECK_EVERY + STABLE;
+        let report = pin_then_settle(iters, Some(GIVEUP_AFTER - 1));
+        assert_eq!(report.giveups, 1, "{report}");
+        assert_eq!(report.rerecords, GIVEUP_AFTER, "{report}");
+        assert_eq!(report.pinned_iterations, RECHECK_EVERY, "{report}");
+        assert_eq!(report.replayed, STABLE, "{report}");
         assert!(!report.pinned_nested);
-        check_invariants(&report);
-        unsafe {
-            drop(Box::from_raw(a));
-            drop(Box::from_raw(noise as *mut [u64]));
-        }
+    }
+
+    #[test]
+    fn pinned_body_restabilizes_onto_a_new_shape() {
+        // After the give-up the body settles on a shape it never spawned
+        // before: the first probe misses the cache, the second sees the
+        // same hash again and unpins, the next iteration records the shape
+        // and the rest replay.
+        const STABLE: usize = 4;
+        let iters = GIVEUP_AFTER + 2 * RECHECK_EVERY + STABLE;
+        let report = pin_then_settle(iters, Some(GIVEUP_AFTER));
+        assert_eq!(report.giveups, 1, "{report}");
+        assert_eq!(report.rerecords, GIVEUP_AFTER + 1, "{report}");
+        assert_eq!(report.pinned_iterations, 2 * RECHECK_EVERY, "{report}");
+        assert_eq!(report.replayed, STABLE - 1, "{report}");
+        assert!(!report.pinned_nested);
     }
 
     #[test]
@@ -1610,50 +1523,39 @@ mod tests {
         // Nested children appear only *after* the graph was recorded
         // (record saw no nesting, so the graph got cached): the replay
         // path must notice the nested-spawn delta and pin, not keep
-        // replaying a graph that cannot order the children — at every
-        // cache size, a one-entry cache included.
+        // replaying a graph that cannot order the children.
         const ITERS: usize = 6;
-        for cache_size in [1, 2, 4] {
-            let rt = Runtime::new(
-                RuntimeConfig::optimized()
-                    .workers(2)
-                    .with_replay_cache_size(cache_size),
-            );
-            let count = Arc::new(AtomicU64::new(0));
-            let iter = Arc::new(AtomicU64::new(0));
-            let report = {
-                let (count, iter) = (Arc::clone(&count), Arc::clone(&iter));
-                rt.run_iterative(ITERS, move |ctx| {
-                    let i = iter.fetch_add(1, Ordering::Relaxed);
-                    for _ in 0..2 {
-                        let count = Arc::clone(&count);
-                        ctx.spawn(Deps::new(), move |tc| {
-                            if i >= 2 {
-                                let count = Arc::clone(&count);
-                                tc.spawn(Deps::new(), move |_| {
-                                    count.fetch_add(1, Ordering::Relaxed);
-                                });
-                            } else {
+        let rt = Runtime::new(RuntimeConfig::optimized().workers(2));
+        let count = Arc::new(AtomicU64::new(0));
+        let iter = Arc::new(AtomicU64::new(0));
+        let report = {
+            let (count, iter) = (Arc::clone(&count), Arc::clone(&iter));
+            rt.run_iterative(ITERS, move |ctx| {
+                let i = iter.fetch_add(1, Ordering::Relaxed);
+                for _ in 0..2 {
+                    let count = Arc::clone(&count);
+                    ctx.spawn(Deps::new(), move |tc| {
+                        if i >= 2 {
+                            let count = Arc::clone(&count);
+                            tc.spawn(Deps::new(), move |_| {
                                 count.fetch_add(1, Ordering::Relaxed);
-                            }
-                        });
-                    }
-                })
-            };
-            assert_eq!(count.load(Ordering::Relaxed), (2 * ITERS) as u64);
-            // Iterations 0/1 record + replay cleanly; iteration 2 replays
-            // but observes nested spawns and pins; 3.. stay pinned.
-            assert!(report.pinned_nested, "cache={cache_size}: {report:?}");
-            assert_eq!(report.nested_spawns, 2, "cache={cache_size}: {report:?}");
-            assert_eq!(report.replayed, 2, "cache={cache_size}: {report:?}");
-            assert_eq!(
-                report.pinned_iterations,
-                ITERS - 3,
-                "cache={cache_size}: {report:?}"
-            );
-            assert_eq!(report.giveups, 1, "cache={cache_size}");
-            check_invariants(&report);
-        }
+                            });
+                        } else {
+                            count.fetch_add(1, Ordering::Relaxed);
+                        }
+                    });
+                }
+            })
+        };
+        assert_eq!(count.load(Ordering::Relaxed), (2 * ITERS) as u64);
+        // Iterations 0/1 record + replay cleanly; iteration 2 replays
+        // but observes nested spawns and pins; 3.. stay pinned.
+        assert!(report.pinned_nested, "{report:?}");
+        assert_eq!(report.nested_spawns, 2, "{report:?}");
+        assert_eq!(report.replayed, 2, "{report:?}");
+        assert_eq!(report.pinned_iterations, ITERS - 3, "{report:?}");
+        assert_eq!(report.giveups, 1);
+        check_invariants(&report);
     }
 
     #[test]
@@ -1708,30 +1610,44 @@ mod tests {
 
     #[test]
     fn cache_evictions_are_counted() {
-        // Period-3 phase cycle with a 2-entry cache: the third shape
-        // always evicts, so the cycle can never fully stabilize and the
-        // eviction counter grows.
-        let rt = Runtime::new(
-            RuntimeConfig::optimized()
-                .workers(2)
-                .with_replay_cache_size(2)
-                .with_replay_giveup_after(0),
-        );
-        let slots = Box::leak(vec![0u64; 3].into_boxed_slice());
+        // A phase cycle one shape longer than the cache: by the time a
+        // shape comes round again the LRU has evicted it, so every
+        // iteration diverges, misses, freezes its shape and evicts the
+        // oldest. The body never replays, but stays serially correct and
+        // every iteration is classified. The run stops one iteration short
+        // of the give-up threshold.
+        const PERIOD: usize = GRAPH_CACHE_CAPACITY + 1;
+        const ITERS: usize = GIVEUP_AFTER - 1;
+        const { assert!(ITERS > PERIOD, "some shape must come round again") };
+        let rt = Runtime::new(RuntimeConfig::optimized().workers(2));
+        let slots = Box::leak(vec![0u64; PERIOD].into_boxed_slice());
         let base = SendPtr::new(slots.as_mut_ptr());
         let iter = Arc::new(AtomicU64::new(0));
-        let report = rt.run_iterative(9, move |ctx| {
+        let report = rt.run_iterative(ITERS, move |ctx| {
             let i = iter.fetch_add(1, Ordering::Relaxed) as usize;
-            let p = unsafe { base.add(i % 3) };
-            ctx.spawn(Deps::new().readwrite_addr(p.addr()), move |_| unsafe {
-                *p.get() += 1;
-            });
+            let p = unsafe { base.add(i % PERIOD) };
+            for _ in 0..4 {
+                ctx.spawn(Deps::new().readwrite_addr(p.addr()), move |_| unsafe {
+                    *p.get() += 1;
+                });
+            }
         });
-        for s in slots.iter() {
-            assert_eq!(*s, 3);
+        for (k, s) in slots.iter().enumerate() {
+            let visits = (0..ITERS).filter(|i| i % PERIOD == k).count() as u64;
+            assert_eq!(*s, 4 * visits, "slot {k}");
         }
-        assert!(report.cache_evictions > 0, "{report:?}");
-        assert_eq!(report.pinned_iterations, 0, "give-up disabled");
+        // Record on iteration 0, then a divergent miss (freeze, and evict
+        // once the cache is full) on every later iteration.
+        assert_eq!(report.rerecords, ITERS, "{report}");
+        assert_eq!(report.diverged, ITERS - 1, "{report}");
+        assert_eq!(
+            report.cache_evictions,
+            (ITERS - GRAPH_CACHE_CAPACITY) as u64,
+            "{report}"
+        );
+        assert_eq!(report.replayed, 0, "{report}");
+        assert_eq!(report.cache_hits, 0, "{report}");
+        assert_eq!(report.pinned_iterations, 0, "below the give-up threshold");
         check_invariants(&report);
         unsafe { drop(Box::from_raw(slots as *mut [u64])) };
     }

@@ -36,25 +36,22 @@
 //!
 //! Divergence is detected by a cheap structural hash (word-folded over
 //! labels, priorities and access sets, in creation order) and handled
-//! with *hysteresis*: up to [`nanotask_core::RuntimeConfig::replay_cache_size`]
-//! frozen graphs are kept in a [`GraphCache`] keyed by that hash, so a
-//! body alternating between a few shapes (miniAMR-style refine/coarsen
-//! phases) records each shape once and then replays every phase — a
-//! diverging iteration first probes the cache (by first-spawn signature
-//! mid-switch, by full structural hash afterwards, and through a
-//! one-step phase predictor) and only freezes a new graph on a miss.
-//! A body that keeps diverging is pinned to the dependency system after
-//! [`nanotask_core::RuntimeConfig::replay_giveup_after`] consecutive
-//! failures (with a cheap hash-only re-stabilization probe every
-//! [`nanotask_core::RuntimeConfig::replay_recheck_every`] iterations),
+//! with *hysteresis*: up to four frozen graphs are kept in a
+//! [`GraphCache`] keyed by that hash, so a body alternating between a few
+//! shapes (miniAMR-style refine/coarsen phases) records each shape once
+//! and then replays every phase — a diverging iteration first probes the
+//! cache (by first-spawn signature mid-switch, by full structural hash
+//! afterwards, and through a one-step phase predictor) and only freezes a
+//! new graph on a miss. A phase cycle longer than the cache evicts and
+//! re-records on every shape change. A body that keeps diverging is
+//! pinned to the dependency system after 8 consecutive failures (with a
+//! cheap hash-only re-stabilization probe every 16 pinned iterations),
 //! and a recorded iteration containing nested task domains — detected
 //! via foreign dependency edges plus the runtime's nested-spawn counter
 //! — is pinned immediately. Correctness never depends on the graphs
 //! actually matching: a divergent iteration awaits its replayed prefix
-//! and runs the rest through the dependency system. The policy is the
-//! same at every cache size; `replay_cache_size = 1` is merely a cache
-//! too small for an alternating body (every shape change evicts and
-//! re-records).
+//! and runs the rest through the dependency system. The three limits are
+//! constants of the engine, not configuration.
 //!
 //! The public surface is the [`RunIterative`] extension trait:
 //!

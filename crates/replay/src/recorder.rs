@@ -176,7 +176,7 @@ impl GraphRecorder {
     }
 
     /// Structural hash of a captured spawn sequence: the per-spawn
-    /// [`spawn_sig_hash`]es chained in creation order — the same value
+    /// `spawn_sig_hash`es chained in creation order — the same value
     /// [`ReplayGraph::structural_hash`] reports for the sequence once
     /// frozen, and the key of the engine's graph cache. Two iterations
     /// with equal hashes spawn the same graph shape over the same

@@ -220,10 +220,10 @@ impl Heat {
     /// stress. Every block size still performs one full Gauss–Seidel
     /// sweep in row-major cell order, so [`Workload::verify`] holds
     /// regardless of the phase pattern. Returns the full
-    /// [`nanotask_replay::ReplayReport`]: with a graph cache of at least
-    /// `sizes.len()` each shape records once and all later timesteps
-    /// replay; with `replay_cache_size = 1` every phase change
-    /// re-records (the pre-cache engine).
+    /// [`nanotask_replay::ReplayReport`]: a cycle that fits the replay
+    /// engine's graph cache (four shapes) records each shape once and
+    /// replays all later timesteps; a longer cycle re-records on every
+    /// phase change.
     pub fn run_phased_replay(
         &mut self,
         rt: &Runtime,
@@ -277,20 +277,19 @@ mod tests {
     }
 
     #[test]
-    fn phased_replay_one_entry_cache_rerecords_every_flip() {
-        // Two shapes, one cache slot: every flip misses, freezes the
-        // new shape and evicts the other — correct, but never replays.
-        let rt = Runtime::new(
-            RuntimeConfig::optimized()
-                .workers(3)
-                .with_replay_cache_size(1),
-        );
-        let mut w = Heat::new(1).with_steps(6);
-        let report = w.run_phased_replay(&rt, &[8, 16]);
+    fn phased_replay_cycle_longer_than_the_cache_rerecords_every_flip() {
+        // Five shapes, four cache slots: a shape is evicted before it
+        // comes round again, so every flip misses, freezes the new shape
+        // and evicts the oldest — correct, but never replays. Seven steps
+        // stay below the engine's give-up threshold of eight.
+        let rt = Runtime::new(RuntimeConfig::optimized().workers(3));
+        let mut w = Heat::new(1).with_steps(7);
+        let report = w.run_phased_replay(&rt, &[4, 8, 16, 32, 64]);
         w.verify().unwrap();
         assert_eq!(report.replayed, 0);
-        assert_eq!(report.rerecords, 6);
-        assert_eq!(report.cache_evictions, 5);
+        assert_eq!(report.rerecords, 7);
+        assert_eq!(report.cache_evictions, 3);
+        assert_eq!(report.pinned_iterations, 0);
     }
 
     #[test]

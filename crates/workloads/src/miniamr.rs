@@ -354,21 +354,4 @@ mod tests {
         assert_eq!(report.pinned_iterations, 0);
         assert!(!report.pinned_nested);
     }
-
-    #[test]
-    fn replay_one_entry_cache_rerecords_every_phase_change() {
-        // One cache slot for four shapes: every phase change misses,
-        // freezes the new shape and evicts the previous one.
-        let rt = Runtime::new(
-            RuntimeConfig::optimized()
-                .workers(3)
-                .with_replay_cache_size(1),
-        );
-        let mut w = MiniAmr::new(1);
-        let report = w.run_replay_report(&rt, 64);
-        w.verify().unwrap();
-        assert_eq!(report.replayed, 0, "phases always diverge without room");
-        assert_eq!(report.rerecords, 8);
-        assert_eq!(report.diverged, 7);
-    }
 }

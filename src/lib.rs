@@ -39,7 +39,7 @@
 pub use nanotask_alloc as alloc;
 /// The task runtime: dependencies, schedulers, workers (§2–3).
 pub use nanotask_core as runtime_core;
-/// Lock designs: Ticket, PTLock, MCS, TWA, DTLock (§3.2–3.3).
+/// Lock designs: Ticket, PTLock, DTLock (§3.2–3.3).
 pub use nanotask_locks as locks;
 /// Metrics registry, Perfetto/Prometheus exporters, flight recorder.
 pub use nanotask_obs as obs;

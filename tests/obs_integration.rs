@@ -66,8 +66,7 @@ fn observed_heat_run() -> Runtime {
             .workers(WORKERS)
             .tracing(true)
             .with_metrics(true)
-            .with_metrics_sample(1)
-            .with_flight_recorder(256, 64),
+            .with_flight_recorder(256),
     );
     let mut heat = iterative_workload_by_name("heat", 1).expect("heat workload");
     heat.set_iterations(8);

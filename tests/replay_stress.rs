@@ -89,14 +89,16 @@ fn replay_stress_all_sched_and_deps_kinds() {
     }
 }
 
-/// Cache-stress matrix: a period-3 phase cycle (mixed graph / inout
-/// chain / reduction fan) across scheduler kinds and graph-cache sizes,
-/// including the deliberately *undersized* `replay_cache_size = 2` — the
-/// cycle cannot fit, so the engine thrashes (evictions) or gives up
-/// (pinned), and either way every phase must stay serially correct.
+/// Cache-stress matrix: a period-5 phase cycle (mixed graph / inout
+/// chain / reduction fan / fan writer / independent tasks) across
+/// scheduler and dependency-system kinds. Five shapes do not fit the
+/// engine's four-entry graph cache, so the engine thrashes (evictions) or
+/// gives up (pinned), and either way every phase must stay serially
+/// correct.
 #[test]
-fn replay_stress_alternating_phases_across_cache_sizes() {
-    const ITERS: usize = 9;
+fn replay_stress_cycle_longer_than_the_cache() {
+    const PERIOD: u64 = 5;
+    const ITERS: usize = 10;
     let scheds = [
         SchedKind::Delegation,
         SchedKind::Central(LockKind::PtLock),
@@ -104,83 +106,84 @@ fn replay_stress_alternating_phases_across_cache_sizes() {
     ];
     for sched in scheds {
         for deps in [nanotask::DepsKind::WaitFree, nanotask::DepsKind::Locking] {
-            for cache in [1usize, 2, 4] {
-                let rt = Runtime::new(
-                    RuntimeConfig::optimized()
-                        .scheduler(sched)
-                        .dependency_system(deps)
-                        .workers(4)
-                        .with_replay_cache_size(cache),
-                );
-                let chain = Box::leak(Box::new(0u64)) as *mut u64;
-                let fan = Box::leak(Box::new(0u64)) as *mut u64;
-                let acc = Box::leak(Box::new(0.0f64)) as *mut f64;
-                let (pc, pf, pa) = (SendPtr::new(chain), SendPtr::new(fan), SendPtr::new(acc));
-                let iter = Arc::new(std::sync::atomic::AtomicU64::new(0));
-                let report = rt.run_iterative(ITERS, move |ctx| {
-                    let it = iter.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                    match it % 3 {
-                        0 => mixed_iteration(ctx, pc, pf, pa),
-                        1 => {
-                            for _ in 0..6 {
-                                ctx.spawn(Deps::new().readwrite_addr(pc.addr()), move |_| unsafe {
-                                    *pc.get() += 1;
-                                });
-                            }
-                        }
-                        _ => {
-                            for i in 0..5u64 {
-                                ctx.spawn(
-                                    Deps::new().reduce_addr(pa.addr(), 8, RedOp::SumF64),
-                                    move |c| unsafe {
-                                        *c.red_slot(&*(pa.addr() as *const f64)) += (i + 1) as f64;
-                                    },
-                                );
-                            }
-                            ctx.spawn(Deps::new().read_addr(pa.addr()), move |_| {});
+            let rt = Runtime::new(
+                RuntimeConfig::optimized()
+                    .scheduler(sched)
+                    .dependency_system(deps)
+                    .workers(4),
+            );
+            let chain = Box::leak(Box::new(0u64)) as *mut u64;
+            let fan = Box::leak(Box::new(0u64)) as *mut u64;
+            let acc = Box::leak(Box::new(0.0f64)) as *mut f64;
+            let (pc, pf, pa) = (SendPtr::new(chain), SendPtr::new(fan), SendPtr::new(acc));
+            let iter = Arc::new(std::sync::atomic::AtomicU64::new(0));
+            let report = rt.run_iterative(ITERS, move |ctx| {
+                let it = iter.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+                match it % PERIOD {
+                    0 => mixed_iteration(ctx, pc, pf, pa),
+                    1 => {
+                        for _ in 0..6 {
+                            ctx.spawn(Deps::new().readwrite_addr(pc.addr()), move |_| unsafe {
+                                *pc.get() += 1;
+                            });
                         }
                     }
-                });
-                let label = format!("{sched:?}/{deps:?}/cache={cache}");
-                // 3 full cycles: chain gets 6 per phase-0 and phase-1
-                // iteration; fan transforms on phase-0 only; the
-                // reduction adds 15 on phase-0 and phase-2 iterations.
-                assert_eq!(unsafe { *chain }, 6 * 6, "{label}: chain");
-                let mut want_fan = 0u64;
-                for _ in 0..3 {
-                    want_fan = (want_fan + 10) * 2;
+                    2 => {
+                        for i in 0..5u64 {
+                            ctx.spawn(
+                                Deps::new().reduce_addr(pa.addr(), 8, RedOp::SumF64),
+                                move |c| unsafe {
+                                    *c.red_slot(&*(pa.addr() as *const f64)) += (i + 1) as f64;
+                                },
+                            );
+                        }
+                        ctx.spawn(Deps::new().read_addr(pa.addr()), move |_| {});
+                    }
+                    3 => {
+                        ctx.spawn(Deps::new().readwrite_addr(pf.addr()), move |_| unsafe {
+                            *pf.get() += 1;
+                        });
+                        for _ in 0..2 {
+                            ctx.spawn(Deps::new().read_addr(pf.addr()), move |_| {});
+                        }
+                    }
+                    _ => {
+                        for _ in 0..4 {
+                            ctx.spawn(Deps::new(), |_| {});
+                        }
+                        ctx.spawn(Deps::new().readwrite_addr(pc.addr()), move |_| unsafe {
+                            *pc.get() += 1;
+                        });
+                    }
                 }
-                assert_eq!(unsafe { *fan }, want_fan, "{label}: fan");
-                assert_eq!(unsafe { *acc }, (15 * 6) as f64, "{label}: reduction");
-                assert_eq!(report.iterations, ITERS, "{label}");
-                assert_eq!(
-                    report.cache_hits + report.cache_misses + report.pinned_iterations,
-                    report.iterations,
-                    "{label}: classification invariant: {report:?}"
-                );
-                if cache >= 4 {
-                    // The whole cycle fits: warmup records each of the 3
-                    // shapes exactly once, then the predictor locks the
-                    // cycle (the chain phase shares its first spawn with
-                    // the mixed phase, which can cost one extra warmup
-                    // divergence before prediction kicks in).
-                    assert_eq!(report.rerecords, 3, "{label}: {report:?}");
-                    assert!(report.replayed >= ITERS - 4, "{label}: {report:?}");
-                    assert!(report.diverged <= 3, "{label}: {report:?}");
-                    assert_eq!(report.pinned_iterations, 0, "{label}");
-                } else if cache == 2 {
-                    // Undersized: the cycle cannot stabilize.
-                    assert!(
-                        report.cache_evictions > 0 || report.pinned_iterations > 0,
-                        "{label}: thrash or give up: {report:?}"
-                    );
-                }
-                assert_eq!(rt.live_tasks(), 0, "{label}: reclamation");
-                unsafe {
-                    drop(Box::from_raw(chain));
-                    drop(Box::from_raw(fan));
-                    drop(Box::from_raw(acc));
-                }
+            });
+            let label = format!("{sched:?}/{deps:?}");
+            // 2 full cycles: chain gets 6 per phase-0 and phase-1
+            // iteration and 1 per phase-4 one; fan transforms on phase 0
+            // and increments on phase 3; the reduction adds 15 on phase-0
+            // and phase-2 iterations.
+            assert_eq!(unsafe { *chain }, 2 * (6 + 6 + 1), "{label}: chain");
+            let mut want_fan = 0u64;
+            for _ in 0..2 {
+                want_fan = (want_fan + 10) * 2 + 1;
+            }
+            assert_eq!(unsafe { *fan }, want_fan, "{label}: fan");
+            assert_eq!(unsafe { *acc }, (15 * 4) as f64, "{label}: reduction");
+            assert_eq!(report.iterations, ITERS, "{label}");
+            assert_eq!(
+                report.cache_hits + report.cache_misses + report.pinned_iterations,
+                report.iterations,
+                "{label}: classification invariant: {report:?}"
+            );
+            assert!(
+                report.cache_evictions + report.giveups as u64 > 0,
+                "{label}: thrash or give up: {report:?}"
+            );
+            assert_eq!(rt.live_tasks(), 0, "{label}: reclamation");
+            unsafe {
+                drop(Box::from_raw(chain));
+                drop(Box::from_raw(fan));
+                drop(Box::from_raw(acc));
             }
         }
     }

@@ -118,9 +118,6 @@ fn every_scheduler_survives_fine_grained_burst() {
         SchedKind::Delegation,
         SchedKind::Central(LockKind::PtLock),
         SchedKind::Central(LockKind::Ticket),
-        SchedKind::Central(LockKind::Mcs),
-        SchedKind::Central(LockKind::Twa),
-        SchedKind::Central(LockKind::Spin),
         SchedKind::WorkSteal(nanotask::runtime_core::sched::WsVariant::LifoLocal),
         SchedKind::WorkSteal(nanotask::runtime_core::sched::WsVariant::FifoLocal),
     ] {
