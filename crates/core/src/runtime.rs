@@ -37,9 +37,9 @@ use crate::task::{Task, TaskBody, TaskId, TaskState};
 /// record & replay subsystem (`nanotask-replay`) uses to capture a task
 /// graph without the runtime knowing anything about replay.
 ///
-/// Installed with [`Runtime::set_spawn_capture`]. While [`SpawnCapture::active`]
-/// returns true, every `spawn`/`spawn_labeled`/`spawn_prioritized` call
-/// made by the root task body is first offered to [`SpawnCapture::on_spawn`]:
+/// Installed with [`Runtime::set_spawn_capture`]. While installed, every
+/// `spawn`/`spawn_labeled`/`spawn_prioritized` call made by the root task
+/// body is first offered to [`SpawnCapture::on_spawn`]:
 ///
 /// * returning `Some((deps, body))` lets the spawn proceed normally
 ///   (record mode — the capture noted the metadata and handed the parts
@@ -49,16 +49,18 @@ use crate::task::{Task, TaskBody, TaskId, TaskState};
 ///   [`TaskCtx::spawn_held`], which it may call from inside `on_spawn`
 ///   through the provided `ctx`).
 ///
-/// Spawns from non-root tasks (nested parallelism) and internal spawns
-/// (`taskwait_on`) are never offered to the capture.
+/// Spawns from non-root tasks (nested parallelism) and the helper task
+/// of a `taskwait_on` are never offered. A capture finds them as the
+/// surplus of [`TaskCtx::tasks_created`] over the spawns it was offered.
+/// While a capture is installed, a root `taskwait_on` first waits for all
+/// of the root's children, because a consumed spawn never registered its
+/// accesses with the dependency system.
 ///
-/// The runtime only ever invokes these methods from the thread that is
-/// executing the root task body, so implementations may keep their hot
+/// The root task always runs on the thread that calls [`Runtime::run`],
+/// and the capture lives on that thread's worker context, so `on_spawn`
+/// is only ever called from there: implementations may keep their hot
 /// state thread-confined.
 pub trait SpawnCapture: Send + Sync {
-    /// Whether spawns should currently be offered to this capture.
-    fn active(&self) -> bool;
-
     /// Offer one root spawn. See the trait docs for the return contract.
     fn on_spawn(
         &self,
@@ -68,10 +70,6 @@ pub trait SpawnCapture: Send + Sync {
         deps: Deps,
         body: TaskBody,
     ) -> Option<(Deps, TaskBody)>;
-
-    /// The task id the (non-consumed) spawn ended up with — lets a
-    /// recorder correlate captured nodes with dependency-graph edges.
-    fn on_spawned(&self, _id: TaskId) {}
 }
 
 /// Post-body hook of a held task ([`TaskCtx::spawn_held`]):
@@ -568,7 +566,6 @@ pub(crate) struct Metrics {
     pub tasks_freed: Counter,
     pub live_tasks: Gauge,
     pub max_taskwait_depth: MaxGauge,
-    pub nested_spawns: Counter,
     /// Task bodies that panicked (caught at the body seam).
     pub tasks_failed: Counter,
     /// Task bodies skipped by failure-propagation cancellation.
@@ -617,7 +614,6 @@ impl Metrics {
             tasks_freed: registry.counter("nanotask_tasks_freed_total"),
             live_tasks: registry.gauge("nanotask_live_tasks"),
             max_taskwait_depth: registry.max_gauge("nanotask_max_taskwait_depth"),
-            nested_spawns: registry.counter("nanotask_nested_spawns_total"),
             tasks_failed: registry.counter("nanotask_tasks_failed_total"),
             tasks_cancelled: registry.counter("nanotask_tasks_cancelled_total"),
             watchdog_trips: registry.counter("nanotask_watchdog_trips_total"),
@@ -666,16 +662,8 @@ pub(crate) struct Shared {
     pub task_slab: TaskSlab,
     pub tracer: Tracer,
     pub noise: Option<NoiseInjector>,
+    /// Dependency edges, recorded while `cfg.record_graph` is on.
     pub graph: Mutex<Vec<GraphEdge>>,
-    /// Dependency-edge recording switch (seeded from `cfg.record_graph`,
-    /// toggled at runtime by the replay recorder).
-    pub graph_enabled: AtomicBool,
-    /// Root-spawn capture hook; `has_capture` is the hot-path fast flag
-    /// and `capture_generation` invalidates per-task caches of the Arc
-    /// so spawns don't take the mutex on every call.
-    pub capture: Mutex<Option<Arc<dyn SpawnCapture>>>,
-    pub has_capture: AtomicBool,
-    pub capture_generation: AtomicU64,
     pub next_id: AtomicU64,
     pub shutdown: AtomicBool,
     /// Failures recorded since the current run started (drained into
@@ -693,9 +681,9 @@ pub(crate) struct Shared {
     pub watchdog_tripped: AtomicBool,
     pub watchdog_diag: Mutex<String>,
     /// Registry-backed counters, gauges and histograms. The life-cycle
-    /// counters (created/executed/freed/live), `max_taskwait_depth` and
-    /// `nested_spawns` (the nested-task-domain detector the replay engine
-    /// reads deltas of) all live here.
+    /// counters (created/executed/freed/live) and `max_taskwait_depth`
+    /// live here; the replay engine reads deltas of `tasks_created` to
+    /// find spawns its capture was not offered.
     pub metrics: Metrics,
 }
 
@@ -773,6 +761,9 @@ pub(crate) struct WorkerCtx {
     /// clock read per 32 tasks each.
     metrics_enq_tick: core::cell::Cell<u64>,
     metrics_exec_tick: core::cell::Cell<u64>,
+    /// The installed root-spawn capture. Only `Runtime::main` ever holds
+    /// one: the root task runs there and nowhere else.
+    capture: RefCell<Option<Arc<dyn SpawnCapture>>>,
 }
 
 impl WorkerCtx {
@@ -784,6 +775,7 @@ impl WorkerCtx {
             taskwait_depth: core::cell::Cell::new(0),
             metrics_enq_tick: core::cell::Cell::new(0),
             metrics_exec_tick: core::cell::Cell::new(0),
+            capture: RefCell::new(None),
         }
     }
 
@@ -834,7 +826,7 @@ unsafe impl DepHooks for Hooks<'_> {
     }
 
     fn edge(&self, from: *mut Task, to: *mut Task, addr: usize, kind: u8) {
-        if !self.w.shared.graph_enabled.load(Ordering::Relaxed) {
+        if !self.w.shared.cfg.record_graph {
             return;
         }
         let (f, t) = unsafe { (&*from, &*to) };
@@ -858,29 +850,17 @@ unsafe impl DepHooks for Hooks<'_> {
     }
 }
 
-/// Handle to a running task, passed to every task body. Provides task
-/// spawning (nested parallelism), taskwait and reduction-slot access —
-/// the library-level OmpSs-2 surface.
-/// Generation-stamped cache of the installed spawn capture. A `Cell` so
-/// the per-spawn hit path is a take/put move pair with no refcount
-/// traffic: the entry is taken out for the duration of the `on_spawn`
-/// call and put back afterwards — a re-entrant root spawn (none exist
-/// in-tree; captures call `spawn_held`, which skips this path) would
-/// find the cell empty and re-fetch from the runtime, which is correct,
-/// just slower.
-type CaptureCache = core::cell::Cell<Option<(u64, Option<Arc<dyn SpawnCapture>>)>>;
-
 /// `taskwait` nesting depth on one worker at which a waiter stops taking
 /// unrelated tasks and runs only its own descendants (see
 /// [`TaskCtx::taskwait`]).
 const TASKWAIT_NESTING_CAP: usize = 32;
 
+/// Handle to a running task, passed to every task body. Provides task
+/// spawning (nested parallelism), taskwait and reduction-slot access —
+/// the library-level OmpSs-2 surface.
 pub struct TaskCtx<'a> {
     task: *mut Task,
     worker: &'a WorkerCtx,
-    /// Cached spawn-capture handle (generation-stamped), so repeated
-    /// root spawns don't take the capture mutex each time.
-    capture_cache: CaptureCache,
 }
 
 impl TaskCtx<'_> {
@@ -925,41 +905,21 @@ impl TaskCtx<'_> {
         body: impl FnOnce(&TaskCtx) + Send + 'static,
     ) {
         let body: TaskBody = Box::new(body);
-        if self.worker.shared.has_capture.load(Ordering::Acquire) {
-            if !unsafe { (*self.task).parent.is_null() } {
-                // Nested spawn under an installed capture: count it so
-                // the replay engine can detect nested task domains.
-                self.worker.shared.metrics.nested_spawns.inc(self.worker.id);
-            } else {
-                return self.spawn_captured(label, priority, deps, body);
+        if self.is_root()
+            && let Some(cap) = &*self.worker.capture.borrow()
+        {
+            if let Some((deps, body)) = cap.on_spawn(self, label, priority, deps, body) {
+                self.spawn_internal(label, priority, deps, body, None);
             }
+            return;
         }
         self.spawn_internal(label, priority, deps, body, None);
     }
 
-    /// Offer one root spawn to the installed capture (spawning normally
-    /// if none is active). The capture handle is cached per task
-    /// context, generation-stamped against [`Runtime::set_spawn_capture`];
-    /// the hit path is two atomic loads plus a cell take/put — no
-    /// refcount traffic per spawn.
-    fn spawn_captured(&self, label: &'static str, priority: i32, deps: Deps, body: TaskBody) {
-        let shared = &self.worker.shared;
-        let generation = shared.capture_generation.load(Ordering::Acquire);
-        let (g, cap) = match self.capture_cache.take() {
-            Some((g, cap)) if g == generation => (g, cap),
-            _ => (generation, shared.capture.lock().clone()),
-        };
-        if !cap.as_ref().is_some_and(|c| c.active()) {
-            self.capture_cache.set(Some((g, cap)));
-            self.spawn_internal(label, priority, deps, body, None);
-            return;
-        }
-        let c = cap.as_ref().expect("active capture");
-        if let Some((deps, body)) = c.on_spawn(self, label, priority, deps, body) {
-            let id = self.spawn_internal(label, priority, deps, body, None);
-            c.on_spawned(id);
-        }
-        self.capture_cache.set(Some((g, cap)));
+    /// Whether this is the root task (the body passed to [`Runtime::run`]).
+    fn is_root(&self) -> bool {
+        // SAFETY: `self.task` is the live task this ctx executes.
+        unsafe { (*self.task).parent.is_null() }
     }
 
     /// Create a child task with *manually managed* readiness: the task
@@ -1026,31 +986,12 @@ impl TaskCtx<'_> {
         self.worker.record(kind, payload);
     }
 
-    /// Toggle dependency-edge recording (see
-    /// [`Runtime::set_graph_recording`]) from within a task.
-    pub fn set_graph_recording(&self, on: bool) {
-        self.worker
-            .shared
-            .graph_enabled
-            .store(on, Ordering::Relaxed);
-    }
-
-    /// Whether dependency edges are currently being recorded.
-    pub fn graph_recording(&self) -> bool {
-        self.worker.shared.graph_enabled.load(Ordering::Relaxed)
-    }
-
-    /// Drain the recorded dependency edges (the in-task equivalent of
-    /// [`Runtime::graph_edges`] + [`Runtime::clear_graph_edges`]).
-    pub fn take_graph_edges(&self) -> Vec<GraphEdge> {
-        std::mem::take(&mut *self.worker.shared.graph.lock())
-    }
-
-    /// Cumulative count of spawns issued by non-root tasks while a spawn
-    /// capture was installed (nested task domains). The replay engine
-    /// reads deltas of this around record iterations.
-    pub fn nested_spawn_count(&self) -> u64 {
-        self.worker.shared.metrics.nested_spawns.value()
+    /// Monotone count of tasks this runtime has created, held tasks and
+    /// `taskwait_on` helpers included. Read after a `taskwait`, its delta
+    /// over a phase counts every task the phase created: the replay
+    /// engine compares it with the spawns its capture was offered.
+    pub fn tasks_created(&self) -> u64 {
+        self.worker.shared.metrics.tasks_created.value()
     }
 
     /// Whether the current task was cancelled by failure propagation
@@ -1101,7 +1042,14 @@ impl TaskCtx<'_> {
     /// empty child task carrying `deps` is inserted into the dependency
     /// system and the worker helps execute ready tasks until it runs, in
     /// the order and under the nesting cap of [`TaskCtx::taskwait`].
+    ///
+    /// A root `taskwait_on` under an installed [`SpawnCapture`] first
+    /// waits for all of the root's children: a consumed spawn never
+    /// registered its accesses, so the helper could not wait for it.
     pub fn taskwait_on(&self, deps: Deps) {
+        if self.is_root() && self.worker.capture.borrow().is_some() {
+            self.taskwait();
+        }
         let task = unsafe { &*self.task };
         self.worker.record(EventKind::TaskwaitBegin, task.id);
         let done = Arc::new(AtomicBool::new(false));
@@ -1123,7 +1071,7 @@ impl TaskCtx<'_> {
         deps: Deps,
         body: crate::task::TaskBody,
         completion: Option<Arc<AtomicBool>>,
-    ) -> TaskId {
+    ) {
         let shared = &self.worker.shared;
         let id = shared.next_id.fetch_add(1, Ordering::Relaxed);
         self.worker.record(EventKind::CreateBegin, id);
@@ -1152,7 +1100,6 @@ impl TaskCtx<'_> {
             }
         }
         self.worker.record(EventKind::CreateEnd, id);
-        id
     }
 
     /// Wait until every child spawned so far (and their descendants) has
@@ -1202,8 +1149,7 @@ impl TaskCtx<'_> {
         // Every queued task descends from the root, so a scope there would
         // only reverse the policy's order: the root waits like an idle
         // worker.
-        // SAFETY: `self.task` is the task running this wait.
-        let scope = if unsafe { (*self.task).parent.is_null() } {
+        let scope = if self.is_root() {
             Scope::ANY
         } else {
             Scope::within(self.task, depth >= TASKWAIT_NESTING_CAP)
@@ -1358,11 +1304,7 @@ fn run_body(w: &WorkerCtx, t: *mut Task) {
     }
     w.record(EventKind::TaskStart, id);
     {
-        let ctx = TaskCtx {
-            task: t,
-            worker: w,
-            capture_cache: core::cell::Cell::new(None),
-        };
+        let ctx = TaskCtx { task: t, worker: w };
         let body = unsafe { (*t).take_body() }.expect("task executed twice");
         if unsafe { (*t).is_cancelled() } {
             // Cancelled by failure propagation: skip the body (dropping
@@ -1586,10 +1528,6 @@ impl Runtime {
             tracer: tracer.clone(),
             noise,
             graph: Mutex::new(Vec::new()),
-            graph_enabled: AtomicBool::new(cfg.record_graph),
-            capture: Mutex::new(None),
-            has_capture: AtomicBool::new(false),
-            capture_generation: AtomicU64::new(0),
             next_id: AtomicU64::new(1),
             shutdown: AtomicBool::new(false),
             failures: Mutex::new(Vec::new()),
@@ -1813,34 +1751,18 @@ impl Runtime {
         self.shared.tracer.finish()
     }
 
-    /// Drain the recorded dependency edges (requires `record_graph` or
-    /// [`Runtime::set_graph_recording`]). Takes the accumulated edges out
-    /// instead of cloning the whole `Vec` under the mutex; a second call
-    /// without new recording returns an empty list.
+    /// Drain the recorded dependency edges (requires `record_graph`).
+    /// Takes the accumulated edges out instead of cloning the whole `Vec`
+    /// under the mutex; a second call without new recording returns an
+    /// empty list.
     pub fn graph_edges(&self) -> Vec<GraphEdge> {
         std::mem::take(&mut *self.shared.graph.lock())
-    }
-
-    /// Turn dependency-edge recording on or off at runtime (the replay
-    /// recorder instruments exactly one iteration this way).
-    pub fn set_graph_recording(&self, on: bool) {
-        self.shared.graph_enabled.store(on, Ordering::Relaxed);
-    }
-
-    /// Whether dependency edges are currently being recorded.
-    pub fn graph_recording(&self) -> bool {
-        self.shared.graph_enabled.load(Ordering::Relaxed)
     }
 
     /// Install (or clear) the root-spawn capture hook. See
     /// [`SpawnCapture`] for the contract.
     pub fn set_spawn_capture(&self, cap: Option<Arc<dyn SpawnCapture>>) {
-        let has = cap.is_some();
-        *self.shared.capture.lock() = cap;
-        self.shared
-            .capture_generation
-            .fetch_add(1, Ordering::Release);
-        self.shared.has_capture.store(has, Ordering::Release);
+        *self.main.capture.borrow_mut() = cap;
     }
 
     /// Record a marker event on worker 0's trace stream (flushed
@@ -1861,11 +1783,6 @@ impl Runtime {
     /// runs completed and chains were closed).
     pub fn live_tasks(&self) -> usize {
         self.shared.metrics.live_tasks.value() as usize
-    }
-
-    /// Cumulative nested-spawn count (see [`TaskCtx::nested_spawn_count`]).
-    pub fn nested_spawn_count(&self) -> u64 {
-        self.shared.metrics.nested_spawns.value()
     }
 }
 

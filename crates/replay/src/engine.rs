@@ -11,28 +11,30 @@
 //! keeps diverging is *pinned* to the dependency system after
 //! [`GIVEUP_AFTER`] (8) consecutive iterations that did not replay, with a
 //! cheap hash-only probe every [`RECHECK_EVERY`] (16) pinned iterations to
-//! detect re-stabilization. A recorded iteration that
-//! spawned nested task domains (cross-sibling dependencies of nested
-//! tasks are invisible to the frozen graph) is never replayed: the body
-//! is pinned immediately, detected via the dependency-edge tap's foreign
-//! edges plus the runtime's nested-spawn counter.
+//! detect re-stabilization.
+//!
+//! Every record or fed iteration also counts the tasks the capture did
+//! not see, including root `taskwait_on`: the runtime's `tasks_created`
+//! delta over the iteration minus the spawns the capture was offered.
+//! Nested children and `taskwait_on` helpers are ordered by the
+//! dependency system only, which a replayed iteration bypasses, so any
+//! surplus pins the body to the dependency system for good.
 
-use core::cell::UnsafeCell;
+use core::cell::{Cell, UnsafeCell};
 use std::sync::Arc;
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
+use std::time::Instant;
 
 use nanotask_core::deps::reduction::ReductionInfo;
 use nanotask_core::{
-    Deps, HeldTask, RunOutcome, Runtime, SpawnCapture, TaskBody, TaskCtx, TaskEpilogue, TaskId,
+    Deps, HeldTask, RunOutcome, Runtime, SpawnCapture, TaskBody, TaskCtx, TaskEpilogue,
 };
 use nanotask_obs::{Counter, Histogram, MaxGauge, Registry};
 use nanotask_trace::EventKind;
 
 use crate::cache::GraphCache;
 use crate::graph::ReplayGraph;
-use crate::recorder::{
-    CaptureMode, CapturedSpawn, GraphRecorder, STRUCTURAL_HASH_SEED, mix, spawn_sig_hash,
-};
+use crate::recorder::{CapturedSpawn, GraphRecorder, STRUCTURAL_HASH_SEED, mix, spawn_sig_hash};
 
 /// Frozen graphs the engine keeps, LRU-keyed by structural hash: enough
 /// for the phase cycles of the shipped workloads (miniAMR cycles through
@@ -71,11 +73,6 @@ pub struct ReplayReport {
     pub edges: usize,
     /// Edges as `(from, to)` creation-order pairs (test/analysis support).
     pub edge_list: Vec<(u32, u32)>,
-    /// Successor edges the dependency system reported that involve tasks
-    /// outside the captured set (nested children linking into the
-    /// recorded iteration). Any non-zero value pins the body to the
-    /// dependency system.
-    pub foreign_edges: usize,
     /// Iterations served by the graph cache: fully replayed iterations
     /// plus diverged iterations whose structure matched a cached graph.
     pub cache_hits: usize,
@@ -91,13 +88,14 @@ pub struct ReplayReport {
     /// Times the engine pinned the body (consecutive-divergence
     /// threshold or nested-domain detection).
     pub giveups: usize,
-    /// Spawns issued by nested (non-root) tasks during graph-building
-    /// iterations. Non-zero means the body uses nested task domains.
+    /// Tasks the capture did not see, including root `taskwait_on`
+    /// helpers, in the recorded or fed iteration that pinned the body.
+    /// Non-zero means the body uses nested task domains or `taskwait_on`.
     pub nested_spawns: u64,
-    /// The body was pinned because a recorded iteration contained nested
-    /// task domains (nested spawns or foreign dependency edges) — replay
-    /// cannot see cross-sibling dependencies of nested tasks, so the
-    /// dependency system stays in charge permanently.
+    /// The body was pinned because a recorded or fed iteration created
+    /// tasks the capture did not see: replay cannot order nested children
+    /// or `taskwait_on` helpers against replayed tasks, so the dependency
+    /// system stays in charge permanently.
     pub pinned_nested: bool,
     /// Per cached graph: `(structural_hash, tasks, iterations replayed
     /// from it)`, most recently used first. Graphs evicted before the
@@ -163,7 +161,7 @@ impl core::fmt::Display for ReplayReport {
             "replay: iters={} replayed={} rerecords={} diverged={} | \
              cache: hits={} misses={} evictions={} pinned={} giveups={} | \
              nested: spawns={} pinned_nested={} | \
-             graph: tasks={} edges={} foreign={}",
+             graph: tasks={} edges={}",
             self.iterations,
             self.replayed,
             self.rerecords,
@@ -177,7 +175,6 @@ impl core::fmt::Display for ReplayReport {
             self.pinned_nested,
             self.tasks,
             self.edges,
-            self.foreign_edges,
         )?;
         write!(
             f,
@@ -321,7 +318,8 @@ struct IterState {
     graph: Arc<ReplayGraph>,
     groups: Vec<GroupState>,
     /// Released-node count (debug cross-check against graph size).
-    launched: AtomicUsize,
+    #[cfg(debug_assertions)]
+    launched: std::sync::atomic::AtomicUsize,
     /// Per-node cancellation marks — the replay mirror of the dependency
     /// systems' failure poisoning. A failed (or already-cancelled) task
     /// sets its successors' flags *before* dropping their pending
@@ -347,7 +345,8 @@ impl IterState {
         Self {
             graph,
             groups,
-            launched: AtomicUsize::new(0),
+            #[cfg(debug_assertions)]
+            launched: Default::default(),
             poisoned,
         }
     }
@@ -382,6 +381,7 @@ impl IterState {
     /// one.
     fn countdown(&self, ctx: &TaskCtx, i: u32) {
         if let Some(t) = self.graph.countdown(i as usize) {
+            #[cfg(debug_assertions)]
             self.launched.fetch_add(1, Ordering::Relaxed);
             // SAFETY: `t` was published by the creator from a live
             // HeldTask and each node is released exactly once (the
@@ -460,12 +460,11 @@ impl TaskEpilogue for IterState {
     }
 }
 
-/// The engine's capture: recording through the embedded
-/// [`GraphRecorder`], hash-only probing, or feeding spawns straight into
-/// a frozen graph.
+/// The engine's capture: recording into a [`GraphRecorder`], hash-only
+/// probing, or feeding spawns straight into a frozen graph.
 enum Mode {
     Off,
-    Record,
+    Record(GraphRecorder),
     /// Pinned-mode re-stabilization probe: chain the per-spawn signature
     /// hashes into the iteration's structural hash without buffering
     /// anything; every spawn proceeds through the dependency system.
@@ -496,17 +495,29 @@ struct FeedEnd {
     captured: Vec<CapturedSpawn>,
 }
 
+impl FeedEnd {
+    /// Root spawns the capture was offered during the iteration: every
+    /// one after a divergence is in `captured`, before it in `spawned`.
+    fn offered(&self) -> usize {
+        if self.diverged {
+            self.captured.len()
+        } else {
+            self.spawned
+        }
+    }
+}
+
 /// The capture installed by [`RunIterative::run_iterative`].
 ///
-/// Hot state lives in `UnsafeCell`s: the runtime calls `SpawnCapture`
-/// methods only from the thread executing the root task body, and the
-/// engine switches modes / consults the cache only from that same body —
-/// all accesses are sequential on one thread (see the `SpawnCapture`
-/// docs).
+/// Hot state lives in `UnsafeCell`s: the runtime calls `on_spawn` only
+/// from the thread executing the root task body, and the engine switches
+/// modes / consults the cache only from that same body — all accesses
+/// are sequential on one thread (see the `SpawnCapture` docs).
 struct EngineCapture {
     mode: UnsafeCell<Mode>,
-    recorder: GraphRecorder,
     cache: UnsafeCell<GraphCache>,
+    /// Spawns in the last record: the next one reserves room for them.
+    last_record_len: Cell<usize>,
     /// Worker count, needed to build per-iteration reduction state when
     /// swapping feed targets.
     workers: usize,
@@ -519,8 +530,8 @@ impl EngineCapture {
     fn new(workers: usize) -> Self {
         Self {
             mode: UnsafeCell::new(Mode::Off),
-            recorder: GraphRecorder::new(),
             cache: UnsafeCell::new(GraphCache::new(GRAPH_CACHE_CAPACITY)),
+            last_record_len: Cell::new(0),
             workers,
         }
     }
@@ -545,8 +556,8 @@ impl EngineCapture {
     }
 
     fn set_record(&self) {
-        self.recorder.begin(CaptureMode::Record);
-        unsafe { *self.mode() = Mode::Record };
+        let rec = GraphRecorder::with_capacity(self.last_record_len.get());
+        unsafe { *self.mode() = Mode::Record(rec) };
     }
 
     fn set_probe(&self) {
@@ -603,16 +614,16 @@ impl EngineCapture {
     }
 
     fn end_record(&self) -> Vec<CapturedSpawn> {
-        unsafe { *self.mode() = Mode::Off };
-        self.recorder.take()
+        let captured = match core::mem::replace(unsafe { self.mode() }, Mode::Off) {
+            Mode::Record(rec) => rec.into_captured(),
+            _ => Vec::new(),
+        };
+        self.last_record_len.set(captured.len());
+        captured
     }
 }
 
 impl SpawnCapture for EngineCapture {
-    fn active(&self) -> bool {
-        !matches!(unsafe { self.mode() }, Mode::Off)
-    }
-
     fn on_spawn(
         &self,
         ctx: &TaskCtx,
@@ -622,13 +633,16 @@ impl SpawnCapture for EngineCapture {
         body: TaskBody,
     ) -> Option<(Deps, TaskBody)> {
         // SAFETY: root-thread confinement; nothing reached from the calls
-        // below (spawn_held, taskwait, recorder, cache) re-enters this
-        // capture — nested tasks executed while task-waiting are non-root
-        // and the runtime only offers root spawns.
+        // below (spawn_held, taskwait, cache) re-enters this capture —
+        // nested tasks executed while task-waiting are non-root and the
+        // runtime only offers root spawns.
         let mode = unsafe { self.mode() };
         match mode {
             Mode::Off => Some((deps, body)),
-            Mode::Record => self.recorder.on_spawn(ctx, label, priority, deps, body),
+            Mode::Record(rec) => {
+                rec.record(label, priority, deps.decls());
+                Some((deps, body))
+            }
             Mode::Probe { hash } => {
                 *hash = mix(*hash, spawn_sig_hash(label, priority, deps.decls()));
                 Some((deps, body))
@@ -687,12 +701,6 @@ impl SpawnCapture for EngineCapture {
             }
         }
     }
-
-    fn on_spawned(&self, id: TaskId) {
-        if matches!(unsafe { self.mode() }, Mode::Record) {
-            self.recorder.on_spawned(id);
-        }
-    }
 }
 
 impl RunIterative for Runtime {
@@ -719,8 +727,6 @@ impl RunIterative for Runtime {
         let body = Arc::new(body);
         let capture = Arc::new(EngineCapture::new(self.config().workers));
         self.set_spawn_capture(Some(Arc::clone(&capture) as _));
-        let prev_graph_recording = self.graph_recording();
-        self.clear_graph_edges();
         let obs = ReplayObs::new(self.metrics_registry());
         let recycled0 = self.tasks_recycled();
         let feed_hist = if self.metrics_enabled() {
@@ -794,6 +800,50 @@ impl RunIterative for Runtime {
                         }
                     };
                 }
+                // The common end of a recorded or fed iteration (macros,
+                // not closures: they mutate half the loop state). With
+                // `surplus` tasks the capture did not see, pin the body
+                // for good; else schedule the graph to follow `g`'s shape,
+                // admitting `g` to the cache if `insert`.
+                macro_rules! settle {
+                    ($surplus:expr, $g:expr, $insert:expr) => {{
+                        let (surplus, g): (u64, Arc<ReplayGraph>) = ($surplus, $g);
+                        let h = g.structural_hash();
+                        if surplus > 0 {
+                            report.nested_spawns += surplus;
+                            report.pinned_nested = true;
+                            report.giveups += 1;
+                            pinned = true;
+                            pinned_forever = true;
+                            cur = None;
+                            prev_hash = None;
+                            ctx.trace_mark(EventKind::ReplayGiveUp, iter as u64);
+                        } else {
+                            if let Some(p) = prev_hash {
+                                cache!().note_transition(p, h);
+                            }
+                            if $insert {
+                                cache!().insert(Arc::clone(&g));
+                            }
+                            prev_hash = Some(h);
+                            cur = Some(pick_next(cache!(), h, g));
+                        }
+                    }};
+                }
+                // A shape no cached graph holds (a record or a divergent
+                // miss): freeze it, then settle. Yields the frozen graph.
+                macro_rules! freeze_and_settle {
+                    ($captured:expr, $surplus:expr) => {{
+                        let freeze_t0 = Instant::now();
+                        let g = Arc::new(ReplayGraph::build(&$captured, &[]));
+                        report.freeze_ns += freeze_t0.elapsed().as_nanos() as u64;
+                        report.rerecords += 1;
+                        report.cache_misses += 1;
+                        last_graph = Some(Arc::clone(&g));
+                        settle!($surplus, Arc::clone(&g), true);
+                        g
+                    }};
+                }
                 if pinned {
                     report.pinned_iterations += 1;
                     since_probe += 1;
@@ -836,50 +886,22 @@ impl RunIterative for Runtime {
                     report.iterations += 1;
                     continue;
                 }
+                // Read after the iteration's taskwait, the delta counts
+                // every task it created; the capture saw `offered` of them.
+                let created0 = ctx.tasks_created();
+                let surplus = |offered: usize| ctx.tasks_created() - created0 - offered as u64;
                 match cur.clone() {
                     None => {
                         // Record: execute through the full dependency
-                        // system with the edge tap enabled.
+                        // system, noting every root spawn.
                         ctx.trace_mark(EventKind::ReplayRecordBegin, iter as u64);
-                        let nested0 = ctx.nested_spawn_count();
-                        let _ = ctx.take_graph_edges();
-                        ctx.set_graph_recording(true);
                         cap.set_record();
                         body(ctx);
                         let captured = cap.end_record();
                         ctx.taskwait();
-                        ctx.set_graph_recording(prev_graph_recording);
-                        let tap = ctx.take_graph_edges();
-                        let nested = ctx.nested_spawn_count() - nested0;
-                        let freeze_t0 = std::time::Instant::now();
-                        let g = Arc::new(ReplayGraph::build(&captured, &tap));
-                        report.freeze_ns += freeze_t0.elapsed().as_nanos() as u64;
-                        ctx.trace_mark(EventKind::ReplayRecordEnd, g.len() as u64);
-                        report.rerecords += 1;
-                        report.cache_misses += 1;
-                        report.nested_spawns += nested;
                         fails += 1;
-                        last_graph = Some(Arc::clone(&g));
-                        if g.foreign_edge_count() > 0 || nested > 0 {
-                            // Nested task domains: the frozen graph
-                            // cannot see cross-sibling dependencies of
-                            // nested tasks — fall back permanently.
-                            report.pinned_nested = true;
-                            report.giveups += 1;
-                            pinned = true;
-                            pinned_forever = true;
-                            cur = None;
-                            prev_hash = None;
-                            ctx.trace_mark(EventKind::ReplayGiveUp, iter as u64);
-                        } else {
-                            let h = g.structural_hash();
-                            if let Some(p) = prev_hash {
-                                cache!().note_transition(p, h);
-                            }
-                            cache!().insert(Arc::clone(&g));
-                            prev_hash = Some(h);
-                            cur = Some(pick_next(cache!(), h, g));
-                        }
+                        let g = freeze_and_settle!(captured, surplus(captured.len()));
+                        ctx.trace_mark(EventKind::ReplayRecordEnd, g.len() as u64);
                     }
                     Some(g) => {
                         // Replay: spawns are matched against the frozen
@@ -888,39 +910,24 @@ impl RunIterative for Runtime {
                         // graph (phase switch), any other mismatch
                         // degrades to the dependency system.
                         ctx.trace_mark(EventKind::ReplayIterBegin, iter as u64);
-                        let nested0 = ctx.nested_spawn_count();
                         let state = cap.make_state(g);
                         cap.set_feed(Arc::clone(&state));
-                        let feed_t0 = feed_hist.as_ref().map(|_| std::time::Instant::now());
+                        let feed_t0 = feed_hist.as_ref().map(|_| Instant::now());
                         body(ctx);
                         if let (Some(h), Some(t0)) = (&feed_hist, feed_t0) {
                             h.record(0, t0.elapsed().as_nanos() as u64);
                         }
                         let end = cap.end_feed().expect("feed mode active");
                         ctx.taskwait();
+                        let surplus = surplus(end.offered());
                         // The feed target may have been swapped by the
                         // first-spawn phase switch: judge the state that
                         // actually fed (`end.state`), not the scheduled
                         // one.
                         let complete = !end.diverged && end.spawned == end.state.graph.len();
-                        let nested = ctx.nested_spawn_count() - nested0;
-                        // Macro (not a closure: it mutates half the loop
-                        // state) for the permanent nested-domain pin —
-                        // shared by every path that observes nesting.
-                        macro_rules! pin_nested {
-                            () => {{
-                                report.nested_spawns += nested;
-                                report.pinned_nested = true;
-                                report.giveups += 1;
-                                pinned = true;
-                                pinned_forever = true;
-                                cur = None;
-                                prev_hash = None;
-                                ctx.trace_mark(EventKind::ReplayGiveUp, iter as u64);
-                            }};
-                        }
                         if complete {
-                            debug_assert_eq!(
+                            #[cfg(debug_assertions)]
+                            assert_eq!(
                                 end.state.launched.load(Ordering::Relaxed),
                                 end.state.graph.len(),
                                 "every node released exactly once"
@@ -933,19 +940,7 @@ impl RunIterative for Runtime {
                             if end.switched {
                                 ctx.trace_mark(EventKind::ReplayCacheHit, iter as u64);
                             }
-                            if nested > 0 {
-                                // The body started spawning nested
-                                // children only *after* its graph was
-                                // frozen: replay cannot order them, so
-                                // stop replaying from here on.
-                                pin_nested!();
-                            } else {
-                                if let Some(p) = prev_hash {
-                                    cache!().note_transition(p, h);
-                                }
-                                cur = Some(pick_next(cache!(), h, Arc::clone(&end.state.graph)));
-                                prev_hash = Some(h);
-                            }
+                            settle!(surplus, Arc::clone(&end.state.graph), false);
                         } else {
                             // Divergent (or truncated) iteration: it ran
                             // correctly via prefix + barrier + dependency
@@ -967,32 +962,9 @@ impl RunIterative for Runtime {
                             if let Some(hit) = cache!().get(h) {
                                 report.cache_hits += 1;
                                 ctx.trace_mark(EventKind::ReplayCacheHit, iter as u64);
-                                if nested > 0 {
-                                    pin_nested!();
-                                } else {
-                                    if let Some(p) = prev_hash {
-                                        cache!().note_transition(p, h);
-                                    }
-                                    prev_hash = Some(h);
-                                    cur = Some(pick_next(cache!(), h, hit));
-                                }
+                                settle!(surplus, hit, false);
                             } else {
-                                report.rerecords += 1;
-                                report.cache_misses += 1;
-                                let freeze_t0 = std::time::Instant::now();
-                                let ng = Arc::new(ReplayGraph::build(&captured, &[]));
-                                report.freeze_ns += freeze_t0.elapsed().as_nanos() as u64;
-                                last_graph = Some(Arc::clone(&ng));
-                                if nested > 0 {
-                                    pin_nested!();
-                                } else {
-                                    if let Some(p) = prev_hash {
-                                        cache!().note_transition(p, h);
-                                    }
-                                    cache!().insert(Arc::clone(&ng));
-                                    prev_hash = Some(h);
-                                    cur = Some(pick_next(cache!(), h, ng));
-                                }
+                                freeze_and_settle!(captured, surplus);
                             }
                             if !pinned && fails >= GIVEUP_AFTER {
                                 // Too many consecutive failures to replay:
@@ -1019,7 +991,6 @@ impl RunIterative for Runtime {
                 report.tasks = g.len();
                 report.edges = g.edge_count();
                 report.edge_list = g.edge_pairs();
-                report.foreign_edges = g.foreign_edge_count();
                 report.graph_bytes = g.bytes();
             }
             report.cache_evictions = cache!().evictions();
@@ -1556,6 +1527,105 @@ mod tests {
         assert_eq!(report.pinned_iterations, ITERS - 3, "{report:?}");
         assert_eq!(report.giveups, 1);
         check_invariants(&report);
+    }
+
+    /// Eight iterations of 16 readwrite tasks (~50 µs each) on one
+    /// counter; from iteration `from` on, the root calls
+    /// `taskwait_on(read)` and reads the counter. Returns the report and
+    /// every `(iteration, value read)`.
+    fn root_taskwait_on_from(from: u64) -> (ReplayReport, Vec<(u64, u64)>) {
+        const ITERS: u64 = 8;
+        const TASKS: u64 = 16;
+        let rt = Runtime::new(RuntimeConfig::optimized().workers(2));
+        let data = Box::leak(Box::new(0u64)) as *mut u64;
+        let p = SendPtr::new(data);
+        let iter = Arc::new(AtomicU64::new(0));
+        let reads = Arc::new(std::sync::Mutex::new(Vec::new()));
+        let report = {
+            let reads = Arc::clone(&reads);
+            rt.run_iterative(ITERS as usize, move |ctx| {
+                let i = iter.fetch_add(1, Ordering::Relaxed);
+                for _ in 0..TASKS {
+                    ctx.spawn(Deps::new().readwrite_addr(p.addr()), move |_| {
+                        let t0 = std::time::Instant::now();
+                        while t0.elapsed().as_micros() < 50 {
+                            core::hint::spin_loop();
+                        }
+                        unsafe { *p.get() += 1 };
+                    });
+                }
+                if i >= from {
+                    ctx.taskwait_on(Deps::new().read_addr(p.addr()));
+                    reads.lock().unwrap().push((i, unsafe { *p.get() }));
+                }
+            })
+        };
+        assert_eq!(unsafe { *data }, TASKS * ITERS);
+        for &(i, v) in reads.lock().unwrap().iter() {
+            assert_eq!(v, TASKS * (i + 1), "stale read in iteration {i}: {report}");
+        }
+        check_invariants(&report);
+        unsafe { drop(Box::from_raw(data)) };
+        let reads = reads.lock().unwrap().clone();
+        (report, reads)
+    }
+
+    #[test]
+    fn root_taskwait_on_under_replay_reads_fresh_data() {
+        // Iterations 0/1 record and replay; iteration 2 is fed from the
+        // frozen graph, whose tasks never registered with the dependency
+        // system. Its `taskwait_on` must still see all 16 writes, and the
+        // helper task the capture did not see pins the body.
+        let (report, reads) = root_taskwait_on_from(2);
+        assert_eq!(reads.len(), 6);
+        assert!(report.pinned_nested, "{report}");
+        assert_eq!(report.nested_spawns, 1, "{report}");
+        assert_eq!(report.replayed, 2, "{report}");
+        assert_eq!(report.pinned_iterations, 5, "{report}");
+    }
+
+    #[test]
+    fn root_taskwait_on_in_the_record_pins_the_body() {
+        let (report, reads) = root_taskwait_on_from(0);
+        assert_eq!(reads.len(), 8);
+        assert!(report.pinned_nested, "{report}");
+        assert_eq!(report.nested_spawns, 1, "{report}");
+        assert_eq!(report.replayed, 0, "{report}");
+        assert_eq!(report.rerecords, 1, "{report}");
+    }
+
+    #[test]
+    fn run_iterative_keeps_recorded_dependency_edges() {
+        // Edge recording belongs to the user (`graph(true)`): replay must
+        // neither clear nor drain what an earlier run recorded.
+        let rt = Runtime::new(RuntimeConfig::optimized().workers(2).graph(true));
+        let data = Box::leak(Box::new(0u64)) as *mut u64;
+        let p = SendPtr::new(data);
+        rt.run(move |ctx| {
+            for label in ["first", "second"] {
+                ctx.spawn_labeled(
+                    label,
+                    Deps::new().readwrite_addr(p.addr()),
+                    move |_| unsafe {
+                        *p.get() += 1;
+                    },
+                );
+            }
+        });
+        rt.run_iterative(3, move |ctx| {
+            ctx.spawn(Deps::new().readwrite_addr(p.addr()), move |_| unsafe {
+                *p.get() += 1;
+            });
+        });
+        assert_eq!(unsafe { *data }, 5);
+        let edges = rt.graph_edges();
+        assert!(
+            edges
+                .iter()
+                .any(|e| e.from_label == "first" && e.to_label == "second"),
+            "first run's edges lost: {edges:?}"
+        );
+        unsafe { drop(Box::from_raw(data)) };
     }
 
     #[test]

@@ -20,11 +20,13 @@
 //! scans, and the per-iteration reset of the in-degree counters is a
 //! single `memcpy` from a precomputed template ([`ReplayGraph::reset`]).
 //!
-//! The dependency-edge tap (`GraphEdge`) from the instrumented record
-//! iteration is kept as a cross-check: tapped successor edges between
-//! captured tasks must connect nodes the decl-derived graph also
-//! orders; edges touching *unknown* task ids reveal nested children
-//! linking into the recorded iteration (counted, for diagnostics).
+//! [`ReplayGraph::build`] can still cross-check a dependency-edge tap
+//! (`GraphEdge`s whose ids match the captured spawns): edges between
+//! captured tasks are counted as tapped, edges touching unknown ids as
+//! foreign. The replay engine passes no tap: it counts the tasks its
+//! capture did not see instead. The `tap` parameter and its cross-check
+//! stay only for the benchmark's `freeze` probe, which calls
+//! `build(captured, &[])`.
 
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
@@ -305,9 +307,9 @@ fn coalesce_into(decls: &[AccessDecl], eff: &mut Vec<AccessDecl>) {
 }
 
 impl ReplayGraph {
-    /// Freeze a captured iteration. `tap` is the dependency-edge record
-    /// of the instrumented iteration (may be empty when unavailable, e.g.
-    /// after a divergence re-record).
+    /// Freeze a captured iteration. `tap` is an optional dependency-edge
+    /// record to cross-check (see the module docs); the replay engine
+    /// always passes an empty one.
     pub fn build(captured: &[CapturedSpawn], tap: &[GraphEdge]) -> Self {
         let n = captured.len();
         // One pass over the captured spawns builds both the per-node
@@ -628,7 +630,7 @@ impl ReplayGraph {
     }
 
     /// Reconstruct the first `n` recorded spawns as [`CapturedSpawn`]s
-    /// (metadata only, no bodies/ids). Used by the replay engine to
+    /// (metadata only, no ids). Used by the replay engine to
     /// freeze a divergent iteration's graph: its already-fed prefix
     /// matched these nodes by signature hash, so the recorded metadata
     /// stands in for the spawns actually observed. The declarations are
@@ -643,7 +645,6 @@ impl ReplayGraph {
                     graph: Arc::clone(self),
                     node: i as u32,
                 },
-                body: None,
                 id: None,
             })
             .collect()

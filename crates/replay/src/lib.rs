@@ -11,13 +11,11 @@
 //! In the spirit of OmpSs-2's `taskiter`/TDG-caching follow-on work, the
 //! subsystem:
 //!
-//! 1. **Records** one instrumented iteration: a [`GraphRecorder`]
-//!    installed through the runtime's [`SpawnCapture`] seam captures
-//!    every root task's creation order, label, priority and access set,
-//!    while the dependency-edge tap (`Runtime::set_graph_recording`,
-//!    the Figure-1 `GraphEdge` machinery) records the successor/child
-//!    links the dependency system actually created. The recorded
-//!    iteration still executes through the full dependency system.
+//! 1. **Records** one instrumented iteration: the engine's capture,
+//!    installed through the runtime's [`SpawnCapture`] seam, fills a
+//!    [`GraphRecorder`] with every root task's creation order, label,
+//!    priority and access set. The recorded iteration still executes
+//!    through the full dependency system.
 //! 2. **Freezes** the graph into a [`ReplayGraph`]: compressed-sparse-row
 //!    arenas for successor lists, access declarations and reduction
 //!    memberships (built once, no per-node allocations survive
@@ -46,9 +44,10 @@
 //! re-records on every shape change. A body that keeps diverging is
 //! pinned to the dependency system after 8 consecutive failures (with a
 //! cheap hash-only re-stabilization probe every 16 pinned iterations),
-//! and a recorded iteration containing nested task domains — detected
-//! via foreign dependency edges plus the runtime's nested-spawn counter
-//! — is pinned immediately. Correctness never depends on the graphs
+//! and a recorded or replayed iteration that created tasks the capture
+//! did not see, including root `taskwait_on` — the runtime's
+//! `tasks_created` delta exceeds the spawns the capture was offered —
+//! is pinned immediately. Correctness never depends on the graphs
 //! actually matching: a divergent iteration awaits its replayed prefix
 //! and runs the rest through the dependency system. The three limits are
 //! constants of the engine, not configuration.
@@ -78,12 +77,17 @@
 //!
 //! ## Scope and limitations
 //!
-//! * Only *root-level* spawns are captured. Nested task domains are
-//!   **detected** — foreign dependency edges at record time, plus the
-//!   runtime's nested-spawn counter on every graph-building and
-//!   replayed iteration — and force permanent dependency-system
-//!   fallback ([`ReplayReport::pinned_nested`]): replay cannot enforce
-//!   the *parents'* recorded ordering around nested children. A body
+//! * Only *root-level* spawns are captured. Tasks the capture did not
+//!   see, including root `taskwait_on`, are **detected** exactly, on
+//!   every recorded and replayed iteration, as the surplus of the
+//!   runtime's `tasks_created` delta over the spawns the capture was
+//!   offered. They force permanent dependency-system fallback
+//!   ([`ReplayReport::pinned_nested`]): replay cannot enforce the
+//!   *parents'* recorded ordering around nested children, and a
+//!   `taskwait_on` helper cannot wait for tasks that bypassed the
+//!   dependency system. (While a capture is installed, a root
+//!   `taskwait_on` therefore first waits for all of the root's
+//!   children, which keeps the iteration that calls it correct.) A body
 //!   that nests from the start is caught at record time and never
 //!   replays. A body that *starts* nesting mid-run is pinned at the end
 //!   of the first iteration whose replay observed nested spawns —
@@ -109,7 +113,7 @@ pub use cache::GraphCache;
 pub use engine::{ReplayReport, RunIterative};
 pub use graph::{NodeMeta, RedGroup, ReplayGraph};
 pub use partition::{PartitionStats, Partitioning};
-pub use recorder::{CaptureMode, CapturedDecls, CapturedSpawn, GraphRecorder};
+pub use recorder::{CapturedDecls, CapturedSpawn, GraphRecorder};
 
 // Re-exported for doc links and downstream convenience.
 pub use nanotask_core::{RunOutcome, Runtime, SpawnCapture, TaskCtx};

@@ -1,10 +1,9 @@
-//! The [`GraphRecorder`]: a [`SpawnCapture`] that turns root spawns into
-//! captured graph nodes.
+//! The [`GraphRecorder`]: the buffer of captured root spawns one record
+//! iteration fills.
 
-use std::sync::atomic::{AtomicBool, AtomicU8, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
-use nanotask_core::{AccessDecl, AccessMode, Deps, SpawnCapture, TaskBody, TaskCtx, TaskId};
+use nanotask_core::{AccessDecl, AccessMode, TaskId};
 
 use crate::graph::ReplayGraph;
 
@@ -51,53 +50,31 @@ pub struct CapturedSpawn {
     /// The declared access set, exactly as the user built it (owned or
     /// referenced from a frozen graph's arena).
     pub decls: CapturedDecls,
-    /// The task body — present only in [`CaptureMode::Consume`].
-    pub body: Option<TaskBody>,
-    /// The runtime task id — present only in [`CaptureMode::Record`]
-    /// (filled by the `on_spawned` callback), used to correlate captured
-    /// nodes with tapped dependency-graph edges.
+    /// The runtime task id, for correlating captured nodes with tapped
+    /// dependency-graph edges ([`ReplayGraph::build`]'s cross-check).
+    /// The replay engine leaves it `None`.
     pub id: Option<TaskId>,
 }
 
 impl CapturedSpawn {
-    /// A metadata-only capture (no body, no id) owning its declarations
-    /// — the shape every test fixture and divergence side-capture uses.
+    /// A metadata-only capture (no id) owning its declarations — the
+    /// shape every recorded spawn, test fixture and divergence
+    /// side-capture uses.
     pub fn bare(label: &'static str, priority: i32, decls: Vec<AccessDecl>) -> Self {
         Self {
             label,
             priority,
             decls: decls.into(),
-            body: None,
             id: None,
         }
     }
 }
 
-/// What the recorder does with offered spawns.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CaptureMode {
-    /// Note metadata, hand the parts back: the spawn proceeds through
-    /// the full dependency system (the instrumented record iteration).
-    Record,
-    /// Keep body and access set, consume the spawn (the caller will
-    /// schedule the bodies by other means).
-    Consume,
-}
-
-/// Captures the root task's spawns while active. Install with
-/// [`nanotask_core::Runtime::set_spawn_capture`] (directly, or via the
-/// replay engine which embeds one); drive with [`GraphRecorder::begin`]
-/// / [`GraphRecorder::take`].
+/// The root spawns of one record iteration, in creation order: a plain
+/// buffer the replay engine fills from its spawn capture.
 #[derive(Default)]
 pub struct GraphRecorder {
-    active: AtomicBool,
-    mode: AtomicU8, // 0 = Record, 1 = Consume
-    buf: Mutex<Vec<CapturedSpawn>>,
-    /// Length of the last taken capture: [`GraphRecorder::begin`]
-    /// pre-reserves it so a million-spawn record pays one allocation
-    /// instead of a doubling-growth series (`take` hands the buffer —
-    /// and its capacity — to the caller).
-    last_len: AtomicUsize,
+    buf: Vec<CapturedSpawn>,
 }
 
 /// Seed of both [`spawn_sig_hash`] and the iteration-level structural
@@ -139,40 +116,24 @@ pub fn spawn_sig_hash(label: &str, priority: i32, decls: &[AccessDecl]) -> u64 {
 }
 
 impl GraphRecorder {
-    /// A new, inactive recorder.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Start capturing in `mode` (clears any previous capture).
-    pub fn begin(&self, mode: CaptureMode) {
-        {
-            let mut buf = self.buf.lock().unwrap();
-            buf.clear();
-            let hint = self.last_len.load(Ordering::Relaxed);
-            if buf.capacity() < hint {
-                // `buf` was just cleared: reserve the full hint.
-                buf.reserve_exact(hint);
-            }
+    /// An empty recorder with room for `n` spawns: the engine passes the
+    /// length of its last record, so a million-spawn record pays one
+    /// allocation instead of a doubling-growth series.
+    pub fn with_capacity(n: usize) -> Self {
+        Self {
+            buf: Vec::with_capacity(n),
         }
-        self.mode.store(
-            if mode == CaptureMode::Consume { 1 } else { 0 },
-            Ordering::Relaxed,
-        );
-        self.active.store(true, Ordering::Release);
     }
 
-    /// Stop capturing.
-    pub fn stop(&self) {
-        self.active.store(false, Ordering::Release);
+    /// Note one spawn's metadata.
+    pub fn record(&mut self, label: &'static str, priority: i32, decls: &[AccessDecl]) {
+        self.buf
+            .push(CapturedSpawn::bare(label, priority, decls.to_vec()));
     }
 
-    /// Stop capturing and take the captured spawns.
-    pub fn take(&self) -> Vec<CapturedSpawn> {
-        self.stop();
-        let taken = std::mem::take(&mut *self.buf.lock().unwrap());
-        self.last_len.store(taken.len(), Ordering::Relaxed);
-        taken
+    /// The captured spawns, in creation order.
+    pub fn into_captured(self) -> Vec<CapturedSpawn> {
+        self.buf
     }
 
     /// Structural hash of a captured spawn sequence: the per-spawn
@@ -195,49 +156,6 @@ fn mode_tag(m: AccessMode) -> u64 {
         AccessMode::Write => 2,
         AccessMode::ReadWrite => 3,
         AccessMode::Reduction(op) => 100 + op as u64,
-    }
-}
-
-impl SpawnCapture for GraphRecorder {
-    fn active(&self) -> bool {
-        self.active.load(Ordering::Acquire)
-    }
-
-    fn on_spawn(
-        &self,
-        _ctx: &TaskCtx,
-        label: &'static str,
-        priority: i32,
-        deps: Deps,
-        body: TaskBody,
-    ) -> Option<(Deps, TaskBody)> {
-        let consume = self.mode.load(Ordering::Relaxed) == 1;
-        let mut buf = self.buf.lock().unwrap();
-        if consume {
-            buf.push(CapturedSpawn {
-                label,
-                priority,
-                decls: deps.into_decls().into(),
-                body: Some(body),
-                id: None,
-            });
-            None
-        } else {
-            buf.push(CapturedSpawn {
-                label,
-                priority,
-                decls: deps.decls().to_vec().into(),
-                body: None,
-                id: None,
-            });
-            Some((deps, body))
-        }
-    }
-
-    fn on_spawned(&self, id: TaskId) {
-        if let Some(last) = self.buf.lock().unwrap().last_mut() {
-            last.id = Some(id);
-        }
     }
 }
 

@@ -172,7 +172,6 @@ fn metric_schema_is_pinned() {
         ("nanotask_alloc_tasks_recycled", &[]),
         ("nanotask_live_tasks", &[]),
         ("nanotask_max_taskwait_depth", &[]),
-        ("nanotask_nested_spawns_total", &[]),
         ("nanotask_queue_wait_ns", &[]),
         ("nanotask_replay_cache_evictions_total", &[]),
         ("nanotask_replay_cache_hits_total", &[]),

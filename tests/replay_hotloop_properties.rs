@@ -278,7 +278,6 @@ fn assert_same_classification(on: &ReplayReport, off: &ReplayReport, what: &str)
     assert_eq!(on.tasks, off.tasks, "{what}: tasks");
     assert_eq!(on.edges, off.edges, "{what}: edges");
     assert_eq!(on.edge_list, off.edge_list, "{what}: edge_list");
-    assert_eq!(on.foreign_edges, off.foreign_edges, "{what}: foreign");
     assert_eq!(on.cache_hits, off.cache_hits, "{what}: cache_hits");
     assert_eq!(on.cache_misses, off.cache_misses, "{what}: cache_misses");
     assert_eq!(on.cache_evictions, off.cache_evictions, "{what}: evictions");
