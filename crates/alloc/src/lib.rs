@@ -175,16 +175,41 @@ fn class_of(layout: Layout) -> Option<usize> {
     CLASSES.iter().position(|&c| c >= layout.size())
 }
 
-/// Per-thread cache of free blocks, one vec per size class.
+/// Aligns, and so pads, its contents to 128-byte lines of their own:
+/// the width of `nanotask_locks::CachePadded` (adjacent-line prefetch),
+/// which this crate does not depend on.
 #[derive(Default)]
+#[repr(align(128))]
+struct Line<T>(T);
+
+impl<T> core::ops::Deref for Line<T> {
+    type Target = T;
+    #[inline]
+    fn deref(&self) -> &T {
+        &self.0
+    }
+}
+
+/// Per-thread cache of free blocks, one vec per size class, with the
+/// counters of the thread that owns it: they are written under the
+/// magazine's lock, which the owner already holds, and summed on read.
 struct Magazine {
     classes: Vec<Vec<*mut u8>>,
+    hits: u64,
+    misses: u64,
+    /// Allocations minus frees through this magazine. A block freed by
+    /// another thread makes one magazine's count drift negative; the sum
+    /// over all magazines is the pool's live count.
+    live: i64,
 }
 
 impl Magazine {
     fn new() -> Self {
         Self {
             classes: (0..CLASSES.len()).map(|_| Vec::new()).collect(),
+            hits: 0,
+            misses: 0,
+            live: 0,
         }
     }
 }
@@ -218,20 +243,21 @@ impl Drop for Slabs {
 /// jemalloc stand-in.
 ///
 /// Hot path: pop/push on a thread-private magazine (an uncontended
-/// `parking_lot::Mutex`, ~1 CAS). Miss path: batch transfer of `BATCH`
+/// `parking_lot::Mutex`: 1 CAS to lock, 1 store to unlock) and no other
+/// shared write: the hit, miss and live counters live in the magazine,
+/// which has its own cache line. Miss path: batch transfer of `BATCH`
 /// (32) blocks between the magazine and a per-class global free list; if
 /// the global list is empty a new `SLAB_BYTES` (64 KiB) slab is carved.
+/// Only the cold paths (carving, oversize requests) write shared
+/// counters.
 pub struct PoolAllocator {
     id: u64,
-    magazines: Box<[Mutex<Magazine>]>,
+    magazines: Box<[Line<Mutex<Magazine>>]>,
     globals: Box<[Mutex<GlobalClass>]>,
     slabs: Mutex<Slabs>,
     max_threads: usize,
     next_slot: AtomicUsize,
-    hits: AtomicU64,
-    misses: AtomicU64,
     slab_bytes: AtomicU64,
-    live: AtomicUsize,
     oversize: AtomicU64,
 }
 
@@ -249,7 +275,7 @@ impl PoolAllocator {
         Self {
             id: NEXT_POOL_ID.fetch_add(1, Ordering::Relaxed),
             magazines: (0..max_threads)
-                .map(|_| Mutex::new(Magazine::new()))
+                .map(|_| Line(Mutex::new(Magazine::new())))
                 .collect(),
             globals: (0..CLASSES.len())
                 .map(|_| Mutex::new(GlobalClass::default()))
@@ -257,10 +283,7 @@ impl PoolAllocator {
             slabs: Mutex::new(Slabs { chunks: Vec::new() }),
             max_threads,
             next_slot: AtomicUsize::new(0),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
             slab_bytes: AtomicU64::new(0),
-            live: AtomicUsize::new(0),
             oversize: AtomicU64::new(0),
         }
     }
@@ -311,34 +334,40 @@ impl PoolAllocator {
 
 unsafe impl RuntimeAllocator for PoolAllocator {
     fn alloc(&self, layout: Layout) -> *mut u8 {
-        self.live.fetch_add(1, Ordering::Relaxed);
+        let mut mag = self.magazines[self.slot()].lock();
+        let Magazine {
+            classes,
+            hits,
+            misses,
+            live,
+        } = &mut *mag;
+        *live += 1;
         let Some(ci) = class_of(layout) else {
             // Oversized or over-aligned: go straight to the system.
+            drop(mag);
             self.oversize.fetch_add(1, Ordering::Relaxed);
             let p = unsafe { std::alloc::alloc(layout) };
             assert!(!p.is_null(), "system allocation failed");
             return p;
         };
-        let slot = self.slot();
-        let mut mag = self.magazines[slot].lock();
-        let cls = &mut mag.classes[ci];
+        let cls = &mut classes[ci];
         if let Some(p) = cls.pop() {
-            self.hits.fetch_add(1, Ordering::Relaxed);
+            *hits += 1;
             return p;
         }
-        self.misses.fetch_add(1, Ordering::Relaxed);
+        *misses += 1;
         self.refill(ci, cls);
         cls.pop().expect("refill produced no blocks")
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        self.live.fetch_sub(1, Ordering::Relaxed);
+        let mut mag = self.magazines[self.slot()].lock();
+        mag.live -= 1;
         let Some(ci) = class_of(layout) else {
+            drop(mag);
             unsafe { std::alloc::dealloc(ptr, layout) };
             return;
         };
-        let slot = self.slot();
-        let mut mag = self.magazines[slot].lock();
         let cls = &mut mag.classes[ci];
         cls.push(ptr);
         if cls.len() >= MAG_MAX {
@@ -347,11 +376,18 @@ unsafe impl RuntimeAllocator for PoolAllocator {
     }
 
     fn stats(&self) -> AllocStats {
+        let (mut hits, mut misses, mut live) = (0, 0, 0i64);
+        for mag in self.magazines.iter() {
+            let mag = mag.lock();
+            hits += mag.hits;
+            misses += mag.misses;
+            live += mag.live;
+        }
         AllocStats {
-            pool_hits: self.hits.load(Ordering::Relaxed),
-            pool_misses: self.misses.load(Ordering::Relaxed),
+            pool_hits: hits,
+            pool_misses: misses,
             slab_bytes: self.slab_bytes.load(Ordering::Relaxed),
-            live: self.live.load(Ordering::Relaxed) as u64,
+            live: live.max(0) as u64,
             oversize: self.oversize.load(Ordering::Relaxed),
             // Task recycling is layered above (TaskSlab); the runtime
             // folds those counters in.
@@ -370,24 +406,63 @@ const SHELF_MAX: usize = 64;
 /// Slots moved per shelf ↔ overflow batch transfer.
 const SHELF_BATCH: usize = 32;
 
-/// Per-shelf free list of recycled object shells.
+/// Acquisitions per shelf between two samples of the live count: the
+/// 1st, 65th, 129th, … acquire on a shelf sums the shelves into
+/// [`TaskSlabStats::peak_live`]'s sampled value.
+const PEAK_SAMPLE: u64 = 64;
+
+/// One worker's shelf: its free list of recycled object shells and the
+/// counters of the acquires and recycles that went through it. The
+/// counters are written only under `free`'s lock, with a plain load and
+/// store, and read without it; [`TaskSlab`] pads each shelf to lines of
+/// its own, so a worker's acquire or recycle writes no line another
+/// worker writes.
 #[derive(Default)]
 struct Shelf {
-    free: Vec<*mut u8>,
+    free: Mutex<Vec<*mut u8>>,
+    acquired: AtomicU64,
+    fresh: AtomicU64,
+    released: AtomicU64,
 }
 
-unsafe impl Send for Shelf {}
+/// Add one to a counter whose writers are serialized by a lock the
+/// caller holds; returns the new value.
+#[inline]
+fn bump(c: &AtomicU64) -> u64 {
+    let v = c.load(Ordering::Relaxed) + 1;
+    c.store(v, Ordering::Relaxed);
+    v
+}
 
-/// Counters snapshot of a [`TaskSlab`].
+/// The high-water mark of live slots, on a line of its own.
+#[derive(Default)]
+struct Peak {
+    /// Largest live count a sample saw (see [`PEAK_SAMPLE`]).
+    sampled: AtomicU64,
+    /// Exact live count and its maximum: one shared RMW pair per call,
+    /// kept only in debug builds, where the bound tests run.
+    #[cfg(debug_assertions)]
+    live: AtomicU64,
+    #[cfg(debug_assertions)]
+    exact: AtomicU64,
+}
+
+/// Counters snapshot of a [`TaskSlab`], summed over its shelves.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct TaskSlabStats {
     /// Acquisitions served from the free list (recycled shells).
     pub recycled: u64,
     /// Acquisitions that fell through to the underlying allocator.
     pub fresh: u64,
-    /// Slots currently handed out.
+    /// Slots currently handed out: acquires minus recycles, summed over
+    /// the shelves.
     pub live: u64,
-    /// High-water mark of simultaneously handed-out slots.
+    /// High-water mark of simultaneously handed-out slots. Exact in
+    /// debug builds (`cfg(debug_assertions)`). In release builds it is
+    /// sampled and is a lower bound: the 1st, 65th, 129th, … acquire on
+    /// each shelf sums the shelves, so the true peak exceeds it by at
+    /// most 64 × (shelves) − 1, and any slab that handed out a slot
+    /// reports at least 1.
     pub peak_live: u64,
 }
 
@@ -402,20 +477,28 @@ pub struct TaskSlabStats {
 /// Hot path mirrors [`PoolAllocator`]'s magazines: a per-worker shelf
 /// (uncontended mutex) with batched spill to a shared overflow list, so
 /// producer/consumer imbalance across workers (one worker spawns, many
-/// free) still recycles instead of growing.
+/// free) still recycles instead of growing. Its counters live in the
+/// shelf, so an acquire or a recycle writes no shared line. The
+/// exceptions are the overflow transfers, one `fetch_max` per 64
+/// acquires on a shelf, and the exact peak count of debug builds.
 pub struct TaskSlab {
     layout: Layout,
     alloc: std::sync::Arc<dyn RuntimeAllocator>,
     /// Destructor for a recycled (still-initialized) shell; run when the
     /// slab itself drops, before returning the memory.
     drop_shell: unsafe fn(*mut u8),
-    shelves: Box<[Mutex<Shelf>]>,
-    overflow: Mutex<Shelf>,
-    recycled: AtomicU64,
-    fresh: AtomicU64,
-    live: AtomicU64,
-    peak_live: AtomicU64,
+    shelves: Box<[Line<Shelf>]>,
+    overflow: Line<Mutex<Vec<*mut u8>>>,
+    peak: Line<Peak>,
 }
+
+// SAFETY: `layout` and `drop_shell` are plain values and `alloc` is
+// `Send + Sync` by the trait's bound. The shelves' and the overflow's
+// free lists hold raw pointers to slots this slab owns and hands to one
+// caller at a time; each list is only touched under its mutex. The
+// counters are atomics.
+unsafe impl Send for TaskSlab {}
+unsafe impl Sync for TaskSlab {}
 
 impl TaskSlab {
     /// A slab for `layout`-shaped slots on top of `alloc`, with one
@@ -431,12 +514,9 @@ impl TaskSlab {
             layout,
             alloc,
             drop_shell,
-            shelves: (0..workers.max(1)).map(|_| Mutex::default()).collect(),
-            overflow: Mutex::default(),
-            recycled: AtomicU64::new(0),
-            fresh: AtomicU64::new(0),
-            live: AtomicU64::new(0),
-            peak_live: AtomicU64::new(0),
+            shelves: (0..workers.max(1)).map(|_| Line::default()).collect(),
+            overflow: Line::default(),
+            peak: Line::default(),
         }
     }
 
@@ -445,34 +525,69 @@ impl TaskSlab {
         self.layout
     }
 
+    fn shelf(&self, worker: usize) -> &Shelf {
+        &self.shelves[worker % self.shelves.len()]
+    }
+
     /// Hand out a slot. Returns `(ptr, recycled)`: when `recycled` the
     /// memory holds an initialized shell to re-init in place; otherwise
     /// it is uninitialized and must be `write`-constructed.
     pub fn acquire(&self, worker: usize) -> (*mut u8, bool) {
-        let live = self.live.fetch_add(1, Ordering::Relaxed) + 1;
-        self.peak_live.fetch_max(live, Ordering::Relaxed);
-        let mut shelf = self.shelves[worker % self.shelves.len()].lock();
-        if let Some(p) = shelf.free.pop() {
-            self.recycled.fetch_add(1, Ordering::Relaxed);
-            return (p, true);
-        }
-        // Shelf empty: pull a batch from the shared overflow (the frees
-        // may all be landing on other workers' shelves).
-        {
+        let shelf = self.shelf(worker);
+        let mut free = shelf.free.lock();
+        let n = bump(&shelf.acquired);
+        let got = free.pop().or_else(|| {
+            // Shelf empty: pull a batch from the shared overflow (the
+            // frees may all be landing on other workers' shelves).
             let mut over = self.overflow.lock();
-            let take = SHELF_BATCH.min(over.free.len());
-            if take > 0 {
-                let at = over.free.len() - take;
-                shelf.free.extend(over.free.drain(at..));
-            }
+            let at = over.len().saturating_sub(SHELF_BATCH);
+            free.extend(over.drain(at..));
+            drop(over);
+            free.pop()
+        });
+        if got.is_none() {
+            bump(&shelf.fresh);
         }
-        if let Some(p) = shelf.free.pop() {
-            self.recycled.fetch_add(1, Ordering::Relaxed);
-            return (p, true);
+        drop(free);
+        self.note_acquire(n);
+        match got {
+            Some(p) => (p, true),
+            None => (self.alloc.alloc(self.layout), false),
         }
-        drop(shelf);
-        self.fresh.fetch_add(1, Ordering::Relaxed);
-        (self.alloc.alloc(self.layout), false)
+    }
+
+    /// Peak bookkeeping for the `n`-th acquire on one shelf.
+    #[inline]
+    fn note_acquire(&self, n: u64) {
+        #[cfg(debug_assertions)]
+        {
+            let live = self.peak.live.fetch_add(1, Ordering::Relaxed) + 1;
+            self.peak.exact.fetch_max(live, Ordering::Relaxed);
+        }
+        if n % PEAK_SAMPLE == 1 {
+            self.peak
+                .sampled
+                .fetch_max(self.live_lower_bound(), Ordering::Relaxed);
+        }
+    }
+
+    /// Σ acquired − Σ released, reading the acquires first (`Acquire`
+    /// keeps the later loads after them): a slot acquired and released
+    /// while the sums are read lowers the result instead of raising it,
+    /// so it stays a lower bound on the live count at the moment the
+    /// acquire sum was complete.
+    fn live_lower_bound(&self) -> u64 {
+        let acquired: u64 = self
+            .shelves
+            .iter()
+            .map(|s| s.acquired.load(Ordering::Acquire))
+            .sum();
+        let released: u64 = self
+            .shelves
+            .iter()
+            .map(|s| s.released.load(Ordering::Relaxed))
+            .sum();
+        acquired.saturating_sub(released)
     }
 
     /// Return a cleared shell to the free list without deallocating.
@@ -482,23 +597,37 @@ impl TaskSlab {
     /// initialized shell (safe to drop via `drop_shell`), and not be
     /// used afterwards.
     pub unsafe fn recycle(&self, worker: usize, p: *mut u8) {
-        self.live.fetch_sub(1, Ordering::Relaxed);
-        let mut shelf = self.shelves[worker % self.shelves.len()].lock();
-        shelf.free.push(p);
-        if shelf.free.len() >= SHELF_MAX {
-            let keep = shelf.free.len() / 2;
-            let mut over = self.overflow.lock();
-            over.free.extend(shelf.free.drain(keep..));
+        #[cfg(debug_assertions)]
+        self.peak.live.fetch_sub(1, Ordering::Relaxed);
+        let shelf = self.shelf(worker);
+        let mut free = shelf.free.lock();
+        bump(&shelf.released);
+        free.push(p);
+        if free.len() >= SHELF_MAX {
+            let keep = free.len() / 2;
+            self.overflow.lock().extend(free.drain(keep..));
         }
     }
 
-    /// Counters snapshot.
+    /// Counters snapshot (see [`TaskSlabStats::peak_live`] for when the
+    /// peak is exact).
     pub fn stats(&self) -> TaskSlabStats {
+        let sum = |f: fn(&Shelf) -> &AtomicU64| -> u64 {
+            self.shelves
+                .iter()
+                .map(|s| f(s).load(Ordering::Relaxed))
+                .sum()
+        };
+        let (fresh, acquired) = (sum(|s| &s.fresh), sum(|s| &s.acquired));
+        #[cfg(debug_assertions)]
+        let peak_live = self.peak.exact.load(Ordering::Relaxed);
+        #[cfg(not(debug_assertions))]
+        let peak_live = self.peak.sampled.load(Ordering::Relaxed);
         TaskSlabStats {
-            recycled: self.recycled.load(Ordering::Relaxed),
-            fresh: self.fresh.load(Ordering::Relaxed),
-            live: self.live.load(Ordering::Relaxed),
-            peak_live: self.peak_live.load(Ordering::Relaxed),
+            recycled: acquired.saturating_sub(fresh),
+            fresh,
+            live: acquired.saturating_sub(sum(|s| &s.released)),
+            peak_live,
         }
     }
 }
@@ -507,9 +636,9 @@ impl Drop for TaskSlab {
     fn drop(&mut self) {
         let mut all: Vec<*mut u8> = Vec::new();
         for shelf in self.shelves.iter() {
-            all.append(&mut shelf.lock().free);
+            all.append(&mut shelf.free.lock());
         }
-        all.append(&mut self.overflow.lock().free);
+        all.append(&mut self.overflow.lock());
         for p in all {
             unsafe {
                 (self.drop_shell)(p);
@@ -821,6 +950,93 @@ mod tests {
             assert_eq!(drops.load(Ordering::Relaxed), 1);
             assert_eq!(alloc.stats().live, 0, "kind {kind:?} leaked");
         }
+    }
+
+    /// The peak sampler in both profiles: over a ramp that peaks between
+    /// sample points, on several shelves, the sampled value is a lower
+    /// bound within `PEAK_SAMPLE` × shelves of the exact peak. Debug
+    /// builds report the exact value.
+    #[test]
+    fn sampled_peak_brackets_the_exact_peak() {
+        const SHELVES: usize = 3;
+        let slab = TaskSlab::new(
+            Layout::new::<u64>(),
+            Arc::new(PoolAllocator::new(SHELVES)),
+            SHELVES,
+            |_| {},
+        );
+        let (mut held, mut exact, mut step) = (Vec::new(), 0u64, 0usize);
+        for (round, top) in [100usize, 7, 250, 190, 31, 260].into_iter().enumerate() {
+            while held.len() < top {
+                held.push(slab.acquire(step % SHELVES).0);
+                step += 1;
+            }
+            exact = exact.max(held.len() as u64);
+            while held.len() > top / (round + 2) {
+                unsafe { slab.recycle(step % SHELVES, held.pop().unwrap()) };
+                step += 1;
+            }
+        }
+        for p in held.drain(..) {
+            unsafe { slab.recycle(0, p) };
+        }
+        let sampled = slab.peak.sampled.load(Ordering::Relaxed);
+        assert!(
+            sampled <= exact && exact <= sampled + PEAK_SAMPLE * SHELVES as u64,
+            "sampled {sampled}, exact {exact}"
+        );
+        assert!(sampled < exact, "the ramp must peak between samples");
+        let stats = slab.stats();
+        assert_eq!(stats.live, 0);
+        #[cfg(debug_assertions)]
+        assert_eq!(stats.peak_live, exact);
+        #[cfg(not(debug_assertions))]
+        assert_eq!(stats.peak_live, sampled);
+    }
+
+    /// Every counter, lock or list that more than one thread writes
+    /// starts a 128-byte line of its own and fills whole lines, so no
+    /// other field shares it. Each struct is destructured without `..`:
+    /// a new field fails to compile here until it is placed.
+    #[test]
+    fn shared_writes_own_their_lines() {
+        use core::mem::{align_of, offset_of, size_of};
+        macro_rules! own_line {
+            ($s:ty, $f:ident: $t:ty) => {{
+                let _typed: fn(&$s) -> &$t = |s| &s.$f;
+                assert_eq!(offset_of!($s, $f) % 128, 0, stringify!($s::$f));
+                assert_eq!(size_of::<$t>() % 128, 0, stringify!($s::$f));
+            }};
+        }
+        // Elements of a `Box<[Line<_>]>` each start and fill their lines.
+        fn lines<T>() {
+            assert_eq!(align_of::<Line<T>>(), 128);
+            assert_eq!(size_of::<Line<T>>() % 128, 0);
+        }
+        let _pin = |slab: &TaskSlab, pool: &PoolAllocator| {
+            let TaskSlab {
+                layout: _,     // read-only
+                alloc: _,      // read-only
+                drop_shell: _, // read-only
+                shelves: _,    // each worker's free list and counters
+                overflow: _,   // written by any worker that spills or refills
+                peak: _,       // the sampled (and debug-exact) peak
+            } = slab;
+            let PoolAllocator {
+                id: _,          // read-only
+                magazines: _,   // each thread's blocks and counters
+                globals: _,     // cold: per-class refill and flush
+                slabs: _,       // cold: carving
+                max_threads: _, // read-only
+                next_slot: _,   // cold: once per thread
+                slab_bytes: _,  // cold: carving
+                oversize: _,    // cold: oversize requests
+            } = pool;
+        };
+        lines::<Shelf>();
+        own_line!(TaskSlab, overflow: Line<Mutex<Vec<*mut u8>>>);
+        own_line!(TaskSlab, peak: Line<Peak>);
+        lines::<Mutex<Magazine>>();
     }
 
     #[test]

@@ -19,7 +19,7 @@ use std::sync::Arc;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
 use nanotask_alloc::{AllocStats, AllocatorKind, RuntimeAllocator, TaskSlab, make_allocator};
-use nanotask_locks::Backoff;
+use nanotask_locks::{Backoff, CachePadded};
 use nanotask_obs::{
     Counter, FlightFrame, FlightRecorder, Gauge, Histogram, MaxGauge, Registry, Snapshot,
 };
@@ -620,7 +620,7 @@ impl Metrics {
             task_exec_ns: registry.histogram("nanotask_task_exec_ns"),
             queue_wait_ns: registry.histogram("nanotask_queue_wait_ns"),
             flight: if cfg.flight_every > 0 {
-                FlightRecorder::new(cfg.flight_every, Self::FLIGHT_CAPACITY)
+                FlightRecorder::new(cfg.flight_every, Self::FLIGHT_CAPACITY, cfg.workers.max(1))
             } else {
                 FlightRecorder::disabled()
             },
@@ -664,7 +664,9 @@ pub(crate) struct Shared {
     pub noise: Option<NoiseInjector>,
     /// Dependency edges, recorded while `cfg.record_graph` is on.
     pub graph: Mutex<Vec<GraphEdge>>,
-    pub next_id: AtomicU64,
+    /// Task-id counter: one `fetch_add` per spawn from any creator, so
+    /// it has a line of its own.
+    pub next_id: CachePadded<AtomicU64>,
     pub shutdown: AtomicBool,
     /// Failures recorded since the current run started (drained into
     /// [`RunOutcome::failures`] when it ends).
@@ -1335,7 +1337,7 @@ fn run_body(w: &WorkerCtx, t: *mut Task) {
         m.task_exec_ns
             .record(w.id, w.shared.tracer.now().saturating_sub(exec_t0));
     }
-    m.flight.tick(&m.registry);
+    m.flight.tick(w.id, &m.registry);
 }
 
 /// Execute a task body and run the completion protocol: every successor
@@ -1528,7 +1530,7 @@ impl Runtime {
             tracer: tracer.clone(),
             noise,
             graph: Mutex::new(Vec::new()),
-            next_id: AtomicU64::new(1),
+            next_id: CachePadded::new(AtomicU64::new(1)),
             shutdown: AtomicBool::new(false),
             failures: Mutex::new(Vec::new()),
             failed_count: AtomicU64::new(0),
@@ -1859,6 +1861,64 @@ mod tests {
         assert_eq!(crate::sched::sync_sched::SPSC_CAPACITY, 100);
         assert_eq!(Metrics::SAMPLE_MASK + 1, 32);
         assert_eq!(Metrics::FLIGHT_CAPACITY, 64);
+    }
+
+    /// Pins the cache-line layout of the runtime's shared state: every
+    /// atomic that more than one thread writes per task starts a 128-byte
+    /// line of its own, and each one that shares a line on purpose is
+    /// marked "shared on purpose" below with its reason. The structs are
+    /// destructured without `..`, so a new field does not compile until
+    /// it is placed.
+    #[test]
+    fn shared_writes_own_their_lines() {
+        use core::mem::{offset_of, size_of};
+        let _shared = |s: &Shared| {
+            let Shared {
+                cfg: _,
+                sched: _, // sync_sched::tests::shared_writes_own_their_lines
+                deps: _,
+                alloc: _,     // nanotask_alloc's shared_writes_own_their_lines
+                task_slab: _, // nanotask_alloc's shared_writes_own_their_lines
+                tracer: _,    // per-core buffers
+                noise: _,
+                graph: _,            // written per edge only with `record_graph`
+                next_id: _,          // own line, asserted below
+                shutdown: _,         // shared on purpose: written once, at drop
+                failures: _,         // written per failure
+                failed_count: _,     // shared on purpose: written per failure
+                fault_tick: _,       // shared on purpose: written only under a fault plan
+                run_active: _,       // shared on purpose: written twice per run
+                watchdog_tripped: _, // shared on purpose: written per run and trip
+                watchdog_diag: _,    // written per trip
+                metrics: _,          // sharded registry cells
+            } = s;
+        };
+        let _task = |t: &Task| {
+            let Task {
+                id: _,
+                label: _,
+                parent: _,
+                level: _,
+                created_by: _,
+                body: _,
+                // Shared on purpose: the protocol word every party of
+                // this one task writes; a line per task would grow every
+                // shell. It is one word (asserted below).
+                state: _,
+                decls: _,
+                accesses: _,
+                n_accesses: _,
+                child_bottom: _,
+                cold: _,
+                priority: _,
+                registered: _,
+                ready_ns: _,
+            } = t;
+        };
+        // Written per spawn by every creator.
+        assert_eq!(offset_of!(Shared, next_id) % 128, 0);
+        assert_eq!(size_of::<CachePadded<AtomicU64>>() % 128, 0);
+        assert_eq!(size_of::<TaskState>(), 8);
     }
 
     #[test]

@@ -26,7 +26,6 @@ pub struct CentralScheduler<L: RawLock> {
     queue: UnsafeCell<PolicyQueue>,
     kind: SchedKind,
     counters: SchedCounters,
-    len: core::sync::atomic::AtomicUsize,
 }
 
 unsafe impl<L: RawLock> Send for CentralScheduler<L> {}
@@ -34,9 +33,11 @@ unsafe impl<L: RawLock> Sync for CentralScheduler<L> {}
 
 impl<L: RawLock> CentralScheduler<L> {
     /// Counter shards when built standalone: the constructor does not
-    /// know the worker count, and out-of-range worker ids clamp to the
-    /// last shard anyway, so a fixed width only affects contention.
-    const DETACHED_SHARDS: usize = 16;
+    /// know the worker count, so there is one shard per worker id the
+    /// runtime can hand out. Out-of-range ids clamp to the last shard,
+    /// and two threads sharing a shard lose counts, which
+    /// [`Scheduler::approx_len`] would then report.
+    const DETACHED_SHARDS: usize = super::sync_sched::MAX_WORKERS;
 
     /// Create an empty scheduler.
     pub fn new(policy: Policy, kind: SchedKind) -> Self {
@@ -45,7 +46,6 @@ impl<L: RawLock> CentralScheduler<L> {
             queue: UnsafeCell::new(PolicyQueue::new(policy)),
             kind,
             counters: SchedCounters::detached(Self::DETACHED_SHARDS),
-            len: core::sync::atomic::AtomicUsize::new(0),
         }
     }
 
@@ -67,7 +67,6 @@ impl<L: RawLock> Scheduler for CentralScheduler<L> {
         // SAFETY: queue accessed only under `lock`.
         unsafe { (*self.queue.get()).push(task) };
         self.lock.unlock();
-        self.len.fetch_add(1, core::sync::atomic::Ordering::Relaxed);
         if let Some(r) = rec {
             r.record(EventKind::AddReady, unsafe { (*task.0).id });
         }
@@ -90,8 +89,6 @@ impl<L: RawLock> Scheduler for CentralScheduler<L> {
             q.push(t);
         }
         self.lock.unlock();
-        self.len
-            .fetch_add(tasks.len(), core::sync::atomic::Ordering::Relaxed);
         if let Some(r) = rec {
             r.record(EventKind::ReadyBatch, tasks.len() as u64);
         }
@@ -105,14 +102,13 @@ impl<L: RawLock> Scheduler for CentralScheduler<L> {
         let t = unsafe { (*self.queue.get()).pop_within(scope) };
         self.lock.unlock();
         if t.is_some() {
-            self.len.fetch_sub(1, core::sync::atomic::Ordering::Relaxed);
             self.counters.pop(worker);
         }
         t
     }
 
     fn approx_len(&self) -> usize {
-        self.len.load(core::sync::atomic::Ordering::Relaxed)
+        self.counters.queued()
     }
 
     fn kind(&self) -> SchedKind {

@@ -114,6 +114,15 @@ impl SchedCounters {
         self.lock_acquisitions.inc(worker);
     }
 
+    /// Tasks added and not yet popped, summed over the shards: Σ adds +
+    /// Σ batch tasks − Σ pops. Pops are read first, so a concurrent
+    /// add-then-pop cannot drive it below zero.
+    pub(crate) fn queued(&self) -> usize {
+        let pops = self.pops.value();
+        let added = self.adds.value() + self.batch_tasks.value();
+        added.saturating_sub(pops) as usize
+    }
+
     pub(crate) fn snapshot(&self) -> SchedOpStats {
         SchedOpStats {
             adds: self.adds.value(),
@@ -402,7 +411,13 @@ pub trait Scheduler: Send + Sync {
     fn get_ready(&self, worker: usize, rec: Rec<'_>) -> Option<TaskPtr> {
         self.get_ready_within(worker, Scope::ANY, rec)
     }
-    /// Approximate number of queued tasks (diagnostics only).
+    /// Approximate number of queued tasks, for diagnostics and drain
+    /// loops. It is derived from the operation counters (adds + batch
+    /// tasks − pops, summed over the workers' shards on read), so no
+    /// queue operation writes a shared length. It may lag adds and pops
+    /// in flight on other threads, and it counts tasks sitting in a
+    /// worker's pop cache; once every add and pop has returned it is
+    /// exact.
     fn approx_len(&self) -> usize;
     /// Which configuration this is.
     fn kind(&self) -> SchedKind;
@@ -655,6 +670,51 @@ mod tests {
             assert_eq!(s.approx_len(), 0, "{kind:?}");
         }
         free(&[root, a, b, a1, b1, a2, b2]);
+    }
+
+    /// `approx_len` is derived from the operation counters: after two
+    /// producers and two consumers move 10 k tasks each through every
+    /// scheduler, it reads 0 and the counters balance.
+    #[test]
+    fn approx_len_is_exact_at_quiescence() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        const PER_PRODUCER: usize = 10_000;
+        for kind in [
+            SchedKind::Delegation,
+            SchedKind::Central(LockKind::PtLock),
+            SchedKind::WorkSteal(WsVariant::LifoLocal),
+        ] {
+            let s = make_scheduler(kind, 4, 1, Policy::Fifo, 64, 0, None);
+            let popped = Arc::new(AtomicUsize::new(0));
+            let threads: Vec<_> = (0..4)
+                .map(|w| {
+                    let (s, popped) = (Arc::clone(&s), Arc::clone(&popped));
+                    std::thread::spawn(move || {
+                        if w < 2 {
+                            for i in 0..PER_PRODUCER {
+                                s.add_ready(fake((w * PER_PRODUCER + i + 1) << 4), w, None);
+                            }
+                            return;
+                        }
+                        while popped.load(Ordering::Relaxed) < 2 * PER_PRODUCER {
+                            match s.get_ready(w, None) {
+                                Some(_) => {
+                                    popped.fetch_add(1, Ordering::Relaxed);
+                                }
+                                None => std::thread::yield_now(),
+                            }
+                        }
+                    })
+                })
+                .collect();
+            for t in threads {
+                t.join().unwrap();
+            }
+            let ops = s.op_stats();
+            assert_eq!(s.approx_len(), 0, "{kind:?}: {ops:?}");
+            assert_eq!(ops.adds + ops.batch_tasks, ops.pops, "{kind:?}");
+            assert_eq!(ops.pops, 2 * PER_PRODUCER as u64, "{kind:?}");
+        }
     }
 
     #[test]

@@ -43,11 +43,13 @@ pub(crate) const SPSC_CAPACITY: usize = 100;
 /// One per-NUMA add buffer: a wait-free SPSC queue whose producer side is
 /// shared by the node's workers under a PTLock (§3.1: "We use the lock to
 /// synchronize between producers, but the synchronization between
-/// producer and consumers remains wait-free").
+/// producer and consumers remains wait-free"). The producer end (written
+/// by the PTLock holder) and the consumer end (written by the DTLock
+/// holder) sit on lines of their own.
 struct AddQueue {
     lock: PtLock<64>,
-    prod: UnsafeCell<spsc::Producer<TaskPtr>>,
-    cons: UnsafeCell<spsc::Consumer<TaskPtr>>,
+    prod: CachePadded<UnsafeCell<spsc::Producer<TaskPtr>>>,
+    cons: CachePadded<UnsafeCell<spsc::Consumer<TaskPtr>>>,
 }
 
 unsafe impl Send for AddQueue {}
@@ -56,7 +58,10 @@ unsafe impl Sync for AddQueue {}
 /// The synchronized delegation scheduler.
 pub struct SyncScheduler {
     lock: DtLock<TaskPtr, MAX_WORKERS>,
-    ready: UnsafeCell<PolicyQueue>,
+    /// The policy queue, written by whoever holds the DTLock; on a line
+    /// of its own so that a creator's `add_ready` reads of the fields
+    /// below do not miss.
+    ready: CachePadded<UnsafeCell<PolicyQueue>>,
     addqs: Box<[AddQueue]>,
     workers: usize,
     numa_nodes: usize,
@@ -79,7 +84,6 @@ pub struct SyncScheduler {
     /// idle polling writes no shared line.
     scopes: Box<[CachePadded<core::sync::atomic::AtomicPtr<Task>>]>,
     counters: SchedCounters,
-    len: core::sync::atomic::AtomicUsize,
 }
 
 unsafe impl Send for SyncScheduler {}
@@ -96,14 +100,14 @@ impl SyncScheduler {
                 let (prod, cons) = spsc::channel(spsc_capacity.max(1));
                 AddQueue {
                     lock: PtLock::new(),
-                    prod: UnsafeCell::new(prod),
-                    cons: UnsafeCell::new(cons),
+                    prod: CachePadded::new(UnsafeCell::new(prod)),
+                    cons: CachePadded::new(UnsafeCell::new(cons)),
                 }
             })
             .collect();
         Self {
             lock: DtLock::new(),
-            ready: UnsafeCell::new(PolicyQueue::new(policy)),
+            ready: CachePadded::new(UnsafeCell::new(PolicyQueue::new(policy))),
             addqs,
             workers: workers.max(1),
             numa_nodes: nodes,
@@ -117,7 +121,6 @@ impl SyncScheduler {
                 })
                 .collect(),
             counters: SchedCounters::detached(workers.max(1)),
-            len: core::sync::atomic::AtomicUsize::new(0),
         }
     }
 
@@ -161,8 +164,8 @@ impl SyncScheduler {
 
     /// Move up to `pop_cache` surplus tasks from the policy queue into
     /// `worker`'s private cache, so its next `get_ready` calls skip the
-    /// DTLock entirely. Caller must hold the DTLock; cached tasks leave
-    /// the `len` accounting (they are already owned by `worker`).
+    /// DTLock entirely. Caller must hold the DTLock; cached tasks count
+    /// as queued until a pop returns them.
     ///
     /// # Safety
     /// Must be called from `worker`'s own thread (cache confinement) with
@@ -175,10 +178,7 @@ impl SyncScheduler {
         let cache = unsafe { &mut *self.caches[worker].get() };
         while cache.len() < self.pop_cache {
             match ready.pop() {
-                Some(t) => {
-                    cache.push_back(t);
-                    self.len.fetch_sub(1, core::sync::atomic::Ordering::Relaxed);
-                }
+                Some(t) => cache.push_back(t),
                 None => break,
             }
         }
@@ -194,11 +194,9 @@ impl SyncScheduler {
     unsafe fn surrender_cache(&self, worker: usize) {
         let ready = unsafe { &mut *self.ready.get() };
         let cache = unsafe { &mut *self.caches[worker].get() };
-        let n = cache.len();
         for t in cache.drain(..) {
             ready.push(t);
         }
-        self.len.fetch_add(n, core::sync::atomic::Ordering::Relaxed);
     }
 
     /// The scope worker `wid` published with its pending DTLock request.
@@ -237,7 +235,6 @@ impl Scheduler for SyncScheduler {
             r.record(EventKind::AddReady, unsafe { (*task.0).id });
         }
         self.counters.add(worker);
-        self.len.fetch_add(1, core::sync::atomic::Ordering::Relaxed);
         let q = &self.addqs[self.numa_of(worker)];
         let mut item = task;
         loop {
@@ -269,8 +266,6 @@ impl Scheduler for SyncScheduler {
             r.record(EventKind::ReadyBatch, tasks.len() as u64);
         }
         self.counters.batch(worker, tasks.len());
-        self.len
-            .fetch_add(tasks.len(), core::sync::atomic::Ordering::Relaxed);
         self.push_batch(&self.addqs[self.numa_of(worker)], tasks, worker);
     }
 
@@ -309,7 +304,6 @@ impl Scheduler for SyncScheduler {
         match self.lock.lock_or_delegate(worker) {
             LockOrDelegate::Served(t) => {
                 // Another worker executed our request inside the lock.
-                self.len.fetch_sub(1, core::sync::atomic::Ordering::Relaxed);
                 self.counters.pop(worker);
                 Some(t)
             }
@@ -368,7 +362,6 @@ impl Scheduler for SyncScheduler {
                 }
                 self.lock.unlock();
                 if own.is_some() {
-                    self.len.fetch_sub(1, core::sync::atomic::Ordering::Relaxed);
                     self.counters.pop(worker);
                 }
                 own
@@ -377,7 +370,7 @@ impl Scheduler for SyncScheduler {
     }
 
     fn approx_len(&self) -> usize {
-        self.len.load(core::sync::atomic::Ordering::Relaxed)
+        self.counters.queued()
     }
 
     fn kind(&self) -> SchedKind {
@@ -397,6 +390,50 @@ mod tests {
 
     fn fake(n: usize) -> TaskPtr {
         TaskPtr(n as *mut Task)
+    }
+
+    /// Every field of the delegation scheduler that more than one thread
+    /// writes starts a 128-byte line of its own: the policy queue (the
+    /// DTLock holder), each add buffer's producer end (the PTLock holder)
+    /// and consumer end (the DTLock holder). The DTLock and PTLock pad
+    /// their own words. The structs are destructured without `..`, so a
+    /// new field does not compile until it is placed.
+    #[test]
+    fn shared_writes_own_their_lines() {
+        use core::mem::{align_of, offset_of, size_of};
+        let _pin = |s: &SyncScheduler, q: &AddQueue| {
+            let SyncScheduler {
+                lock: _,
+                ready: _,
+                addqs: _,
+                workers: _,    // read-only
+                numa_nodes: _, // read-only
+                pop_cache: _,  // read-only
+                caches: _,     // one padded slot per worker
+                scopes: _,     // one padded slot per worker
+                counters: _,   // sharded registry cells
+            } = s;
+            let AddQueue {
+                lock: _,
+                prod: _,
+                cons: _,
+            } = q;
+        };
+        let line =
+            |offset: usize, size: usize| offset.is_multiple_of(128) && size.is_multiple_of(128);
+        assert!(line(
+            offset_of!(SyncScheduler, ready),
+            size_of::<CachePadded<UnsafeCell<PolicyQueue>>>()
+        ));
+        assert_eq!(align_of::<AddQueue>() % 128, 0, "addqs[*] start lines");
+        assert!(line(
+            offset_of!(AddQueue, prod),
+            size_of::<CachePadded<UnsafeCell<spsc::Producer<TaskPtr>>>>()
+        ));
+        assert!(line(
+            offset_of!(AddQueue, cons),
+            size_of::<CachePadded<UnsafeCell<spsc::Consumer<TaskPtr>>>>()
+        ));
     }
 
     #[test]

@@ -14,7 +14,7 @@
 //! work-stealing behaves similarly to the global lock approach because
 //! most threads need to steal work from a single creator queue".
 
-use core::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use core::sync::atomic::{AtomicU64, Ordering};
 use nanotask_locks::CachePadded;
 use nanotask_obs::Registry;
 use parking_lot::Mutex;
@@ -30,7 +30,6 @@ pub struct WorkStealScheduler {
     seeds: Box<[CachePadded<AtomicU64>]>,
     variant: WsVariant,
     counters: SchedCounters,
-    len: AtomicUsize,
 }
 
 impl WorkStealScheduler {
@@ -46,7 +45,6 @@ impl WorkStealScheduler {
                 .collect(),
             variant,
             counters: SchedCounters::detached(n),
-            len: AtomicUsize::new(0),
         }
     }
 
@@ -122,7 +120,6 @@ impl Scheduler for WorkStealScheduler {
             r.record(nanotask_trace::EventKind::AddReady, unsafe { (*task.0).id });
         }
         self.counters.add(worker);
-        self.len.fetch_add(1, Ordering::Relaxed);
         let w = worker % self.deques.len();
         let mut dq = self.deques[w].lock();
         self.counters.lock(worker);
@@ -139,7 +136,6 @@ impl Scheduler for WorkStealScheduler {
             r.record(nanotask_trace::EventKind::ReadyBatch, tasks.len() as u64);
         }
         self.counters.batch(worker, tasks.len());
-        self.len.fetch_add(tasks.len(), Ordering::Relaxed);
         let w = worker % self.deques.len();
         // One deque-lock acquisition pushes the whole released batch.
         let mut dq = self.deques[w].lock();
@@ -151,14 +147,13 @@ impl Scheduler for WorkStealScheduler {
         let w = worker % self.deques.len();
         let t = self.pop_local(w, scope).or_else(|| self.steal(w, scope));
         if t.is_some() {
-            self.len.fetch_sub(1, Ordering::Relaxed);
             self.counters.pop(worker);
         }
         t
     }
 
     fn approx_len(&self) -> usize {
-        self.len.load(Ordering::Relaxed)
+        self.counters.queued()
     }
 
     fn kind(&self) -> SchedKind {
