@@ -220,10 +220,6 @@ pub struct RuntimeConfig {
     pub record_graph: bool,
     /// Synthetic OS-noise injection (Figure 11).
     pub noise: Option<NoiseConfig>,
-    /// Per-worker pop-cache capacity of the delegation scheduler: one
-    /// delegation-lock acquisition pre-pops up to this many extra tasks
-    /// for the acquiring worker. 0 (default) disables the cache.
-    pub pop_cache: usize,
     /// Latency histograms (task execution time, ready-queue wait):
     /// sampled clock reads on the hot path when on.
     /// Plain counters are registry-backed and always on regardless —
@@ -265,7 +261,6 @@ impl RuntimeConfig {
             trace: false,
             record_graph: false,
             noise: None,
-            pop_cache: 0,
             metrics: false,
             flight_every: 0,
             watchdog: None,
@@ -381,13 +376,6 @@ impl RuntimeConfig {
         self
     }
 
-    /// Set the delegation scheduler's per-worker pop-cache capacity
-    /// (0 disables).
-    pub fn with_pop_cache(mut self, n: usize) -> Self {
-        self.pop_cache = n;
-        self
-    }
-
     /// Set the NUMA-node count (min 1).
     pub fn with_numa_nodes(mut self, n: usize) -> Self {
         self.numa_nodes = n.max(1);
@@ -443,8 +431,8 @@ impl RuntimeConfig {
 pub struct RunReport {
     /// Task life-cycle and allocator counters.
     pub stats: RuntimeStats,
-    /// Scheduler operation counters (adds, batch adds, pops, pop-cache
-    /// hits, lock acquisitions).
+    /// Scheduler operation counters (adds, batch adds, pops, lock
+    /// acquisitions).
     pub sched: crate::sched::SchedOpStats,
     /// Always 0: every task activation goes through the scheduler. Read
     /// by `benchmark/src/adapters.rs::Counts::of_runtime`.
@@ -690,40 +678,6 @@ pub(crate) struct Shared {
 }
 
 impl Shared {
-    /// Allocate a task object — as a recycled shell when the slab has
-    /// one (re-initialized in place, interior capacity retained), or as
-    /// a fresh allocation otherwise.
-    ///
-    /// # Safety
-    /// The returned pointer is valid until handed to [`Shared::free_task`].
-    #[allow(clippy::too_many_arguments)]
-    unsafe fn alloc_task(
-        &self,
-        worker: usize,
-        id: TaskId,
-        label: &'static str,
-        parent: *mut Task,
-        created_by: u32,
-        body: TaskBody,
-        decls: Vec<crate::deps::AccessDecl>,
-    ) -> *mut Task {
-        let (p, recycled) = self.task_slab.acquire(worker);
-        let t = p as *mut Task;
-        unsafe {
-            if recycled {
-                (*t).reinit_recycled(id, label, parent, created_by, body, decls);
-            } else {
-                t.write(Task::new(id, label, parent, created_by, body, decls));
-            }
-            (*t).level = if parent.is_null() {
-                0
-            } else {
-                (*parent).level + 1
-            };
-        }
-        t
-    }
-
     /// Reclaim a task object and its access array. The shell is cleared
     /// ([`Task::reset_for_recycle`]) and returned to the task slab, not
     /// deallocated.
@@ -785,6 +739,51 @@ impl WorkerCtx {
         self.recorder.borrow_mut().record(kind, payload);
     }
 
+    /// The one task-creation sequence: a fresh id, the created and live
+    /// counters, a task shell (a recycled one from the slab, re-initialized
+    /// in place with its interior capacity, or a fresh allocation) and
+    /// the priority. A child's `CreateBegin` is recorded here, before the
+    /// allocation, and its creator records `CreateEnd`; the root is
+    /// created outside any task body and records neither.
+    ///
+    /// # Safety
+    /// `parent` is null or a live task. The returned pointer is valid
+    /// until handed to [`Shared::free_task`].
+    #[inline]
+    unsafe fn create_task(
+        &self,
+        label: &'static str,
+        parent: *mut Task,
+        priority: i32,
+        body: TaskBody,
+        decls: Vec<crate::deps::AccessDecl>,
+    ) -> *mut Task {
+        let shared = &*self.shared;
+        let id = shared.next_id.fetch_add(1, Ordering::Relaxed);
+        if !parent.is_null() {
+            self.record(EventKind::CreateBegin, id);
+        }
+        shared.metrics.tasks_created.inc(self.id);
+        shared.metrics.live_tasks.inc(self.id);
+        let (p, recycled) = shared.task_slab.acquire(self.id);
+        let t = p as *mut Task;
+        let created_by = self.id as u32;
+        unsafe {
+            if recycled {
+                (*t).reinit_recycled(id, label, parent, created_by, body, decls);
+            } else {
+                t.write(Task::new(id, label, parent, created_by, body, decls));
+            }
+            (*t).level = if parent.is_null() {
+                0
+            } else {
+                (*parent).level + 1
+            };
+            (*t).priority = priority;
+        }
+        t
+    }
+
     /// Queue-wait sampling, producer side: every 32nd
     /// release stamps its task with the tracer clock; the executing
     /// worker reads the stamp back in `run_body`. One clock read per
@@ -799,6 +798,34 @@ impl WorkerCtx {
         if tick & Metrics::SAMPLE_MASK == 0 {
             // `max(1)`: 0 means "never stamped".
             unsafe { (*t).ready_ns = self.shared.tracer.now().max(1) };
+        }
+    }
+
+    /// The one work-assisting wait loop: run tasks popped in `scope`
+    /// until `done`. The noise injector is polled before every `done`
+    /// test, so even a wait that is already over when it starts polls it
+    /// once. [`worker_loop`] is the idle loop of the other workers.
+    fn help(&self, scope: Scope, mut done: impl FnMut() -> bool) {
+        let (sched, noise) = (&*self.shared.sched, &self.shared.noise);
+        let mut backoff = Backoff::new();
+        loop {
+            if let Some(noise) = noise {
+                noise.check(self.id as u16, &mut self.recorder.borrow_mut());
+            }
+            if done() {
+                return;
+            }
+            let got = {
+                let mut rec = self.recorder.borrow_mut();
+                sched.get_ready_within(self.id, scope, Some(&mut rec))
+            };
+            match got {
+                Some(t) => {
+                    execute_task(self, t.0);
+                    backoff.reset();
+                }
+                None => backoff.snooze(),
+            }
         }
     }
 
@@ -950,22 +977,10 @@ impl TaskCtx<'_> {
         body: TaskBody,
         epilogue: Option<(Arc<dyn TaskEpilogue>, u64)>,
     ) -> HeldTask {
-        let shared = &self.worker.shared;
-        let id = shared.next_id.fetch_add(1, Ordering::Relaxed);
-        self.worker.record(EventKind::CreateBegin, id);
-        shared.metrics.tasks_created.inc(self.worker.id);
-        shared.metrics.live_tasks.inc(self.worker.id);
-        let t = unsafe {
-            let t = shared.alloc_task(
-                self.worker.id,
-                id,
-                label,
-                self.task,
-                self.worker.id as u32,
-                body,
-                decls,
-            );
-            (*t).priority = priority;
+        unsafe {
+            let t = self
+                .worker
+                .create_task(label, self.task, priority, body, decls);
             if let Some(epilogue) = epilogue {
                 (*t).set_epilogue(epilogue);
             }
@@ -977,10 +992,9 @@ impl TaskCtx<'_> {
             (*self.task).add_child();
             let became_ready = (*t).unblock();
             debug_assert!(!became_ready, "held task ready before release");
-            t
-        };
-        self.worker.record(EventKind::CreateEnd, id);
-        HeldTask(t)
+            self.worker.record(EventKind::CreateEnd, (*t).id);
+            HeldTask(t)
+        }
     }
 
     /// Record a marker event on the executing worker's trace stream.
@@ -1074,34 +1088,22 @@ impl TaskCtx<'_> {
         body: crate::task::TaskBody,
         completion: Option<Arc<AtomicBool>>,
     ) {
-        let shared = &self.worker.shared;
-        let id = shared.next_id.fetch_add(1, Ordering::Relaxed);
-        self.worker.record(EventKind::CreateBegin, id);
-        shared.metrics.tasks_created.inc(self.worker.id);
-        shared.metrics.live_tasks.inc(self.worker.id);
-
         unsafe {
-            let t = shared.alloc_task(
-                self.worker.id,
-                id,
-                label,
-                self.task,
-                self.worker.id as u32,
-                body,
-                deps.into_decls(),
-            );
-            (*t).priority = priority;
+            let t = self
+                .worker
+                .create_task(label, self.task, priority, body, deps.into_decls());
+            let id = (*t).id;
             if let Some(flag) = completion {
                 (*t).set_completion_flag(flag);
             }
             (*self.task).add_child();
             let hooks = Hooks { w: self.worker };
-            shared.deps.register(t, &hooks);
+            self.worker.shared.deps.register(t, &hooks);
             if (*t).unblock() {
                 hooks.task_ready(t);
             }
+            self.worker.record(EventKind::CreateEnd, id);
         }
-        self.worker.record(EventKind::CreateEnd, id);
     }
 
     /// Wait until every child spawned so far (and their descendants) has
@@ -1119,14 +1121,13 @@ impl TaskCtx<'_> {
     /// dependency domains are per parent, so the unfinished descendants
     /// of the waited-in task `T` depend only on each other: while any is
     /// unfinished, one is queued or running. A queued one is found by
-    /// `T`'s waiter even at the cap (a capped waiter searches the whole
-    /// queue and first hands its private pop cache back to it). A running
-    /// one started after `T` and sits on some worker's stack below that
-    /// worker's innermost wait, which started after it. Following "my
-    /// descendant runs below your innermost wait" from waiter to waiter
-    /// therefore strictly increases start times and cannot cycle: the
-    /// innermost wait that started last always has a queued descendant
-    /// or none left.
+    /// `T`'s waiter even at the cap, which searches the whole queue. A
+    /// running one started after `T` and sits on some worker's stack
+    /// below that worker's innermost wait, which started after it.
+    /// Following "my descendant runs below your innermost wait" from
+    /// waiter to waiter therefore strictly increases start times and
+    /// cannot cycle: the innermost wait that started last always has a
+    /// queued descendant or none left.
     pub fn taskwait(&self) {
         let task = unsafe { &*self.task };
         if task.pending_children() <= 1 {
@@ -1137,10 +1138,10 @@ impl TaskCtx<'_> {
         self.worker.record(EventKind::TaskwaitEnd, task.id);
     }
 
-    /// The work-assisting wait loop shared by [`TaskCtx::taskwait`] and
-    /// [`TaskCtx::taskwait_on`]: run tasks in this task's scope until
-    /// `done`, accounting the worker's nesting depth.
-    fn help_until(&self, done: impl Fn() -> bool) {
+    /// The wait of [`TaskCtx::taskwait`] and [`TaskCtx::taskwait_on`]:
+    /// [`WorkerCtx::help`] in this task's scope until `done`, accounting
+    /// the worker's nesting depth.
+    fn help_until(&self, done: impl FnMut() -> bool) {
         let w = self.worker;
         let depth = w.taskwait_depth.get() + 1;
         w.taskwait_depth.set(depth);
@@ -1156,24 +1157,7 @@ impl TaskCtx<'_> {
         } else {
             Scope::within(self.task, depth >= TASKWAIT_NESTING_CAP)
         };
-        let mut backoff = Backoff::new();
-        while !done() {
-            let got = {
-                let mut rec = w.recorder.borrow_mut();
-                w.shared.sched.get_ready_within(w.id, scope, Some(&mut rec))
-            };
-            match got {
-                Some(t) => {
-                    execute_task(w, t.0);
-                    backoff.reset();
-                }
-                None => backoff.snooze(),
-            }
-            if let Some(noise) = &w.shared.noise {
-                let mut rec = w.recorder.borrow_mut();
-                noise.check(w.id as u16, &mut rec);
-            }
-        }
+        w.help(scope, done);
         w.taskwait_depth.set(depth - 1);
     }
 
@@ -1407,7 +1391,7 @@ fn build_stall_diagnostic(shared: &Shared) -> String {
 /// Stall-watchdog monitor loop ([`RuntimeConfig::watchdog`]): while a
 /// fallible run is active, trip when tasks are live but the executed
 /// counter has not moved for the configured window. Tripping records a
-/// diagnostic and raises `watchdog_tripped`; the run's poll loop turns
+/// diagnostic and raises `watchdog_tripped`; the run's wait loop turns
 /// that into a [`FailureKind::WatchdogStall`] failure and returns
 /// instead of hanging. Cancelled-body completions count as progress, so
 /// a draining cancellation wave never trips the watchdog.
@@ -1503,7 +1487,7 @@ impl Runtime {
             cfg.numa_nodes,
             cfg.policy,
             crate::sched::sync_sched::SPSC_CAPACITY,
-            cfg.pop_cache,
+            0,
             Some(&metrics.registry),
         );
         let deps = make_deps(cfg.deps);
@@ -1603,20 +1587,11 @@ impl Runtime {
         shared.watchdog_tripped.store(false, Ordering::Release);
         let cancelled0 = shared.metrics.tasks_cancelled.value();
         shared.run_active.store(true, Ordering::Release);
-        let id = shared.next_id.fetch_add(1, Ordering::Relaxed);
-        shared.metrics.tasks_created.inc(0);
-        shared.metrics.live_tasks.inc(0);
         let done = Arc::new(AtomicBool::new(false));
         let t = unsafe {
-            let t = shared.alloc_task(
-                0,
-                id,
-                "root",
-                core::ptr::null_mut(),
-                0,
-                Box::new(root),
-                vec![],
-            );
+            let t = self
+                .main
+                .create_task("root", core::ptr::null_mut(), 0, Box::new(root), vec![]);
             (*t).set_completion_flag(Arc::clone(&done));
             t
         };
@@ -1625,32 +1600,16 @@ impl Runtime {
         // flag lives outside task memory, so polling it races with
         // nothing even after the task object is reclaimed.
         execute_task(&self.main, t);
-        let mut backoff = Backoff::new();
         let mut stalled = false;
-        while !done.load(Ordering::Acquire) {
-            if shared.watchdog_tripped.load(Ordering::Acquire) {
-                // Stuck graph: abandon it (its tasks cannot drain by
-                // definition of the trip) and fail the run instead of
-                // hanging forever.
-                stalled = true;
-                break;
+        self.main.help(Scope::ANY, || {
+            // A tripped watchdog means a stuck graph: abandon it (its
+            // tasks cannot drain by definition of the trip) and fail the
+            // run instead of hanging forever.
+            done.load(Ordering::Acquire) || {
+                stalled = shared.watchdog_tripped.load(Ordering::Acquire);
+                stalled
             }
-            let got = {
-                let mut rec = self.main.recorder.borrow_mut();
-                shared.sched.get_ready(0, Some(&mut rec))
-            };
-            match got {
-                Some(task) => {
-                    execute_task(&self.main, task.0);
-                    backoff.reset();
-                }
-                None => backoff.snooze(),
-            }
-            if let Some(noise) = &shared.noise {
-                let mut rec = self.main.recorder.borrow_mut();
-                noise.check(0, &mut rec);
-            }
-        }
+        });
         shared.run_active.store(false, Ordering::Release);
         self.main.recorder.borrow_mut().flush();
         let mut failures = std::mem::take(&mut *shared.failures.lock());
@@ -1841,7 +1800,6 @@ mod tests {
             trace: _,
             record_graph: _,
             noise: _,
-            pop_cache,
             metrics: _,
             flight_every: _,
             watchdog: _,
@@ -1849,7 +1807,6 @@ mod tests {
             label: _,
         } = RuntimeConfig::optimized();
         assert_eq!(numa_nodes, 1);
-        assert_eq!(pop_cache, 0);
         assert_eq!(policy, Policy::Fifo);
         // No wildcard arms: a new variant fails to compile here.
         match crate::sched::LockKind::default() {
@@ -2006,9 +1963,12 @@ mod tests {
 
     #[test]
     fn all_ablation_configs_run() {
-        for cfg in RuntimeConfig::ablations() {
+        for (cfg, workers) in RuntimeConfig::ablations()
+            .into_iter()
+            .flat_map(|cfg| [(cfg.clone(), 2), (cfg, 3)])
+        {
             let label = cfg.label;
-            let rt = Runtime::new(cfg.workers(2));
+            let rt = Runtime::new(cfg.workers(workers));
             let count = Arc::new(TestAtomicU64::new(0));
             let c = Arc::clone(&count);
             let data = Box::leak(Box::new(0u64)) as *mut u64;
@@ -2021,9 +1981,17 @@ mod tests {
                         c2.fetch_add(1, Ordering::Relaxed);
                     });
                 }
+                // Access-free tasks queued next to the chain.
+                for _ in 0..10 {
+                    let c2 = Arc::clone(&c);
+                    ctx.spawn(Deps::new(), move |_| {
+                        c2.fetch_add(1, Ordering::Relaxed);
+                    });
+                }
             });
-            assert_eq!(count.load(Ordering::Relaxed), 20, "config {label}");
-            assert_eq!(unsafe { *data }, 20, "config {label}");
+            assert_eq!(count.load(Ordering::Relaxed), 30, "{label}, {workers}w");
+            assert_eq!(unsafe { *data }, 20, "{label}, {workers}w");
+            assert_eq!(rt.live_tasks(), 0, "{label}, {workers}w");
             unsafe { drop(Box::from_raw(data)) };
         }
     }
@@ -2056,6 +2024,33 @@ mod tests {
             .filter(|e| e.kind == EventKind::TaskStart)
             .count();
         assert!(starts >= 6, "root + 5 tasks traced, got {starts}");
+    }
+
+    /// The wait loop polls the noise injector before it tests `done`, so
+    /// worker 0 polls it once even when the root leaves nothing to wait
+    /// for.
+    #[test]
+    fn childless_root_still_polls_noise() {
+        let rt = Runtime::new(
+            RuntimeConfig::optimized()
+                .workers(1)
+                .tracing(true)
+                .with_noise(NoiseConfig {
+                    target_core: 0,
+                    period: std::time::Duration::from_micros(1),
+                    duration: std::time::Duration::from_micros(10),
+                    max_events: 1,
+                }),
+        );
+        // The root outlives the first deadline.
+        rt.run(|_| std::thread::sleep(std::time::Duration::from_millis(1)));
+        let begins = rt
+            .trace()
+            .events()
+            .iter()
+            .filter(|e| e.kind == EventKind::KernelInterruptBegin)
+            .count();
+        assert!(begins >= 1, "no interrupt recorded");
     }
 
     #[test]
@@ -2215,37 +2210,6 @@ mod tests {
         });
         assert_eq!(unsafe { *x }, 7);
         unsafe { drop(Box::from_raw(x)) };
-    }
-
-    #[test]
-    fn pop_cache_correct_on_all_ablations() {
-        for base in RuntimeConfig::ablations() {
-            let label = base.label;
-            let rt = Runtime::new(base.workers(3).with_pop_cache(2));
-            let count = Arc::new(TestAtomicU64::new(0));
-            let c = Arc::clone(&count);
-            let data = Box::leak(Box::new(0u64)) as *mut u64;
-            let p = crate::SendPtr::new(data);
-            rt.run(move |ctx| {
-                for _ in 0..40 {
-                    let c2 = Arc::clone(&c);
-                    ctx.spawn(Deps::new().readwrite_addr(p.addr()), move |_| {
-                        unsafe { *p.get() += 1 };
-                        c2.fetch_add(1, Ordering::Relaxed);
-                    });
-                }
-                for _ in 0..10 {
-                    let c2 = Arc::clone(&c);
-                    ctx.spawn(Deps::new(), move |_| {
-                        c2.fetch_add(1, Ordering::Relaxed);
-                    });
-                }
-            });
-            assert_eq!(count.load(Ordering::Relaxed), 50, "{label}");
-            assert_eq!(unsafe { *data }, 40, "{label}");
-            assert_eq!(rt.live_tasks(), 0, "{label}");
-            unsafe { drop(Box::from_raw(data)) };
-        }
     }
 
     #[test]

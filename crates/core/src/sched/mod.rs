@@ -32,9 +32,8 @@ use crate::task::Task;
 /// Snapshot of scheduler operation counters: how many tasks entered the
 /// ready structures one at a time vs. in batches (the runtime adds one
 /// at a time; batches come only from direct
-/// [`Scheduler::add_ready_batch`] callers), how many pops were served
-/// from a per-worker cache, and how often the scheduler's lock was
-/// actually acquired.
+/// [`Scheduler::add_ready_batch`] callers), how many were popped, and
+/// how often the scheduler's lock was actually acquired.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SchedOpStats {
     /// Tasks added one at a time (`add_ready`).
@@ -45,7 +44,8 @@ pub struct SchedOpStats {
     pub batch_tasks: u64,
     /// Successful pops (`get_ready` returned a task).
     pub pops: u64,
-    /// Pops served from the per-worker pop cache (no lock touched).
+    /// Always 0: no scheduler keeps a per-worker pop cache. Read by
+    /// `benchmark/src/adapters.rs::Counts::of_runtime`.
     pub pop_cache_hits: u64,
     /// Scheduler-lock acquisitions: DTLock ownership transitions for the
     /// delegation scheduler, central-lock acquisitions otherwise;
@@ -69,7 +69,6 @@ pub(crate) struct SchedCounters {
     batch_adds: Counter,
     batch_tasks: Counter,
     pops: Counter,
-    pop_cache_hits: Counter,
     lock_acquisitions: Counter,
 }
 
@@ -81,7 +80,6 @@ impl SchedCounters {
             batch_adds: reg.counter("nanotask_sched_batch_adds_total"),
             batch_tasks: reg.counter("nanotask_sched_batch_tasks_total"),
             pops: reg.counter("nanotask_sched_pops_total"),
-            pop_cache_hits: reg.counter("nanotask_sched_pop_cache_hits_total"),
             lock_acquisitions: reg.counter("nanotask_sched_lock_acquisitions_total"),
         }
     }
@@ -106,10 +104,6 @@ impl SchedCounters {
         self.pops.inc(worker);
     }
     #[inline]
-    pub(crate) fn cache_hit(&self, worker: usize) {
-        self.pop_cache_hits.inc(worker);
-    }
-    #[inline]
     pub(crate) fn lock(&self, worker: usize) {
         self.lock_acquisitions.inc(worker);
     }
@@ -129,7 +123,7 @@ impl SchedCounters {
             batch_adds: self.batch_adds.value(),
             batch_tasks: self.batch_tasks.value(),
             pops: self.pops.value(),
-            pop_cache_hits: self.pop_cache_hits.value(),
+            pop_cache_hits: 0,
             lock_acquisitions: self.lock_acquisitions.value(),
         }
     }
@@ -415,17 +409,13 @@ pub trait Scheduler: Send + Sync {
     /// loops. It is derived from the operation counters (adds + batch
     /// tasks − pops, summed over the workers' shards on read), so no
     /// queue operation writes a shared length. It may lag adds and pops
-    /// in flight on other threads, and it counts tasks sitting in a
-    /// worker's pop cache; once every add and pop has returned it is
-    /// exact.
+    /// in flight on other threads; once every add and pop has returned
+    /// it is exact.
     fn approx_len(&self) -> usize;
     /// Which configuration this is.
     fn kind(&self) -> SchedKind;
-    /// Operation counters (see [`SchedOpStats`]); implementations that
-    /// don't track them return zeros.
-    fn op_stats(&self) -> SchedOpStats {
-        SchedOpStats::default()
-    }
+    /// Operation counters (see [`SchedOpStats`]).
+    fn op_stats(&self) -> SchedOpStats;
 }
 
 /// Build a scheduler.
@@ -433,9 +423,8 @@ pub trait Scheduler: Send + Sync {
 /// `workers` is the worker-thread count, `numa_nodes` is the number of
 /// the delegation scheduler's SPSC add-buffers (one per NUMA node, §3.1;
 /// the other schedulers ignore it), `spsc_capacity` bounds each
-/// buffer (Listing 5 uses 100), and `pop_cache` enables the delegation
-/// scheduler's per-worker pop cache (0 = disabled, see
-/// [`crate::RuntimeConfig::pop_cache`]).
+/// buffer (Listing 5 uses 100). `_pop_cache` must be 0; it stays for
+/// `benchmark/src/adapters.rs`, which passes 0.
 /// `registry` binds the scheduler's operation counters to a shared
 /// metrics registry (the runtime passes its own, so scheduler activity
 /// shows up live in snapshots and the Prometheus export); `None` keeps
@@ -446,14 +435,14 @@ pub fn make_scheduler(
     numa_nodes: usize,
     policy: Policy,
     spsc_capacity: usize,
-    pop_cache: usize,
+    _pop_cache: usize,
     registry: Option<&Registry>,
 ) -> Arc<dyn Scheduler> {
     use nanotask_locks::{PtLock, TicketLock};
+    debug_assert_eq!(_pop_cache, 0, "no scheduler has a pop cache");
     match kind {
         SchedKind::Delegation => Arc::new(
             sync_sched::SyncScheduler::new(workers, numa_nodes, policy, spsc_capacity)
-                .with_pop_cache(pop_cache)
                 .with_registry(registry),
         ),
         SchedKind::Central(LockKind::PtLock) => Arc::new(

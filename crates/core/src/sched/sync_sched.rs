@@ -19,7 +19,6 @@
 //! `t34_sched_speedup` harness regenerates that comparison.
 
 use core::cell::UnsafeCell;
-use std::collections::VecDeque;
 
 use nanotask_locks::dtlock::LockOrDelegate;
 use nanotask_locks::{CachePadded, DtLock, PtLock, RawLock};
@@ -29,7 +28,6 @@ use nanotask_trace::EventKind;
 
 use super::{
     Policy, PolicyQueue, Rec, SchedCounters, SchedKind, SchedOpStats, Scheduler, Scope, TaskPtr,
-    take_within,
 };
 use crate::task::Task;
 
@@ -65,18 +63,6 @@ pub struct SyncScheduler {
     addqs: Box<[AddQueue]>,
     workers: usize,
     numa_nodes: usize,
-    /// Per-worker pop-cache capacity ([`crate::RuntimeConfig::pop_cache`];
-    /// 0, the default, disables it). When > 0, a worker that acquires
-    /// the DTLock takes up to `pop_cache` extra tasks out of the policy
-    /// queue into its private cache, so its next pops never touch the
-    /// lock — one delegation-lock acquisition serves several `get_ready`
-    /// calls. Only idle pops refill it: a waiter would hoard strangers
-    /// ahead of its own descendants.
-    pop_cache: usize,
-    /// The caches themselves. Thread-confinement contract: slot `w` is
-    /// only ever touched from `get_ready_within(w, ..)`, which the
-    /// runtime calls exclusively on worker `w`'s thread.
-    caches: Box<[CachePadded<UnsafeCell<VecDeque<TaskPtr>>>]>,
     /// Per-worker scope of the worker's latest DTLock request
     /// ([`Scope::into_raw`]; null is [`Scope::ANY`]): the scope travels
     /// with the request, and the owner that serves worker `w` pops within
@@ -111,10 +97,6 @@ impl SyncScheduler {
             addqs,
             workers: workers.max(1),
             numa_nodes: nodes,
-            pop_cache: 0,
-            caches: (0..workers.max(1))
-                .map(|_| CachePadded::new(UnsafeCell::new(VecDeque::new())))
-                .collect(),
             scopes: (0..workers.max(1))
                 .map(|_| {
                     CachePadded::new(core::sync::atomic::AtomicPtr::new(Scope::ANY.into_raw()))
@@ -122,12 +104,6 @@ impl SyncScheduler {
                 .collect(),
             counters: SchedCounters::detached(workers.max(1)),
         }
-    }
-
-    /// Enable the per-worker pop cache with capacity `n` (0 disables).
-    pub fn with_pop_cache(mut self, n: usize) -> Self {
-        self.pop_cache = n;
-        self
     }
 
     /// Bind the operation counters to a shared metrics registry
@@ -160,43 +136,6 @@ impl SyncScheduler {
             moved += cons.consume_all(|t| ready.push(t)) as u64;
         }
         moved
-    }
-
-    /// Move up to `pop_cache` surplus tasks from the policy queue into
-    /// `worker`'s private cache, so its next `get_ready` calls skip the
-    /// DTLock entirely. Caller must hold the DTLock; cached tasks count
-    /// as queued until a pop returns them.
-    ///
-    /// # Safety
-    /// Must be called from `worker`'s own thread (cache confinement) with
-    /// the DTLock held (policy-queue ownership).
-    unsafe fn refill_cache(&self, worker: usize) {
-        if self.pop_cache == 0 {
-            return;
-        }
-        let ready = unsafe { &mut *self.ready.get() };
-        let cache = unsafe { &mut *self.caches[worker].get() };
-        while cache.len() < self.pop_cache {
-            match ready.pop() {
-                Some(t) => cache.push_back(t),
-                None => break,
-            }
-        }
-    }
-
-    /// Hand `worker`'s cached tasks back to the policy queue, where every
-    /// worker can reach them: a waiter at the nesting cap may not run
-    /// them, and a task only it can see could be what another waiter
-    /// needs (the deadlock-freedom argument on `TaskCtx::taskwait`).
-    ///
-    /// # Safety
-    /// As [`Self::refill_cache`].
-    unsafe fn surrender_cache(&self, worker: usize) {
-        let ready = unsafe { &mut *self.ready.get() };
-        let cache = unsafe { &mut *self.caches[worker].get() };
-        for t in cache.drain(..) {
-            ready.push(t);
-        }
     }
 
     /// The scope worker `wid` published with its pending DTLock request.
@@ -271,32 +210,6 @@ impl Scheduler for SyncScheduler {
 
     fn get_ready_within(&self, worker: usize, scope: Scope, rec: Rec<'_>) -> Option<TaskPtr> {
         debug_assert!(worker < self.workers);
-        {
-            // The private cache first (filled by the DTLock pop cache
-            // when enabled). The slot is thread-confined, so this is
-            // lock-free.
-            // SAFETY: cache slot `worker` is confined to this thread (see
-            // the field docs).
-            let cache = unsafe { &mut *self.caches[worker].get() };
-            let hit = if scope == Scope::ANY {
-                cache.pop_front()
-            } else {
-                // SAFETY: cached tasks and the waiter's task are live.
-                unsafe { take_within(cache, scope) }
-            };
-            if let Some(t) = hit {
-                self.counters.cache_hit(worker);
-                self.counters.pop(worker);
-                return Some(t);
-            }
-            if scope.is_capped() && !cache.is_empty() {
-                self.lock.lock();
-                self.counters.lock(worker);
-                // SAFETY: our thread's cache slot, DTLock held.
-                unsafe { self.surrender_cache(worker) };
-                self.lock.unlock();
-            }
-        }
         let slot = &self.scopes[worker];
         if slot.load(core::sync::atomic::Ordering::Relaxed) != scope.into_raw() {
             slot.store(scope.into_raw(), core::sync::atomic::Ordering::Relaxed);
@@ -352,14 +265,9 @@ impl Scheduler for SyncScheduler {
                         r.record(EventKind::SchedServe, wid as u64);
                     }
                 }
-                // One for ourselves (plus a cache refill on an idle pop;
-                // a waiter would hoard strangers), then release.
+                // One for ourselves, then release.
                 // SAFETY: queued tasks and our own scope's task are live.
                 let own = unsafe { ready.pop_within(scope) };
-                if own.is_some() && scope == Scope::ANY {
-                    // SAFETY: our thread's cache slot, DTLock held.
-                    unsafe { self.refill_cache(worker) };
-                }
                 self.lock.unlock();
                 if own.is_some() {
                     self.counters.pop(worker);
@@ -408,8 +316,6 @@ mod tests {
                 addqs: _,
                 workers: _,    // read-only
                 numa_nodes: _, // read-only
-                pop_cache: _,  // read-only
-                caches: _,     // one padded slot per worker
                 scopes: _,     // one padded slot per worker
                 counters: _,   // sharded registry cells
             } = s;
@@ -500,73 +406,6 @@ mod tests {
         assert_eq!(ops.batch_adds, 1);
         assert_eq!(ops.batch_tasks, 10);
         assert_eq!(ops.pops, 10);
-    }
-
-    #[test]
-    fn pop_cache_serves_without_lock() {
-        let s = SyncScheduler::new(1, 1, Policy::Fifo, 16).with_pop_cache(3);
-        for i in 1..=8 {
-            s.add_ready(fake(i), 0, None);
-        }
-        let mut got = vec![];
-        while let Some(t) = s.get_ready(0, None) {
-            got.push(t.0 as usize);
-        }
-        assert_eq!(got, (1..=8).collect::<Vec<_>>(), "FIFO order preserved");
-        let ops = s.op_stats();
-        assert_eq!(ops.pops, 8);
-        assert!(
-            ops.pop_cache_hits >= 3,
-            "cache served several pops: {ops:?}"
-        );
-        assert!(
-            ops.lock_acquisitions < 8,
-            "one acquisition serves several pops: {ops:?}"
-        );
-    }
-
-    #[test]
-    fn pop_cache_conservation_under_concurrency() {
-        const COUNT: usize = 10_000;
-        let s = Arc::new(SyncScheduler::new(4, 1, Policy::Fifo, 64).with_pop_cache(4));
-        let prod = {
-            let s = Arc::clone(&s);
-            std::thread::spawn(move || {
-                for i in 0..COUNT {
-                    s.add_ready(fake(i + 1), 0, None);
-                }
-            })
-        };
-        let consumers: Vec<_> = (0..4)
-            .map(|w| {
-                let s = Arc::clone(&s);
-                std::thread::spawn(move || {
-                    let mut got = Vec::new();
-                    let mut dry = 0;
-                    while dry < 10_000 {
-                        match s.get_ready(w, None) {
-                            Some(t) => {
-                                got.push(t.0 as usize);
-                                dry = 0;
-                            }
-                            None => {
-                                dry += 1;
-                                std::thread::yield_now();
-                            }
-                        }
-                    }
-                    got
-                })
-            })
-            .collect();
-        prod.join().unwrap();
-        let mut all: Vec<usize> = consumers
-            .into_iter()
-            .flat_map(|c| c.join().unwrap())
-            .collect();
-        all.sort();
-        all.dedup();
-        assert_eq!(all.len(), COUNT, "all tasks delivered exactly once");
     }
 
     #[test]

@@ -193,7 +193,6 @@ fn metric_schema_is_pinned() {
         ("nanotask_sched_batch_adds_total", &[]),
         ("nanotask_sched_batch_tasks_total", &[]),
         ("nanotask_sched_lock_acquisitions_total", &[]),
-        ("nanotask_sched_pop_cache_hits_total", &[]),
         ("nanotask_sched_pops_total", &[]),
         ("nanotask_task_exec_ns", &[]),
         ("nanotask_tasks_cancelled_total", &[]),

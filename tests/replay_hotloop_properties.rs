@@ -15,9 +15,8 @@
 //!    `run_iterative` across the full {Delegation, Central, WorkSteal} ×
 //!    {WaitFree, Locking} matrix must match the serial interpreter, must
 //!    have frozen exactly the edge list the model graph has, and must
-//!    classify every iteration identically with the pop cache on over
-//!    two NUMA add buffers and with both off (live-vs-live
-//!    differential).
+//!    classify every iteration identically over two NUMA add buffers
+//!    and over one (live-vs-live differential).
 
 use proptest::prelude::*;
 
@@ -221,7 +220,7 @@ fn run_engine(
         .dependency_system(deps)
         .workers(3);
     if knobs_on {
-        cfg = cfg.with_numa_nodes(2).with_pop_cache(4);
+        cfg = cfg.with_numa_nodes(2);
     }
     let rt = Runtime::new(cfg);
     let mut trace = Trace::new(phases);
@@ -263,11 +262,11 @@ fn run_engine(
     Outcome { report, trace }
 }
 
-/// Live-vs-live differential: the pop cache and the NUMA add buffers
-/// change *how* released tasks reach workers, never how iterations are
-/// classified or what gets frozen. Structural-hash values are excluded
-/// (each run hashes its own heap addresses); cached-graph entries are
-/// compared by (tasks, replays) shape instead.
+/// Live-vs-live differential: the NUMA add buffers change *how* released
+/// tasks reach workers, never how iterations are classified or what gets
+/// frozen. Structural-hash values are excluded (each run hashes its own
+/// heap addresses); cached-graph entries are compared by (tasks,
+/// replays) shape instead.
 fn assert_same_classification(on: &ReplayReport, off: &ReplayReport, what: &str) {
     on.assert_classification();
     off.assert_classification();

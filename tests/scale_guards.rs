@@ -90,7 +90,7 @@ impl Family {
 /// layer engaged; returns frozen-graph bytes per task.
 fn run_point(family: Family, tasks: usize) -> f64 {
     let at = format!("{family:?}/{tasks}");
-    let rt = Runtime::new(RuntimeConfig::optimized().workers(2).with_pop_cache(4));
+    let rt = Runtime::new(RuntimeConfig::optimized().workers(2));
     let mut cells = vec![0.0f64; family.cells(tasks)];
     let base = SendPtr::new(cells.as_mut_ptr());
     let maps0 = bottom_maps_created();
