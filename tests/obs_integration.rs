@@ -12,6 +12,12 @@ use nanotask::{Deps, RunIterative, Runtime, RuntimeConfig};
 
 const WORKERS: usize = 4;
 
+/// Flight-recorder interval of `observed_heat_run`. Ticks are counted
+/// per worker, so a frame is certain only once some worker reaches this
+/// count: small enough that the run's task count, spread over `WORKERS`
+/// shards, forces one (pigeonhole) however evenly the tasks land.
+const FLIGHT_EVERY: u64 = 128;
+
 /// Bracket/string balance of a JSON document: every `{`/`[` outside a
 /// string closes in order, strings terminate, nothing trails the root.
 fn json_is_balanced(s: &str) -> bool {
@@ -66,7 +72,7 @@ fn observed_heat_run() -> Runtime {
             .workers(WORKERS)
             .tracing(true)
             .with_metrics(true)
-            .with_flight_recorder(256),
+            .with_flight_recorder(FLIGHT_EVERY),
     );
     let mut heat = iterative_workload_by_name("heat", 1).expect("heat workload");
     heat.set_iterations(8);
@@ -96,9 +102,15 @@ fn prometheus_dump_of_a_live_snapshot_validates() {
 
 #[test]
 fn flight_recorder_captures_frames() {
+    let rt = observed_heat_run();
+    let ticks = rt.stats().tasks_executed;
     assert!(
-        !observed_heat_run().flight_frames().is_empty(),
-        "flight recorder on (every=256) must have captured frames"
+        ticks > WORKERS as u64 * (FLIGHT_EVERY - 1),
+        "{ticks} tasks cannot force a frame on {WORKERS} shards"
+    );
+    assert!(
+        !rt.flight_frames().is_empty(),
+        "flight recorder on (every={FLIGHT_EVERY}) must have captured frames"
     );
 }
 
