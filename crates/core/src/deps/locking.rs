@@ -358,7 +358,6 @@ mod tests {
                     0,
                     "root",
                     core::ptr::null_mut(),
-                    0,
                     Box::new(|_| {}),
                     vec![],
                 ))),
@@ -371,7 +370,6 @@ mod tests {
                 id,
                 "t",
                 parent.unwrap_or(self.root),
-                0,
                 Box::new(|_| {}),
                 deps.into_decls(),
             )));

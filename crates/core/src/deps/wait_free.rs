@@ -522,7 +522,6 @@ mod tests {
                 0,
                 "root",
                 core::ptr::null_mut(),
-                0,
                 Box::new(|_| {}),
                 vec![],
             )));
@@ -548,7 +547,6 @@ mod tests {
                 id,
                 "t",
                 parent,
-                0,
                 Box::new(|_| {}),
                 deps.into_decls(),
             )));

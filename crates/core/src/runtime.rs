@@ -670,6 +670,12 @@ pub(crate) struct Shared {
     pub run_active: AtomicBool,
     pub watchdog_tripped: AtomicBool,
     pub watchdog_diag: Mutex<String>,
+    /// Trace flush handshake: [`Runtime::trace`] bumps `flush_epoch`;
+    /// each worker thread, once idle, flushes its recorder and then
+    /// stores the epoch into its own cell of `flush_acked` (worker `id`
+    /// owns cell `id - 1`; worker 0 is the thread that calls `trace`).
+    pub flush_epoch: AtomicU64,
+    pub flush_acked: Box<[CachePadded<AtomicU64>]>,
     /// Registry-backed counters, gauges and histograms. The life-cycle
     /// counters (created/executed/freed/live) and `max_taskwait_depth`
     /// live here; the replay engine reads deltas of `tasks_created` to
@@ -767,12 +773,11 @@ impl WorkerCtx {
         shared.metrics.live_tasks.inc(self.id);
         let (p, recycled) = shared.task_slab.acquire(self.id);
         let t = p as *mut Task;
-        let created_by = self.id as u32;
         unsafe {
             if recycled {
-                (*t).reinit_recycled(id, label, parent, created_by, body, decls);
+                (*t).reinit_recycled(id, label, parent, body, decls);
             } else {
-                t.write(Task::new(id, label, parent, created_by, body, decls));
+                t.write(Task::new(id, label, parent, body, decls));
             }
             (*t).level = if parent.is_null() {
                 0
@@ -1425,6 +1430,7 @@ fn watchdog_loop(shared: &Shared, timeout: std::time::Duration) {
 fn worker_loop(w: WorkerCtx) {
     let shared = Arc::clone(&w.shared);
     let mut idle = false;
+    let mut acked = 0;
     let mut backoff = Backoff::new();
     loop {
         let got = {
@@ -1449,6 +1455,15 @@ fn worker_loop(w: WorkerCtx) {
                     idle = true;
                     // Flush between tasks, as the paper's backend does.
                     w.recorder.borrow_mut().flush();
+                }
+                let epoch = shared.flush_epoch.load(Ordering::Acquire);
+                if epoch != acked {
+                    // `Runtime::trace` is waiting for this worker's events.
+                    // Release: the flush happens before `trace` reads the
+                    // sink after its Acquire load of this cell.
+                    w.recorder.borrow_mut().flush();
+                    shared.flush_acked[w.id - 1].store(epoch, Ordering::Release);
+                    acked = epoch;
                 }
                 backoff.snooze();
             }
@@ -1522,6 +1537,10 @@ impl Runtime {
             run_active: AtomicBool::new(false),
             watchdog_tripped: AtomicBool::new(false),
             watchdog_diag: Mutex::new(String::new()),
+            flush_epoch: AtomicU64::new(0),
+            flush_acked: (1..cfg.workers)
+                .map(|_| CachePadded::new(AtomicU64::new(0)))
+                .collect(),
             metrics,
             cfg,
         });
@@ -1653,19 +1672,6 @@ impl Runtime {
         }
     }
 
-    /// Task spawns served as recycled shells from the task slab
-    /// (monotone).
-    pub fn tasks_recycled(&self) -> u64 {
-        self.shared.task_slab.stats().recycled
-    }
-
-    /// High-water mark of task-object memory: peak simultaneously live
-    /// tasks × task-shell size (headers only; interior capacity such as
-    /// decls buffers is owned by the shells and recycled with them).
-    pub fn peak_task_bytes(&self) -> u64 {
-        self.shared.task_slab.stats().peak_live * core::mem::size_of::<Task>() as u64
-    }
-
     /// Aggregate counters plus scheduler-operation counters — the
     /// machine-checkable evidence behind perf claims.
     pub fn run_report(&self) -> RunReport {
@@ -1706,10 +1712,28 @@ impl Runtime {
         self.shared.metrics.flight.frames()
     }
 
-    /// Collect the trace recorded so far (call between/after `run`s; only
-    /// flushed events appear — workers flush when idle).
+    /// Collect the trace recorded so far. Between runs it is exact: it
+    /// asks every worker to flush and waits until each has, so every
+    /// event of every finished run appears. The wait costs only this
+    /// call; workers answer from their idle loop.
+    ///
+    /// After a run the watchdog abandoned ([`FailureKind::WatchdogStall`])
+    /// it does not wait, because a worker may still be stuck in the
+    /// stalled graph; it returns the events flushed so far. Nor does it
+    /// wait for a worker thread that has died.
     pub fn trace(&self) -> Trace {
-        self.shared.tracer.finish()
+        let shared = &*self.shared;
+        let epoch = shared.flush_epoch.fetch_add(1, Ordering::AcqRel) + 1;
+        self.main.recorder.borrow_mut().flush();
+        if !shared.watchdog_tripped.load(Ordering::Acquire) {
+            let mut backoff = Backoff::new();
+            for (cell, thread) in shared.flush_acked.iter().zip(&self.threads) {
+                while cell.load(Ordering::Acquire) < epoch && !thread.is_finished() {
+                    backoff.snooze();
+                }
+            }
+        }
+        shared.tracer.finish()
     }
 
     /// Drain the recorded dependency edges (requires `record_graph`).
@@ -1847,6 +1871,8 @@ mod tests {
                 run_active: _,       // shared on purpose: written twice per run
                 watchdog_tripped: _, // shared on purpose: written per run and trip
                 watchdog_diag: _,    // written per trip
+                flush_epoch: _,      // shared on purpose: written per `trace()` call
+                flush_acked: _,      // one padded cell per worker thread (its only writer)
                 metrics: _,          // sharded registry cells
             } = s;
         };
@@ -1856,7 +1882,6 @@ mod tests {
                 label: _,
                 parent: _,
                 level: _,
-                created_by: _,
                 body: _,
                 // Shared on purpose: the protocol word every party of
                 // this one task writes; a line per task would grow every
@@ -2048,6 +2073,31 @@ mod tests {
             .filter(|e| e.kind == EventKind::TaskStart)
             .count();
         assert!(starts >= 6, "root + 5 tasks traced, got {starts}");
+    }
+
+    /// `trace()` waits until every worker has flushed, so after each run
+    /// the trace holds exactly one `TaskStart` per task of every run so
+    /// far, root included, however the run's end races the workers'
+    /// idle flushes.
+    #[test]
+    fn trace_after_run_is_exact() {
+        const RUNS: usize = 50;
+        const TASKS: usize = 10_000;
+        let rt = Runtime::new(RuntimeConfig::optimized().workers(4).tracing(true));
+        for k in 1..=RUNS {
+            rt.run(|ctx| {
+                for _ in 0..TASKS {
+                    ctx.spawn(Deps::new(), |_| {});
+                }
+            });
+            let starts = rt
+                .trace()
+                .events()
+                .iter()
+                .filter(|e| e.kind == EventKind::TaskStart)
+                .count();
+            assert_eq!(starts, k * (TASKS + 1), "after run {k}");
+        }
     }
 
     /// The wait loop polls the noise injector before it tests `done`, so

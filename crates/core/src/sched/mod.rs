@@ -493,7 +493,6 @@ mod tests {
                     i as u64,
                     "t",
                     core::ptr::null_mut(),
-                    0,
                     Box::new(|_| {}),
                     vec![],
                 );
@@ -521,7 +520,7 @@ mod tests {
 
     /// A task under `parent` (null for a root), leaked until [`free`].
     fn node(parent: *mut Task, priority: i32) -> *mut Task {
-        let mut t = Task::new(0, "t", parent, 0, Box::new(|_| {}), vec![]);
+        let mut t = Task::new(0, "t", parent, Box::new(|_| {}), vec![]);
         if !parent.is_null() {
             t.level = unsafe { (*parent).level } + 1;
         }

@@ -261,8 +261,6 @@ pub struct Task {
     /// Nesting level: 0 for the root task, `parent.level + 1` otherwise.
     /// Bounds the walk of [`Task::descends_from`].
     pub level: u32,
-    /// Worker that created the task.
-    pub created_by: u32,
     /// The body; taken exactly once by the executing worker.
     pub body: UnsafeCell<Option<TaskBody>>,
     /// Packed life-cycle word (blockers / live_children / removal_refs).
@@ -309,7 +307,6 @@ impl Task {
         id: TaskId,
         label: &'static str,
         parent: *mut Task,
-        created_by: u32,
         body: TaskBody,
         decls: Vec<AccessDecl>,
     ) -> Self {
@@ -319,7 +316,6 @@ impl Task {
             label,
             parent,
             level: 0,
-            created_by,
             body: UnsafeCell::new(Some(body)),
             state: TaskState::new_registered(n),
             decls: UnsafeCell::new(decls),
@@ -342,7 +338,6 @@ impl Task {
         id: TaskId,
         label: &'static str,
         parent: *mut Task,
-        created_by: u32,
         body: TaskBody,
         decls: Vec<AccessDecl>,
     ) {
@@ -350,7 +345,6 @@ impl Task {
         self.id = id;
         self.label = label;
         self.parent = parent;
-        self.created_by = created_by;
         *self.body.get_mut() = Some(body);
         self.state = TaskState::new_registered(n);
         let dv = self.decls.get_mut();
@@ -542,7 +536,7 @@ mod tests {
         let decls = (0..n_accesses)
             .map(|i| AccessDecl::new(0x1000 + i * 8, 8, AccessMode::Write))
             .collect();
-        Task::new(1, "t", core::ptr::null_mut(), 0, Box::new(|_| {}), decls)
+        Task::new(1, "t", core::ptr::null_mut(), Box::new(|_| {}), decls)
     }
 
     #[test]
@@ -641,14 +635,7 @@ mod tests {
         assert!(t.is_cancelled());
         t.accesses = core::ptr::null_mut();
         t.reset_for_recycle();
-        t.reinit_recycled(
-            2,
-            "t2",
-            core::ptr::null_mut(),
-            0,
-            Box::new(|_| {}),
-            Vec::new(),
-        );
+        t.reinit_recycled(2, "t2", core::ptr::null_mut(), Box::new(|_| {}), Vec::new());
         assert!(!t.is_cancelled());
     }
 

@@ -221,6 +221,32 @@ mod tests {
     use std::sync::Arc;
     use std::sync::atomic::{AtomicBool, AtomicUsize};
 
+    /// Pins the DTLock's layout: every waiter slot (written by its
+    /// waiter) and every delegation result (written by the owner for one
+    /// waiter) starts a 128-byte line of its own, and the PTLock's ticket
+    /// words start lines of their own too. The struct is destructured
+    /// without `..`, so a new field does not compile until it is placed.
+    #[test]
+    fn shared_writes_own_their_lines() {
+        use core::mem::{align_of, offset_of, size_of};
+        fn padded_slots<U>(_: &[CachePadded<U>]) {}
+        let _pin = |l: &DtLock<u64, 8>| {
+            let DtLock {
+                inner: _, // head and tail padded inside the PtLock
+                logq,     // one padded slot per ticket
+                readyq,   // one padded slot per thread id
+            } = l;
+            padded_slots(logq);
+            padded_slots(readyq);
+        };
+        assert!(offset_of!(DtLock<u64, 8>, inner).is_multiple_of(128));
+        assert!(size_of::<PtLock<8>>().is_multiple_of(128));
+        assert_eq!(align_of::<CachePadded<AtomicU64>>(), 128);
+        assert!(size_of::<CachePadded<AtomicU64>>().is_multiple_of(128));
+        assert_eq!(align_of::<CachePadded<ReadySlot<u64>>>(), 128);
+        assert!(size_of::<CachePadded<ReadySlot<u64>>>().is_multiple_of(128));
+    }
+
     #[test]
     fn uncontended_acquire() {
         let l: DtLock<u64, 8> = DtLock::new();

@@ -24,20 +24,18 @@
 //! (`GraphEdge`s whose ids match the captured spawns): edges between
 //! captured tasks are counted as tapped, edges touching unknown ids as
 //! foreign. The replay engine passes no tap: it counts the tasks its
-//! capture did not see instead. The `tap` parameter and its cross-check
-//! stay only for the benchmark's `freeze` probe, which calls
-//! `build(captured, &[])`.
+//! capture did not see instead. The `tap` parameter stays only for the
+//! benchmark's `freeze` probe, which calls `build(captured, &[])`.
 
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
-use std::sync::Arc;
 use std::sync::atomic::{AtomicPtr, AtomicU32, Ordering};
 
 use nanotask_core::graph::{EdgeKind, GraphEdge};
 use nanotask_core::task::Task;
 use nanotask_core::{AccessDecl, AccessMode, RedOp, TaskId};
 
-use crate::recorder::{CapturedDecls, CapturedSpawn, STRUCTURAL_HASH_SEED, mix, spawn_sig_hash};
+use crate::recorder::{CapturedSpawn, STRUCTURAL_HASH_SEED, mix, spawn_sig_hash};
 
 /// Scalar metadata of one frozen node (creation order = node index).
 /// Variable-length data — successors, declarations, reduction
@@ -78,9 +76,8 @@ pub struct ReplayGraph {
     /// `succ_data[succ_off[i]..succ_off[i + 1]]`.
     succ_off: Vec<u32>,
     succ_data: Vec<u32>,
-    /// CSR declaration arena (bare, no chain state): the single copy of
-    /// every recorded access set — divergence reconstruction references
-    /// it by index instead of cloning ([`ReplayGraph::prefix_captured`]).
+    /// CSR declaration arena (bare, no chain state): one contiguous copy
+    /// of every recorded access set.
     decl_off: Vec<u32>,
     decl_data: Vec<AccessDecl>,
     /// CSR reduction arena: `(bare decl, group index)` memberships.
@@ -314,9 +311,8 @@ impl ReplayGraph {
         let n = captured.len();
         // One pass over the captured spawns builds both the per-node
         // scalars (label, priority, signature hash) and the declaration
-        // arena — the bare access sets, one contiguous run per node, the
-        // single frozen copy ([`ReplayGraph::prefix_captured`] and the
-        // partitioner index into it, nothing re-clones it). After a long
+        // arena — the bare access sets, one contiguous run per node (the
+        // partitioner indexes into it). After a long
         // record iteration the captured decl vectors sit scattered across
         // the heap in allocation order; every separate sweep over them
         // re-pays those cache misses, so everything downstream (the edge
@@ -336,7 +332,7 @@ impl ReplayGraph {
         let mut addr_xor = 0usize;
         let mut addr_first = None;
         for c in captured {
-            let ds = c.decls.as_slice();
+            let ds = &c.decls;
             meta.push(NodeMeta {
                 label: c.label,
                 priority: c.priority,
@@ -465,84 +461,31 @@ impl ReplayGraph {
             *cur += 1;
         }
 
-        // Cross-check against the tapped dependency-system edges. The
-        // id index is only worth building when there is a tap to check
-        // (re-records and untapped runs pass an empty slice).
+        // Cross-check against the tapped dependency-system edges (see the
+        // module docs); the id index is built only when there is a tap.
         let mut tapped_edges = 0;
         let mut foreign_edges = 0;
         if tap.iter().any(|e| e.kind == EdgeKind::Successor) {
-            // Captured ids come from one monotonically increasing counter
-            // during the record iteration, so they cluster in a dense
-            // range. A bitmap over that range answers membership in O(1)
-            // from a few hundred KB that stay cached — the former
-            // n-entry hash map was, at 10^6 nodes, the single most
-            // expensive phase of the whole freeze (every probe a cache
-            // miss). The map remains as the fallback for sparse id sets
-            // (hand-built captures).
-            let mut lo = TaskId::MAX;
-            let mut hi = TaskId::MIN;
-            let mut have = 0usize;
-            for c in captured {
-                if let Some(id) = c.id {
-                    lo = lo.min(id);
-                    hi = hi.max(id);
-                    have += 1;
+            let ids: FxMap<TaskId, ()> = captured
+                .iter()
+                .filter_map(|c| c.id.map(|id| (id, ())))
+                .collect();
+            let lo = captured.iter().filter_map(|c| c.id).min();
+            for e in tap {
+                // A source that predates the captured window is a
+                // previous phase's last access still linked on the
+                // address chain (the dependency system reports the link
+                // even though that task completed long ago — seen on
+                // records after a fault fallback, which run at iteration
+                // > 0). Ids are monotone, so it cannot be a nested child
+                // of *this* record: neither tapped nor foreign.
+                if e.kind != EdgeKind::Successor || lo.is_some_and(|lo| e.from < lo) {
+                    continue;
                 }
-            }
-            let span = if have == 0 { 0 } else { (hi - lo + 1) as usize };
-            if have > 0 && span <= have * 4 + 1024 {
-                let mut bits = vec![0u64; span.div_ceil(64)];
-                for c in captured {
-                    if let Some(id) = c.id {
-                        let b = (id - lo) as usize;
-                        bits[b / 64] |= 1 << (b % 64);
-                    }
-                }
-                let member = |id: TaskId| {
-                    (lo..=hi).contains(&id) && {
-                        let b = (id - lo) as usize;
-                        bits[b / 64] & (1 << (b % 64)) != 0
-                    }
-                };
-                for e in tap {
-                    if e.kind != EdgeKind::Successor {
-                        continue;
-                    }
-                    // A source that predates the captured window is a
-                    // previous phase's last access still linked on the
-                    // address chain (the dependency system reports the
-                    // link even though that task completed long ago —
-                    // seen on records after a fault fallback, which run
-                    // at iteration > 0). Ids are monotone, so it cannot
-                    // be a nested child of *this* record: neither
-                    // tapped nor foreign.
-                    if e.from < lo {
-                        continue;
-                    }
-                    if member(e.from) && member(e.to) {
-                        tapped_edges += 1;
-                    } else {
-                        foreign_edges += 1;
-                    }
-                }
-            } else {
-                let ids: FxMap<TaskId, ()> = captured
-                    .iter()
-                    .filter_map(|c| c.id.map(|id| (id, ())))
-                    .collect();
-                for e in tap {
-                    if e.kind != EdgeKind::Successor {
-                        continue;
-                    }
-                    // Stale chain edge from a previous phase — see the
-                    // bitmap branch above.
-                    if have > 0 && e.from < lo {
-                        continue;
-                    }
-                    match (ids.get(&e.from), ids.get(&e.to)) {
-                        (Some(_), Some(_)) => tapped_edges += 1,
-                        _ => foreign_edges += 1,
-                    }
+                if ids.contains_key(&e.from) && ids.contains_key(&e.to) {
+                    tapped_edges += 1;
+                } else {
+                    foreign_edges += 1;
                 }
             }
         }
@@ -633,19 +576,12 @@ impl ReplayGraph {
     /// (metadata only, no ids). Used by the replay engine to
     /// freeze a divergent iteration's graph: its already-fed prefix
     /// matched these nodes by signature hash, so the recorded metadata
-    /// stands in for the spawns actually observed. The declarations are
-    /// *referenced* by CSR index into this graph's frozen decl arena
-    /// ([`CapturedDecls::Frozen`]) — nothing is cloned.
-    pub fn prefix_captured(self: &Arc<Self>, n: usize) -> Vec<CapturedSpawn> {
+    /// stands in for the spawns actually observed.
+    pub fn prefix_captured(&self, n: usize) -> Vec<CapturedSpawn> {
         (0..n.min(self.meta.len()))
-            .map(|i| CapturedSpawn {
-                label: self.meta[i].label,
-                priority: self.meta[i].priority,
-                decls: CapturedDecls::Frozen {
-                    graph: Arc::clone(self),
-                    node: i as u32,
-                },
-                id: None,
+            .map(|i| {
+                let m = &self.meta[i];
+                CapturedSpawn::bare(m.label, m.priority, self.decls_of(i).to_vec())
             })
             .collect()
     }
@@ -749,6 +685,7 @@ impl ReplayGraph {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Arc;
 
     fn cap(label: &'static str, decls: Vec<AccessDecl>) -> CapturedSpawn {
         CapturedSpawn::bare(label, 0, decls)
@@ -909,21 +846,14 @@ mod tests {
     }
 
     #[test]
-    fn prefix_captured_references_frozen_arena() {
+    fn prefix_captured_round_trips() {
         let g = Arc::new(ReplayGraph::build(
             &[cap("a", vec![rw(0x10)]), cap("b", vec![rw(0x10), rd(0x20)])],
             &[],
         ));
         let prefix = g.prefix_captured(2);
         assert_eq!(prefix.len(), 2);
-        assert_eq!(prefix[1].decls.as_slice().len(), g.decls_of(1).len());
-        // The reconstructed prefix points into the arena — same address,
-        // not a copy.
-        assert_eq!(
-            prefix[1].decls.as_slice().as_ptr(),
-            g.decls_of(1).as_ptr(),
-            "frozen decls are referenced, not cloned"
-        );
+        assert_eq!(prefix[1].decls.len(), g.decls_of(1).len());
         // Re-freezing from the reconstructed prefix reproduces the shape.
         let g2 = ReplayGraph::build(&prefix, &[]);
         assert_eq!(g2.structural_hash(), g.structural_hash());

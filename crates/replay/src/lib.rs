@@ -12,10 +12,10 @@
 //! subsystem:
 //!
 //! 1. **Records** one instrumented iteration: the engine's capture,
-//!    installed through the runtime's [`SpawnCapture`] seam, fills a
-//!    [`GraphRecorder`] with every root task's creation order, label,
-//!    priority and access set. The recorded iteration still executes
-//!    through the full dependency system.
+//!    installed through the runtime's [`SpawnCapture`] seam, notes every
+//!    root task's creation order, label, priority and access set as a
+//!    [`CapturedSpawn`]. The recorded iteration still executes through
+//!    the full dependency system.
 //! 2. **Freezes** the graph into a [`ReplayGraph`]: compressed-sparse-row
 //!    arenas for successor lists, access declarations and reduction
 //!    memberships (built once, no per-node allocations survive
@@ -42,12 +42,13 @@
 //! afterwards, and through a one-step phase predictor) and only freezes a
 //! new graph on a miss. A phase cycle longer than the cache evicts and
 //! re-records on every shape change. A body that keeps diverging is
-//! pinned to the dependency system after 8 consecutive failures (with a
-//! cheap hash-only re-stabilization probe every 16 pinned iterations),
-//! and a recorded or replayed iteration that created tasks the capture
-//! did not see, including root `taskwait_on` — the runtime's
-//! `tasks_created` delta exceeds the spawns the capture was offered —
-//! is pinned immediately. Correctness never depends on the graphs
+//! pinned to the dependency system after 8 consecutive failures; every
+//! 16 pinned iterations one probe iteration is recorded and its shape
+//! only hashed ([`GraphRecorder::structural_hash`]), never frozen, to
+//! see whether the body re-stabilized. A recorded or replayed iteration
+//! that created tasks the capture did not see, including root
+//! `taskwait_on` — the runtime's `tasks_created` delta exceeds the
+//! spawns the capture was offered — is pinned for good. Correctness never depends on the graphs
 //! actually matching: a divergent iteration awaits its replayed prefix
 //! and runs the rest through the dependency system. The three limits are
 //! constants of the engine, not configuration.
@@ -113,7 +114,7 @@ pub use cache::GraphCache;
 pub use engine::{ReplayReport, RunIterative};
 pub use graph::{NodeMeta, RedGroup, ReplayGraph};
 pub use partition::{PartitionStats, Partitioning};
-pub use recorder::{CapturedDecls, CapturedSpawn, GraphRecorder};
+pub use recorder::{CapturedSpawn, GraphRecorder};
 
 // Re-exported for doc links and downstream convenience.
 pub use nanotask_core::{RunOutcome, Runtime, SpawnCapture, TaskCtx};

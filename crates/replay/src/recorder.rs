@@ -1,45 +1,7 @@
-//! The [`GraphRecorder`]: the buffer of captured root spawns one record
-//! iteration fills.
-
-use std::sync::Arc;
+//! What the replay engine captures of a root spawn ([`CapturedSpawn`])
+//! and the hashes it matches spawns and iterations by.
 
 use nanotask_core::{AccessDecl, AccessMode, TaskId};
-
-use crate::graph::ReplayGraph;
-
-/// The access declarations of one captured spawn: owned (a live spawn
-/// observed by the recorder or the divergence side-capture), or
-/// referenced by CSR index into a frozen graph's declaration arena (a
-/// prefix reconstructed by [`ReplayGraph::prefix_captured`]) — the
-/// frozen arena is the single copy, nothing re-clones it.
-pub enum CapturedDecls {
-    /// Declarations owned by this capture.
-    Owned(Vec<AccessDecl>),
-    /// Declarations of node `node` in `graph`'s frozen decl arena.
-    Frozen {
-        /// The graph whose arena holds the declarations.
-        graph: Arc<ReplayGraph>,
-        /// CSR node index.
-        node: u32,
-    },
-}
-
-impl CapturedDecls {
-    /// The declarations as a slice, wherever they live.
-    #[inline]
-    pub fn as_slice(&self) -> &[AccessDecl] {
-        match self {
-            Self::Owned(v) => v,
-            Self::Frozen { graph, node } => graph.decls_of(*node as usize),
-        }
-    }
-}
-
-impl From<Vec<AccessDecl>> for CapturedDecls {
-    fn from(v: Vec<AccessDecl>) -> Self {
-        Self::Owned(v)
-    }
-}
 
 /// One captured root spawn, in creation order.
 pub struct CapturedSpawn {
@@ -47,35 +9,30 @@ pub struct CapturedSpawn {
     pub label: &'static str,
     /// OmpSs-2 `priority` clause value.
     pub priority: i32,
-    /// The declared access set, exactly as the user built it (owned or
-    /// referenced from a frozen graph's arena).
-    pub decls: CapturedDecls,
+    /// The declared access set, exactly as the user built it.
+    pub decls: Vec<AccessDecl>,
     /// The runtime task id, for correlating captured nodes with tapped
-    /// dependency-graph edges ([`ReplayGraph::build`]'s cross-check).
-    /// The replay engine leaves it `None`.
+    /// dependency-graph edges ([`crate::ReplayGraph::build`]'s
+    /// cross-check). The replay engine leaves it `None`.
     pub id: Option<TaskId>,
 }
 
 impl CapturedSpawn {
-    /// A metadata-only capture (no id) owning its declarations — the
-    /// shape every recorded spawn, test fixture and divergence
-    /// side-capture uses.
+    /// A metadata-only capture (no id) — the shape every recorded spawn,
+    /// test fixture and divergence side-capture uses.
     pub fn bare(label: &'static str, priority: i32, decls: Vec<AccessDecl>) -> Self {
         Self {
             label,
             priority,
-            decls: decls.into(),
+            decls,
             id: None,
         }
     }
 }
 
-/// The root spawns of one record iteration, in creation order: a plain
-/// buffer the replay engine fills from its spawn capture.
-#[derive(Default)]
-pub struct GraphRecorder {
-    buf: Vec<CapturedSpawn>,
-}
+/// The namespace of [`GraphRecorder::structural_hash`]. The replay
+/// engine records into a plain `Vec<CapturedSpawn>`.
+pub struct GraphRecorder;
 
 /// Seed of both [`spawn_sig_hash`] and the iteration-level structural
 /// hash (the FNV-1a offset basis).
@@ -84,8 +41,7 @@ pub const STRUCTURAL_HASH_SEED: u64 = 0xcbf29ce484222325;
 /// One multiply-rotate mixing step of the word-folded hash. Chaining
 /// every spawn's [`spawn_sig_hash`] through this from
 /// [`STRUCTURAL_HASH_SEED`] yields [`GraphRecorder::structural_hash`] —
-/// the incremental form the replay engine's pinned-mode probe computes
-/// without buffering anything.
+/// the form a frozen graph folds from its per-node signatures.
 #[inline]
 pub(crate) fn mix(h: u64, w: u64) -> u64 {
     (h.rotate_left(26) ^ w).wrapping_mul(0x2545_F491_4F6C_DD1D)
@@ -116,35 +72,15 @@ pub fn spawn_sig_hash(label: &str, priority: i32, decls: &[AccessDecl]) -> u64 {
 }
 
 impl GraphRecorder {
-    /// An empty recorder with room for `n` spawns: the engine passes the
-    /// length of its last record, so a million-spawn record pays one
-    /// allocation instead of a doubling-growth series.
-    pub fn with_capacity(n: usize) -> Self {
-        Self {
-            buf: Vec::with_capacity(n),
-        }
-    }
-
-    /// Note one spawn's metadata.
-    pub fn record(&mut self, label: &'static str, priority: i32, decls: &[AccessDecl]) {
-        self.buf
-            .push(CapturedSpawn::bare(label, priority, decls.to_vec()));
-    }
-
-    /// The captured spawns, in creation order.
-    pub fn into_captured(self) -> Vec<CapturedSpawn> {
-        self.buf
-    }
-
     /// Structural hash of a captured spawn sequence: the per-spawn
     /// `spawn_sig_hash`es chained in creation order — the same value
-    /// [`ReplayGraph::structural_hash`] reports for the sequence once
+    /// [`crate::ReplayGraph::structural_hash`] reports for the sequence once
     /// frozen, and the key of the engine's graph cache. Two iterations
     /// with equal hashes spawn the same graph shape over the same
     /// addresses — the replay engine's divergence check.
     pub fn structural_hash(captured: &[CapturedSpawn]) -> u64 {
         captured.iter().fold(STRUCTURAL_HASH_SEED, |h, c| {
-            mix(h, spawn_sig_hash(c.label, c.priority, c.decls.as_slice()))
+            mix(h, spawn_sig_hash(c.label, c.priority, &c.decls))
         })
     }
 }
@@ -162,6 +98,7 @@ fn mode_tag(m: AccessMode) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::graph::ReplayGraph;
 
     fn cap(label: &'static str, prio: i32, decls: Vec<AccessDecl>) -> CapturedSpawn {
         CapturedSpawn::bare(label, prio, decls)
@@ -205,7 +142,7 @@ mod tests {
         ];
         let mut h = STRUCTURAL_HASH_SEED;
         for c in &seq {
-            h = mix(h, spawn_sig_hash(c.label, c.priority, c.decls.as_slice()));
+            h = mix(h, spawn_sig_hash(c.label, c.priority, &c.decls));
         }
         assert_eq!(h, GraphRecorder::structural_hash(&seq));
         assert_eq!(STRUCTURAL_HASH_SEED, GraphRecorder::structural_hash(&[]));

@@ -236,6 +236,32 @@ impl<T> Drop for Ring<T> {
 mod tests {
     use super::*;
 
+    /// Pins the ring's layout: `head` (written by the producer) and
+    /// `tail` (written by the consumer) each start a 128-byte line of
+    /// their own, so the read-only fields after them share neither. The
+    /// struct is destructured without `..`, so a new field does not
+    /// compile until it is placed.
+    #[test]
+    fn shared_writes_own_their_lines() {
+        use core::mem::{align_of, offset_of, size_of};
+        fn own_line<T>(_: &Pad<T>) {}
+        let _pin = |r: &Ring<usize>| {
+            let Ring {
+                head,
+                tail,
+                buf: _, // read-only; slot lines: `slots_own_their_cache_lines`
+                off: _, // read-only
+                cap: _, // read-only
+            } = r;
+            own_line(head);
+            own_line(tail);
+        };
+        assert_eq!(align_of::<Pad<AtomicUsize>>(), LINE);
+        assert!(size_of::<Pad<AtomicUsize>>().is_multiple_of(LINE));
+        assert!(offset_of!(Ring<usize>, head).is_multiple_of(LINE));
+        assert!(offset_of!(Ring<usize>, tail).is_multiple_of(LINE));
+    }
+
     #[test]
     fn slots_own_their_cache_lines() {
         for capacity in [1, 7, 100] {

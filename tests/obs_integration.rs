@@ -196,11 +196,9 @@ fn metric_schema_is_pinned() {
         ("nanotask_replay_graph_bytes", &[]),
         ("nanotask_replay_iterations_total", &[]),
         ("nanotask_replay_nested_spawns_total", &[]),
-        ("nanotask_replay_peak_task_bytes", &[]),
         ("nanotask_replay_pinned_iterations_total", &[]),
         ("nanotask_replay_replayed_total", &[]),
         ("nanotask_replay_rerecords_total", &[]),
-        ("nanotask_replay_tasks_recycled_total", &[]),
         ("nanotask_sched_adds_total", &[]),
         ("nanotask_sched_batch_adds_total", &[]),
         ("nanotask_sched_batch_tasks_total", &[]),
