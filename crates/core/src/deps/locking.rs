@@ -358,7 +358,6 @@ mod tests {
                     0,
                     "root",
                     core::ptr::null_mut(),
-                    Box::new(|_| {}),
                     vec![],
                 ))),
             }
@@ -370,7 +369,6 @@ mod tests {
                 id,
                 "t",
                 parent.unwrap_or(self.root),
-                Box::new(|_| {}),
                 deps.into_decls(),
             )));
             self.tasks.lock().push(t);

@@ -522,7 +522,6 @@ mod tests {
                 0,
                 "root",
                 core::ptr::null_mut(),
-                Box::new(|_| {}),
                 vec![],
             )));
             Self {
@@ -543,13 +542,7 @@ mod tests {
         fn spawn(&self, parent: Option<*mut Task>, deps: Deps) -> *mut Task {
             let id = self.next_id.fetch_add(1, Ordering::Relaxed) as u64;
             let parent = parent.unwrap_or(self.root);
-            let t = Box::into_raw(Box::new(Task::new(
-                id,
-                "t",
-                parent,
-                Box::new(|_| {}),
-                deps.into_decls(),
-            )));
+            let t = Box::into_raw(Box::new(Task::new(id, "t", parent, deps.into_decls())));
             self.tasks.lock().push(t);
             unsafe {
                 self.deps.register(t, &self.hooks);

@@ -644,9 +644,10 @@ pub(crate) struct Shared {
     pub deps: Arc<dyn DependencySystem>,
     pub alloc: Arc<dyn RuntimeAllocator>,
     /// Recycling free list for `Task` shells, layered on `alloc`:
-    /// reclaimed task objects come back with their interior capacity
-    /// (decls buffer, bottom map, cold box) instead of round-tripping
-    /// through dealloc/alloc on every spawn.
+    /// reclaimed task objects come back with their bottom map, cold box
+    /// and in-place body slot instead of round-tripping through
+    /// dealloc/alloc on every spawn. The decls buffer is kept only until
+    /// the next occupant that declares accesses, which replaces it.
     pub task_slab: TaskSlab,
     pub tracer: Tracer,
     pub noise: Option<NoiseInjector>,
@@ -747,21 +748,22 @@ impl WorkerCtx {
 
     /// The one task-creation sequence: a fresh id, the created and live
     /// counters, a task shell (a recycled one from the slab, re-initialized
-    /// in place with its interior capacity, or a fresh allocation) and
-    /// the priority. A child's `CreateBegin` is recorded here, before the
-    /// allocation, and its creator records `CreateEnd`; the root is
-    /// created outside any task body and records neither.
+    /// in place with its interior capacity, or a fresh allocation), the
+    /// body, written into the shell, and the priority. A child's
+    /// `CreateBegin` is recorded here, before the allocation, and its
+    /// creator records `CreateEnd`; the root is created outside any task
+    /// body and records neither.
     ///
     /// # Safety
     /// `parent` is null or a live task. The returned pointer is valid
     /// until handed to [`Shared::free_task`].
     #[inline]
-    unsafe fn create_task(
+    unsafe fn create_task<F: FnOnce(&TaskCtx) + Send + 'static>(
         &self,
         label: &'static str,
         parent: *mut Task,
         priority: i32,
-        body: TaskBody,
+        body: F,
         decls: Vec<crate::deps::AccessDecl>,
     ) -> *mut Task {
         let shared = &*self.shared;
@@ -775,10 +777,11 @@ impl WorkerCtx {
         let t = p as *mut Task;
         unsafe {
             if recycled {
-                (*t).reinit_recycled(id, label, parent, body, decls);
+                (*t).reinit_recycled(id, label, parent, decls);
             } else {
-                t.write(Task::new(id, label, parent, body, decls));
+                t.write(Task::new(id, label, parent, decls));
             }
+            (*t).set_body(body);
             (*t).level = if parent.is_null() {
                 0
             } else {
@@ -938,11 +941,10 @@ impl TaskCtx<'_> {
         deps: Deps,
         body: impl FnOnce(&TaskCtx) + Send + 'static,
     ) {
-        let body: TaskBody = Box::new(body);
         if self.is_root()
             && let Some(cap) = &*self.worker.capture.borrow()
         {
-            if let Some((deps, body)) = cap.on_spawn(self, label, priority, deps, body) {
+            if let Some((deps, body)) = cap.on_spawn(self, label, priority, deps, Box::new(body)) {
                 self.spawn_internal(label, priority, deps, body, None);
             }
             return;
@@ -970,10 +972,10 @@ impl TaskCtx<'_> {
     ///
     /// `epilogue`, when given, is a [`TaskEpilogue`] (plus its tag) that
     /// runs right after the body on the executing worker. The body is
-    /// taken as the already-boxed [`TaskBody`] — together these let a
-    /// caller that manages many similar tasks (the replay engine's
-    /// steady state) avoid wrapping every body in a fresh closure
-    /// allocation per task per iteration.
+    /// taken as the already-boxed [`TaskBody`], and the box is stored in
+    /// the task as it is — together these let a caller that manages many
+    /// similar tasks (the replay engine's steady state) avoid wrapping
+    /// every body in a fresh closure allocation per task per iteration.
     pub fn spawn_held(
         &self,
         label: &'static str,
@@ -1078,19 +1080,19 @@ impl TaskCtx<'_> {
             "taskwait_on",
             i32::MAX,
             deps,
-            Box::new(|_| {}),
+            |_| {},
             Some(Arc::clone(&done)),
         );
         self.help_until(|| done.load(Ordering::Acquire));
         self.worker.record(EventKind::TaskwaitEnd, task.id);
     }
 
-    fn spawn_internal(
+    fn spawn_internal<F: FnOnce(&TaskCtx) + Send + 'static>(
         &self,
         label: &'static str,
         priority: i32,
         deps: Deps,
-        body: crate::task::TaskBody,
+        body: F,
         completion: Option<Arc<AtomicBool>>,
     ) {
         unsafe {
@@ -1296,24 +1298,23 @@ fn run_body(w: &WorkerCtx, t: *mut Task) {
     w.record(EventKind::TaskStart, id);
     {
         let ctx = TaskCtx { task: t, worker: w };
-        let body = unsafe { (*t).take_body() }.expect("task executed twice");
         if unsafe { (*t).is_cancelled() } {
             // Cancelled by failure propagation: skip the body (dropping
             // it releases its captured state) but still run the epilogue
             // and, in the caller, the full completion protocol — the
             // graph must drain cleanly, only the work is skipped.
-            drop(body);
+            unsafe { (*t).drop_body() };
             m.tasks_cancelled.inc(w.id);
         } else if let Err(payload) = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             if let Some(plan) = &w.shared.cfg.fault_plan {
                 maybe_inject_fault(w, t, plan);
             }
-            body(&ctx);
+            unsafe { (*t).run_body(&ctx) };
         })) {
             record_body_failure(w, t, payload);
         }
         // SAFETY: only the executing worker touches the epilogue after
-        // publication (same confinement as `take_body`). The epilogue
+        // publication (same confinement as the body). The epilogue
         // runs even for cancelled/failed tasks: it drives the replay
         // engine's per-iteration countdown, which must drain.
         if let Some((epi, tag)) = unsafe { (*t).take_epilogue() } {
@@ -1610,7 +1611,7 @@ impl Runtime {
         let t = unsafe {
             let t = self
                 .main
-                .create_task("root", core::ptr::null_mut(), 0, Box::new(root), vec![]);
+                .create_task("root", core::ptr::null_mut(), 0, root, vec![]);
             (*t).set_completion_flag(Arc::clone(&done));
             t
         };
@@ -1803,6 +1804,7 @@ mod tests {
     use super::*;
     use crate::deps::RedOp;
     use std::sync::atomic::AtomicU64 as TestAtomicU64;
+    use std::sync::atomic::AtomicUsize;
 
     fn small(cfg: RuntimeConfig) -> Runtime {
         Runtime::new(cfg.workers(3))
@@ -1882,7 +1884,7 @@ mod tests {
                 label: _,
                 parent: _,
                 level: _,
-                body: _,
+                body: _, // written before publish, then only by the executor
                 // Shared on purpose: the protocol word every party of
                 // this one task writes; a line per task would grow every
                 // shell. It is one word (asserted below).
@@ -1901,6 +1903,8 @@ mod tests {
         assert_eq!(offset_of!(Shared, next_id) % 128, 0);
         assert_eq!(size_of::<CachePadded<AtomicU64>>() % 128, 0);
         assert_eq!(size_of::<TaskState>(), 8);
+        // The shell, with its 48-byte in-place body slot.
+        assert_eq!(size_of::<Task>(), 176);
     }
 
     #[test]
@@ -2474,5 +2478,114 @@ mod tests {
                 .with_watchdog(std::time::Duration::from_secs(5)),
         );
         assert_eq!(plain, armed);
+    }
+
+    /// A capture that counts its drops in a shared counter.
+    struct Tally(Arc<AtomicUsize>);
+
+    impl Drop for Tally {
+        fn drop(&mut self) {
+            self.0.fetch_add(1, Ordering::SeqCst);
+        }
+    }
+
+    /// Runs `root` with a [`Tally`] to hand to one spawned body, then
+    /// asserts that body's capture was dropped exactly once.
+    fn capture_dropped_once(
+        cfg: RuntimeConfig,
+        root: impl FnOnce(&TaskCtx, Tally) + Send + 'static,
+    ) -> RunOutcome {
+        let drops = Arc::new(AtomicUsize::new(0));
+        let tally = Tally(Arc::clone(&drops));
+        let rt = Runtime::new(cfg.workers(2));
+        let outcome = rt.run_outcome(move |ctx| root(ctx, tally));
+        assert_eq!(drops.load(Ordering::SeqCst), 1, "{}", outcome.summary());
+        assert_eq!(Arc::strong_count(&drops), 1);
+        assert_eq!(rt.live_tasks(), 0);
+        outcome
+    }
+
+    #[test]
+    fn inline_body_runs_and_drops_its_capture_once() {
+        let outcome = capture_dropped_once(RuntimeConfig::optimized(), |ctx, tally| {
+            let body = move |_: &TaskCtx| assert_eq!(tally.0.load(Ordering::SeqCst), 0);
+            assert!(core::mem::size_of_val(&body) <= 48);
+            ctx.spawn(Deps::new(), body);
+        });
+        assert!(outcome.is_ok(), "{}", outcome.summary());
+    }
+
+    #[test]
+    fn cancelled_body_drops_its_capture_once() {
+        let cfg = RuntimeConfig::optimized().with_fault_plan(FaultPlan::never());
+        static X: u64 = 0;
+        let outcome = capture_dropped_once(cfg, |ctx, tally| {
+            let x = &X as *const u64 as usize;
+            ctx.spawn(Deps::new().readwrite_addr(x), |_| {
+                std::panic::panic_any(format!("{FAULT_PANIC_PREFIX}: planted"));
+            });
+            ctx.spawn(Deps::new().readwrite_addr(x), move |_| {
+                let _ = &tally;
+                unreachable!("successor of a failed task ran");
+            });
+        });
+        assert_eq!(outcome.failures.len(), 1);
+        assert_eq!(outcome.tasks_cancelled, 1);
+    }
+
+    #[test]
+    fn panicking_body_drops_its_capture_once() {
+        let cfg = RuntimeConfig::optimized().with_fault_plan(FaultPlan::never());
+        let outcome = capture_dropped_once(cfg, |ctx, tally| {
+            ctx.spawn(Deps::new(), move |_| {
+                let _ = &tally;
+                std::panic::panic_any(format!("{FAULT_PANIC_PREFIX}: planted"));
+            });
+        });
+        assert_eq!(outcome.failures.len(), 1);
+    }
+
+    /// A fault injected before the body runs leaves it in the slot; the
+    /// shell's reset drops it.
+    #[test]
+    fn body_skipped_by_injected_fault_drops_its_capture_once() {
+        let cfg = RuntimeConfig::optimized().with_fault_plan(FaultPlan::panic_at(0));
+        let outcome = capture_dropped_once(cfg, |ctx, tally| {
+            ctx.spawn(Deps::new(), move |_| {
+                let _ = &tally;
+                unreachable!("the injected fault fires first");
+            });
+        });
+        assert_eq!(outcome.failures.len(), 1);
+    }
+
+    #[test]
+    fn oversized_body_is_boxed_and_drops_its_capture_once() {
+        let outcome = capture_dropped_once(RuntimeConfig::optimized(), |ctx, tally| {
+            let pad = [7u64; 6];
+            let body = move |_: &TaskCtx| {
+                let _ = &tally;
+                assert_eq!(std::hint::black_box(&pad)[5], 7);
+            };
+            assert_eq!(core::mem::size_of_val(&body), 56);
+            ctx.spawn(Deps::new(), body);
+        });
+        assert!(outcome.is_ok(), "{}", outcome.summary());
+    }
+
+    #[test]
+    fn overaligned_body_is_boxed_and_drops_its_capture_once() {
+        #[repr(align(64))]
+        struct Aligned(Tally);
+        let outcome = capture_dropped_once(RuntimeConfig::optimized(), |ctx, tally| {
+            let aligned = Aligned(tally);
+            let body = move |_: &TaskCtx| {
+                let a = std::hint::black_box(&aligned);
+                assert_eq!(&a.0 as *const Tally as usize % 64, 0);
+            };
+            assert_eq!(core::mem::align_of_val(&body), 64);
+            ctx.spawn(Deps::new(), body);
+        });
+        assert!(outcome.is_ok(), "{}", outcome.summary());
     }
 }

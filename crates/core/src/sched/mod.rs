@@ -489,13 +489,7 @@ mod tests {
             .iter()
             .enumerate()
             .map(|(i, &p)| {
-                let mut t = Task::new(
-                    i as u64,
-                    "t",
-                    core::ptr::null_mut(),
-                    Box::new(|_| {}),
-                    vec![],
-                );
+                let mut t = Task::new(i as u64, "t", core::ptr::null_mut(), vec![]);
                 t.priority = p;
                 Box::into_raw(Box::new(t))
             })
@@ -520,7 +514,7 @@ mod tests {
 
     /// A task under `parent` (null for a root), leaked until [`free`].
     fn node(parent: *mut Task, priority: i32) -> *mut Task {
-        let mut t = Task::new(0, "t", parent, Box::new(|_| {}), vec![]);
+        let mut t = Task::new(0, "t", parent, vec![]);
         if !parent.is_null() {
             t.level = unsafe { (*parent).level } + 1;
         }

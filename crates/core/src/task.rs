@@ -36,8 +36,15 @@
 //! the demand-created [`BottomMap`] and the [`TaskCold`] side box keep
 //! the task header small enough that a million in-flight tasks fit in a
 //! couple hundred megabytes of slab-recycled memory.
+//!
+//! The body lives in the shell too: a closure of at most 48 bytes and
+//! 8-byte alignment is written in place, so an access-free spawn makes
+//! no heap allocation and the runtime's allocator (§4) holds the body.
+//! A larger or more aligned closure is boxed as a [`TaskBody`], and the
+//! box is written in place.
 
 use core::cell::UnsafeCell;
+use core::mem::MaybeUninit;
 use core::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -49,8 +56,44 @@ use crate::runtime::TaskCtx;
 /// Unique (per-runtime) task identifier.
 pub type TaskId = u64;
 
-/// Type-erased task body.
+/// A boxed task body: only the spawn-capture and held-task seams
+/// ([`crate::runtime::SpawnCapture`], [`TaskCtx::spawn_held`]) pass it.
 pub type TaskBody = Box<dyn FnOnce(&TaskCtx) + Send + 'static>;
+
+/// Capacity of the in-shell body slot, in 8-byte words.
+const BODY_WORDS: usize = 6;
+
+const _: () = assert!(
+    core::mem::size_of::<TaskBody>() <= BODY_WORDS * 8 && core::mem::align_of::<TaskBody>() <= 8,
+    "a boxed body must fit the slot"
+);
+
+/// How to use one closure type stored in a [`BodySlot`].
+struct BodyVtable {
+    /// Move the closure out of the slot and call it.
+    call: unsafe fn(*mut u8, &TaskCtx),
+    /// Drop the closure in the slot without calling it.
+    drop: unsafe fn(*mut u8),
+}
+
+/// The vtable of closure type `F`.
+struct VtableOf<F>(core::marker::PhantomData<F>);
+
+impl<F: FnOnce(&TaskCtx)> VtableOf<F> {
+    const VTABLE: &'static BodyVtable = &BodyVtable {
+        // SAFETY (both): `BodySlot` pairs this vtable only with an `F`
+        // written at `p`, and calls an entry at most once per write.
+        call: |p, ctx| unsafe { p.cast::<F>().read()(ctx) },
+        drop: |p| unsafe { p.cast::<F>().drop_in_place() },
+    };
+}
+
+/// A task body stored in place: the closure's bytes plus the vtable of
+/// its type, `None` when the slot is empty.
+pub(crate) struct BodySlot {
+    words: MaybeUninit<[u64; BODY_WORDS]>,
+    vtable: Option<&'static BodyVtable>,
+}
 
 /// Bottom map of a dependency domain: address → last access registered to
 /// that address among this task's children. Thread-confined to the task's
@@ -261,8 +304,9 @@ pub struct Task {
     /// Nesting level: 0 for the root task, `parent.level + 1` otherwise.
     /// Bounds the walk of [`Task::descends_from`].
     pub level: u32,
-    /// The body; taken exactly once by the executing worker.
-    pub body: UnsafeCell<Option<TaskBody>>,
+    /// The body, in place; run (or dropped) exactly once by the
+    /// executing worker.
+    pub(crate) body: UnsafeCell<BodySlot>,
     /// Packed life-cycle word (blockers / live_children / removal_refs).
     pub state: TaskState,
     /// Declared accesses (modes resolved, reduction info attached during
@@ -296,27 +340,35 @@ pub struct Task {
     pub ready_ns: u64,
 }
 
+// SAFETY: the raw pointers follow the reference-counting protocol of
+// the module doc. The body slot holds only `Send` closures, and one
+// thread at a time touches it: the creator before publish, then the
+// worker that runs or reclaims the task.
 unsafe impl Send for Task {}
 unsafe impl Sync for Task {}
 
+impl Drop for Task {
+    fn drop(&mut self) {
+        // SAFETY: `&mut self` is the only access.
+        unsafe { self.drop_body() };
+    }
+}
+
 impl Task {
-    /// Build a task object (not yet registered with the dependency
-    /// system). `n_accesses`/`accesses` are filled in by the dependency
-    /// system if it materializes ASMs.
-    pub fn new(
-        id: TaskId,
-        label: &'static str,
-        parent: *mut Task,
-        body: TaskBody,
-        decls: Vec<AccessDecl>,
-    ) -> Self {
+    /// Build a task object with an empty body slot (not yet registered
+    /// with the dependency system). `n_accesses`/`accesses` are filled in
+    /// by the dependency system if it materializes ASMs.
+    pub fn new(id: TaskId, label: &'static str, parent: *mut Task, decls: Vec<AccessDecl>) -> Self {
         let n = decls.len();
         Task {
             id,
             label,
             parent,
             level: 0,
-            body: UnsafeCell::new(Some(body)),
+            body: UnsafeCell::new(BodySlot {
+                words: MaybeUninit::uninit(),
+                vtable: None,
+            }),
             state: TaskState::new_registered(n),
             decls: UnsafeCell::new(decls),
             accesses: core::ptr::null_mut(),
@@ -330,22 +382,21 @@ impl Task {
     }
 
     /// Re-initialize a recycled shell in place for a new task, keeping
-    /// the interior capacity the previous occupant accumulated (decls
-    /// buffer, bottom map, cold box). The shell must have gone through
-    /// [`Task::reset_for_recycle`].
+    /// the bottom map and cold box the previous occupant allocated. A
+    /// task that declares accesses replaces the shell's decls buffer with
+    /// its own `decls` (the old buffer is freed). The shell must have
+    /// gone through [`Task::reset_for_recycle`].
     pub(crate) fn reinit_recycled(
         &mut self,
         id: TaskId,
         label: &'static str,
         parent: *mut Task,
-        body: TaskBody,
         decls: Vec<AccessDecl>,
     ) {
         let n = decls.len();
         self.id = id;
         self.label = label;
         self.parent = parent;
-        *self.body.get_mut() = Some(body);
         self.state = TaskState::new_registered(n);
         let dv = self.decls.get_mut();
         debug_assert!(dv.is_empty(), "recycled shell with live decls");
@@ -360,13 +411,14 @@ impl Task {
     }
 
     /// Clear a dead task into a recyclable shell: drop the *contents*
-    /// (decl elements, bottom-map entries, cold fields) but keep the
-    /// *containers* (decl buffer, map table, cold box) so the next
-    /// occupant skips their allocations. The access array must already
-    /// have been freed.
+    /// (a body that never ran, decl elements, bottom-map entries, cold
+    /// fields) but keep the *containers* (decl buffer, map table, cold
+    /// box) so the next occupant skips their allocations. The access
+    /// array must already have been freed.
     pub(crate) fn reset_for_recycle(&mut self) {
         debug_assert!(self.accesses.is_null(), "access array leaked into recycle");
-        *self.body.get_mut() = None;
+        // SAFETY: `&mut self` is the only access.
+        unsafe { self.drop_body() };
         self.decls.get_mut().clear();
         if let Some(map) = self.child_bottom.get_mut().as_deref_mut() {
             map.clear();
@@ -443,12 +495,46 @@ impl Task {
         }
     }
 
-    /// Take the body for execution. Returns `None` if already taken.
+    /// Store the body in the empty slot (creator, before publish): in
+    /// place when `F` fits the slot, else boxed as a [`TaskBody`] whose
+    /// box is stored in place.
+    pub(crate) fn set_body<F: FnOnce(&TaskCtx) + Send + 'static>(&mut self, f: F) {
+        if core::mem::size_of::<F>() > BODY_WORDS * 8 || core::mem::align_of::<F>() > 8 {
+            // A `TaskBody` fits (asserted at `BODY_WORDS`): one level deep.
+            return self.set_body::<TaskBody>(Box::new(f));
+        }
+        let slot = self.body.get_mut();
+        debug_assert!(slot.vtable.is_none(), "body slot already full");
+        // SAFETY: `F` fits the slot's size and alignment (checked above).
+        unsafe { slot.words.as_mut_ptr().cast::<F>().write(f) };
+        slot.vtable = Some(VtableOf::<F>::VTABLE);
+    }
+
+    /// Run the body. The slot is emptied before the body is called, so a
+    /// body that unwinds is dropped once, by the unwind.
     ///
     /// # Safety
     /// Only the worker that dequeued the task may call this.
-    pub unsafe fn take_body(&self) -> Option<TaskBody> {
-        unsafe { (*self.body.get()).take() }
+    pub(crate) unsafe fn run_body(&self, ctx: &TaskCtx) {
+        let slot = self.body.get();
+        // SAFETY: the caller is the slot's only user now (see `# Safety`);
+        // a present vtable describes the closure in `words`, and taking
+        // it first means nothing else calls or drops that closure.
+        let vtable = unsafe { (*slot).vtable.take() }.expect("task executed twice");
+        unsafe { (vtable.call)((*slot).words.as_mut_ptr().cast(), ctx) }
+    }
+
+    /// Drop a body that will not run (a cancelled task, or a shell
+    /// cleared before its body ran). No-op on an empty slot.
+    ///
+    /// # Safety
+    /// Only the worker that dequeued or reclaims the task may call this.
+    pub(crate) unsafe fn drop_body(&self) {
+        let slot = self.body.get();
+        // SAFETY: as in `run_body`.
+        if let Some(vtable) = unsafe { (*slot).vtable.take() } {
+            unsafe { (vtable.drop)((*slot).words.as_mut_ptr().cast()) }
+        }
     }
 
     /// Whether the whole subtree has completed.
@@ -536,7 +622,7 @@ mod tests {
         let decls = (0..n_accesses)
             .map(|i| AccessDecl::new(0x1000 + i * 8, 8, AccessMode::Write))
             .collect();
-        Task::new(1, "t", core::ptr::null_mut(), Box::new(|_| {}), decls)
+        Task::new(1, "t", core::ptr::null_mut(), decls)
     }
 
     #[test]
@@ -573,13 +659,32 @@ mod tests {
         assert!(t.drop_removal_ref());
     }
 
+    /// A body that never runs is dropped exactly once: by `drop_body`
+    /// (a second call finds the slot empty), by the recycle reset, or
+    /// with the shell. Bodies that run are covered by the runtime tests.
     #[test]
-    fn body_taken_once() {
-        let t = dummy(0);
+    fn body_slot_drops_an_unrun_body_once() {
+        let capture = Arc::new(());
+        let mut t = dummy(0);
+        let c = Arc::clone(&capture);
+        t.set_body(move |_| drop(c));
+        assert_eq!(Arc::strong_count(&capture), 2);
         unsafe {
-            assert!(t.take_body().is_some());
-            assert!(t.take_body().is_none());
+            t.drop_body();
+            t.drop_body();
         }
+        assert_eq!(Arc::strong_count(&capture), 1);
+        // 56 bytes: the boxed fallback.
+        let (c, pad) = (Arc::clone(&capture), [0u64; 6]);
+        let body = move |_: &TaskCtx| drop((c, pad));
+        assert_eq!(core::mem::size_of_val(&body), 56);
+        t.set_body(body);
+        t.reset_for_recycle();
+        assert_eq!(Arc::strong_count(&capture), 1);
+        let c = Arc::clone(&capture);
+        t.set_body(move |_| drop(c));
+        drop(t);
+        assert_eq!(Arc::strong_count(&capture), 1);
     }
 
     #[test]
@@ -635,7 +740,7 @@ mod tests {
         assert!(t.is_cancelled());
         t.accesses = core::ptr::null_mut();
         t.reset_for_recycle();
-        t.reinit_recycled(2, "t2", core::ptr::null_mut(), Box::new(|_| {}), Vec::new());
+        t.reinit_recycled(2, "t2", core::ptr::null_mut(), Vec::new());
         assert!(!t.is_cancelled());
     }
 
