@@ -643,11 +643,10 @@ pub(crate) struct Shared {
     pub sched: Arc<dyn Scheduler>,
     pub deps: Arc<dyn DependencySystem>,
     pub alloc: Arc<dyn RuntimeAllocator>,
-    /// Recycling free list for `Task` shells, layered on `alloc`:
-    /// reclaimed task objects come back with their bottom map, cold box
-    /// and in-place body slot instead of round-tripping through
-    /// dealloc/alloc on every spawn. The decls buffer is kept only until
-    /// the next occupant that declares accesses, which replaces it.
+    /// Recycling free list for `Task` shells, layered on `alloc`: shells
+    /// come back with their bottom map and cold box instead of
+    /// round-tripping through dealloc/alloc; a task that declares
+    /// accesses replaces the shell's decls buffer with its own.
     pub task_slab: TaskSlab,
     pub tracer: Tracer,
     pub noise: Option<NoiseInjector>,
@@ -747,12 +746,10 @@ impl WorkerCtx {
     }
 
     /// The one task-creation sequence: a fresh id, the created and live
-    /// counters, a task shell (a recycled one from the slab, re-initialized
-    /// in place with its interior capacity, or a fresh allocation), the
-    /// body, written into the shell, and the priority. A child's
+    /// counters, a task shell (recycled from the slab or freshly allocated)
+    /// with the body written into it, and the priority. A child's
     /// `CreateBegin` is recorded here, before the allocation, and its
-    /// creator records `CreateEnd`; the root is created outside any task
-    /// body and records neither.
+    /// creator records `CreateEnd`; the root records neither.
     ///
     /// # Safety
     /// `parent` is null or a live task. The returned pointer is valid
@@ -1110,6 +1107,23 @@ impl TaskCtx<'_> {
                 hooks.task_ready(t);
             }
             self.worker.record(EventKind::CreateEnd, id);
+            // Over `RUN_AHEAD`, one pass of the wait loop: run at most one
+            // ready descendant, never wait (a held child may need us).
+            if (*self.task).pending_children() > RUN_AHEAD {
+                let (scope, mut first) = (self.help_scope(true), Some(()));
+                self.worker.help(scope, || first.take().is_none());
+            }
+        }
+    }
+
+    /// The scope this task's waits pop in: any task for the root, since
+    /// every queued task descends from it; else this task's descendants
+    /// first, and only those when `capped`.
+    fn help_scope(&self, capped: bool) -> Scope {
+        if self.is_root() {
+            Scope::ANY
+        } else {
+            Scope::within(self.task, capped)
         }
     }
 
@@ -1156,15 +1170,7 @@ impl TaskCtx<'_> {
             .metrics
             .max_taskwait_depth
             .record(w.id, depth as u64);
-        // Every queued task descends from the root, so a scope there would
-        // only reverse the policy's order: the root waits like an idle
-        // worker.
-        let scope = if self.is_root() {
-            Scope::ANY
-        } else {
-            Scope::within(self.task, depth >= TASKWAIT_NESTING_CAP)
-        };
-        w.help(scope, done);
+        w.help(self.help_scope(depth >= TASKWAIT_NESTING_CAP), done);
         w.taskwait_depth.set(depth - 1);
     }
 
@@ -1188,6 +1194,11 @@ impl TaskCtx<'_> {
         unsafe { info.slot(self.worker.id) as *mut T }
     }
 }
+
+/// Unfinished children above which a creator runs a ready task after
+/// each spawn, so it cannot outrun the workers and grow the task slab
+/// without bound (about 10 × the SPSC add buffers of two workers).
+const RUN_AHEAD: usize = 1024;
 
 /// Install the process-wide panic hook that silences injected-fault
 /// panics (see [`FAULT_PANIC_PREFIX`]). Installed at most once; every
@@ -2478,6 +2489,27 @@ mod tests {
                 .with_watchdog(std::time::Duration::from_secs(5)),
         );
         assert_eq!(plain, armed);
+    }
+
+    /// A creator over `RUN_AHEAD` unfinished children runs a ready task
+    /// after each spawn, so with one worker 10 000 access-free spawns
+    /// never hold more than `RUN_AHEAD` + 2 tasks (the children and the
+    /// root) at once.
+    #[test]
+    fn run_ahead_is_bounded() {
+        let rt = Runtime::new(RuntimeConfig::optimized().workers(1));
+        rt.run(|ctx| {
+            for _ in 0..10_000 {
+                ctx.spawn(Deps::new(), |_| {});
+            }
+        });
+        let s = rt.stats();
+        assert_eq!(s.tasks_executed, 10_001);
+        assert!(
+            s.alloc.peak_live_tasks <= RUN_AHEAD as u64 + 2,
+            "{:?}",
+            s.alloc
+        );
     }
 
     /// A capture that counts its drops in a shared counter.

@@ -37,11 +37,9 @@
 //! the task header small enough that a million in-flight tasks fit in a
 //! couple hundred megabytes of slab-recycled memory.
 //!
-//! The body lives in the shell too: a closure of at most 48 bytes and
-//! 8-byte alignment is written in place, so an access-free spawn makes
-//! no heap allocation and the runtime's allocator (§4) holds the body.
-//! A larger or more aligned closure is boxed as a [`TaskBody`], and the
-//! box is written in place.
+//! A body of at most 48 bytes and 8-byte alignment lives in the shell,
+//! so an access-free spawn makes no heap allocation; a larger or more
+//! aligned one is boxed as a [`TaskBody`], and the box lives there.
 
 use core::cell::UnsafeCell;
 use core::mem::MaybeUninit;
@@ -63,16 +61,12 @@ pub type TaskBody = Box<dyn FnOnce(&TaskCtx) + Send + 'static>;
 /// Capacity of the in-shell body slot, in 8-byte words.
 const BODY_WORDS: usize = 6;
 
-const _: () = assert!(
-    core::mem::size_of::<TaskBody>() <= BODY_WORDS * 8 && core::mem::align_of::<TaskBody>() <= 8,
-    "a boxed body must fit the slot"
-);
+const _: () = assert!(size_of::<TaskBody>() <= BODY_WORDS * 8 && align_of::<TaskBody>() <= 8);
 
-/// How to use one closure type stored in a [`BodySlot`].
+/// How to use one closure type stored in a [`BodySlot`]: move it out
+/// and `call` it, or `drop` it in place.
 struct BodyVtable {
-    /// Move the closure out of the slot and call it.
     call: unsafe fn(*mut u8, &TaskCtx),
-    /// Drop the closure in the slot without calling it.
     drop: unsafe fn(*mut u8),
 }
 
@@ -88,8 +82,7 @@ impl<F: FnOnce(&TaskCtx)> VtableOf<F> {
     };
 }
 
-/// A task body stored in place: the closure's bytes plus the vtable of
-/// its type, `None` when the slot is empty.
+/// A body in place: the closure's bytes and its type's vtable (`None`: empty).
 pub(crate) struct BodySlot {
     words: MaybeUninit<[u64; BODY_WORDS]>,
     vtable: Option<&'static BodyVtable>,
@@ -340,10 +333,8 @@ pub struct Task {
     pub ready_ns: u64,
 }
 
-// SAFETY: the raw pointers follow the reference-counting protocol of
-// the module doc. The body slot holds only `Send` closures, and one
-// thread at a time touches it: the creator before publish, then the
-// worker that runs or reclaims the task.
+// SAFETY: raw pointers follow the module doc's protocol; the body slot
+// holds `Send` closures and is touched by one thread at a time.
 unsafe impl Send for Task {}
 unsafe impl Sync for Task {}
 
@@ -499,7 +490,7 @@ impl Task {
     /// place when `F` fits the slot, else boxed as a [`TaskBody`] whose
     /// box is stored in place.
     pub(crate) fn set_body<F: FnOnce(&TaskCtx) + Send + 'static>(&mut self, f: F) {
-        if core::mem::size_of::<F>() > BODY_WORDS * 8 || core::mem::align_of::<F>() > 8 {
+        if size_of::<F>() > BODY_WORDS * 8 || align_of::<F>() > 8 {
             // A `TaskBody` fits (asserted at `BODY_WORDS`): one level deep.
             return self.set_body::<TaskBody>(Box::new(f));
         }
@@ -517,9 +508,8 @@ impl Task {
     /// Only the worker that dequeued the task may call this.
     pub(crate) unsafe fn run_body(&self, ctx: &TaskCtx) {
         let slot = self.body.get();
-        // SAFETY: the caller is the slot's only user now (see `# Safety`);
-        // a present vtable describes the closure in `words`, and taking
-        // it first means nothing else calls or drops that closure.
+        // SAFETY: the caller is the slot's only user (`# Safety`); a present
+        // vtable matches `words`, and taking it first makes this the one use.
         let vtable = unsafe { (*slot).vtable.take() }.expect("task executed twice");
         unsafe { (vtable.call)((*slot).words.as_mut_ptr().cast(), ctx) }
     }
