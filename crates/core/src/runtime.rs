@@ -2512,6 +2512,29 @@ mod tests {
         );
     }
 
+    /// The run-ahead pass never waits: a root holding more than
+    /// `RUN_AHEAD` unreleased held children can still spawn, and release
+    /// them afterwards.
+    #[test]
+    fn run_ahead_never_waits_for_held_children() {
+        let rt = Runtime::new(RuntimeConfig::optimized().workers(2));
+        let ran = Arc::new(AtomicUsize::new(0));
+        let r = Arc::clone(&ran);
+        rt.run(move |ctx| {
+            let held: Vec<HeldTask> = (0..RUN_AHEAD + 100)
+                .map(|_| ctx.spawn_held("held", 0, vec![], Box::new(|_| {}), None))
+                .collect();
+            ctx.spawn(Deps::new(), move |_| {
+                r.fetch_add(1, Ordering::SeqCst);
+            });
+            for h in held {
+                ctx.release_held(h);
+            }
+        });
+        assert_eq!(ran.load(Ordering::SeqCst), 1);
+        assert_eq!(rt.live_tasks(), 0);
+    }
+
     /// A capture that counts its drops in a shared counter.
     struct Tally(Arc<AtomicUsize>);
 
