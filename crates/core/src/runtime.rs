@@ -931,6 +931,9 @@ impl TaskCtx<'_> {
     /// Spawn with an explicit scheduling priority (the OmpSs-2 `priority`
     /// clause); higher-priority ready tasks are scheduled first under
     /// [`crate::sched::Policy::Priority`].
+    ///
+    /// Over 1 024 unfinished children, a spawn from the root task is a
+    /// task scheduling point: it may first run one ready task of any kind.
     pub fn spawn_prioritized(
         &self,
         label: &'static str,
@@ -1107,23 +1110,12 @@ impl TaskCtx<'_> {
                 hooks.task_ready(t);
             }
             self.worker.record(EventKind::CreateEnd, id);
-            // Over `RUN_AHEAD`, one pass of the wait loop: run at most one
-            // ready descendant, never wait (a held child may need us).
-            if (*self.task).pending_children() > RUN_AHEAD {
-                let (scope, mut first) = (self.help_scope(true), Some(()));
-                self.worker.help(scope, || first.take().is_none());
+            // The root over `RUN_AHEAD` runs at most one ready task and
+            // never waits (a held child may need it to release it).
+            if self.is_root() && (*self.task).pending_children() > RUN_AHEAD {
+                let mut first = Some(());
+                self.worker.help(Scope::ANY, || first.take().is_none());
             }
-        }
-    }
-
-    /// The scope this task's waits pop in: any task for the root, since
-    /// every queued task descends from it; else this task's descendants
-    /// first, and only those when `capped`.
-    fn help_scope(&self, capped: bool) -> Scope {
-        if self.is_root() {
-            Scope::ANY
-        } else {
-            Scope::within(self.task, capped)
         }
     }
 
@@ -1148,7 +1140,8 @@ impl TaskCtx<'_> {
     /// Following "my descendant runs below your innermost wait" from
     /// waiter to waiter therefore strictly increases start times and
     /// cannot cycle: the innermost wait that started last always has a
-    /// queued descendant or none left.
+    /// queued descendant or none left. A root spawn that runs a task
+    /// ([`TaskCtx::spawn_prioritized`]) never waits: it adds no edge.
     pub fn taskwait(&self) {
         let task = unsafe { &*self.task };
         if task.pending_children() <= 1 {
@@ -1170,7 +1163,15 @@ impl TaskCtx<'_> {
             .metrics
             .max_taskwait_depth
             .record(w.id, depth as u64);
-        w.help(self.help_scope(depth >= TASKWAIT_NESTING_CAP), done);
+        // Every queued task descends from the root, so a scope there would
+        // only reverse the policy's order: the root waits like an idle
+        // worker.
+        let scope = if self.is_root() {
+            Scope::ANY
+        } else {
+            Scope::within(self.task, depth >= TASKWAIT_NESTING_CAP)
+        };
+        w.help(scope, done);
         w.taskwait_depth.set(depth - 1);
     }
 
@@ -1195,7 +1196,7 @@ impl TaskCtx<'_> {
     }
 }
 
-/// Unfinished children above which a creator runs a ready task after
+/// Unfinished children above which the root runs a ready task after
 /// each spawn, so it cannot outrun the workers and grow the task slab
 /// without bound (about 10 × the SPSC add buffers of two workers).
 const RUN_AHEAD: usize = 1024;
@@ -1322,6 +1323,8 @@ fn run_body(w: &WorkerCtx, t: *mut Task) {
             }
             unsafe { (*t).run_body(&ctx) };
         })) {
+            // A fault injected before the body left it in the slot.
+            unsafe { (*t).drop_body() };
             record_body_failure(w, t, payload);
         }
         // SAFETY: only the executing worker touches the epilogue after
@@ -2491,7 +2494,7 @@ mod tests {
         assert_eq!(plain, armed);
     }
 
-    /// A creator over `RUN_AHEAD` unfinished children runs a ready task
+    /// The root over `RUN_AHEAD` unfinished children runs a ready task
     /// after each spawn, so with one worker 10 000 access-free spawns
     /// never hold more than `RUN_AHEAD` + 2 tasks (the children and the
     /// root) at once.
@@ -2601,15 +2604,22 @@ mod tests {
     }
 
     /// A fault injected before the body runs leaves it in the slot; the
-    /// shell's reset drops it.
+    /// executing worker drops it before the task completes, so a
+    /// taskwait already sees the drop although the task's access keeps
+    /// its shell alive until the root finishes.
     #[test]
     fn body_skipped_by_injected_fault_drops_its_capture_once() {
         let cfg = RuntimeConfig::optimized().with_fault_plan(FaultPlan::panic_at(0));
+        static X: u64 = 0;
         let outcome = capture_dropped_once(cfg, |ctx, tally| {
-            ctx.spawn(Deps::new(), move |_| {
+            let drops = Arc::clone(&tally.0);
+            let x = &X as *const u64 as usize;
+            ctx.spawn(Deps::new().readwrite_addr(x), move |_| {
                 let _ = &tally;
                 unreachable!("the injected fault fires first");
             });
+            ctx.taskwait();
+            assert_eq!(drops.load(Ordering::SeqCst), 1);
         });
         assert_eq!(outcome.failures.len(), 1);
     }

@@ -37,9 +37,8 @@
 //! the task header small enough that a million in-flight tasks fit in a
 //! couple hundred megabytes of slab-recycled memory.
 //!
-//! A body of at most 48 bytes and 8-byte alignment lives in the shell,
-//! so an access-free spawn makes no heap allocation; a larger or more
-//! aligned one is boxed as a [`TaskBody`], and the box lives there.
+//! A body of at most 48 bytes (8-aligned) lives in the shell, so an
+//! access-free spawn makes no heap allocation; a larger one is boxed.
 
 use core::cell::UnsafeCell;
 use core::mem::MaybeUninit;
@@ -487,8 +486,7 @@ impl Task {
     }
 
     /// Store the body in the empty slot (creator, before publish): in
-    /// place when `F` fits the slot, else boxed as a [`TaskBody`] whose
-    /// box is stored in place.
+    /// place when `F` fits, else boxed as a [`TaskBody`] stored in place.
     pub(crate) fn set_body<F: FnOnce(&TaskCtx) + Send + 'static>(&mut self, f: F) {
         if size_of::<F>() > BODY_WORDS * 8 || align_of::<F>() > 8 {
             // A `TaskBody` fits (asserted at `BODY_WORDS`): one level deep.
