@@ -330,6 +330,9 @@ mod tests {
         fn nworkers(&self) -> usize {
             4
         }
+        fn worker(&self) -> usize {
+            0
+        }
         fn allocator(&self) -> &dyn RuntimeAllocator {
             &self.alloc
         }

@@ -18,6 +18,7 @@ pub mod locking;
 pub mod reduction;
 pub mod wait_free;
 
+use nanotask_obs::Registry;
 use std::sync::Arc;
 
 use crate::task::Task;
@@ -226,6 +227,8 @@ pub unsafe trait DepHooks {
     fn edge(&self, _from: *mut Task, _to: *mut Task, _addr: usize, _kind: u8) {}
     /// Number of workers (for reduction slot sizing).
     fn nworkers(&self) -> usize;
+    /// The calling worker's id: the metric shard its counts go to.
+    fn worker(&self) -> usize;
     /// The allocator runtime objects (ASM arrays) are drawn from.
     fn allocator(&self) -> &dyn nanotask_alloc::RuntimeAllocator;
 }
@@ -263,12 +266,6 @@ pub unsafe trait DependencySystem: Send + Sync {
     /// Implementation identifier.
     fn kind(&self) -> DepsKind;
 
-    /// Delivery statistics snapshot: (accesses, deliveries, duplicates).
-    /// Only the wait-free system delivers messages; the default is zero.
-    fn delivery_stats(&self) -> (u64, u64, u64) {
-        (0, 0, 0)
-    }
-
     /// Clear run-scoped failure-propagation state at a run boundary
     /// (called by the runtime between runs, never concurrently with
     /// register/complete traffic). The wait-free system's POISON flags
@@ -297,10 +294,11 @@ pub unsafe trait DependencySystem: Send + Sync {
     }
 }
 
-/// Instantiate the dependency system of the given kind.
-pub fn make_deps(kind: DepsKind) -> Arc<dyn DependencySystem> {
+/// Instantiate the dependency system of the given kind. The wait-free
+/// system counts its deliveries in `reg`.
+pub fn make_deps(kind: DepsKind, reg: &Registry) -> Arc<dyn DependencySystem> {
     match kind {
-        DepsKind::WaitFree => Arc::new(wait_free::WaitFreeDeps::new()),
+        DepsKind::WaitFree => Arc::new(wait_free::WaitFreeDeps::new(reg)),
         DepsKind::Locking => Arc::new(locking::LockingDeps::new()),
     }
 }

@@ -40,7 +40,8 @@
 //!   delivery drops one removal reference of the owning task.
 
 use core::alloc::Layout;
-use core::sync::atomic::{AtomicU64, Ordering};
+use core::sync::atomic::Ordering;
+use nanotask_obs::{Counter, Registry};
 use std::sync::Arc;
 
 use super::access::{DataAccess, MailBox, Message};
@@ -49,33 +50,53 @@ use super::reduction::ReductionInfo;
 use super::{AccessMode, DepHooks, DependencySystem, DepsKind};
 use crate::task::Task;
 
-/// Counters for the §2 wait-freedom evidence (`delivery_bound` test) and
-/// the dependency microbenchmarks.
-#[derive(Debug, Default)]
-pub struct WaitFreeStats {
-    /// Registered accesses.
-    pub accesses: AtomicU64,
+/// The §2 wait-freedom evidence (`delivery_bound` test, the ledger's
+/// deliveries per task): registry counters whose shards are each
+/// written by one worker only.
+pub(crate) struct DeliveryCounters {
+    accesses: Counter,
     /// Non-duplicate message deliveries.
-    pub deliveries: AtomicU64,
-    /// Messages that were duplicates (no bit changed).
-    pub duplicates: AtomicU64,
+    deliveries: Counter,
+    /// Messages that changed no bit.
+    duplicates: Counter,
+}
+
+impl DeliveryCounters {
+    /// The counters in `reg`; every caller gets the same cells.
+    pub(crate) fn new(reg: &Registry) -> Self {
+        Self {
+            accesses: reg.counter("nanotask_deps_accesses_total"),
+            deliveries: reg.counter("nanotask_deps_deliveries_total"),
+            duplicates: reg.counter("nanotask_deps_duplicate_deliveries_total"),
+        }
+    }
+
+    /// `(accesses, deliveries, duplicates)`, summed over the shards.
+    pub(crate) fn snapshot(&self) -> (u64, u64, u64) {
+        (
+            self.accesses.value(),
+            self.deliveries.value(),
+            self.duplicates.value(),
+        )
+    }
 }
 
 /// The wait-free dependency system.
 pub struct WaitFreeDeps {
-    stats: WaitFreeStats,
+    counters: DeliveryCounters,
 }
 
 impl WaitFreeDeps {
-    /// Create the system.
-    pub fn new() -> Self {
+    /// Create the system, counting its deliveries in `reg`.
+    pub fn new(reg: &Registry) -> Self {
         Self {
-            stats: WaitFreeStats::default(),
+            counters: DeliveryCounters::new(reg),
         }
     }
 
     /// Deliver one message: a single fetch-OR plus crossing-rule
-    /// evaluation. New messages go to `mb`.
+    /// evaluation. New messages go to `mb`. Returns false for a
+    /// duplicate (no bit changed).
     ///
     /// # Safety
     /// `a_ptr` must point to a live access (guaranteed by the terminal
@@ -86,17 +107,15 @@ impl WaitFreeDeps {
         add: u64,
         mb: &mut MailBox,
         hooks: &dyn DepHooks,
-    ) {
+    ) -> bool {
         debug_assert!(!a_ptr.is_null());
         debug_assert_ne!(add, 0);
         let a = unsafe { &*a_ptr };
         let old = a.flags.fetch_or(add, Ordering::AcqRel);
         let new = old | add;
         if old == new {
-            self.stats.duplicates.fetch_add(1, Ordering::Relaxed);
-            return;
+            return false;
         }
-        self.stats.deliveries.fetch_add(1, Ordering::Relaxed);
 
         // Rule 0: poison — a predecessor's failure reached this access.
         // On blocking edges the poisoned message *is* the releasing
@@ -221,21 +240,29 @@ impl WaitFreeDeps {
                 hooks.task_free(t);
             }
         }
+        true
     }
 
-    /// Drain the mailbox to empty (the Figure 2 loop).
+    /// Drain the mailbox to empty (the Figure 2 loop), then add the
+    /// drain's delivery counts to the calling worker's shard.
     ///
     /// # Safety
     /// Messages must target live accesses (protocol invariant).
     pub unsafe fn deliver_all(&self, mb: &mut MailBox, hooks: &dyn DepHooks) {
+        let (mut sent, mut fresh) = (0u64, 0u64);
         while let Some(m) = mb.pop() {
             if !m.to.is_null() && m.flags_for_next != 0 {
-                unsafe { self.deliver(m.to, m.flags_for_next, mb, hooks) };
+                sent += 1;
+                fresh += unsafe { self.deliver(m.to, m.flags_for_next, mb, hooks) } as u64;
             }
             if !m.from.is_null() && m.flags_after != 0 {
-                unsafe { self.deliver(m.from, m.flags_after, mb, hooks) };
+                sent += 1;
+                fresh += unsafe { self.deliver(m.from, m.flags_after, mb, hooks) } as u64;
             }
         }
+        let w = hooks.worker();
+        self.counters.deliveries.add(w, fresh);
+        self.counters.duplicates.add(w, sent - fresh);
     }
 
     /// Find the parent's own access (ASM) for `addr`, if declared.
@@ -257,12 +284,6 @@ impl WaitFreeDeps {
     }
 }
 
-impl Default for WaitFreeDeps {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 unsafe impl DependencySystem for WaitFreeDeps {
     unsafe fn register(&self, task: *mut Task, hooks: &dyn DepHooks) {
         let t = unsafe { &mut *task };
@@ -271,7 +292,7 @@ unsafe impl DependencySystem for WaitFreeDeps {
         if n == 0 {
             return;
         }
-        self.stats.accesses.fetch_add(n as u64, Ordering::Relaxed);
+        self.counters.accesses.add(hooks.worker(), n as u64);
         let alloc = hooks.allocator();
         // Invariant (not user-reachable in practice): `Layout::array`
         // only fails when `n * size_of::<DataAccess>()` overflows
@@ -442,14 +463,6 @@ unsafe impl DependencySystem for WaitFreeDeps {
         DepsKind::WaitFree
     }
 
-    fn delivery_stats(&self) -> (u64, u64, u64) {
-        (
-            self.stats.accesses.load(Ordering::Relaxed),
-            self.stats.deliveries.load(Ordering::Relaxed),
-            self.stats.duplicates.load(Ordering::Relaxed),
-        )
-    }
-
     unsafe fn reset_faults_under(&self, parent: *mut Task) {
         // POISON persists on the chain-bottom accesses of `parent`'s
         // still-open domain (they outlive their completed tasks until
@@ -511,6 +524,9 @@ mod tests {
         fn nworkers(&self) -> usize {
             4
         }
+        fn worker(&self) -> usize {
+            0
+        }
         fn allocator(&self) -> &dyn RuntimeAllocator {
             &self.alloc
         }
@@ -525,7 +541,7 @@ mod tests {
                 vec![],
             )));
             Self {
-                deps: WaitFreeDeps::new(),
+                deps: WaitFreeDeps::new(&Registry::new(1)),
                 hooks: TestHooks {
                     alloc: SystemAllocator::default(),
                     ready: Mutex::new(Vec::new()),
@@ -822,6 +838,31 @@ mod tests {
         assert!(edges.iter().any(|&(_, _, k)| k == 1), "child edge seen");
     }
 
+    /// The wait-free system writes no shared line on the dependency
+    /// path: its only state is the delivery counters, registry cells
+    /// with one padded shard per worker, each written by its worker
+    /// alone. The structs are destructured without `..`, so a new field
+    /// does not compile until it is placed.
+    #[test]
+    fn shared_writes_own_their_lines() {
+        let _pin = |d: &WaitFreeDeps, c: &DeliveryCounters| {
+            let WaitFreeDeps {
+                counters: _, // sharded registry cells
+            } = d;
+            let DeliveryCounters {
+                accesses: _,
+                deliveries: _,
+                duplicates: _,
+            } = c;
+        };
+        // A worker's count lands in the registry the system was built
+        // over, where the runtime's reader finds it.
+        let reg = Registry::new(2);
+        let d = WaitFreeDeps::new(&reg);
+        d.counters.deliveries.inc(1);
+        assert_eq!(DeliveryCounters::new(&reg).snapshot(), (0, 1, 0));
+    }
+
     #[test]
     fn delivery_bound_holds() {
         // Lemma 2.3: deliveries per access bounded by the flag count.
@@ -840,7 +881,7 @@ mod tests {
         for &t in &ts {
             h.complete(t);
         }
-        let (accesses, deliveries, _dups) = h.deps.delivery_stats();
+        let (accesses, deliveries, _dups) = h.deps.counters.snapshot();
         assert_eq!(accesses, 50);
         assert!(
             deliveries <= accesses * flags::FLAG_COUNT as u64,

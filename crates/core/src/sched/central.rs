@@ -72,28 +72,6 @@ impl<L: RawLock> Scheduler for CentralScheduler<L> {
         }
     }
 
-    fn add_ready_batch(&self, tasks: &[TaskPtr], worker: usize, rec: Rec<'_>) {
-        match tasks {
-            [] => return,
-            [t] => return self.add_ready(*t, worker, rec),
-            _ => {}
-        }
-        self.counters.batch(worker, tasks.len());
-        // One lock acquisition covers the whole released batch — the
-        // amortization the "w/o DTLock" ablation gets from batching.
-        self.lock.lock();
-        self.counters.lock(worker);
-        // SAFETY: queue accessed only under `lock`.
-        let q = unsafe { &mut *self.queue.get() };
-        for &t in tasks {
-            q.push(t);
-        }
-        self.lock.unlock();
-        if let Some(r) = rec {
-            r.record(EventKind::ReadyBatch, tasks.len() as u64);
-        }
-    }
-
     fn get_ready_within(&self, worker: usize, scope: Scope, _rec: Rec<'_>) -> Option<TaskPtr> {
         self.lock.lock();
         self.counters.lock(worker);
@@ -143,23 +121,6 @@ mod tests {
         assert_eq!(s.get_ready(1, None), Some(fake(2)));
         assert_eq!(s.get_ready(1, None), None);
         assert_eq!(s.approx_len(), 0);
-    }
-
-    #[test]
-    fn batch_add_amortizes_lock() {
-        let s =
-            CentralScheduler::<PtLock<16>>::new(Policy::Fifo, SchedKind::Central(LockKind::PtLock));
-        let batch: Vec<TaskPtr> = (1..=6).map(fake).collect();
-        s.add_ready_batch(&batch, 0, None);
-        let after_add = s.op_stats();
-        assert_eq!(after_add.batch_adds, 1);
-        assert_eq!(after_add.batch_tasks, 6);
-        assert_eq!(after_add.lock_acquisitions, 1, "one lock for the batch");
-        let mut got = vec![];
-        while let Some(t) = s.get_ready(0, None) {
-            got.push(t.0 as usize);
-        }
-        assert_eq!(got, (1..=6).collect::<Vec<_>>());
     }
 
     #[test]

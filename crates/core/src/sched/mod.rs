@@ -30,17 +30,15 @@ use std::sync::Arc;
 use crate::task::Task;
 
 /// Snapshot of scheduler operation counters: how many tasks entered the
-/// ready structures one at a time vs. in batches (the runtime adds one
-/// at a time; batches come only from direct
-/// [`Scheduler::add_ready_batch`] callers), how many were popped, and
-/// how often the scheduler's lock was actually acquired.
+/// ready structures, how many were popped, and how often the
+/// scheduler's lock was actually acquired.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SchedOpStats {
-    /// Tasks added one at a time (`add_ready`).
+    /// Tasks added (`add_ready`; [`Scheduler::add_ready_batch`] counts
+    /// one per task).
     pub adds: u64,
-    /// `add_ready_batch` calls.
-    pub batch_adds: u64,
-    /// Tasks added through batches.
+    /// Always 0: no scheduler has a batch insertion path. Read by
+    /// `benchmark/src/adapters.rs::Counts::of_runtime`.
     pub batch_tasks: u64,
     /// Successful pops (`get_ready` returned a task).
     pub pops: u64,
@@ -66,8 +64,6 @@ pub struct SchedOpStats {
 #[derive(Clone)]
 pub(crate) struct SchedCounters {
     adds: Counter,
-    batch_adds: Counter,
-    batch_tasks: Counter,
     pops: Counter,
     lock_acquisitions: Counter,
 }
@@ -77,8 +73,6 @@ impl SchedCounters {
     pub(crate) fn new(reg: &Registry) -> Self {
         Self {
             adds: reg.counter("nanotask_sched_adds_total"),
-            batch_adds: reg.counter("nanotask_sched_batch_adds_total"),
-            batch_tasks: reg.counter("nanotask_sched_batch_tasks_total"),
             pops: reg.counter("nanotask_sched_pops_total"),
             lock_acquisitions: reg.counter("nanotask_sched_lock_acquisitions_total"),
         }
@@ -95,11 +89,6 @@ impl SchedCounters {
         self.adds.inc(worker);
     }
     #[inline]
-    pub(crate) fn batch(&self, worker: usize, n: usize) {
-        self.batch_adds.inc(worker);
-        self.batch_tasks.add(worker, n as u64);
-    }
-    #[inline]
     pub(crate) fn pop(&self, worker: usize) {
         self.pops.inc(worker);
     }
@@ -108,20 +97,18 @@ impl SchedCounters {
         self.lock_acquisitions.inc(worker);
     }
 
-    /// Tasks added and not yet popped, summed over the shards: Σ adds +
-    /// Σ batch tasks − Σ pops. Pops are read first, so a concurrent
-    /// add-then-pop cannot drive it below zero.
+    /// Tasks added and not yet popped, summed over the shards: Σ adds −
+    /// Σ pops. Pops are read first, so a concurrent add-then-pop cannot
+    /// drive it below zero.
     pub(crate) fn queued(&self) -> usize {
         let pops = self.pops.value();
-        let added = self.adds.value() + self.batch_tasks.value();
-        added.saturating_sub(pops) as usize
+        self.adds.value().saturating_sub(pops) as usize
     }
 
     pub(crate) fn snapshot(&self) -> SchedOpStats {
         SchedOpStats {
             adds: self.adds.value(),
-            batch_adds: self.batch_adds.value(),
-            batch_tasks: self.batch_tasks.value(),
+            batch_tasks: 0,
             pops: self.pops.value(),
             pop_cache_hits: 0,
             lock_acquisitions: self.lock_acquisitions.value(),
@@ -382,12 +369,10 @@ pub type Rec<'a> = Option<&'a mut CoreRecorder>;
 pub trait Scheduler: Send + Sync {
     /// Add a ready task (any worker, any time).
     fn add_ready(&self, task: TaskPtr, worker: usize, rec: Rec<'_>);
-    /// Add several ready tasks at once, amortizing lock acquisitions,
-    /// buffer operations and trace records across the whole batch. The
-    /// runtime never calls it (it releases one task at a time); it stays
-    /// for direct scheduler users such as the benchmark's batch probe.
-    /// The default forwards to [`Scheduler::add_ready`] one task at a
-    /// time; the real implementations override it.
+    /// Add several ready tasks: one [`Scheduler::add_ready`] per task,
+    /// in order. The runtime never calls it (it releases one task at a
+    /// time), and no scheduler overrides it; it stays only for the
+    /// benchmark's batch probe (`benchmark/src/adapters.rs`).
     fn add_ready_batch(&self, tasks: &[TaskPtr], worker: usize, mut rec: Rec<'_>) {
         for &t in tasks {
             self.add_ready(t, worker, rec.as_deref_mut());
@@ -406,11 +391,10 @@ pub trait Scheduler: Send + Sync {
         self.get_ready_within(worker, Scope::ANY, rec)
     }
     /// Approximate number of queued tasks, for diagnostics and drain
-    /// loops. It is derived from the operation counters (adds + batch
-    /// tasks − pops, summed over the workers' shards on read), so no
-    /// queue operation writes a shared length. It may lag adds and pops
-    /// in flight on other threads; once every add and pop has returned
-    /// it is exact.
+    /// loops. It is derived from the operation counters (adds − pops,
+    /// summed over the workers' shards on read), so no queue operation
+    /// writes a shared length. It may lag adds and pops in flight on
+    /// other threads; once every add and pop has returned it is exact.
     fn approx_len(&self) -> usize;
     /// Which configuration this is.
     fn kind(&self) -> SchedKind;
@@ -694,7 +678,7 @@ mod tests {
             }
             let ops = s.op_stats();
             assert_eq!(s.approx_len(), 0, "{kind:?}: {ops:?}");
-            assert_eq!(ops.adds + ops.batch_tasks, ops.pops, "{kind:?}");
+            assert_eq!(ops.adds, ops.pops, "{kind:?}");
             assert_eq!(ops.pops, 2 * PER_PRODUCER as u64, "{kind:?}");
         }
     }
@@ -723,16 +707,29 @@ mod tests {
         }
     }
 
+    /// One add path per scheduler: two single adds from different
+    /// workers and a batch of k tokens through the trait default come
+    /// back out, and the batch counts k `adds` and no `batch_tasks`.
     #[test]
     fn factory_roundtrip_tasks() {
+        const K: usize = 10;
         for kind in [
             SchedKind::Delegation,
             SchedKind::Central(LockKind::PtLock),
+            SchedKind::Central(LockKind::Ticket),
             SchedKind::WorkSteal(WsVariant::LifoLocal),
+            SchedKind::WorkSteal(WsVariant::FifoLocal),
         ] {
-            let s = make_scheduler(kind, 2, 1, Policy::Fifo, 8, 0, None);
+            // Capacity 4 < K: the batch overflows the delegation
+            // scheduler's SPSC buffer.
+            let s = make_scheduler(kind, 2, 1, Policy::Fifo, 4, 0, None);
             s.add_ready(fake(0x1000), 0, None);
             s.add_ready(fake(0x2000), 1, None);
+            let batch: Vec<TaskPtr> = (1..=K).map(|i| fake(i << 4)).collect();
+            s.add_ready_batch(&batch, 0, None);
+            let ops = s.op_stats();
+            assert_eq!((ops.adds, ops.batch_tasks), (2 + K as u64, 0), "{kind:?}");
+            assert_eq!(s.approx_len(), 2 + K, "{kind:?}");
             let mut got = vec![];
             while let Some(t) = s.get_ready(0, None) {
                 got.push(t.0 as usize);
@@ -741,7 +738,11 @@ mod tests {
                 got.push(t.0 as usize);
             }
             got.sort();
-            assert_eq!(got, vec![0x1000, 0x2000], "kind {kind:?}");
+            let mut want: Vec<usize> = batch.iter().map(|t| t.0 as usize).collect();
+            want.extend([0x1000, 0x2000]);
+            want.sort();
+            assert_eq!(got, want, "{kind:?}");
+            assert_eq!(s.op_stats().pops, 2 + K as u64, "{kind:?}");
         }
     }
 }

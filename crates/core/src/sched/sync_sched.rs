@@ -146,26 +146,6 @@ impl SyncScheduler {
     fn scope_of(&self, wid: usize) -> Scope {
         Scope::from_raw(self.scopes[wid].load(core::sync::atomic::Ordering::Relaxed))
     }
-
-    /// Push a whole batch into `q`: one producer-lock acquisition per
-    /// buffer pass, opportunistically draining into the policy queue when
-    /// the buffer fills up (Listing 5, lines 17–20).
-    fn push_batch(&self, q: &AddQueue, tasks: &[TaskPtr], worker: usize) {
-        let mut idx = 0;
-        while idx < tasks.len() {
-            q.lock.lock();
-            let prod = unsafe { &mut *q.prod.get() };
-            while idx < tasks.len() && prod.push(tasks[idx]).is_ok() {
-                idx += 1;
-            }
-            q.lock.unlock();
-            if idx < tasks.len() && self.lock.try_lock() {
-                self.counters.lock(worker);
-                unsafe { self.process_ready_tasks() };
-                self.lock.unlock();
-            }
-        }
-    }
 }
 
 impl Scheduler for SyncScheduler {
@@ -193,19 +173,6 @@ impl Scheduler for SyncScheduler {
                 self.lock.unlock();
             }
         }
-    }
-
-    fn add_ready_batch(&self, tasks: &[TaskPtr], worker: usize, rec: Rec<'_>) {
-        match tasks {
-            [] => return,
-            [t] => return self.add_ready(*t, worker, rec),
-            _ => {}
-        }
-        if let Some(r) = rec {
-            r.record(EventKind::ReadyBatch, tasks.len() as u64);
-        }
-        self.counters.batch(worker, tasks.len());
-        self.push_batch(&self.addqs[self.numa_of(worker)], tasks, worker);
     }
 
     fn get_ready_within(&self, worker: usize, scope: Scope, rec: Rec<'_>) -> Option<TaskPtr> {
@@ -389,23 +356,6 @@ mod tests {
             n += 1;
         }
         assert_eq!(n, 50);
-    }
-
-    #[test]
-    fn batch_add_roundtrip() {
-        let s = SyncScheduler::new(2, 1, Policy::Fifo, 4);
-        // Batch larger than the SPSC capacity exercises the overflow path.
-        let batch: Vec<TaskPtr> = (1..=10).map(fake).collect();
-        s.add_ready_batch(&batch, 0, None);
-        let mut got = vec![];
-        while let Some(t) = s.get_ready(0, None) {
-            got.push(t.0 as usize);
-        }
-        assert_eq!(got, (1..=10).collect::<Vec<_>>(), "FIFO order preserved");
-        let ops = s.op_stats();
-        assert_eq!(ops.batch_adds, 1);
-        assert_eq!(ops.batch_tasks, 10);
-        assert_eq!(ops.pops, 10);
     }
 
     #[test]

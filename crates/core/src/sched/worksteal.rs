@@ -126,23 +126,6 @@ impl Scheduler for WorkStealScheduler {
         dq.push_back(task);
     }
 
-    fn add_ready_batch(&self, tasks: &[TaskPtr], worker: usize, rec: Rec<'_>) {
-        match tasks {
-            [] => return,
-            [t] => return self.add_ready(*t, worker, rec),
-            _ => {}
-        }
-        if let Some(r) = rec {
-            r.record(nanotask_trace::EventKind::ReadyBatch, tasks.len() as u64);
-        }
-        self.counters.batch(worker, tasks.len());
-        let w = worker % self.deques.len();
-        // One deque-lock acquisition pushes the whole released batch.
-        let mut dq = self.deques[w].lock();
-        self.counters.lock(worker);
-        dq.extend(tasks.iter().copied());
-    }
-
     fn get_ready_within(&self, worker: usize, scope: Scope, _rec: Rec<'_>) -> Option<TaskPtr> {
         let w = worker % self.deques.len();
         let t = self.pop_local(w, scope).or_else(|| self.steal(w, scope));
@@ -210,22 +193,6 @@ mod tests {
         assert_eq!(s.get_ready(0, None), None);
         s.add_ready(fake(1), 0, None);
         assert_eq!(s.get_ready(0, None), Some(fake(1)));
-    }
-
-    #[test]
-    fn batch_add_one_deque_lock() {
-        let s = WorkStealScheduler::new(2, WsVariant::FifoLocal);
-        let batch: Vec<TaskPtr> = (1..=5).map(fake).collect();
-        s.add_ready_batch(&batch, 0, None);
-        let ops = s.op_stats();
-        assert_eq!(ops.batch_adds, 1);
-        assert_eq!(ops.batch_tasks, 5);
-        assert_eq!(ops.lock_acquisitions, 1);
-        let mut got = vec![];
-        while let Some(t) = s.get_ready(0, None) {
-            got.push(t.0 as usize);
-        }
-        assert_eq!(got, (1..=5).collect::<Vec<_>>());
     }
 
     #[test]

@@ -20,20 +20,18 @@
 //! scans, and the per-iteration reset of the in-degree counters is a
 //! single `memcpy` from a precomputed template ([`ReplayGraph::reset`]).
 //!
-//! [`ReplayGraph::build`] can still cross-check a dependency-edge tap
-//! (`GraphEdge`s whose ids match the captured spawns): edges between
-//! captured tasks are counted as tapped, edges touching unknown ids as
-//! foreign. The replay engine passes no tap: it counts the tasks its
-//! capture did not see instead. The `tap` parameter stays only for the
-//! benchmark's `freeze` probe, which calls `build(captured, &[])`.
+//! The edges come from the captured access sets alone. The replay
+//! engine detects tasks its capture did not see by counting them (the
+//! `tasks_created` delta minus the spawns it was offered), not by
+//! comparing against the dependency system's edges.
 
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::atomic::{AtomicPtr, AtomicU32, Ordering};
 
-use nanotask_core::graph::{EdgeKind, GraphEdge};
+use nanotask_core::graph::GraphEdge;
 use nanotask_core::task::Task;
-use nanotask_core::{AccessDecl, AccessMode, RedOp, TaskId};
+use nanotask_core::{AccessDecl, AccessMode, RedOp};
 
 use crate::recorder::{CapturedSpawn, STRUCTURAL_HASH_SEED, mix, spawn_sig_hash};
 
@@ -86,12 +84,6 @@ pub struct ReplayGraph {
     groups: Vec<RedGroup>,
     hash: u64,
     edges: usize,
-    /// Successor edges the dependency system reported during the record
-    /// iteration, between captured tasks (cross-check/diagnostics).
-    tapped_edges: usize,
-    /// Tapped edges touching task ids outside the captured set (nested
-    /// children linking into the recorded iteration).
-    foreign_edges: usize,
     /// Precomputed reset image of `pending`: `indeg + 1` per node (the
     /// +1 is the creation hold, dropped by the engine after the node's
     /// held task exists). One `memcpy` of this restores all counters.
@@ -102,7 +94,7 @@ pub struct ReplayGraph {
     slots: Vec<AtomicPtr<Task>>,
 }
 
-/// Fold-multiply hasher for the builder's address/id maps. The freeze
+/// Fold-multiply hasher for the builder's address map. The freeze
 /// sweep does a map probe per access; at 10^6-node graphs the default
 /// SipHash is a measurable per-node cost with no adversary to resist
 /// (addresses come from the application's own data structures).
@@ -304,10 +296,10 @@ fn coalesce_into(decls: &[AccessDecl], eff: &mut Vec<AccessDecl>) {
 }
 
 impl ReplayGraph {
-    /// Freeze a captured iteration. `tap` is an optional dependency-edge
-    /// record to cross-check (see the module docs); the replay engine
-    /// always passes an empty one.
-    pub fn build(captured: &[CapturedSpawn], tap: &[GraphEdge]) -> Self {
+    /// Freeze a captured iteration. `_tap` is ignored: it is kept only
+    /// because the benchmark's `freeze` probe calls
+    /// `build(captured, &[])`, and goes when that call does.
+    pub fn build(captured: &[CapturedSpawn], _tap: &[GraphEdge]) -> Self {
         let n = captured.len();
         // One pass over the captured spawns builds both the per-node
         // scalars (label, priority, signature hash) and the declaration
@@ -461,35 +453,6 @@ impl ReplayGraph {
             *cur += 1;
         }
 
-        // Cross-check against the tapped dependency-system edges (see the
-        // module docs); the id index is built only when there is a tap.
-        let mut tapped_edges = 0;
-        let mut foreign_edges = 0;
-        if tap.iter().any(|e| e.kind == EdgeKind::Successor) {
-            let ids: FxMap<TaskId, ()> = captured
-                .iter()
-                .filter_map(|c| c.id.map(|id| (id, ())))
-                .collect();
-            let lo = captured.iter().filter_map(|c| c.id).min();
-            for e in tap {
-                // A source that predates the captured window is a
-                // previous phase's last access still linked on the
-                // address chain (the dependency system reports the link
-                // even though that task completed long ago — seen on
-                // records after a fault fallback, which run at iteration
-                // > 0). Ids are monotone, so it cannot be a nested child
-                // of *this* record: neither tapped nor foreign.
-                if e.kind != EdgeKind::Successor || lo.is_some_and(|lo| e.from < lo) {
-                    continue;
-                }
-                if ids.contains_key(&e.from) && ids.contains_key(&e.to) {
-                    tapped_edges += 1;
-                } else {
-                    foreign_edges += 1;
-                }
-            }
-        }
-
         let pending_template: Vec<u32> = meta.iter().map(|m| m.indeg + 1).collect();
         let pending = (0..n).map(|_| AtomicU32::new(0)).collect();
         let slots = (0..n)
@@ -512,8 +475,6 @@ impl ReplayGraph {
             red_off,
             red_data,
             groups,
-            tapped_edges,
-            foreign_edges,
             pending_template,
             pending,
             slots,
@@ -573,7 +534,7 @@ impl ReplayGraph {
     }
 
     /// Reconstruct the first `n` recorded spawns as [`CapturedSpawn`]s
-    /// (metadata only, no ids). Used by the replay engine to
+    /// (metadata only). Used by the replay engine to
     /// freeze a divergent iteration's graph: its already-fed prefix
     /// matched these nodes by signature hash, so the recorded metadata
     /// stands in for the spawns actually observed.
@@ -609,17 +570,6 @@ impl ReplayGraph {
             + self.pending_template.len() * size_of::<u32>()
             + self.pending.len() * size_of::<AtomicU32>()
             + self.slots.len() * size_of::<AtomicPtr<Task>>()) as u64
-    }
-
-    /// Successor edges tapped from the dependency system between
-    /// captured tasks during the record iteration.
-    pub fn tapped_edge_count(&self) -> usize {
-        self.tapped_edges
-    }
-
-    /// Tapped edges involving tasks outside the captured set.
-    pub fn foreign_edge_count(&self) -> usize {
-        self.foreign_edges
     }
 
     /// All edges as `(from, to)` node-index pairs (test/analysis support).
@@ -884,24 +834,5 @@ mod tests {
         let indeg_sum: u32 = g.nodes().iter().map(|m| m.indeg).sum();
         assert_eq!(indeg_sum as usize, pairs.len());
         assert!(g.bytes() > 0);
-    }
-
-    #[test]
-    fn tap_crosscheck_counts_foreign_edges() {
-        let mk_edge = |from: TaskId, to: TaskId| GraphEdge {
-            from,
-            from_label: "a",
-            to,
-            to_label: "b",
-            addr: 0x10,
-            kind: EdgeKind::Successor,
-        };
-        let mut c1 = cap("a", vec![rw(0x10)]);
-        c1.id = Some(5);
-        let mut c2 = cap("b", vec![rw(0x10)]);
-        c2.id = Some(6);
-        let g = ReplayGraph::build(&[c1, c2], &[mk_edge(5, 6), mk_edge(6, 99)]);
-        assert_eq!(g.tapped_edge_count(), 1);
-        assert_eq!(g.foreign_edge_count(), 1);
     }
 }

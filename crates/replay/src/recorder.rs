@@ -1,7 +1,7 @@
 //! What the replay engine captures of a root spawn ([`CapturedSpawn`])
 //! and the hashes it matches spawns and iterations by.
 
-use nanotask_core::{AccessDecl, AccessMode, TaskId};
+use nanotask_core::{AccessDecl, AccessMode};
 
 /// One captured root spawn, in creation order.
 pub struct CapturedSpawn {
@@ -11,21 +11,15 @@ pub struct CapturedSpawn {
     pub priority: i32,
     /// The declared access set, exactly as the user built it.
     pub decls: Vec<AccessDecl>,
-    /// The runtime task id, for correlating captured nodes with tapped
-    /// dependency-graph edges ([`crate::ReplayGraph::build`]'s
-    /// cross-check). The replay engine leaves it `None`.
-    pub id: Option<TaskId>,
 }
 
 impl CapturedSpawn {
-    /// A metadata-only capture (no id) — the shape every recorded spawn,
-    /// test fixture and divergence side-capture uses.
+    /// A capture of one spawn's metadata.
     pub fn bare(label: &'static str, priority: i32, decls: Vec<AccessDecl>) -> Self {
         Self {
             label,
             priority,
             decls,
-            id: None,
         }
     }
 }

@@ -231,11 +231,11 @@ mod tests {
         let mut buf = Vec::new();
         write_trace(&sample_trace(), &mut buf).unwrap();
         // Corrupt the kind byte of the first record: an unassigned value,
-        // then retired ones (22, inline runs; 26, replay-partition
-        // assignment) that older writers emitted under the same format
-        // version.
+        // then retired ones (22, inline runs; 23, batched ready-task
+        // adds; 26, replay-partition assignment) that older writers
+        // emitted under the same format version.
         let kind_off = 4 + 4 + 2 + 8 + 18;
-        for bad in [250, 22, 26] {
+        for bad in [250, 22, 23, 26] {
             buf[kind_off] = bad;
             let err = read_trace(&mut buf.as_slice()).unwrap_err();
             assert_eq!(err.kind(), io::ErrorKind::InvalidData, "kind {bad}");

@@ -60,10 +60,8 @@ pub enum EventKind {
     ReplayIterBegin = 20,
     /// The replayed iteration finished. Payload: iteration index.
     ReplayIterEnd = 21,
-    // 22 is retired (immediate-successor inline runs); never reassign it.
-    /// A batch of ready tasks was added to the scheduler in one
-    /// operation (amortized locks/buffers). Payload: batch size.
-    ReadyBatch = 23,
+    // 22 and 23 are retired (immediate-successor inline runs, batched
+    // ready-task adds); never reassign them.
     /// The replay engine's graph cache matched an iteration to an
     /// already-frozen graph (phase switch, divergence probe, or pinned
     /// re-stabilization probe) — no re-record needed. Payload: iteration
@@ -102,7 +100,6 @@ impl EventKind {
             19 => ReplayRecordEnd,
             20 => ReplayIterBegin,
             21 => ReplayIterEnd,
-            23 => ReadyBatch,
             24 => ReplayCacheHit,
             25 => ReplayGiveUp,
             _ => return None,
@@ -135,7 +132,6 @@ impl EventKind {
             ReplayRecordEnd,
             ReplayIterBegin,
             ReplayIterEnd,
-            ReadyBatch,
             ReplayCacheHit,
             ReplayGiveUp,
         ]
@@ -171,9 +167,10 @@ mod tests {
         assert_eq!(EventKind::from_u8(200), None);
         assert_eq!(EventKind::from_u8(28), None);
         // Retired wire values: immediate-successor inline runs (22),
-        // replay-partition assignment (26) and node-targeted ready
-        // batches (27).
+        // batched ready-task adds (23), replay-partition assignment (26)
+        // and node-targeted ready batches (27).
         assert_eq!(EventKind::from_u8(22), None);
+        assert_eq!(EventKind::from_u8(23), None);
         assert_eq!(EventKind::from_u8(26), None);
         assert_eq!(EventKind::from_u8(27), None);
     }
@@ -209,7 +206,6 @@ mod tests {
             (ReplayRecordEnd, 19),
             (ReplayIterBegin, 20),
             (ReplayIterEnd, 21),
-            (ReadyBatch, 23),
             (ReplayCacheHit, 24),
             (ReplayGiveUp, 25),
         ];

@@ -417,7 +417,6 @@ impl Timeline {
                 | EventKind::DepRegister
                 | EventKind::DepRelease
                 | EventKind::UserMarker
-                | EventKind::ReadyBatch
                 | EventKind::ReplayCacheHit
                 | EventKind::ReplayGiveUp => {}
             }

@@ -182,6 +182,9 @@ fn metric_schema_is_pinned() {
         ("nanotask_alloc_slab_bytes", &[]),
         ("nanotask_alloc_task_recycle_misses", &[]),
         ("nanotask_alloc_tasks_recycled", &[]),
+        ("nanotask_deps_accesses_total", &[]),
+        ("nanotask_deps_deliveries_total", &[]),
+        ("nanotask_deps_duplicate_deliveries_total", &[]),
         ("nanotask_live_tasks", &[]),
         ("nanotask_max_taskwait_depth", &[]),
         ("nanotask_queue_wait_ns", &[]),
@@ -200,8 +203,6 @@ fn metric_schema_is_pinned() {
         ("nanotask_replay_replayed_total", &[]),
         ("nanotask_replay_rerecords_total", &[]),
         ("nanotask_sched_adds_total", &[]),
-        ("nanotask_sched_batch_adds_total", &[]),
-        ("nanotask_sched_batch_tasks_total", &[]),
         ("nanotask_sched_lock_acquisitions_total", &[]),
         ("nanotask_sched_pops_total", &[]),
         ("nanotask_task_exec_ns", &[]),
