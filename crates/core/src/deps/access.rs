@@ -1,6 +1,7 @@
 //! The `DataAccess` structure and the message/mailbox machinery of the
 //! Atomic State Machine (Listings 1–2 and Figure 2 of the paper).
 
+use core::cell::Cell;
 use core::sync::atomic::{AtomicPtr, AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -125,10 +126,29 @@ pub struct MailBox {
     queue: Vec<Message>,
 }
 
+thread_local! {
+    /// The calling thread's message buffer between two drains.
+    static SPARE: Cell<Vec<Message>> = const { Cell::new(Vec::new()) };
+}
+
 impl MailBox {
-    /// Create an empty mailbox.
-    pub fn new() -> Self {
-        Self { queue: Vec::new() }
+    /// An empty mailbox on this thread's reused buffer, so a drain
+    /// allocates only when it queues more messages than any drain before
+    /// it. The buffer is taken, not borrowed: a drain nested in this one
+    /// gets a fresh buffer instead of an alias. Hand it back with
+    /// [`MailBox::recycle`].
+    #[inline]
+    pub(crate) fn reused() -> Self {
+        Self {
+            queue: SPARE.take(),
+        }
+    }
+
+    /// Give an emptied mailbox's buffer back to this thread.
+    #[inline]
+    pub(crate) fn recycle(self) {
+        debug_assert!(self.queue.is_empty(), "recycled a mailbox with mail");
+        SPARE.set(self.queue);
     }
 
     /// Enqueue a message for later delivery.
@@ -170,16 +190,22 @@ mod tests {
 
     #[test]
     fn mailbox_lifo() {
-        let mut mb = MailBox::new();
+        let mut mb = MailBox::reused();
         assert!(mb.is_empty());
         let a = Message::oneway(core::ptr::null_mut(), 1);
         let b = Message::oneway(core::ptr::null_mut(), 2);
         mb.push(a);
         mb.push(b);
         assert_eq!(mb.len(), 2);
+        // A nested drain gets a buffer of its own, not an alias.
+        assert_eq!(MailBox::reused().queue.capacity(), 0);
         assert_eq!(mb.pop().unwrap().flags_for_next, 2);
         assert_eq!(mb.pop().unwrap().flags_for_next, 1);
         assert!(mb.pop().is_none());
+        let buf = mb.queue.as_ptr();
+        mb.recycle();
+        // The thread's next drain reuses the buffer.
+        assert_eq!(MailBox::reused().queue.as_ptr(), buf);
     }
 
     #[test]

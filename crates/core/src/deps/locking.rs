@@ -16,15 +16,24 @@
 //! 64 shard mutexes. Every registration and every release serializes on a
 //! shard — the contention the wait-free redesign eliminates.
 
+use core::cell::Cell;
 use parking_lot::Mutex;
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::sync::Arc;
 
 use super::reduction::ReductionInfo;
 use super::{AccessMode, DepHooks, DependencySystem, DepsKind};
+use crate::fxhash::FxHashMap;
 use crate::task::Task;
 
 const SHARDS: usize = 64;
+
+thread_local! {
+    /// The calling thread's buffer of tasks one release made ready,
+    /// between two releases. Taken, not borrowed, as the wait-free
+    /// system's mailbox is.
+    static TO_READY: Cell<Vec<*mut Task>> = const { Cell::new(Vec::new()) };
+}
 
 /// What the currently-active batch of a queue is.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -81,7 +90,10 @@ impl AddrQueue {
     }
 }
 
-type Shard = HashMap<(usize, usize), AddrQueue>;
+/// `(parent, address)` → queue, keyed with the same hasher as the
+/// wait-free system's bottom maps, so the ablation compares locking with
+/// wait-free registration and not two hash functions.
+type Shard = FxHashMap<(usize, usize), AddrQueue>;
 
 /// The fine-grained-locking dependency system.
 pub struct LockingDeps {
@@ -97,7 +109,7 @@ impl LockingDeps {
     /// Create the system.
     pub fn new() -> Self {
         Self {
-            shards: (0..SHARDS).map(|_| Mutex::new(HashMap::new())).collect(),
+            shards: (0..SHARDS).map(|_| Mutex::default()).collect(),
         }
     }
 
@@ -213,7 +225,7 @@ unsafe impl DependencySystem for LockingDeps {
         let t = unsafe { &*task };
         let n = unsafe { t.decls() }.len();
         let parent = t.parent as usize;
-        let mut to_ready: Vec<*mut Task> = Vec::new();
+        let mut to_ready = TO_READY.take();
         for i in 0..n {
             let addr = unsafe { t.decls() }[i].addr;
             let key = (parent, addr);
@@ -281,9 +293,10 @@ unsafe impl DependencySystem for LockingDeps {
         }
         // Hand every successor this completion released to the runtime
         // once no shard lock is held.
-        for t in to_ready {
+        for t in to_ready.drain(..) {
             hooks.task_ready(t);
         }
+        TO_READY.set(to_ready);
     }
 
     fn kind(&self) -> DepsKind {
@@ -361,18 +374,18 @@ mod tests {
                     0,
                     "root",
                     core::ptr::null_mut(),
-                    vec![],
+                    &mut Deps::new(),
                 ))),
             }
         }
 
-        fn spawn(&self, parent: Option<*mut Task>, deps: Deps) -> *mut Task {
+        fn spawn(&self, parent: Option<*mut Task>, mut deps: Deps) -> *mut Task {
             let id = self.next_id.fetch_add(1, Ordering::Relaxed) as u64;
             let t = Box::into_raw(Box::new(Task::new(
                 id,
                 "t",
                 parent.unwrap_or(self.root),
-                deps.into_decls(),
+                &mut deps,
             )));
             self.tasks.lock().push(t);
             unsafe {

@@ -18,6 +18,7 @@ pub mod locking;
 pub mod reduction;
 pub mod wait_free;
 
+use core::mem::MaybeUninit;
 use nanotask_obs::Registry;
 use std::sync::Arc;
 
@@ -88,8 +89,17 @@ impl AccessDecl {
     }
 }
 
+/// Declarations a [`Deps`] holds without a heap allocation: the most
+/// any in-tree workload declares (Heat's stencil: own block, four
+/// neighbours, the residual reduction).
+const INLINE_DECLS: usize = 6;
+
 /// Builder for a task's dependency list — the library-level equivalent of
 /// the `in(...)/out(...)/inout(...)/reduction(...)` pragma clauses.
+///
+/// Up to 6 declarations live inline, so building and spawning them makes
+/// no heap allocation; a 7th moves the list to the heap. An empty list
+/// is one length word.
 ///
 /// ```
 /// use nanotask_core::{Deps, RedOp};
@@ -98,27 +108,98 @@ impl AccessDecl {
 /// let deps = Deps::new().read(&x).reduce(&acc, RedOp::SumF64);
 /// assert_eq!(deps.len(), 2);
 /// ```
-#[derive(Default, Clone)]
 pub struct Deps {
-    list: Vec<AccessDecl>,
+    len: usize,
+    /// `len <= INLINE_DECLS`: the first `len` slots are initialized.
+    /// Otherwise the first slot's bytes hold a `Vec` of all `len`.
+    slots: [MaybeUninit<AccessDecl>; INLINE_DECLS],
+}
+
+const _: () = assert!(size_of::<Vec<AccessDecl>>() <= size_of::<AccessDecl>());
+
+impl Default for Deps {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+impl Clone for Deps {
+    fn clone(&self) -> Self {
+        Self::from_decls(self.decls().iter().cloned())
+    }
+}
+
+impl Drop for Deps {
+    fn drop(&mut self) {
+        if self.spilled() {
+            // SAFETY: a spilled list keeps its `Vec` in the first slot.
+            unsafe { self.spill_ptr().drop_in_place() }
+        } else {
+            // SAFETY: the first `len` slots are initialized.
+            unsafe {
+                core::ptr::slice_from_raw_parts_mut(self.inline_ptr(), self.len).drop_in_place()
+            }
+        }
+    }
 }
 
 impl Deps {
     /// Empty dependency list.
+    #[inline]
     pub fn new() -> Self {
-        Self::default()
+        Self {
+            len: 0,
+            slots: [const { MaybeUninit::uninit() }; INLINE_DECLS],
+        }
     }
 
+    #[inline]
+    fn spilled(&self) -> bool {
+        self.len > INLINE_DECLS
+    }
+
+    #[inline]
+    fn inline_ptr(&mut self) -> *mut AccessDecl {
+        self.slots.as_mut_ptr().cast()
+    }
+
+    #[inline]
+    fn spill_ptr(&mut self) -> *mut Vec<AccessDecl> {
+        self.slots.as_mut_ptr().cast()
+    }
+
+    /// Append a declaration; duplicates are the caller's concern.
+    fn push_decl(&mut self, d: AccessDecl) {
+        if self.len < INLINE_DECLS {
+            self.slots[self.len].write(d);
+        } else if self.len == INLINE_DECLS {
+            let mut v = Vec::with_capacity(2 * INLINE_DECLS);
+            // SAFETY: all inline slots are initialized and move out once;
+            // the `Vec` then takes over the first slot's bytes.
+            unsafe {
+                v.extend(self.slots.iter().map(|s| s.assume_init_read()));
+                v.push(d);
+                self.spill_ptr().write(v);
+            }
+        } else {
+            // SAFETY: a spilled list keeps its `Vec` in the first slot.
+            unsafe { (*self.spill_ptr()).push(d) };
+        }
+        self.len += 1;
+    }
+
+    #[inline]
     fn push(mut self, addr: usize, len: usize, mode: AccessMode) -> Self {
         debug_assert!(
-            !self.list.iter().any(|d| d.addr == addr),
+            !self.decls().iter().any(|d| d.addr == addr),
             "duplicate dependency on address {addr:#x}"
         );
-        self.list.push(AccessDecl::new(addr, len, mode));
+        self.push_decl(AccessDecl::new(addr, len, mode));
         self
     }
 
     /// Declare a read (`in`) dependency on `v`.
+    #[inline]
     pub fn read<T>(self, v: &T) -> Self {
         self.push(
             v as *const T as usize,
@@ -128,6 +209,7 @@ impl Deps {
     }
 
     /// Declare a write (`out`) dependency on `v`.
+    #[inline]
     pub fn write<T>(self, v: &T) -> Self {
         self.push(
             v as *const T as usize,
@@ -137,6 +219,7 @@ impl Deps {
     }
 
     /// Declare a read-write (`inout`) dependency on `v`.
+    #[inline]
     pub fn readwrite<T>(self, v: &T) -> Self {
         self.push(
             v as *const T as usize,
@@ -146,6 +229,7 @@ impl Deps {
     }
 
     /// Declare a reduction on scalar `v`.
+    #[inline]
     pub fn reduce<T>(self, v: &T, op: RedOp) -> Self {
         self.push(
             v as *const T as usize,
@@ -155,49 +239,92 @@ impl Deps {
     }
 
     /// Declare a read dependency on a raw address (multi-dependency use).
+    #[inline]
     pub fn read_addr(self, addr: usize) -> Self {
         self.push(addr, 0, AccessMode::Read)
     }
 
     /// Declare a write dependency on a raw address.
+    #[inline]
     pub fn write_addr(self, addr: usize) -> Self {
         self.push(addr, 0, AccessMode::Write)
     }
 
     /// Declare a read-write dependency on a raw address.
+    #[inline]
     pub fn readwrite_addr(self, addr: usize) -> Self {
         self.push(addr, 0, AccessMode::ReadWrite)
     }
 
     /// Declare a reduction over `len` bytes at a raw address.
+    #[inline]
     pub fn reduce_addr(self, addr: usize, len: usize, op: RedOp) -> Self {
         self.push(addr, len, AccessMode::Reduction(op))
     }
 
     /// Number of declared accesses.
+    #[inline]
     pub fn len(&self) -> usize {
-        self.list.len()
+        self.len
     }
 
     /// True if no accesses were declared.
+    #[inline]
     pub fn is_empty(&self) -> bool {
-        self.list.is_empty()
+        self.len == 0
     }
 
-    /// Borrow the declaration list (inspection, e.g. graph capture).
+    /// Borrow the declaration list (inspection, e.g. graph capture), in
+    /// declaration order.
+    #[inline]
     pub fn decls(&self) -> &[AccessDecl] {
-        &self.list
+        let p = self.slots.as_ptr();
+        // SAFETY: see `slots`: the `Vec` in a spilled list, else the
+        // first `len` slots.
+        unsafe {
+            if self.spilled() {
+                &*p.cast::<Vec<AccessDecl>>()
+            } else {
+                core::slice::from_raw_parts(p.cast(), self.len)
+            }
+        }
     }
 
-    /// Consume into the declaration list.
-    pub fn into_decls(self) -> Vec<AccessDecl> {
-        self.list
+    /// Rebuild a `Deps` from declarations, e.g. a captured list (the
+    /// replay system's re-record fallback path). Unlike the builder
+    /// methods, it accepts several declarations of one address.
+    pub fn from_decls(list: impl IntoIterator<Item = AccessDecl>) -> Self {
+        let mut deps = Self::new();
+        for d in list {
+            deps.push_decl(d);
+        }
+        deps
     }
 
-    /// Rebuild a `Deps` from a previously captured declaration list
-    /// (the replay system's re-record fallback path).
-    pub fn from_decls(list: Vec<AccessDecl>) -> Self {
-        Self { list }
+    /// Move the declarations onto the end of `out`, leaving `self`
+    /// empty. `out` keeps its buffer: once it has held one list, it
+    /// holds any list of up to 6 without a new allocation. Taking by
+    /// reference spares the spawn path a copy of the inline slots per
+    /// call it passes through.
+    pub(crate) fn take_into(&mut self, out: &mut Vec<AccessDecl>) {
+        let n = core::mem::replace(&mut self.len, 0);
+        if n > INLINE_DECLS {
+            // SAFETY: a spilled list keeps its `Vec` in the first slot;
+            // `len` is 0 now, so it moves out once.
+            out.extend(unsafe { self.spill_ptr().read() });
+        } else if n > 0 {
+            out.reserve(n.max(INLINE_DECLS));
+            // SAFETY: the first `n` slots are initialized and move out
+            // once (`len` is 0 now); `out` has room for them.
+            unsafe {
+                core::ptr::copy_nonoverlapping(
+                    self.inline_ptr(),
+                    out.as_mut_ptr().add(out.len()),
+                    n,
+                );
+                out.set_len(out.len() + n);
+            }
+        }
     }
 }
 
@@ -313,13 +440,64 @@ mod tests {
         let b = 2u64;
         let c = 3.0f64;
         let deps = Deps::new().read(&a).write(&b).reduce(&c, RedOp::SumF64);
-        let decls = deps.into_decls();
+        let decls = deps.decls();
         assert_eq!(decls.len(), 3);
         assert_eq!(decls[0].mode, AccessMode::Read);
         assert_eq!(decls[0].addr, &a as *const u64 as usize);
         assert_eq!(decls[1].mode, AccessMode::Write);
         assert_eq!(decls[2].mode, AccessMode::Reduction(RedOp::SumF64));
         assert_eq!(decls[2].len, 8);
+    }
+
+    /// 0 and 6 declarations stay inline, a 7th spills to the heap;
+    /// every size keeps declaration order through `decls`, `Clone` and
+    /// `from_decls`, which also takes a duplicate address.
+    #[test]
+    fn inline_and_spilled_lists() {
+        let build = |n: usize| {
+            (0..n).fold(Deps::new(), |d, i| {
+                if i % 2 == 0 {
+                    d.read_addr(0x100 + i * 8)
+                } else {
+                    d.reduce_addr(0x100 + i * 8, 8, RedOp::SumF64)
+                }
+            })
+        };
+        for n in [0, 6, 7] {
+            let deps = build(n);
+            assert_eq!(deps.len(), n);
+            assert_eq!(deps.is_empty(), n == 0);
+            assert_eq!(deps.spilled(), n > INLINE_DECLS);
+            let addrs: Vec<usize> = (0..n).map(|i| 0x100 + i * 8).collect();
+            let of = |d: &[AccessDecl]| d.iter().map(|d| d.addr).collect::<Vec<_>>();
+            assert_eq!(of(deps.decls()), addrs);
+            let copy = deps.clone();
+            drop(deps);
+            assert_eq!(of(copy.decls()), addrs);
+            assert!(
+                copy.decls()
+                    .iter()
+                    .skip(1)
+                    .step_by(2)
+                    .all(|d| d.mode.is_reduction())
+            );
+            let list = copy.decls().to_vec();
+            assert_eq!(of(&list), addrs);
+            let back = Deps::from_decls(list);
+            assert_eq!(of(back.decls()), addrs);
+        }
+        // Seven declarations of one address: allowed here, spilled.
+        let arc = Arc::new(ReductionInfo::new(0x40, 8, RedOp::SumF64, 1));
+        let mut dup = AccessDecl::new(0x40, 8, AccessMode::Reduction(RedOp::SumF64));
+        dup.reduction = Some(Arc::clone(&arc));
+        let deps = Deps::from_decls(vec![dup; 7]);
+        assert_eq!(deps.len(), 7);
+        assert!(deps.decls().iter().all(|d| d.addr == 0x40));
+        assert_eq!(Arc::strong_count(&arc), 8);
+        let copy = deps.clone();
+        assert_eq!(Arc::strong_count(&arc), 15);
+        drop((deps, copy));
+        assert_eq!(Arc::strong_count(&arc), 1);
     }
 
     #[test]

@@ -287,7 +287,7 @@ impl WaitFreeDeps {
 unsafe impl DependencySystem for WaitFreeDeps {
     unsafe fn register(&self, task: *mut Task, hooks: &dyn DepHooks) {
         let t = unsafe { &mut *task };
-        let decls = unsafe { &mut *t.decls.get() };
+        let decls = unsafe { &*t.decls.get() };
         let n = decls.len();
         if n == 0 {
             return;
@@ -310,9 +310,9 @@ unsafe impl DependencySystem for WaitFreeDeps {
         // the demand-creation site: a task only pays for a map once it
         // registers a child with accesses (leaf tasks never do).
         let bottom = unsafe { (*parent).child_bottom_or_init() };
-        let mut mb = MailBox::new();
+        let mut mb = MailBox::reused();
 
-        for (i, d) in decls.iter_mut().enumerate() {
+        for (i, d) in decls.iter().enumerate() {
             let a_ptr = unsafe { arr.add(i) };
             // Resolve reduction chain state before publication.
             let red: Option<Arc<ReductionInfo>> = match d.mode {
@@ -351,7 +351,6 @@ unsafe impl DependencySystem for WaitFreeDeps {
                 }
                 _ => None,
             };
-            d.reduction = red.clone();
             unsafe {
                 a_ptr.write(DataAccess::new(d.addr, d.mode.type_bits(), task, red));
             }
@@ -402,16 +401,20 @@ unsafe impl DependencySystem for WaitFreeDeps {
             }
         }
         unsafe { self.deliver_all(&mut mb, hooks) };
+        mb.recycle();
     }
 
     unsafe fn body_done(&self, task: *mut Task, hooks: &dyn DepHooks) {
         let t = unsafe { &*task };
-        let mut mb = MailBox::new();
         // Close this task's child dependency domain: the children set is
         // final (only the body creates children, and it just returned).
         // Leaf tasks never created a map — `bottom` is `None` and every
         // own access closes with NO_MORE_CHILD below.
         let bottom = unsafe { t.child_bottom_ref() };
+        if t.accesses.is_null() && bottom.is_none_or(|b| b.is_empty()) {
+            return;
+        }
+        let mut mb = MailBox::reused();
         for (&addr, &last) in bottom.into_iter().flatten() {
             let mut lf = flags::NO_MORE_SUCC;
             let own = unsafe { Self::parent_access(task, addr) };
@@ -452,6 +455,7 @@ unsafe impl DependencySystem for WaitFreeDeps {
             map.clear();
         }
         unsafe { self.deliver_all(&mut mb, hooks) };
+        mb.recycle();
     }
 
     unsafe fn fully_done(&self, _task: *mut Task, _hooks: &dyn DepHooks) {
@@ -538,7 +542,7 @@ mod tests {
                 0,
                 "root",
                 core::ptr::null_mut(),
-                vec![],
+                &mut Deps::new(),
             )));
             Self {
                 deps: WaitFreeDeps::new(&Registry::new(1)),
@@ -555,10 +559,10 @@ mod tests {
         }
 
         /// Create + register a task under `parent` (None = root).
-        fn spawn(&self, parent: Option<*mut Task>, deps: Deps) -> *mut Task {
+        fn spawn(&self, parent: Option<*mut Task>, mut deps: Deps) -> *mut Task {
             let id = self.next_id.fetch_add(1, Ordering::Relaxed) as u64;
             let parent = parent.unwrap_or(self.root);
-            let t = Box::into_raw(Box::new(Task::new(id, "t", parent, deps.into_decls())));
+            let t = Box::into_raw(Box::new(Task::new(id, "t", parent, &mut deps)));
             self.tasks.lock().push(t);
             unsafe {
                 self.deps.register(t, &self.hooks);
@@ -788,8 +792,7 @@ mod tests {
         // Simulate each participant adding into its private slot.
         for (w, &t) in [r1, r2, r3].iter().enumerate() {
             unsafe {
-                let decls = (*t).decls();
-                let info = decls[0].reduction.as_ref().unwrap();
+                let info = (*t).access(0).reduction.as_ref().unwrap();
                 *(info.slot(w) as *mut f64) += (w + 1) as f64;
             }
         }

@@ -39,6 +39,7 @@
 //! ```
 
 pub mod deps;
+pub mod fxhash;
 pub mod graph;
 pub mod platform;
 pub mod runtime;

@@ -648,8 +648,8 @@ pub(crate) struct Shared {
     pub alloc: Arc<dyn RuntimeAllocator>,
     /// Recycling free list for `Task` shells, layered on `alloc`: shells
     /// come back with their bottom map and cold box instead of
-    /// round-tripping through dealloc/alloc; a task that declares
-    /// accesses replaces the shell's decls buffer with its own.
+    /// round-tripping through dealloc/alloc, and with their decls buffer,
+    /// which the next occupant's declarations move into.
     pub task_slab: TaskSlab,
     pub tracer: Tracer,
     pub noise: Option<NoiseInjector>,
@@ -764,7 +764,7 @@ impl WorkerCtx {
         parent: *mut Task,
         priority: i32,
         body: F,
-        decls: Vec<crate::deps::AccessDecl>,
+        deps: &mut Deps,
     ) -> *mut Task {
         let shared = &*self.shared;
         let id = shared.next_id.fetch_add(1, Ordering::Relaxed);
@@ -777,9 +777,9 @@ impl WorkerCtx {
         let t = p as *mut Task;
         unsafe {
             if recycled {
-                (*t).reinit_recycled(id, label, parent, decls);
+                (*t).reinit_recycled(id, label, parent, deps);
             } else {
-                t.write(Task::new(id, label, parent, decls));
+                t.write(Task::new(id, label, parent, deps));
             }
             (*t).set_body(body);
             (*t).level = if parent.is_null() {
@@ -945,18 +945,20 @@ impl TaskCtx<'_> {
         &self,
         label: &'static str,
         priority: i32,
-        deps: Deps,
+        mut deps: Deps,
         body: impl FnOnce(&TaskCtx) + Send + 'static,
     ) {
         if self.is_root()
             && let Some(cap) = &*self.worker.capture.borrow()
         {
-            if let Some((deps, body)) = cap.on_spawn(self, label, priority, deps, Box::new(body)) {
-                self.spawn_internal(label, priority, deps, body, None);
+            if let Some((mut deps, body)) =
+                cap.on_spawn(self, label, priority, deps, Box::new(body))
+            {
+                self.spawn_internal(label, priority, &mut deps, body, None);
             }
             return;
         }
-        self.spawn_internal(label, priority, deps, body, None);
+        self.spawn_internal(label, priority, &mut deps, body, None);
     }
 
     /// Whether this is the root task (the body passed to [`Runtime::run`]).
@@ -987,14 +989,14 @@ impl TaskCtx<'_> {
         &self,
         label: &'static str,
         priority: i32,
-        decls: Vec<crate::deps::AccessDecl>,
+        mut decls: Deps,
         body: TaskBody,
         epilogue: Option<(Arc<dyn TaskEpilogue>, u64)>,
     ) -> HeldTask {
         unsafe {
             let t = self
                 .worker
-                .create_task(label, self.task, priority, body, decls);
+                .create_task(label, self.task, priority, body, &mut decls);
             if let Some(epilogue) = epilogue {
                 (*t).set_epilogue(epilogue);
             }
@@ -1076,7 +1078,7 @@ impl TaskCtx<'_> {
     /// A root `taskwait_on` under an installed [`SpawnCapture`] first
     /// waits for all of the root's children: a consumed spawn never
     /// registered its accesses, so the helper could not wait for it.
-    pub fn taskwait_on(&self, deps: Deps) {
+    pub fn taskwait_on(&self, mut deps: Deps) {
         if self.is_root() && self.worker.capture.borrow().is_some() {
             self.taskwait();
         }
@@ -1086,7 +1088,7 @@ impl TaskCtx<'_> {
         self.spawn_internal(
             "taskwait_on",
             i32::MAX,
-            deps,
+            &mut deps,
             |_| {},
             Some(Arc::clone(&done)),
         );
@@ -1098,14 +1100,14 @@ impl TaskCtx<'_> {
         &self,
         label: &'static str,
         priority: i32,
-        deps: Deps,
+        deps: &mut Deps,
         body: F,
         completion: Option<Arc<AtomicBool>>,
     ) {
         unsafe {
             let t = self
                 .worker
-                .create_task(label, self.task, priority, body, deps.into_decls());
+                .create_task(label, self.task, priority, body, deps);
             let id = (*t).id;
             if let Some(flag) = completion {
                 (*t).set_completion_flag(flag);
@@ -1189,14 +1191,21 @@ impl TaskCtx<'_> {
         let addr = target as *const T as usize;
         let task = unsafe { &*self.task };
         let decls = unsafe { task.decls() };
-        let d = decls
+        let i = decls
             .iter()
-            .find(|d| d.addr == addr && d.mode.is_reduction())
+            .position(|d| d.addr == addr && d.mode.is_reduction())
             .expect("no reduction access declared on this address");
+        // The wait-free system keeps the chain state on the access; the
+        // locking system and held tasks keep it on the declaration.
+        let info = if task.accesses.is_null() {
+            &decls[i].reduction
+        } else {
+            unsafe { &task.access(i).reduction }
+        };
         // Invariant (not user-reachable): a body only runs after
-        // `register` attached `ReductionInfo` to every reduction decl.
-        let info = d
-            .reduction
+        // registration (or the replay feed) attached `ReductionInfo` to
+        // every reduction access.
+        let info = info
             .as_ref()
             .expect("reduction info not attached (task not registered?)");
         unsafe { info.slot(self.worker.id) as *mut T }
@@ -1632,7 +1641,7 @@ impl Runtime {
         let t = unsafe {
             let t = self
                 .main
-                .create_task("root", core::ptr::null_mut(), 0, root, vec![]);
+                .create_task("root", core::ptr::null_mut(), 0, root, &mut Deps::new());
             (*t).set_completion_flag(Arc::clone(&done));
             t
         };
@@ -2437,7 +2446,7 @@ mod tests {
         );
         let outcome = rt.run_outcome(|ctx| {
             // A held task that is never released: the graph can't drain.
-            let _stuck = ctx.spawn_held("stuck", 0, vec![], Box::new(|_| {}), None);
+            let _stuck = ctx.spawn_held("stuck", 0, Deps::new(), Box::new(|_| {}), None);
         });
         assert_eq!(outcome.failures.len(), 1, "{}", outcome.summary());
         assert_eq!(outcome.failures[0].kind, FailureKind::WatchdogStall);
@@ -2528,7 +2537,7 @@ mod tests {
         let r = Arc::clone(&ran);
         rt.run(move |ctx| {
             let held: Vec<HeldTask> = (0..RUN_AHEAD + 100)
-                .map(|_| ctx.spawn_held("held", 0, vec![], Box::new(|_| {}), None))
+                .map(|_| ctx.spawn_held("held", 0, Deps::new(), Box::new(|_| {}), None))
                 .collect();
             ctx.spawn(Deps::new(), move |_| {
                 r.fetch_add(1, Ordering::SeqCst);

@@ -444,6 +444,7 @@ pub fn make_scheduler(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::deps::Deps;
 
     fn fake(n: usize) -> TaskPtr {
         TaskPtr(n as *mut Task)
@@ -473,7 +474,7 @@ mod tests {
             .iter()
             .enumerate()
             .map(|(i, &p)| {
-                let mut t = Task::new(i as u64, "t", core::ptr::null_mut(), vec![]);
+                let mut t = Task::new(i as u64, "t", core::ptr::null_mut(), &mut Deps::new());
                 t.priority = p;
                 Box::into_raw(Box::new(t))
             })
@@ -498,7 +499,7 @@ mod tests {
 
     /// A task under `parent` (null for a root), leaked until [`free`].
     fn node(parent: *mut Task, priority: i32) -> *mut Task {
-        let mut t = Task::new(0, "t", parent, vec![]);
+        let mut t = Task::new(0, "t", parent, &mut Deps::new());
         if !parent.is_null() {
             t.level = unsafe { (*parent).level } + 1;
         }

@@ -37,17 +37,18 @@
 //! the task header small enough that a million in-flight tasks fit in a
 //! couple hundred megabytes of slab-recycled memory.
 //!
-//! A body of at most 48 bytes (8-aligned) lives in the shell, so an
-//! access-free spawn makes no heap allocation; a larger one is boxed.
+//! A body of at most 48 bytes (8-aligned) lives in the shell, and the
+//! declared accesses move into a decls buffer the shell keeps, so a
+//! spawn makes no heap allocation; a larger body is boxed.
 
 use core::cell::UnsafeCell;
 use core::mem::MaybeUninit;
 use core::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::collections::HashMap;
 use std::sync::Arc;
 
-use crate::deps::AccessDecl;
 use crate::deps::access::DataAccess;
+use crate::deps::{AccessDecl, Deps};
+use crate::fxhash::FxHashMap;
 use crate::runtime::TaskCtx;
 
 /// Unique (per-runtime) task identifier.
@@ -91,7 +92,12 @@ pub(crate) struct BodySlot {
 /// that address among this task's children. Thread-confined to the task's
 /// executing thread (the *single-creator invariant*: only a task's own
 /// body creates its children, as in OmpSs-2).
-pub type BottomMap = HashMap<usize, *mut DataAccess>;
+///
+/// Keyed with [`FxHasher`](crate::fxhash::FxHasher), not SipHash: a
+/// Heat spawn probes it about 8 times, and its keys are addresses the
+/// program declared on its own data, so there is no adversary whose
+/// crafted collisions SipHash would have to resist.
+pub type BottomMap = FxHashMap<usize, *mut DataAccess>;
 
 // --- Packed life-cycle word -----------------------------------------------
 
@@ -301,9 +307,10 @@ pub struct Task {
     pub(crate) body: UnsafeCell<BodySlot>,
     /// Packed life-cycle word (blockers / live_children / removal_refs).
     pub state: TaskState,
-    /// Declared accesses (modes resolved, reduction info attached during
-    /// registration). Mutated only by the creator before the task is
-    /// published and read afterwards.
+    /// Declared accesses. Written by the creator before the task is
+    /// published; a reduction declaration gets its chain state here from
+    /// the locking system (on activation) or the replay feed, while the
+    /// wait-free system keeps it on the access.
     pub decls: UnsafeCell<Vec<AccessDecl>>,
     /// Wait-free system: array of `decls.len()` Atomic State Machines.
     /// Null when the locking dependency system is active.
@@ -346,10 +353,13 @@ impl Drop for Task {
 
 impl Task {
     /// Build a task object with an empty body slot (not yet registered
-    /// with the dependency system). `n_accesses`/`accesses` are filled in
-    /// by the dependency system if it materializes ASMs.
-    pub fn new(id: TaskId, label: &'static str, parent: *mut Task, decls: Vec<AccessDecl>) -> Self {
-        let n = decls.len();
+    /// with the dependency system), taking the declarations out of
+    /// `deps`. `n_accesses`/`accesses` are filled in by the dependency
+    /// system if it materializes ASMs.
+    pub fn new(id: TaskId, label: &'static str, parent: *mut Task, deps: &mut Deps) -> Self {
+        let n = deps.len();
+        let mut decls = Vec::new();
+        deps.take_into(&mut decls);
         Task {
             id,
             label,
@@ -372,27 +382,25 @@ impl Task {
     }
 
     /// Re-initialize a recycled shell in place for a new task, keeping
-    /// the bottom map and cold box the previous occupant allocated. A
-    /// task that declares accesses replaces the shell's decls buffer with
-    /// its own `decls` (the old buffer is freed). The shell must have
+    /// the decls buffer, bottom map and cold box the previous occupants
+    /// allocated: the declarations move out of `deps` into the kept
+    /// buffer, which grows only for a list longer than any it held
+    /// before. The shell must have
     /// gone through [`Task::reset_for_recycle`].
     pub(crate) fn reinit_recycled(
         &mut self,
         id: TaskId,
         label: &'static str,
         parent: *mut Task,
-        decls: Vec<AccessDecl>,
+        deps: &mut Deps,
     ) {
-        let n = decls.len();
         self.id = id;
         self.label = label;
         self.parent = parent;
-        self.state = TaskState::new_registered(n);
+        self.state = TaskState::new_registered(deps.len());
         let dv = self.decls.get_mut();
         debug_assert!(dv.is_empty(), "recycled shell with live decls");
-        if !decls.is_empty() {
-            *dv = decls;
-        }
+        deps.take_into(dv);
         self.accesses = core::ptr::null_mut();
         self.n_accesses = 0;
         self.priority = 0;
@@ -403,7 +411,8 @@ impl Task {
     /// Clear a dead task into a recyclable shell: drop the *contents*
     /// (a body that never ran, decl elements, bottom-map entries, cold
     /// fields) but keep the *containers* (decl buffer, map table, cold
-    /// box) so the next occupant skips their allocations. The access
+    /// box) so the next occupant skips their allocations: a recycled
+    /// spawn of up to 6 accesses reuses the decl buffer. The access
     /// array must already have been freed.
     pub(crate) fn reset_for_recycle(&mut self) {
         debug_assert!(self.accesses.is_null(), "access array leaked into recycle");
@@ -607,10 +616,8 @@ mod tests {
     use crate::deps::AccessMode;
 
     fn dummy(n_accesses: usize) -> Task {
-        let decls = (0..n_accesses)
-            .map(|i| AccessDecl::new(0x1000 + i * 8, 8, AccessMode::Write))
-            .collect();
-        Task::new(1, "t", core::ptr::null_mut(), decls)
+        let decls = (0..n_accesses).map(|i| AccessDecl::new(0x1000 + i * 8, 8, AccessMode::Write));
+        Task::new(1, "t", core::ptr::null_mut(), &mut Deps::from_decls(decls))
     }
 
     #[test]
@@ -728,7 +735,7 @@ mod tests {
         assert!(t.is_cancelled());
         t.accesses = core::ptr::null_mut();
         t.reset_for_recycle();
-        t.reinit_recycled(2, "t2", core::ptr::null_mut(), Vec::new());
+        t.reinit_recycled(2, "t2", core::ptr::null_mut(), &mut Deps::new());
         assert!(!t.is_cancelled());
     }
 

@@ -415,16 +415,11 @@ impl IterState {
         // iteration's group instances to bare copies of the declarations.
         // Non-reduction declarations impose no ordering during replay and
         // are dropped to keep held-task creation allocation-free.
-        let decls: Vec<_> = self
-            .graph
-            .red_of(i)
-            .iter()
-            .map(|(d, gi)| {
-                let mut d = d.clone();
-                d.reduction = Some(Arc::clone(&self.groups[*gi as usize].info));
-                d
-            })
-            .collect();
+        let decls = Deps::from_decls(self.graph.red_of(i).iter().map(|(d, gi)| {
+            let mut d = d.clone();
+            d.reduction = Some(Arc::clone(&self.groups[*gi as usize].info));
+            d
+        }));
         // Pass the user's already-boxed body straight through and hang
         // the successor-release logic on the shared per-iteration
         // epilogue — no wrapper allocation.
@@ -1055,8 +1050,17 @@ mod tests {
         let count = Arc::new(AtomicU64::new(0));
         let c = Arc::clone(&count);
         let recycled0 = rt.run_report().stats.alloc.recycle_hits;
+        // "Iterations recycle shells" by pigeonhole. The root spawns
+        // every task on worker 0, and each iteration's taskwait returns
+        // only after its tasks' shells are freed. A freed shell goes to
+        // the freeing worker's shelf; workers 1 and 2 keep at most 63
+        // (`SHELF_MAX` − 1 in `nanotask-alloc`) before half spills to the
+        // shared overflow. So once 2 × 63 + 1 = 127 shells are freed with
+        // none reused yet, at least one sits on worker 0's shelf or in
+        // the overflow, and the next spawn reuses it. 64 tasks per
+        // iteration free 128 by the end of iteration 1 of 6.
         let report = rt.run_iterative(6, move |ctx| {
-            for _ in 0..8 {
+            for _ in 0..64 {
                 let c = Arc::clone(&c);
                 ctx.spawn(Deps::new(), move |_| {
                     c.fetch_add(1, Ordering::Relaxed);

@@ -1,13 +1,17 @@
-//! Pins how many global-allocator calls an access-free spawn makes. A
-//! task body of at most 48 bytes lives in the recycled task shell, so
-//! once the shells have been warmed up, 10 000 such spawns make only
-//! the run's fixed handful of allocations. A 56-byte body takes the
+//! Pins how many global-allocator calls a spawn makes. A task body of
+//! at most 48 bytes lives in the recycled task shell, and up to 6
+//! declared accesses live inline in `Deps` and move into the shell's
+//! kept decls buffer; the wait-free system drains its messages through
+//! a reused per-thread buffer. So once the shells have been warmed up,
+//! 10 000 spawns make only the run's fixed handful of allocations,
+//! whether they declare no access, one readwrite (the chains shape) or
+//! six with a reduction (the Heat shape). A 56-byte body takes the
 //! boxed fallback: one allocation per spawn.
 //!
 //! A run that holds more tasks at once than the warm-up runs did
 //! takes fresh task shells, and with them fresh slab and free-list
 //! memory. The count excludes one allocation per fresh shell, so the
-//! bound pins the bodies, not how far the spawner ran ahead.
+//! bound pins the spawn path, not how far the spawner ran ahead.
 //!
 //! This is a test binary of its own because `#[global_allocator]`
 //! applies to the whole binary, and it holds a single test so nothing
@@ -17,7 +21,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::hint::black_box;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use nanotask::{Deps, Runtime, RuntimeConfig};
+use nanotask::{Deps, RedOp, Runtime, RuntimeConfig, TaskCtx};
 
 /// Forwards to the system allocator and counts every allocation,
 /// reallocation included, on every thread.
@@ -51,19 +55,14 @@ static GLOBAL: Counting = Counting;
 
 const TASKS: u64 = 10_000;
 
-/// Global allocations made by one run of `TASKS` access-free tasks whose
-/// bodies capture `[u64; WORDS]`, after two warm-up runs, less the task
-/// shells that run had to allocate fresh.
-fn allocs_per_run<const WORDS: usize>(rt: &Runtime) -> u64 {
+/// Global allocations made by one run of `TASKS` calls of `spawn`
+/// (given the loop index), after two warm-up runs, less the task shells
+/// that run had to allocate fresh.
+fn allocs_per_run(rt: &Runtime, spawn: impl Fn(&TaskCtx, u64) + Copy + Send + 'static) -> u64 {
     let run = || {
-        rt.run(|ctx| {
+        rt.run(move |ctx| {
             for i in 0..TASKS {
-                let words = [i; WORDS];
-                let body = move |_: &nanotask::TaskCtx| {
-                    black_box(words);
-                };
-                assert_eq!(core::mem::size_of_val(&body), WORDS * 8);
-                ctx.spawn(Deps::new(), body);
+                spawn(ctx, i);
             }
         })
     };
@@ -76,15 +75,59 @@ fn allocs_per_run<const WORDS: usize>(rt: &Runtime) -> u64 {
     allocs.saturating_sub(rt.stats().alloc.recycle_misses - fresh)
 }
 
+/// An access-free spawn of a body that captures `[u64; WORDS]`.
+fn spawn_words<const WORDS: usize>(ctx: &TaskCtx, i: u64) {
+    let words = [i; WORDS];
+    let body = move |_: &TaskCtx| {
+        black_box(words);
+    };
+    assert_eq!(core::mem::size_of_val(&body), WORDS * 8);
+    ctx.spawn(Deps::new(), body);
+}
+
+/// Distinct dependency keys, 64 bytes apart; only the reduction target
+/// is ever written.
+const BLOCKS: u64 = 64;
+const BLOCK_BASE: usize = 0x1000_0000;
+
+fn block(i: u64) -> usize {
+    BLOCK_BASE + (i % BLOCKS) as usize * 64
+}
+
 #[test]
 fn inline_bodies_skip_the_heap_and_oversized_bodies_box() {
     let rt = Runtime::new(RuntimeConfig::optimized().workers(2));
-    let inline = allocs_per_run::<6>(&rt);
+    let inline = allocs_per_run(&rt, spawn_words::<6>);
     assert!(
         inline <= 16,
         "{inline} global allocations for {TASKS} spawns of 48-byte bodies"
     );
-    let boxed = allocs_per_run::<7>(&rt);
+    // The chains shape: one readwrite on one of 8 chains.
+    let chains = allocs_per_run(&rt, |ctx, i| {
+        ctx.spawn(Deps::new().readwrite_addr(block(i % 8)), |_| {});
+    });
+    assert!(
+        chains <= 16,
+        "{chains} global allocations for {TASKS} spawns with 1 access"
+    );
+    // The Heat shape: inout own block, in four neighbours, a sum reduction.
+    let sum = Box::leak(Box::new(0.0f64)) as *mut f64 as usize;
+    let heat = allocs_per_run(&rt, move |ctx, i| {
+        let deps = Deps::new()
+            .readwrite_addr(block(i))
+            .read_addr(block(i + 1))
+            .read_addr(block(i + 2))
+            .read_addr(block(i + 3))
+            .read_addr(block(i + 4))
+            .reduce_addr(sum, 8, RedOp::SumF64);
+        assert_eq!(deps.len(), 6);
+        ctx.spawn(deps, |_| {});
+    });
+    assert!(
+        heat <= 16,
+        "{heat} global allocations for {TASKS} spawns with 6 accesses"
+    );
+    let boxed = allocs_per_run(&rt, spawn_words::<7>);
     assert!(
         boxed >= TASKS,
         "{boxed} global allocations for {TASKS} spawns of 56-byte bodies"
