@@ -939,7 +939,7 @@ impl TaskCtx<'_> {
     /// clause); higher-priority ready tasks are scheduled first under
     /// [`crate::sched::Policy::Priority`].
     ///
-    /// Over 1 024 unfinished children, a spawn from the root task is a
+    /// Over 256 unfinished children, a spawn from the root task is a
     /// task scheduling point: it may first run one ready task of any kind.
     pub fn spawn_prioritized(
         &self,
@@ -1214,8 +1214,11 @@ impl TaskCtx<'_> {
 
 /// Unfinished children above which the root runs a ready task after
 /// each spawn, so it cannot outrun the workers and grow the task slab
-/// without bound (about 10 × the SPSC add buffers of two workers).
-const RUN_AHEAD: usize = 1024;
+/// without bound. A quarter of a Heat step (1 024 tasks): with 1 024 a
+/// wait-free Heat run held two steps of shells in most processes and
+/// one step in a few, so its peak memory swung by a fifth between
+/// processes; with 256 nearly every process holds one step.
+const RUN_AHEAD: usize = 256;
 
 /// Install the process-wide panic hook that silences injected-fault
 /// panics (see [`FAULT_PANIC_PREFIX`]). Installed at most once; every
