@@ -648,26 +648,6 @@ impl Drop for TaskSlab {
     }
 }
 
-/// Typed convenience: allocate and construct a `T`.
-pub fn alloc_box<T>(alloc: &dyn RuntimeAllocator, value: T) -> *mut T {
-    let layout = Layout::new::<T>();
-    let p = alloc.alloc(layout) as *mut T;
-    unsafe { p.write(value) };
-    p
-}
-
-/// Typed convenience: destruct and free a `T` from [`alloc_box`].
-///
-/// # Safety
-/// `ptr` must come from `alloc_box` on the same allocator and not be used
-/// afterwards.
-pub unsafe fn dealloc_box<T>(alloc: &dyn RuntimeAllocator, ptr: *mut T) {
-    unsafe {
-        core::ptr::drop_in_place(ptr);
-        alloc.dealloc(ptr as *mut u8, Layout::new::<T>());
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -788,17 +768,6 @@ mod tests {
         // Blocks must be reusable after the flush round-trip.
         let p = pool.alloc(layout);
         unsafe { pool.dealloc(p, layout) };
-    }
-
-    #[test]
-    fn alloc_box_roundtrip() {
-        let pool = PoolAllocator::new(1);
-        let p = alloc_box(&pool, vec![1u32, 2, 3]);
-        unsafe {
-            assert_eq!((&*p)[2], 3);
-            dealloc_box(&pool, p);
-        }
-        assert_eq!(pool.stats().live, 0);
     }
 
     #[test]

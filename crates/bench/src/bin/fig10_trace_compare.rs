@@ -99,7 +99,7 @@ fn replay_phase_split(opts: Opts) {
     let rt = Runtime::new(RuntimeConfig::optimized().workers(workers).tracing(true));
     let mut heat = Heat::new(opts.scale).with_steps(12);
     let bs = heat.block_sizes()[0]; // finest blocks = most runtime stress
-    nanotask_workloads::IterativeWorkload::run_replay(&mut heat, &rt, bs);
+    nanotask_workloads::IterativeWorkload::run_replay_report(&mut heat, &rt, bs);
     heat.verify().expect("heat verification");
     let tl = Timeline::build(&rt.trace());
     println!("\n## record vs replay phase split (heat, 12 timesteps, finest blocks)");

@@ -59,6 +59,9 @@ pub(crate) struct DeliveryCounters {
     deliveries: Counter,
     /// Messages that changed no bit.
     duplicates: Counter,
+    /// Demand-created child bottom maps: leaf tasks (most of a graph)
+    /// never create one, which `tests/scale_guards.rs` asserts.
+    bottom_maps: Counter,
 }
 
 impl DeliveryCounters {
@@ -68,6 +71,7 @@ impl DeliveryCounters {
             accesses: reg.counter("nanotask_deps_accesses_total"),
             deliveries: reg.counter("nanotask_deps_deliveries_total"),
             duplicates: reg.counter("nanotask_deps_duplicate_deliveries_total"),
+            bottom_maps: reg.counter("nanotask_deps_bottom_maps_total"),
         }
     }
 
@@ -309,6 +313,9 @@ unsafe impl DependencySystem for WaitFreeDeps {
         // single-creator invariant: we *are* the parent's body). This is
         // the demand-creation site: a task only pays for a map once it
         // registers a child with accesses (leaf tasks never do).
+        if unsafe { (*parent).child_bottom_ref() }.is_none() {
+            self.counters.bottom_maps.inc(hooks.worker());
+        }
         let bottom = unsafe { (*parent).child_bottom_or_init() };
         let mut mb = MailBox::reused();
 
@@ -856,6 +863,7 @@ mod tests {
                 accesses: _,
                 deliveries: _,
                 duplicates: _,
+                bottom_maps: _,
             } = c;
         };
         // A worker's count lands in the registry the system was built

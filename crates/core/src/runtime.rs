@@ -20,9 +20,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
 use nanotask_alloc::{AllocStats, AllocatorKind, RuntimeAllocator, TaskSlab, make_allocator};
 use nanotask_locks::{Backoff, CachePadded};
-use nanotask_obs::{
-    Counter, FlightFrame, FlightRecorder, Gauge, Histogram, MaxGauge, Registry, Snapshot,
-};
+use nanotask_obs::{Counter, Gauge, Histogram, MaxGauge, Registry, Snapshot};
 use nanotask_trace::noise::{NoiseConfig, NoiseInjector};
 use nanotask_trace::{CoreRecorder, EventKind, Trace, Tracer};
 
@@ -226,13 +224,10 @@ pub struct RuntimeConfig {
     /// Plain counters are registry-backed and always on regardless —
     /// this knob only gates the paths that need a timestamp.
     pub metrics: bool,
-    /// Flight-recorder snapshot interval in executed tasks (and replay
-    /// iterations); 0 disables the recorder.
-    pub flight_every: u64,
     /// Stall watchdog: when set, a monitor thread trips after tasks have
     /// been pending with no completed body for this long, failing the
-    /// run with a [`FailureKind::WatchdogStall`] diagnostic (flight
-    /// snapshot + queue depths) instead of hanging forever. `None`
+    /// run with a [`FailureKind::WatchdogStall`] diagnostic (life-cycle
+    /// counts + queue depth) instead of hanging forever. `None`
     /// (default) disables the monitor entirely — no extra thread.
     pub watchdog: Option<std::time::Duration>,
     /// Deterministic fault injection ([`FaultPlan`]); `None` (default)
@@ -263,7 +258,6 @@ impl RuntimeConfig {
             record_graph: false,
             noise: None,
             metrics: false,
-            flight_every: 0,
             watchdog: None,
             fault_plan: None,
             label: "optimized",
@@ -390,14 +384,6 @@ impl RuntimeConfig {
         self
     }
 
-    /// Enable the in-run flight recorder: snapshot the registry every
-    /// `every` executed tasks (or replay iterations), keeping the last
-    /// 64 snapshots. `every = 0` disables it.
-    pub fn with_flight_recorder(mut self, every: u64) -> Self {
-        self.flight_every = every;
-        self
-    }
-
     /// Arm the stall watchdog (see [`RuntimeConfig::watchdog`]): fail a
     /// run with a diagnostic after `timeout` of pending-but-stalled
     /// tasks instead of hanging.
@@ -453,7 +439,7 @@ pub enum FailureKind {
     WorkerLost,
     /// The stall watchdog tripped: tasks were pending but no body
     /// completed within the configured window. The message carries the
-    /// stall diagnostic (queue depths, counters, flight snapshot).
+    /// stall diagnostic (life-cycle counters, queue depth).
     WatchdogStall,
 }
 
@@ -552,7 +538,6 @@ pub(crate) struct Metrics {
     pub tasks_created: Counter,
     pub tasks_executed: Counter,
     pub tasks_freed: Counter,
-    pub live_tasks: Gauge,
     pub max_taskwait_depth: MaxGauge,
     /// Task bodies that panicked (caught at the body seam).
     pub tasks_failed: Counter,
@@ -566,11 +551,12 @@ pub(crate) struct Metrics {
     pub task_exec_ns: Histogram,
     /// Ready-queue wait: scheduler hand-off → body start (sampled).
     pub queue_wait_ns: Histogram,
-    pub flight: FlightRecorder,
-    /// Allocator-pressure gauges, published as absolute values from
-    /// [`AllocStats`] at snapshot time ([`Runtime::metrics_snapshot`]) so
-    /// allocator state appears in the same scrape as the scheduler
-    /// counters — no hot-path writes.
+    /// Gauges published as absolute values at snapshot time
+    /// ([`Runtime::metrics_snapshot`]) — no hot-path writes: the live
+    /// task count (`tasks_created − tasks_freed`) and the allocator
+    /// pressure from [`AllocStats`], so both appear in the same scrape
+    /// as the scheduler counters.
+    pub live_tasks: Gauge,
     pub alloc_pool_hits: Gauge,
     pub alloc_pool_misses: Gauge,
     pub alloc_slab_bytes: Gauge,
@@ -586,8 +572,6 @@ impl Metrics {
     /// `tick & SAMPLE_MASK == 0` selects samples with an AND instead of a
     /// division on the per-task hot path.
     const SAMPLE_MASK: u64 = 31;
-    /// Snapshots the flight-recorder ring retains.
-    const FLIGHT_CAPACITY: usize = 64;
 
     fn new(cfg: &RuntimeConfig) -> Self {
         let registry = Registry::with_base(
@@ -602,7 +586,6 @@ impl Metrics {
             tasks_created: registry.counter("nanotask_tasks_created_total"),
             tasks_executed: registry.counter("nanotask_tasks_executed_total"),
             tasks_freed: registry.counter("nanotask_tasks_freed_total"),
-            live_tasks: registry.gauge("nanotask_live_tasks"),
             max_taskwait_depth: registry.max_gauge("nanotask_max_taskwait_depth"),
             tasks_failed: registry.counter("nanotask_tasks_failed_total"),
             tasks_cancelled: registry.counter("nanotask_tasks_cancelled_total"),
@@ -610,11 +593,7 @@ impl Metrics {
             deps_deliveries: DeliveryCounters::new(&registry),
             task_exec_ns: registry.histogram("nanotask_task_exec_ns"),
             queue_wait_ns: registry.histogram("nanotask_queue_wait_ns"),
-            flight: if cfg.flight_every > 0 {
-                FlightRecorder::new(cfg.flight_every, Self::FLIGHT_CAPACITY, cfg.workers.max(1))
-            } else {
-                FlightRecorder::disabled()
-            },
+            live_tasks: registry.gauge("nanotask_live_tasks"),
             alloc_pool_hits: registry.gauge("nanotask_alloc_pool_hits"),
             alloc_pool_misses: registry.gauge("nanotask_alloc_pool_misses"),
             alloc_slab_bytes: registry.gauge("nanotask_alloc_slab_bytes"),
@@ -627,9 +606,18 @@ impl Metrics {
         }
     }
 
-    /// Publish an [`AllocStats`] reading into the alloc gauges (absolute
-    /// writes; call from snapshot paths only).
-    fn publish_alloc(&self, s: &AllocStats) {
+    /// Tasks created and not yet freed. `freed` is read first: both
+    /// counters only grow, so the later `created` read can only be
+    /// larger, and the difference saturates at 0.
+    fn live(&self) -> u64 {
+        let freed = self.tasks_freed.value();
+        self.tasks_created.value().saturating_sub(freed)
+    }
+
+    /// Publish the live task count and an [`AllocStats`] reading into
+    /// their gauges (absolute writes; call from snapshot paths only).
+    fn publish(&self, s: &AllocStats) {
+        self.live_tasks.set(self.live());
         self.alloc_pool_hits.set(s.pool_hits);
         self.alloc_pool_misses.set(s.pool_misses);
         self.alloc_slab_bytes.set(s.slab_bytes);
@@ -662,10 +650,6 @@ pub(crate) struct Shared {
     /// Failures recorded since the current run started (drained into
     /// [`RunOutcome::failures`] when it ends).
     pub failures: Mutex<Vec<TaskFailure>>,
-    /// Monotone count of task-body failures over the runtime's lifetime
-    /// — the cheap per-iteration probe the replay engine reads
-    /// ([`TaskCtx::failure_count`]).
-    pub failed_count: AtomicU64,
     /// Eligible-body counter of the fault injector (reset per run).
     pub fault_tick: AtomicU64,
     /// Watchdog coordination: whether a fallible run is in flight,
@@ -680,9 +664,10 @@ pub(crate) struct Shared {
     pub flush_epoch: AtomicU64,
     pub flush_acked: Box<[CachePadded<AtomicU64>]>,
     /// Registry-backed counters, gauges and histograms. The life-cycle
-    /// counters (created/executed/freed/live) and `max_taskwait_depth`
+    /// counters (created/executed/freed/failed) and `max_taskwait_depth`
     /// live here; the replay engine reads deltas of `tasks_created` to
-    /// find spawns its capture was not offered.
+    /// find spawns its capture was not offered, and of `tasks_failed`
+    /// to find faulted iterations.
     pub metrics: Metrics,
 }
 
@@ -695,7 +680,6 @@ impl Shared {
     /// Called exactly once per task, when its removal refs hit zero.
     unsafe fn free_task(&self, t: *mut Task, worker: usize) {
         self.metrics.tasks_freed.inc(worker);
-        self.metrics.live_tasks.dec(worker);
         unsafe {
             let task = &mut *t;
             if !task.accesses.is_null() {
@@ -748,9 +732,9 @@ impl WorkerCtx {
         self.recorder.borrow_mut().record(kind, payload);
     }
 
-    /// The one task-creation sequence: a fresh id, the created and live
-    /// counters, a task shell (recycled from the slab or freshly allocated)
-    /// with the body written into it, and the priority. A child's
+    /// The one task-creation sequence: a fresh id, the created counter,
+    /// a task shell (recycled from the slab or freshly allocated) with
+    /// the body written into it, and the priority. A child's
     /// `CreateBegin` is recorded here, before the allocation, and its
     /// creator records `CreateEnd`; the root records neither.
     ///
@@ -772,7 +756,6 @@ impl WorkerCtx {
             self.record(EventKind::CreateBegin, id);
         }
         shared.metrics.tasks_created.inc(self.id);
-        shared.metrics.live_tasks.inc(self.id);
         let (p, recycled) = shared.task_slab.acquire(self.id);
         let t = p as *mut Task;
         unsafe {
@@ -1035,9 +1018,11 @@ impl TaskCtx<'_> {
 
     /// Monotone count of task-body failures recorded by this runtime.
     /// Snapshot-diff it around a phase to detect failures cheaply (the
-    /// replay engine probes this once per iteration).
+    /// replay engine probes this once per iteration). Exact for the
+    /// tasks a `taskwait` has waited for: a failure is counted before
+    /// its task completes.
     pub fn failure_count(&self) -> u64 {
-        self.worker.shared.failed_count.load(Ordering::Acquire)
+        self.worker.shared.metrics.tasks_failed.value()
     }
 
     /// Clear the dependency systems' run-scoped failure-propagation
@@ -1279,7 +1264,7 @@ fn maybe_inject_fault(w: &WorkerCtx, t: *mut Task, plan: &FaultPlan) {
 
 /// A task body panicked: convert the payload into a [`TaskFailure`],
 /// mark the task cancelled (so `body_done` poisons its successors
-/// through the dependency system) and bump the failure counters.
+/// through the dependency system) and count the failure.
 #[cold]
 fn record_body_failure(w: &WorkerCtx, t: *mut Task, payload: Box<dyn std::any::Any + Send>) {
     let message = payload
@@ -1290,9 +1275,6 @@ fn record_body_failure(w: &WorkerCtx, t: *mut Task, payload: Box<dyn std::any::A
     let (id, label) = unsafe { ((*t).id, (*t).label) };
     unsafe { (*t).mark_cancelled() };
     w.shared.metrics.tasks_failed.inc(w.id);
-    // AcqRel: a `failure_count` reader that observes this increment also
-    // observes the failure record and the cancelled bit.
-    w.shared.failed_count.fetch_add(1, Ordering::AcqRel);
     w.shared.failures.lock().push(TaskFailure {
         task: id,
         label,
@@ -1360,7 +1342,6 @@ fn run_body(w: &WorkerCtx, t: *mut Task) {
         m.task_exec_ns
             .record(w.id, w.shared.tracer.now().saturating_sub(exec_t0));
     }
-    m.flight.tick(w.id, &m.registry);
 }
 
 /// Execute a task body and run the completion protocol: every successor
@@ -1387,13 +1368,15 @@ fn finish_subtree(w: &WorkerCtx, t: *mut Task) {
             w.shared.deps.fully_done(t, &hooks);
         }
         let parent = (*t).parent;
-        // Signal external waiters before the memory can be reclaimed.
-        if let Some(flag) = (*t).completion_flag() {
-            let flag = Arc::clone(flag);
-            flag.store(true, Ordering::Release);
-        }
+        // The flag lives outside task memory: take it before the task
+        // can be reclaimed, and signal waiters only after this worker
+        // freed it, so a waiter sees the free in the life-cycle counts.
+        let flag = (*t).completion_flag().cloned();
         if (*t).drop_removal_ref() {
             w.shared.free_task(t, w.id);
+        }
+        if let Some(flag) = flag {
+            flag.store(true, Ordering::Release);
         }
         if !parent.is_null() && (*parent).drop_child_ref() {
             finish_subtree(w, parent);
@@ -1402,29 +1385,20 @@ fn finish_subtree(w: &WorkerCtx, t: *mut Task) {
 }
 
 /// Build the stall diagnostic the watchdog attaches to its
-/// [`FailureKind::WatchdogStall`] failure: life-cycle counters, the
-/// scheduler's queue depth and the flight-recorder tail.
+/// [`FailureKind::WatchdogStall`] failure: life-cycle counters and the
+/// scheduler's queue depth.
 fn build_stall_diagnostic(shared: &Shared) -> String {
     let m = &shared.metrics;
-    let mut s = format!(
+    format!(
         "stall: {} live task(s), {} executed, {} created, {} freed, {} failed; \
          scheduler ~{} queued",
-        m.live_tasks.value(),
+        m.live(),
         m.tasks_executed.value(),
         m.tasks_created.value(),
         m.tasks_freed.value(),
         m.tasks_failed.value(),
         shared.sched.approx_len(),
-    );
-    let frames = m.flight.frames();
-    if let Some(last) = frames.last() {
-        s.push_str(&format!(
-            "; flight[{} frame(s), last @tick {}]",
-            frames.len(),
-            last.tick
-        ));
-    }
-    s
+    )
 }
 
 /// Stall-watchdog monitor loop ([`RuntimeConfig::watchdog`]): while a
@@ -1445,7 +1419,7 @@ fn watchdog_loop(shared: &Shared, timeout: std::time::Duration) {
         }
         let executed = shared.metrics.tasks_executed.value();
         let idle = !shared.run_active.load(Ordering::Acquire)
-            || shared.metrics.live_tasks.value() == 0
+            || shared.metrics.live() == 0
             || shared.watchdog_tripped.load(Ordering::Acquire);
         if executed != last_executed || idle {
             last_executed = executed;
@@ -1566,7 +1540,6 @@ impl Runtime {
             next_id: CachePadded::new(AtomicU64::new(1)),
             shutdown: AtomicBool::new(false),
             failures: Mutex::new(Vec::new()),
-            failed_count: AtomicU64::new(0),
             fault_tick: AtomicU64::new(0),
             run_active: AtomicBool::new(false),
             watchdog_tripped: AtomicBool::new(false),
@@ -1631,7 +1604,7 @@ impl Runtime {
     pub fn run_outcome(&self, root: impl FnOnce(&TaskCtx) + Send + 'static) -> RunOutcome {
         let shared = &self.shared;
         shared.failures.lock().clear();
-        if shared.failed_count.load(Ordering::Acquire) > 0 {
+        if shared.metrics.tasks_failed.value() > 0 {
             // A previous run failed: clear run-scoped poison state so
             // this run starts clean (no-op on the wait-free system).
             shared.deps.reset_faults();
@@ -1726,11 +1699,12 @@ impl Runtime {
     }
 
     /// One consistent read of every registered metric. Publishes the
-    /// current allocator pressure ([`AllocStats`], including task-slab
-    /// recycling) into the alloc gauges first, so one scrape carries
-    /// scheduler counters and allocator state together.
+    /// live task count and the current allocator pressure
+    /// ([`AllocStats`], including task-slab recycling) into their gauges
+    /// first, so one scrape carries scheduler counters and allocator
+    /// state together.
     pub fn metrics_snapshot(&self) -> Snapshot {
-        self.shared.metrics.publish_alloc(&self.stats().alloc);
+        self.shared.metrics.publish(&self.stats().alloc);
         self.shared.metrics.registry.snapshot()
     }
 
@@ -1738,12 +1712,6 @@ impl Runtime {
     /// ([`RuntimeConfig::metrics`]).
     pub fn metrics_enabled(&self) -> bool {
         self.shared.metrics.enabled
-    }
-
-    /// Flight-recorder contents, oldest first (empty when
-    /// [`RuntimeConfig::flight_every`] is 0).
-    pub fn flight_frames(&self) -> Vec<FlightFrame> {
-        self.shared.metrics.flight.frames()
     }
 
     /// Collect the trace recorded so far. Between runs it is exact: it
@@ -1798,10 +1766,10 @@ impl Runtime {
         self.shared.graph.lock().clear();
     }
 
-    /// Number of task objects currently alive (diagnostics; 0 after all
-    /// runs completed and chains were closed).
+    /// Number of task objects currently alive: `tasks_created −
+    /// tasks_freed` (0 after all runs completed and chains were closed).
     pub fn live_tasks(&self) -> usize {
-        self.shared.metrics.live_tasks.value() as usize
+        self.shared.metrics.live() as usize
     }
 }
 
@@ -1816,7 +1784,6 @@ impl Drop for Runtime {
                 // subsequent outcome drain) instead of aborting the
                 // process from a destructor.
                 self.shared.metrics.tasks_failed.inc(0);
-                self.shared.failed_count.fetch_add(1, Ordering::AcqRel);
                 self.shared.failures.lock().push(TaskFailure {
                     task: 0,
                     label: "worker",
@@ -1860,7 +1827,6 @@ mod tests {
             record_graph: _,
             noise: _,
             metrics: _,
-            flight_every: _,
             watchdog: _,
             fault_plan: _,
             label: _,
@@ -1876,7 +1842,6 @@ mod tests {
         }
         assert_eq!(crate::sched::sync_sched::SPSC_CAPACITY, 100);
         assert_eq!(Metrics::SAMPLE_MASK + 1, 32);
-        assert_eq!(Metrics::FLIGHT_CAPACITY, 64);
     }
 
     /// Pins the cache-line layout of the runtime's shared state: every
@@ -1901,7 +1866,6 @@ mod tests {
                 next_id: _,          // own line, asserted below
                 shutdown: _,         // shared on purpose: written once, at drop
                 failures: _,         // written per failure
-                failed_count: _,     // shared on purpose: written per failure
                 fault_tick: _,       // shared on purpose: written only under a fault plan
                 run_active: _,       // shared on purpose: written twice per run
                 watchdog_tripped: _, // shared on purpose: written per run and trip
@@ -2135,6 +2099,52 @@ mod tests {
                 .count();
             assert_eq!(starts, k * (TASKS + 1), "after run {k}");
         }
+    }
+
+    /// `run` returns only after the task that completes the root's
+    /// subtree has freed the root, so the life-cycle counts are exact
+    /// right after every run, even when a worker other than the caller
+    /// finishes the subtree: a root with one ~2 µs child, and a
+    /// readwrite chain plus a reader under both dependency systems.
+    #[test]
+    fn counts_exact_after_run() {
+        fn exact_after_each_run(
+            cfg: RuntimeConfig,
+            runs: usize,
+            root: impl Fn(&TaskCtx) + Copy + Send + 'static,
+        ) {
+            let rt = Runtime::new(cfg.workers(2));
+            for run in 0..runs {
+                rt.run(root);
+                let s = rt.stats();
+                assert_eq!(rt.live_tasks(), 0, "{:?}: run {run}", rt.config().deps);
+                assert_eq!(s.tasks_created, s.tasks_freed, "run {run}");
+            }
+        }
+        exact_after_each_run(RuntimeConfig::optimized(), 40_000, |ctx| {
+            ctx.spawn(Deps::new(), |_| {
+                let t0 = std::time::Instant::now();
+                while t0.elapsed().as_nanos() < 2_000 {
+                    core::hint::spin_loop();
+                }
+            })
+        });
+        let cell = Box::leak(Box::new(0u64)) as *mut u64;
+        let p = crate::SendPtr::new(cell);
+        let chain = move |ctx: &TaskCtx| {
+            for _ in 0..3 {
+                ctx.spawn(Deps::new().readwrite_addr(p.addr()), move |_| unsafe {
+                    *p.get() += 1
+                });
+            }
+            ctx.spawn(Deps::new().read_addr(p.addr()), move |_| {
+                core::hint::black_box(unsafe { *p.get() });
+            });
+        };
+        exact_after_each_run(RuntimeConfig::optimized(), 30_000, chain);
+        exact_after_each_run(RuntimeConfig::without_waitfree_deps(), 30_000, chain);
+        assert_eq!(unsafe { *cell }, 3 * 60_000);
+        unsafe { drop(Box::from_raw(cell)) };
     }
 
     /// The wait loop polls the noise injector before it tests `done`, so

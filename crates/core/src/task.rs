@@ -118,16 +118,6 @@ const fn field_max(bits: u32) -> u64 {
     (1u64 << bits) - 1
 }
 
-/// Total number of lazily-created bottom maps, process-wide. Leaf tasks
-/// (the overwhelming majority of a graph) never create one;
-/// `tests/scale_guards.rs` asserts exactly that.
-static BOTTOM_MAPS_CREATED: AtomicU64 = AtomicU64::new(0);
-
-/// Process-wide count of demand-created child bottom maps (monotone).
-pub fn bottom_maps_created() -> u64 {
-    BOTTOM_MAPS_CREATED.load(Ordering::Relaxed)
-}
-
 /// The packed life-cycle word: `blockers`, `live_children` and
 /// `removal_refs` bit-packed into one `AtomicU64` plus a `FULLY_DONE`
 /// flag. Every transition is a single RMW against a per-field constant;
@@ -586,10 +576,7 @@ impl Task {
     #[allow(clippy::mut_from_ref)]
     pub unsafe fn child_bottom_or_init(&self) -> &mut BottomMap {
         let slot = unsafe { &mut *self.child_bottom.get() };
-        slot.get_or_insert_with(|| {
-            BOTTOM_MAPS_CREATED.fetch_add(1, Ordering::Relaxed);
-            Box::default()
-        })
+        slot.get_or_insert_with(Box::default)
     }
 
     /// The child dependency domain if any child ever registered.
@@ -753,13 +740,11 @@ mod tests {
         let t = dummy(0);
         unsafe {
             assert!(t.child_bottom_ref().is_none());
-            let before = bottom_maps_created();
             t.child_bottom_or_init().insert(0x10, core::ptr::null_mut());
-            assert_eq!(bottom_maps_created(), before + 1);
             assert_eq!(t.child_bottom_ref().unwrap().len(), 1);
             // Second use reuses the map.
             t.child_bottom_or_init().insert(0x20, core::ptr::null_mut());
-            assert_eq!(bottom_maps_created(), before + 1);
+            assert_eq!(t.child_bottom_ref().unwrap().len(), 2);
         }
     }
 

@@ -22,20 +22,14 @@
 //!   replay-iteration events, instants for cache hits and giveups).
 //!   Open it at `https://ui.perfetto.dev` or `chrome://tracing`.
 //! * [`prometheus`] — text-exposition dump of a snapshot (`nanotask_*`
-//!   metric names, scheduler/dep-system base labels plus any per-metric
+//!   metric names, each sample carrying the scheduler/dep-system base
 //!   labels) plus a line-by-line validator (`tests/obs_integration.rs`
 //!   runs it on a live snapshot).
-//! * [`flight`] — an in-run flight recorder: a ring of the last N
-//!   registry snapshots taken every `every` ticks, so replay-health
-//!   anomalies (divergence storms, giveup spirals) can be localized to
-//!   an iteration window instead of one end-of-run total.
 
-pub mod flight;
 pub mod perfetto;
 pub mod prometheus;
 pub mod registry;
 
-pub use flight::{FlightFrame, FlightRecorder};
 pub use registry::{
     Counter, Gauge, Histogram, HistogramSnapshot, MaxGauge, MetricValue, Registry, SnapEntry,
     Snapshot,

@@ -1,13 +1,12 @@
 //! Prometheus text-exposition export of a registry [`Snapshot`].
 //!
 //! Renders the version-0.0.4 text format: a `# TYPE` comment per metric
-//! family, then one sample per line. Base labels (scheduler /
-//! dep-system) merge with per-metric labels (e.g. `node="1"`);
-//! histograms expand into cumulative `_bucket{le="..."}` series plus
-//! `_sum` and `_count`. [`validate`] is the consumer side: a
+//! family, then one sample per line. Every sample carries the base
+//! labels (scheduler / dep-system); histograms expand into cumulative
+//! `_bucket{le="..."}` series plus `_sum` and `_count`. [`validate`] is the consumer side: a
 //! line-by-line parser the tests use to prove the dump is well-formed.
 
-use crate::registry::{HistogramSnapshot, MetricValue, Snapshot};
+use crate::registry::{HistogramSnapshot, Labels, MetricValue, Snapshot};
 
 fn push_label_escaped(out: &mut String, v: &str) {
     for c in v.chars() {
@@ -20,13 +19,19 @@ fn push_label_escaped(out: &mut String, v: &str) {
     }
 }
 
-/// `{base...,extra...}` rendered label set; empty string when no labels.
-fn label_set(base: &[(&'static str, String)], extra: &[(&'static str, String)]) -> String {
-    if base.is_empty() && extra.is_empty() {
+/// `{k="v",...}` rendered label set, ending in an `le` label when one
+/// is given (histogram buckets); empty string when there are no labels.
+fn label_set(base: &Labels, le: Option<&str>) -> String {
+    let labels: Vec<(&str, &str)> = base
+        .iter()
+        .map(|(k, v)| (*k, v.as_str()))
+        .chain(le.map(|le| ("le", le)))
+        .collect();
+    if labels.is_empty() {
         return String::new();
     }
     let mut out = String::from("{");
-    for (i, (k, v)) in base.iter().chain(extra.iter()).enumerate() {
+    for (i, (k, v)) in labels.into_iter().enumerate() {
         if i > 0 {
             out.push(',');
         }
@@ -39,29 +44,7 @@ fn label_set(base: &[(&'static str, String)], extra: &[(&'static str, String)]) 
     out
 }
 
-/// Same as [`label_set`] but with one extra `le` label (histogram buckets).
-fn label_set_le(
-    base: &[(&'static str, String)],
-    extra: &[(&'static str, String)],
-    le: &str,
-) -> String {
-    let mut out = String::from("{");
-    for (k, v) in base.iter().chain(extra.iter()) {
-        out.push_str(k);
-        out.push_str("=\"");
-        push_label_escaped(&mut out, v);
-        out.push_str("\",");
-    }
-    out.push_str("le=\"");
-    out.push_str(le);
-    out.push_str("\"}");
-    out
-}
-
-type LabelRefs<'a> = (&'a [(&'static str, String)], &'a [(&'static str, String)]);
-
-fn render_histogram(out: &mut String, name: &str, labels: LabelRefs<'_>, h: &HistogramSnapshot) {
-    let (base, extra) = labels;
+fn render_histogram(out: &mut String, name: &str, base: &Labels, h: &HistogramSnapshot) {
     let mut cum = 0u64;
     for (i, &b) in h.buckets.iter().enumerate() {
         cum += b;
@@ -76,13 +59,13 @@ fn render_histogram(out: &mut String, name: &str, labels: LabelRefs<'_>, h: &His
         };
         out.push_str(&format!(
             "{name}_bucket{} {cum}\n",
-            label_set_le(base, extra, &le)
+            label_set(base, Some(&le))
         ));
     }
-    out.push_str(&format!("{name}_sum{} {}\n", label_set(base, extra), h.sum));
+    out.push_str(&format!("{name}_sum{} {}\n", label_set(base, None), h.sum));
     out.push_str(&format!(
         "{name}_count{} {}\n",
-        label_set(base, extra),
+        label_set(base, None),
         h.count
     ));
 }
@@ -90,29 +73,22 @@ fn render_histogram(out: &mut String, name: &str, labels: LabelRefs<'_>, h: &His
 /// Render a snapshot in the Prometheus text exposition format.
 pub fn render(snap: &Snapshot) -> String {
     let mut out = String::new();
-    let mut typed: Vec<&str> = Vec::new();
     for e in &snap.entries {
-        let (ty, is_hist) = match e.value {
-            MetricValue::Counter(_) => ("counter", false),
-            MetricValue::Gauge(_) | MetricValue::Max(_) => ("gauge", false),
-            MetricValue::Histogram(_) => ("histogram", true),
+        let ty = match e.value {
+            MetricValue::Counter(_) => "counter",
+            MetricValue::Gauge(_) | MetricValue::Max(_) => "gauge",
+            MetricValue::Histogram(_) => "histogram",
         };
-        if !typed.contains(&e.name) {
-            out.push_str(&format!("# TYPE {} {ty}\n", e.name));
-            typed.push(e.name);
-        }
+        out.push_str(&format!("# TYPE {} {ty}\n", e.name));
         match &e.value {
             MetricValue::Counter(v) | MetricValue::Gauge(v) | MetricValue::Max(v) => {
                 out.push_str(&format!(
                     "{}{} {v}\n",
                     e.name,
-                    label_set(&snap.base_labels, &e.labels)
+                    label_set(&snap.base_labels, None)
                 ));
             }
-            MetricValue::Histogram(h) => {
-                debug_assert!(is_hist);
-                render_histogram(&mut out, e.name, (&snap.base_labels, &e.labels), h);
-            }
+            MetricValue::Histogram(h) => render_histogram(&mut out, e.name, &snap.base_labels, h),
         }
     }
     out
@@ -247,11 +223,8 @@ mod tests {
             ],
         );
         reg.counter("nanotask_tasks_executed_total").add(0, 42);
-        reg.counter_with("nanotask_node_home_tasks_total", vec![("node", "0".into())])
-            .add(0, 7);
-        reg.counter_with("nanotask_node_home_tasks_total", vec![("node", "1".into())])
-            .add(1, 9);
-        reg.gauge("nanotask_tasks_live").inc(0);
+        reg.counter("nanotask_tasks_freed_total").add(1, 9);
+        reg.gauge("nanotask_live_tasks").set(1);
         let h = reg.histogram("nanotask_task_exec_ns");
         h.record(0, 100);
         h.record(1, 90_000);
@@ -265,13 +238,15 @@ mod tests {
         assert!(text.contains(
             "nanotask_tasks_executed_total{scheduler=\"Delegation\",deps=\"WaitFree\"} 42\n"
         ));
-        assert!(text.contains("node=\"1\"} 9\n"));
+        assert!(text.contains(
+            "nanotask_tasks_freed_total{scheduler=\"Delegation\",deps=\"WaitFree\"} 9\n"
+        ));
         assert!(text.contains("nanotask_task_exec_ns_bucket"));
         assert!(text.contains("le=\"+Inf\"} 2\n"));
         assert!(text.contains("nanotask_task_exec_ns_sum"));
         let samples = validate(&text).expect("own output validates");
-        // 1 counter + 2 node counters + 1 gauge + hist(2 buckets + Inf + sum + count).
-        assert_eq!(samples, 9);
+        // 2 counters + 1 gauge + hist(2 buckets + Inf + sum + count).
+        assert_eq!(samples, 8);
     }
 
     #[test]

@@ -21,7 +21,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 /// Fixed histogram resolution: one bucket per bit-length (pow-2 bounds).
 pub const HIST_BUCKETS: usize = 64;
 
-/// Metric labels: static keys, owned values.
+/// Base labels: static keys, owned values.
 pub type Labels = Vec<(&'static str, String)>;
 
 fn shard_index(shard: usize, len: usize) -> usize {
@@ -88,38 +88,21 @@ impl Counter {
     }
 }
 
-/// Up/down gauge. Increments and decrements may land on different
-/// shards (a task created on worker 0 can be freed on worker 3); the
-/// aggregate is the wrapping sum, which is exact as long as the true
-/// value is non-negative.
+/// Absolute-value gauge: one cell, written by [`Gauge::set`] on
+/// low-frequency publish paths (e.g. copying allocator stats into a
+/// scrape), never per task.
 #[derive(Clone)]
 pub struct Gauge {
     cells: Arc<CounterCells>,
 }
 
 impl Gauge {
-    /// Increment on this worker's shard.
-    #[inline]
-    pub fn inc(&self, shard: usize) {
-        self.cells.add(shard, 1);
-    }
-
-    /// Decrement on this worker's shard.
-    #[inline]
-    pub fn dec(&self, shard: usize) {
-        self.cells.add(shard, u64::MAX); // wrapping -1
-    }
-
-    /// Set the aggregate to an absolute value by writing the wrapping
-    /// delta onto shard 0. For low-frequency publish paths (e.g. copying
-    /// allocator stats into a scrape) — not safe against concurrent
-    /// `set` calls, and concurrent `inc`/`dec` traffic will move the
-    /// aggregate off `v` as usual.
+    /// Set the gauge to `v`.
     pub fn set(&self, v: u64) {
-        self.cells.add(0, v.wrapping_sub(self.value()));
+        self.cells.cells[0].store(v, Ordering::Relaxed);
     }
 
-    /// Aggregated value (wrapping sum of all shards).
+    /// Current value.
     pub fn value(&self) -> u64 {
         self.cells.sum()
     }
@@ -282,7 +265,6 @@ enum Cells {
 
 struct Entry {
     name: &'static str,
-    labels: Labels,
     cells: Cells,
 }
 
@@ -331,37 +313,26 @@ impl Registry {
     fn lookup<T>(
         &self,
         name: &'static str,
-        labels: Labels,
         matches: impl Fn(&Cells) -> Option<T>,
         create: impl FnOnce(usize) -> (Cells, T),
     ) -> T {
         let mut metrics = self.inner.metrics.lock();
         for e in metrics.iter() {
-            if e.name == name && e.labels == labels {
+            if e.name == name {
                 return matches(&e.cells).unwrap_or_else(|| {
                     panic!("metric {name:?} re-registered with a different type")
                 });
             }
         }
         let (cells, handle) = create(self.inner.shards);
-        metrics.push(Entry {
-            name,
-            labels,
-            cells,
-        });
+        metrics.push(Entry { name, cells });
         handle
     }
 
-    /// Get or create an unlabeled counter.
+    /// Get or create a counter.
     pub fn counter(&self, name: &'static str) -> Counter {
-        self.counter_with(name, Vec::new())
-    }
-
-    /// Get or create a labeled counter.
-    pub fn counter_with(&self, name: &'static str, labels: Labels) -> Counter {
         self.lookup(
             name,
-            labels,
             |c| match c {
                 Cells::Counter(cells) => Some(Counter {
                     cells: Arc::clone(cells),
@@ -375,29 +346,27 @@ impl Registry {
         )
     }
 
-    /// Get or create an unlabeled up/down gauge.
+    /// Get or create a gauge.
     pub fn gauge(&self, name: &'static str) -> Gauge {
         self.lookup(
             name,
-            Vec::new(),
             |c| match c {
                 Cells::Gauge(cells) => Some(Gauge {
                     cells: Arc::clone(cells),
                 }),
                 _ => None,
             },
-            |shards| {
-                let cells = Arc::new(CounterCells::new(shards));
+            |_| {
+                let cells = Arc::new(CounterCells::new(1));
                 (Cells::Gauge(Arc::clone(&cells)), Gauge { cells })
             },
         )
     }
 
-    /// Get or create an unlabeled high-water-mark gauge.
+    /// Get or create a high-water-mark gauge.
     pub fn max_gauge(&self, name: &'static str) -> MaxGauge {
         self.lookup(
             name,
-            Vec::new(),
             |c| match c {
                 Cells::Max(cells) => Some(MaxGauge {
                     cells: Arc::clone(cells),
@@ -411,11 +380,10 @@ impl Registry {
         )
     }
 
-    /// Get or create an unlabeled histogram.
+    /// Get or create a histogram.
     pub fn histogram(&self, name: &'static str) -> Histogram {
         self.lookup(
             name,
-            Vec::new(),
             |c| match c {
                 Cells::Histogram(cells) => Some(Histogram {
                     cells: Arc::clone(cells),
@@ -443,7 +411,6 @@ impl Registry {
                 .iter()
                 .map(|e| SnapEntry {
                     name: e.name,
-                    labels: e.labels.clone(),
                     value: match &e.cells {
                         Cells::Counter(c) => MetricValue::Counter(c.sum()),
                         Cells::Gauge(c) => MetricValue::Gauge(c.sum()),
@@ -480,8 +447,6 @@ pub enum MetricValue {
 pub struct SnapEntry {
     /// Metric name (`nanotask_*`).
     pub name: &'static str,
-    /// Per-metric labels (base labels live on the snapshot).
-    pub labels: Labels,
     /// Aggregated value.
     pub value: MetricValue,
 }
@@ -496,29 +461,13 @@ pub struct Snapshot {
 }
 
 impl Snapshot {
-    fn find(&self, name: &str, labels: Option<&[(&str, &str)]>) -> Option<&SnapEntry> {
-        self.entries.iter().find(|e| {
-            e.name == name
-                && labels.is_none_or(|want| {
-                    e.labels.len() == want.len()
-                        && want
-                            .iter()
-                            .all(|(k, v)| e.labels.iter().any(|(ek, ev)| ek == k && ev == v))
-                })
-        })
+    fn find(&self, name: &str) -> Option<&SnapEntry> {
+        self.entries.iter().find(|e| e.name == name)
     }
 
-    /// First counter named `name` (any labels).
+    /// Counter named `name`.
     pub fn counter(&self, name: &str) -> Option<u64> {
-        match self.find(name, None)?.value {
-            MetricValue::Counter(v) => Some(v),
-            _ => None,
-        }
-    }
-
-    /// Counter named `name` with exactly the given labels.
-    pub fn counter_with(&self, name: &str, labels: &[(&str, &str)]) -> Option<u64> {
-        match self.find(name, Some(labels))?.value {
+        match self.find(name)?.value {
             MetricValue::Counter(v) => Some(v),
             _ => None,
         }
@@ -526,7 +475,7 @@ impl Snapshot {
 
     /// Gauge or max-gauge named `name`.
     pub fn gauge(&self, name: &str) -> Option<u64> {
-        match self.find(name, None)?.value {
+        match self.find(name)?.value {
             MetricValue::Gauge(v) | MetricValue::Max(v) => Some(v),
             _ => None,
         }
@@ -534,7 +483,7 @@ impl Snapshot {
 
     /// Histogram named `name`.
     pub fn histogram(&self, name: &str) -> Option<&HistogramSnapshot> {
-        match &self.find(name, None)?.value {
+        match &self.find(name)?.value {
             MetricValue::Histogram(h) => Some(h),
             _ => None,
         }
@@ -567,20 +516,10 @@ mod tests {
         b.add(1, 4);
         assert_eq!(a.value(), 7);
         assert_eq!(b.value(), 7);
-        // Different labels are a different metric.
-        let c = reg.counter_with("nanotask_shared_total", vec![("node", "0".into())]);
+        // A different name is a different metric.
+        let c = reg.counter("nanotask_other_total");
         assert_eq!(c.value(), 0);
-    }
-
-    #[test]
-    fn gauge_cross_shard_inc_dec() {
-        let reg = Registry::new(4);
-        let g = reg.gauge("nanotask_live");
-        g.inc(0);
-        g.inc(0);
-        g.inc(1);
-        g.dec(3); // freed on a different worker than created
-        assert_eq!(g.value(), 2);
+        assert_eq!(reg.snapshot().entries.len(), 2);
     }
 
     #[test]
@@ -589,11 +528,8 @@ mod tests {
         let g = reg.gauge("nanotask_alloc_slab_bytes");
         g.set(4096);
         assert_eq!(g.value(), 4096);
-        g.set(1024); // downward across the shard sum still lands exactly
+        g.set(1024);
         assert_eq!(g.value(), 1024);
-        g.inc(2);
-        g.set(77);
-        assert_eq!(g.value(), 77);
     }
 
     #[test]
@@ -647,24 +583,16 @@ mod tests {
     fn snapshot_lookup_by_name_and_labels() {
         let reg = Registry::with_base(2, vec![("scheduler", "Delegation".into())]);
         reg.counter("nanotask_a_total").add(0, 5);
-        reg.counter_with("nanotask_node_total", vec![("node", "0".into())])
-            .add(0, 1);
-        reg.counter_with("nanotask_node_total", vec![("node", "1".into())])
-            .add(1, 2);
-        reg.gauge("nanotask_g").inc(0);
+        reg.counter("nanotask_b_total").add(1, 2);
+        reg.gauge("nanotask_g").set(1);
         reg.histogram("nanotask_h").record(0, 42);
         let s = reg.snapshot();
         assert_eq!(s.base_labels.len(), 1);
         assert_eq!(s.counter("nanotask_a_total"), Some(5));
-        assert_eq!(
-            s.counter_with("nanotask_node_total", &[("node", "0")]),
-            Some(1)
-        );
-        assert_eq!(
-            s.counter_with("nanotask_node_total", &[("node", "1")]),
-            Some(2)
-        );
+        assert_eq!(s.counter("nanotask_b_total"), Some(2));
         assert_eq!(s.gauge("nanotask_g"), Some(1));
+        // A lookup checks the type as well as the name.
+        assert_eq!(s.counter("nanotask_g"), None);
         assert_eq!(s.histogram("nanotask_h").unwrap().count, 1);
         assert_eq!(s.counter("nanotask_missing"), None);
     }

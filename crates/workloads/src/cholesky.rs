@@ -19,7 +19,7 @@ pub struct Cholesky {
     factored: Vec<f64>,
     reference: Vec<f64>,
     last_bs: usize,
-    /// Factorizations per `run_replay` call (each iteration re-factors a
+    /// Factorizations per `run_replay_report` call (each iteration re-factors a
     /// fresh copy of A, so every iteration spawns the identical graph).
     iters: usize,
 }
@@ -91,7 +91,7 @@ impl Cholesky {
 /// Spawn the four-kernel tile factorization (potrf / trsm / syrk / gemm)
 /// of the `nb × nb` tiled matrix at `pt` (tile-major layout, `bs²`
 /// elements per tile). Shared by the one-shot driver ([`Workload::run`])
-/// and the record/replay driver ([`IterativeWorkload::run_replay`]).
+/// and the record/replay driver ([`IterativeWorkload::run_replay_report`]).
 fn spawn_factorization(ctx: &TaskCtx, pt: SendPtr<f64>, bs: usize, nb: usize) {
     let tile = bs * bs;
     let at = |bi: usize, bj: usize| unsafe { pt.add((bi * nb + bj) * tile) };
@@ -218,11 +218,6 @@ impl IterativeWorkload for Cholesky {
         self.iters = iters.max(1);
     }
 
-    fn run_replay(&mut self, rt: &Runtime, bs: usize) -> u64 {
-        self.run_replay_report(rt, bs);
-        (self.n as u64).pow(3) / 3 * self.iters as u64
-    }
-
     fn run_replay_report(&mut self, rt: &Runtime, bs: usize) -> nanotask_replay::ReplayReport {
         let bs = bs.clamp(1, self.n);
         assert_eq!(self.n % bs, 0);
@@ -280,7 +275,7 @@ mod tests {
         let mut w = Cholesky::new(1);
         w.set_iterations(3);
         for bs in [16, 32] {
-            w.run_replay(&rt, bs);
+            w.run_replay_report(&rt, bs);
             w.verify().unwrap_or_else(|e| panic!("replay bs={bs}: {e}"));
         }
     }

@@ -84,7 +84,7 @@ impl Heat {
 /// Spawn one Gauss–Seidel timestep: one task per block with
 /// `inout(B[i][j]) in(neighbours) reduction(residual)`. Shared between
 /// the pipelined driver ([`Workload::run`]) and the record/replay
-/// driver ([`IterativeWorkload::run_replay`]).
+/// driver ([`IterativeWorkload::run_replay_report`]).
 fn spawn_timestep(
     ctx: &TaskCtx,
     g: SendPtr<f64>,
@@ -189,11 +189,6 @@ impl IterativeWorkload for Heat {
         self.recompute_reference();
     }
 
-    fn run_replay(&mut self, rt: &Runtime, bs: usize) -> u64 {
-        self.run_replay_report(rt, bs);
-        (8 * self.n * self.n * self.steps) as u64
-    }
-
     fn run_replay_report(&mut self, rt: &Runtime, bs: usize) -> nanotask_replay::ReplayReport {
         let bs = bs.clamp(1, self.n);
         assert_eq!(self.n % bs, 0);
@@ -259,7 +254,7 @@ mod tests {
         let rt = Runtime::new(RuntimeConfig::optimized().workers(3));
         let mut w = Heat::new(1);
         for bs in w.block_sizes() {
-            w.run_replay(&rt, bs);
+            w.run_replay_report(&rt, bs);
             w.verify().unwrap_or_else(|e| panic!("replay bs={bs}: {e}"));
         }
     }
@@ -296,7 +291,7 @@ mod tests {
     fn replay_with_more_steps_still_verifies() {
         let rt = Runtime::new(RuntimeConfig::optimized().workers(3));
         let mut w = Heat::new(1).with_steps(7);
-        w.run_replay(&rt, 16);
+        w.run_replay_report(&rt, 16);
         w.verify().unwrap();
         // And the normal driver agrees on the same step count.
         w.run(&rt, 16);

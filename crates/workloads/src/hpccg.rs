@@ -146,7 +146,7 @@ fn spawn_initial_rtrans(ctx: &TaskCtx, cg: CgPtrs, bs: usize, nb: usize) {
 /// Spawn one full CG iteration: spmv, dot reductions, α/β scalar tasks
 /// and axpy updates, wired purely through data dependencies. Shared
 /// between the pipelined driver ([`Workload::run`]) and the
-/// record/replay driver ([`IterativeWorkload::run_replay`]).
+/// record/replay driver ([`IterativeWorkload::run_replay_report`]).
 fn spawn_cg_iteration(
     ctx: &TaskCtx,
     cg: CgPtrs,
@@ -365,11 +365,6 @@ impl IterativeWorkload for Hpccg {
         self.expected_x = self.serial_reference();
     }
 
-    fn run_replay(&mut self, rt: &Runtime, bs: usize) -> u64 {
-        self.run_replay_report(rt, bs);
-        (16 * self.n * self.iters) as u64
-    }
-
     fn run_replay_report(&mut self, rt: &Runtime, bs: usize) -> nanotask_replay::ReplayReport {
         let bs = bs.clamp(1, self.n);
         assert_eq!(self.n % bs, 0);
@@ -397,7 +392,7 @@ mod tests {
         let rt = Runtime::new(RuntimeConfig::optimized().workers(3));
         let mut w = Hpccg::new(1);
         for bs in [64, 256, 1024] {
-            w.run_replay(&rt, bs);
+            w.run_replay_report(&rt, bs);
             w.verify().unwrap_or_else(|e| panic!("replay bs={bs}: {e}"));
         }
     }
@@ -406,7 +401,7 @@ mod tests {
     fn replay_with_more_iters_still_verifies() {
         let rt = Runtime::new(RuntimeConfig::optimized().workers(3));
         let mut w = Hpccg::new(1).with_iters(7);
-        w.run_replay(&rt, 256);
+        w.run_replay_report(&rt, 256);
         w.verify().unwrap();
     }
 

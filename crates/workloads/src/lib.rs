@@ -65,14 +65,13 @@ pub trait Workload {
     fn verify(&self) -> Result<(), String>;
 }
 
-/// A workload whose timesteps spawn an identical — or, since the replay
-/// engine grew a multi-graph cache, *cyclically phase-alternating* —
-/// task graph, so it can be driven through the record & replay
-/// subsystem ([`nanotask_replay::RunIterative`]): each distinct graph
-/// shape is captured once and replayed with plain atomic in-degree
-/// counters afterwards, eliminating per-iteration dependency-system
-/// cost. `run_replay` must produce the same result `verify` expects
-/// from [`Workload::run`].
+/// A workload whose timesteps spawn an identical — or *cyclically
+/// phase-alternating* — task graph, so it can be driven through the
+/// record & replay subsystem ([`nanotask_replay::RunIterative`]): each
+/// distinct graph shape is captured once and replayed with plain atomic
+/// in-degree counters afterwards, eliminating per-iteration
+/// dependency-system cost. `run_replay_report` must produce the same
+/// result `verify` expects from [`Workload::run`].
 pub trait IterativeWorkload: Workload {
     /// Number of timesteps/iterations one run performs.
     fn iterations(&self) -> usize;
@@ -81,13 +80,10 @@ pub trait IterativeWorkload: Workload {
     /// [`Workload::verify`] keeps working).
     fn set_iterations(&mut self, iters: usize);
 
-    /// Run once at block size `bs` via `Runtime::run_iterative`; returns
-    /// the same abstract-operation count as [`Workload::run`].
-    fn run_replay(&mut self, rt: &Runtime, bs: usize) -> u64;
-
-    /// Like [`IterativeWorkload::run_replay`], but hands back the replay
-    /// engine's [`nanotask_replay::ReplayReport`] — the counters the
-    /// replay property tests and the `benchmark/` ledger read.
+    /// Run once at block size `bs` via `Runtime::run_iterative` and hand
+    /// back the replay engine's [`nanotask_replay::ReplayReport`] — the
+    /// counters the replay property tests and the `benchmark/` ledger
+    /// read.
     fn run_replay_report(&mut self, rt: &Runtime, bs: usize) -> nanotask_replay::ReplayReport;
 }
 
@@ -102,18 +98,6 @@ pub fn all_workloads(scale: usize) -> Vec<Box<dyn Workload>> {
         Box::new(miniamr::MiniAmr::new(scale)),
         Box::new(matmul::Matmul::new(scale)),
         Box::new(nbody::NBody::new(scale)),
-        Box::new(cholesky::Cholesky::new(scale)),
-    ]
-}
-
-/// The replay-capable workloads (those with per-timestep-identical
-/// graphs) at a given problem scale.
-pub fn iterative_workloads(scale: usize) -> Vec<Box<dyn IterativeWorkload>> {
-    vec![
-        Box::new(heat::Heat::new(scale)),
-        Box::new(hpccg::Hpccg::new(scale)),
-        Box::new(nbody::NBody::new(scale)),
-        Box::new(miniamr::MiniAmr::new(scale)),
         Box::new(cholesky::Cholesky::new(scale)),
     ]
 }

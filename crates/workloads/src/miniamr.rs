@@ -135,7 +135,7 @@ impl MiniAmr {
 /// `inout` on the finest-level quarters it covers, `in` on the left
 /// neighbour's halo (first task of each block), and a checksum
 /// reduction. Shared between the pipelined driver ([`Workload::run`])
-/// and the replay driver ([`IterativeWorkload::run_replay`]).
+/// and the replay driver ([`IterativeWorkload::run_replay_report`]).
 fn spawn_phase(
     ctx: &TaskCtx,
     st: SendPtr<f64>,
@@ -248,11 +248,6 @@ impl IterativeWorkload for MiniAmr {
 
     fn set_iterations(&mut self, iters: usize) {
         self.phases = iters.max(1);
-    }
-
-    fn run_replay(&mut self, rt: &Runtime, bs: usize) -> u64 {
-        self.run_replay_report(rt, bs);
-        self.work(self.last_bs)
     }
 
     /// Drive one run through `Runtime::run_iterative` (one iteration =

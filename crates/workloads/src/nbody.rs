@@ -74,7 +74,7 @@ impl NBody {
 
 /// Spawn one N-body timestep: snapshot, zero+accumulate forces,
 /// integrate. Shared between the pipelined driver ([`Workload::run`])
-/// and the record/replay driver ([`IterativeWorkload::run_replay`]).
+/// and the record/replay driver ([`IterativeWorkload::run_replay_report`]).
 fn spawn_step(
     ctx: &TaskCtx,
     pos: SendPtr<f64>,
@@ -203,11 +203,6 @@ impl IterativeWorkload for NBody {
         self.recompute_reference();
     }
 
-    fn run_replay(&mut self, rt: &Runtime, bs: usize) -> u64 {
-        self.run_replay_report(rt, bs);
-        (20 * self.n as u64 * self.n as u64 * self.steps as u64).max(1)
-    }
-
     fn run_replay_report(&mut self, rt: &Runtime, bs: usize) -> nanotask_replay::ReplayReport {
         let bs = bs.clamp(1, self.n);
         assert_eq!(self.n % bs, 0);
@@ -235,7 +230,7 @@ mod tests {
         let rt = Runtime::new(RuntimeConfig::optimized().workers(3));
         let mut w = NBody::new(1);
         for bs in [32, 128] {
-            w.run_replay(&rt, bs);
+            w.run_replay_report(&rt, bs);
             w.verify().unwrap_or_else(|e| panic!("replay bs={bs}: {e}"));
         }
     }
@@ -244,7 +239,7 @@ mod tests {
     fn replay_with_more_steps_still_verifies() {
         let rt = Runtime::new(RuntimeConfig::optimized().workers(3));
         let mut w = NBody::new(1).with_steps(4);
-        w.run_replay(&rt, 64);
+        w.run_replay_report(&rt, 64);
         w.verify().unwrap();
     }
 

@@ -11,7 +11,7 @@ use std::time::Instant;
 
 use nanotask_core::Runtime;
 
-use crate::{IterativeWorkload, Workload};
+use crate::Workload;
 
 /// One measured point of a granularity sweep.
 #[derive(Debug, Clone)]
@@ -40,52 +40,6 @@ pub fn sweep(w: &mut dyn Workload, rt: &Runtime, reps: usize) -> Vec<SweepPoint>
         for _ in 0..reps {
             let t0 = Instant::now();
             work = w.run(rt, bs);
-            let dt = t0.elapsed().as_secs_f64();
-            if dt < best {
-                best = dt;
-            }
-        }
-        let perf = if best > 0.0 { work as f64 / best } else { 0.0 };
-        points.push(SweepPoint {
-            block_size: bs,
-            ops_per_task: w.ops_per_task(bs),
-            work,
-            seconds: best,
-            perf,
-        });
-    }
-    points
-}
-
-/// How the sweep drives a workload.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum RunMode {
-    /// The normal driver: every iteration through the dependency system.
-    #[default]
-    Normal,
-    /// The record & replay driver (`Runtime::run_iterative`).
-    Replay,
-}
-
-/// Like [`sweep`], but selecting between the normal and the
-/// record & replay driver of an [`IterativeWorkload`].
-pub fn sweep_mode(
-    w: &mut dyn IterativeWorkload,
-    rt: &Runtime,
-    reps: usize,
-    mode: RunMode,
-) -> Vec<SweepPoint> {
-    let reps = reps.max(1);
-    let mut points = Vec::new();
-    for bs in w.block_sizes() {
-        let mut best = f64::INFINITY;
-        let mut work = 0;
-        for _ in 0..reps {
-            let t0 = Instant::now();
-            work = match mode {
-                RunMode::Normal => w.run(rt, bs),
-                RunMode::Replay => w.run_replay(rt, bs),
-            };
             let dt = t0.elapsed().as_secs_f64();
             if dt < best {
                 best = dt;

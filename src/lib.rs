@@ -18,6 +18,10 @@
 //! This facade crate re-exports the whole workspace and hosts the
 //! runnable examples and cross-crate integration tests.
 //!
+//! A run is observed through two sources only: the sharded metrics
+//! registry ([`Runtime::metrics_snapshot`], exported by [`obs`]) and
+//! the per-core trace ([`Runtime::trace`], §5).
+//!
 //! ```
 //! use nanotask::{Runtime, RuntimeConfig, Deps, SendPtr};
 //!
@@ -41,7 +45,7 @@ pub use nanotask_alloc as alloc;
 pub use nanotask_core as runtime_core;
 /// Lock designs: Ticket, PTLock, DTLock (§3.2–3.3).
 pub use nanotask_locks as locks;
-/// Metrics registry, Perfetto/Prometheus exporters, flight recorder.
+/// Metrics registry and its Perfetto/Prometheus exporters.
 pub use nanotask_obs as obs;
 /// Task-graph record & replay for iterative applications.
 pub use nanotask_replay as replay;

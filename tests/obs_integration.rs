@@ -1,6 +1,5 @@
-//! Observability end to end: the sampled histograms, the flight
-//! recorder and both exporters on a live replayed run, plus the
-//! metric-schema table every external reader of `metrics_snapshot()`
+//! Observability end to end: the sampled histograms and both exporters
+//! on a live replayed run, plus the metric-schema table every external reader of `metrics_snapshot()`
 //! (dashboards, `benchmark/src/adapters.rs`) depends on.
 
 use std::collections::BTreeSet;
@@ -11,12 +10,6 @@ use nanotask::workloads::iterative_workload_by_name;
 use nanotask::{Deps, RunIterative, Runtime, RuntimeConfig};
 
 const WORKERS: usize = 4;
-
-/// Flight-recorder interval of `observed_heat_run`. Ticks are counted
-/// per worker, so a frame is certain only once some worker reaches this
-/// count: small enough that the run's task count, spread over `WORKERS`
-/// shards, forces one (pigeonhole) however evenly the tasks land.
-const FLIGHT_EVERY: u64 = 128;
 
 /// Bracket/string balance of a JSON document: every `{`/`[` outside a
 /// string closes in order, strings terminate, nothing trails the root.
@@ -71,8 +64,7 @@ fn observed_heat_run() -> Runtime {
         RuntimeConfig::optimized()
             .workers(WORKERS)
             .tracing(true)
-            .with_metrics(true)
-            .with_flight_recorder(FLIGHT_EVERY),
+            .with_metrics(true),
     );
     let mut heat = iterative_workload_by_name("heat", 1).expect("heat workload");
     heat.set_iterations(8);
@@ -98,20 +90,6 @@ fn prometheus_dump_of_a_live_snapshot_validates() {
     let snap = observed_heat_run().metrics_snapshot();
     let lines = prometheus::validate(&prometheus::render(&snap)).expect("well-formed exposition");
     assert!(lines > 0, "prometheus dump must contain sample lines");
-}
-
-#[test]
-fn flight_recorder_captures_frames() {
-    let rt = observed_heat_run();
-    let ticks = rt.stats().tasks_executed;
-    assert!(
-        ticks > WORKERS as u64 * (FLIGHT_EVERY - 1),
-        "{ticks} tasks cannot force a frame on {WORKERS} shards"
-    );
-    assert!(
-        !rt.flight_frames().is_empty(),
-        "flight recorder on (every={FLIGHT_EVERY}) must have captured frames"
-    );
 }
 
 #[test]
@@ -146,10 +124,10 @@ fn perfetto_export_has_a_span_on_every_worker_track() {
     }
 }
 
-/// Schema stability: metric names and label keys are the wire format of
-/// `metrics_snapshot()`. Renaming a metric, dropping a label or
-/// registering a new metric must show up here — append or edit the row
-/// together with the readers (`benchmark/src/adapters.rs`, README).
+/// Schema stability: metric names and the base label keys are the wire
+/// format of `metrics_snapshot()`. Renaming a metric, dropping a label
+/// or registering a new metric must show up here — append or edit the
+/// row together with the readers (`benchmark/src/adapters.rs`, README).
 #[test]
 fn metric_schema_is_pinned() {
     let rt = Runtime::new(RuntimeConfig::optimized().workers(2));
@@ -168,52 +146,48 @@ fn metric_schema_is_pinned() {
     let snap = rt.metrics_snapshot();
     let base: Vec<&str> = snap.base_labels.iter().map(|(k, _)| *k).collect();
     assert_eq!(base, ["scheduler", "deps"], "base labels on every sample");
-    let got: BTreeSet<(&str, Vec<&str>)> = snap
-        .entries
-        .iter()
-        .map(|e| (e.name, e.labels.iter().map(|(k, _)| *k).collect()))
-        .collect();
-    let pinned: &[(&str, &[&str])] = &[
-        ("nanotask_alloc_live_blocks", &[]),
-        ("nanotask_alloc_oversize", &[]),
-        ("nanotask_alloc_peak_live_tasks", &[]),
-        ("nanotask_alloc_pool_hits", &[]),
-        ("nanotask_alloc_pool_misses", &[]),
-        ("nanotask_alloc_slab_bytes", &[]),
-        ("nanotask_alloc_task_recycle_misses", &[]),
-        ("nanotask_alloc_tasks_recycled", &[]),
-        ("nanotask_deps_accesses_total", &[]),
-        ("nanotask_deps_deliveries_total", &[]),
-        ("nanotask_deps_duplicate_deliveries_total", &[]),
-        ("nanotask_live_tasks", &[]),
-        ("nanotask_max_taskwait_depth", &[]),
-        ("nanotask_queue_wait_ns", &[]),
-        ("nanotask_replay_cache_evictions_total", &[]),
-        ("nanotask_replay_cache_hits_total", &[]),
-        ("nanotask_replay_cache_misses_total", &[]),
-        ("nanotask_replay_diverged_total", &[]),
-        ("nanotask_replay_faulted_iterations_total", &[]),
-        ("nanotask_replay_feed_ns", &[]),
-        ("nanotask_replay_freeze_ns_total", &[]),
-        ("nanotask_replay_giveups_total", &[]),
-        ("nanotask_replay_graph_bytes", &[]),
-        ("nanotask_replay_iterations_total", &[]),
-        ("nanotask_replay_nested_spawns_total", &[]),
-        ("nanotask_replay_pinned_iterations_total", &[]),
-        ("nanotask_replay_replayed_total", &[]),
-        ("nanotask_replay_rerecords_total", &[]),
-        ("nanotask_sched_adds_total", &[]),
-        ("nanotask_sched_lock_acquisitions_total", &[]),
-        ("nanotask_sched_pops_total", &[]),
-        ("nanotask_task_exec_ns", &[]),
-        ("nanotask_tasks_cancelled_total", &[]),
-        ("nanotask_tasks_created_total", &[]),
-        ("nanotask_tasks_executed_total", &[]),
-        ("nanotask_tasks_failed_total", &[]),
-        ("nanotask_tasks_freed_total", &[]),
-        ("nanotask_watchdog_trips_total", &[]),
-    ];
-    let pinned: BTreeSet<(&str, Vec<&str>)> =
-        pinned.iter().map(|&(n, l)| (n, l.to_vec())).collect();
-    assert_eq!(got, pinned, "sorted (metric name, label keys) set");
+    let got: BTreeSet<&str> = snap.entries.iter().map(|e| e.name).collect();
+    let pinned: BTreeSet<&str> = [
+        "nanotask_alloc_live_blocks",
+        "nanotask_alloc_oversize",
+        "nanotask_alloc_peak_live_tasks",
+        "nanotask_alloc_pool_hits",
+        "nanotask_alloc_pool_misses",
+        "nanotask_alloc_slab_bytes",
+        "nanotask_alloc_task_recycle_misses",
+        "nanotask_alloc_tasks_recycled",
+        "nanotask_deps_accesses_total",
+        "nanotask_deps_bottom_maps_total",
+        "nanotask_deps_deliveries_total",
+        "nanotask_deps_duplicate_deliveries_total",
+        "nanotask_live_tasks",
+        "nanotask_max_taskwait_depth",
+        "nanotask_queue_wait_ns",
+        "nanotask_replay_cache_evictions_total",
+        "nanotask_replay_cache_hits_total",
+        "nanotask_replay_cache_misses_total",
+        "nanotask_replay_diverged_total",
+        "nanotask_replay_faulted_iterations_total",
+        "nanotask_replay_feed_ns",
+        "nanotask_replay_freeze_ns_total",
+        "nanotask_replay_giveups_total",
+        "nanotask_replay_graph_bytes",
+        "nanotask_replay_iterations_total",
+        "nanotask_replay_nested_spawns_total",
+        "nanotask_replay_pinned_iterations_total",
+        "nanotask_replay_replayed_total",
+        "nanotask_replay_rerecords_total",
+        "nanotask_sched_adds_total",
+        "nanotask_sched_lock_acquisitions_total",
+        "nanotask_sched_pops_total",
+        "nanotask_task_exec_ns",
+        "nanotask_tasks_cancelled_total",
+        "nanotask_tasks_created_total",
+        "nanotask_tasks_executed_total",
+        "nanotask_tasks_failed_total",
+        "nanotask_tasks_freed_total",
+        "nanotask_watchdog_trips_total",
+    ]
+    .into();
+    assert_eq!(got, pinned, "sorted metric name set");
 }

@@ -6,9 +6,6 @@
 //! *time* is tracked by the `benchmark/` ledger
 //! (`replay.freeze_ns_per_task`), not asserted here.
 
-use std::sync::Mutex;
-
-use nanotask::runtime_core::task::bottom_maps_created;
 use nanotask::{Deps, RunIterative, Runtime, RuntimeConfig, SendPtr, TaskCtx};
 
 const ITERS: usize = 3;
@@ -93,9 +90,11 @@ fn run_point(family: Family, tasks: usize) -> f64 {
     let rt = Runtime::new(RuntimeConfig::optimized().workers(2));
     let mut cells = vec![0.0f64; family.cells(tasks)];
     let base = SendPtr::new(cells.as_mut_ptr());
-    let maps0 = bottom_maps_created();
     let report = rt.run_iterative(ITERS, move |ctx| family.spawn(ctx, base, tasks));
-    let maps = bottom_maps_created() - maps0;
+    let maps = rt
+        .metrics_snapshot()
+        .counter("nanotask_deps_bottom_maps_total")
+        .expect("bottom-map counter registered");
 
     report.assert_classification();
     assert_eq!(report.tasks, tasks, "{at}: task count");
@@ -120,12 +119,7 @@ fn run_point(family: Family, tasks: usize) -> f64 {
     report.graph_bytes as f64 / tasks as f64
 }
 
-/// `bottom_maps_created()` is a process-wide counter: the per-family
-/// tests below take this lock so their deltas do not see each other.
-static SERIAL: Mutex<()> = Mutex::new(());
-
 fn memory_guards_hold_across_doublings(family: Family) {
-    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     let per_task: Vec<f64> = SIZES.iter().map(|&n| run_point(family, n)).collect();
     // The CSR arenas carry no superlinear structure.
     let anchor = *per_task.last().unwrap();
