@@ -17,6 +17,7 @@
 //! shard — the contention the wait-free redesign eliminates.
 
 use core::cell::Cell;
+use nanotask_obs::{Counter, Registry};
 use parking_lot::Mutex;
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -98,6 +99,10 @@ type Shard = FxHashMap<(usize, usize), AddrQueue>;
 /// The fine-grained-locking dependency system.
 pub struct LockingDeps {
     shards: Box<[Mutex<Shard>]>,
+    /// `nanotask_deps_accesses_total`, the cells the wait-free system
+    /// counts its accesses in. This system sends no messages, so its
+    /// deliveries and duplicates stay 0.
+    accesses: Counter,
 }
 
 // Raw task pointers inside the shards are only dereferenced while the
@@ -106,10 +111,11 @@ unsafe impl Send for LockingDeps {}
 unsafe impl Sync for LockingDeps {}
 
 impl LockingDeps {
-    /// Create the system.
-    pub fn new() -> Self {
+    /// Create the system, counting its accesses in `reg`.
+    pub fn new(reg: &Registry) -> Self {
         Self {
             shards: (0..SHARDS).map(|_| Mutex::default()).collect(),
+            accesses: reg.counter("nanotask_deps_accesses_total"),
         }
     }
 
@@ -158,16 +164,13 @@ impl LockingDeps {
     }
 }
 
-impl Default for LockingDeps {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 unsafe impl DependencySystem for LockingDeps {
     unsafe fn register(&self, task: *mut Task, hooks: &dyn DepHooks) {
         let t = unsafe { &*task };
         let n = unsafe { t.decls() }.len();
+        if n > 0 {
+            self.accesses.add(hooks.worker(), n as u64);
+        }
         let parent = t.parent as usize;
         let mut newly_ready: Option<*mut Task> = None;
         for i in 0..n {
@@ -362,7 +365,7 @@ mod tests {
     impl Harness {
         fn new() -> Self {
             Self {
-                deps: LockingDeps::new(),
+                deps: LockingDeps::new(&nanotask_obs::Registry::new(1)),
                 hooks: TestHooks {
                     alloc: SystemAllocator::default(),
                     ready: Mutex::new(Vec::new()),

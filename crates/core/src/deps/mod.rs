@@ -421,12 +421,13 @@ pub unsafe trait DependencySystem: Send + Sync {
     }
 }
 
-/// Instantiate the dependency system of the given kind. The wait-free
-/// system counts its deliveries in `reg`.
+/// Instantiate the dependency system of the given kind. Both count
+/// their accesses in `reg`; the wait-free system also counts its
+/// deliveries there.
 pub fn make_deps(kind: DepsKind, reg: &Registry) -> Arc<dyn DependencySystem> {
     match kind {
         DepsKind::WaitFree => Arc::new(wait_free::WaitFreeDeps::new(reg)),
-        DepsKind::Locking => Arc::new(locking::LockingDeps::new()),
+        DepsKind::Locking => Arc::new(locking::LockingDeps::new(reg)),
     }
 }
 

@@ -217,6 +217,17 @@ impl ReductionInfo {
     pub fn is_combined(&self) -> bool {
         self.combined.load(Ordering::Acquire)
     }
+
+    /// Make the chain fresh for another round (every slot back to
+    /// identity on first use, not combined), keeping the slot buffers.
+    /// Only at a barrier, no slot in use; `Relaxed`, because handing the
+    /// next round its tasks orders the stores before their loads.
+    pub fn rearm(&self) {
+        for slot in self.slots.iter() {
+            slot.init.store(false, Ordering::Relaxed);
+        }
+        self.combined.store(false, Ordering::Relaxed);
+    }
 }
 
 #[cfg(test)]
@@ -294,6 +305,28 @@ mod tests {
             info.combine_into_target();
         }
         assert_eq!(target, 5.0);
+    }
+
+    /// A re-armed chain starts from identity on every slot and combines
+    /// again, reusing the slot buffers.
+    #[test]
+    fn rearmed_chain_combines_afresh() {
+        let mut target = 0.0f64;
+        let info = ReductionInfo::new(&mut target as *mut f64 as usize, 8, RedOp::SumF64, 2);
+        unsafe {
+            *(info.slot(0) as *mut f64) += 3.0;
+            *(info.slot(1) as *mut f64) += 4.0;
+            info.combine_into_target();
+        }
+        let buffer = unsafe { info.slot(0) };
+        info.rearm();
+        assert!(!info.is_combined());
+        unsafe {
+            assert_eq!(info.slot(0), buffer, "slot buffer kept");
+            *(info.slot(0) as *mut f64) += 1.0;
+            info.combine_into_target();
+        }
+        assert_eq!(target, 8.0, "slot 1 untouched this round, slot 0 reset");
     }
 
     #[test]

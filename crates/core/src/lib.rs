@@ -50,11 +50,11 @@ pub use deps::reduction::RedOp;
 pub use deps::{AccessDecl, AccessMode, Deps, DepsKind};
 pub use platform::Platform;
 pub use runtime::{
-    FAULT_PANIC_PREFIX, FailureKind, FaultPlan, HeldTask, RunOutcome, RunReport, Runtime,
-    RuntimeConfig, RuntimeStats, SpawnCapture, TaskCtx, TaskEpilogue, TaskFailure,
+    FAULT_PANIC_PREFIX, FailureKind, FaultPlan, HeldTask, OfferedTask, RunOutcome, RunReport,
+    Runtime, RuntimeConfig, RuntimeStats, SpawnCapture, TaskCtx, TaskEpilogue, TaskFailure,
 };
 pub use sched::{SchedKind, SchedOpStats};
-pub use task::{TaskBody, TaskId};
+pub use task::TaskId;
 
 /// A raw pointer that asserts `Send`/`Sync`, for moving addresses of user
 /// data into task bodies (the runtime equivalent of what an OpenMP

@@ -25,12 +25,13 @@ use nanotask_trace::noise::{NoiseConfig, NoiseInjector};
 use nanotask_trace::{CoreRecorder, EventKind, Trace, Tracer};
 
 use crate::deps::access::DataAccess;
+use crate::deps::reduction::ReductionInfo;
 use crate::deps::wait_free::DeliveryCounters;
-use crate::deps::{DepHooks, DependencySystem, Deps, DepsKind, make_deps};
+use crate::deps::{AccessDecl, DepHooks, DependencySystem, Deps, DepsKind, make_deps};
 use crate::graph::{EdgeKind, GraphEdge};
 use crate::platform::Platform;
 use crate::sched::{Policy, SchedKind, Scheduler, Scope, TaskPtr, make_scheduler};
-use crate::task::{Task, TaskBody, TaskId, TaskState};
+use crate::task::{Task, TaskId, TaskState};
 
 /// Observer of task spawns issued by the *root* task — the hook the
 /// record & replay subsystem (`nanotask-replay`) uses to capture a task
@@ -38,21 +39,20 @@ use crate::task::{Task, TaskBody, TaskId, TaskState};
 ///
 /// Installed with [`Runtime::set_spawn_capture`]. While installed, every
 /// `spawn`/`spawn_labeled`/`spawn_prioritized` call made by the root task
-/// body is first offered to [`SpawnCapture::on_spawn`]:
+/// body first creates the task by the one creation sequence every spawn
+/// takes (body in place, declarations moved into the shell) and offers
+/// it to [`SpawnCapture::on_spawn`] as an [`OfferedTask`]:
 ///
-/// * returning `Some((deps, body))` lets the spawn proceed normally
-///   (record mode — the capture noted the metadata and handed the parts
-///   back);
-/// * returning `None` consumes the spawn (replay mode — the capture
-///   took ownership of the body and schedules it by other means, e.g.
-///   [`TaskCtx::spawn_held`], which it may call from inside `on_spawn`
-///   through the provided `ctx`).
+/// * returning `Some(task)` lets the runtime register it (record mode —
+///   the capture noted the metadata);
+/// * returning `None` means the capture kept it with [`TaskCtx::hold`]
+///   (replay mode — it releases it by other means).
 ///
 /// Spawns from non-root tasks (nested parallelism) and the helper task
 /// of a `taskwait_on` are never offered. A capture finds them as the
 /// surplus of [`TaskCtx::tasks_created`] over the spawns it was offered.
 /// While a capture is installed, a root `taskwait_on` first waits for all
-/// of the root's children, because a consumed spawn never registered its
+/// of the root's children, because a held task never registered its
 /// accesses with the dependency system.
 ///
 /// The root task always runs on the thread that calls [`Runtime::run`],
@@ -61,30 +61,46 @@ use crate::task::{Task, TaskBody, TaskId, TaskState};
 /// state thread-confined.
 pub trait SpawnCapture: Send + Sync {
     /// Offer one root spawn. See the trait docs for the return contract.
-    fn on_spawn(
-        &self,
-        ctx: &TaskCtx,
-        label: &'static str,
-        priority: i32,
-        deps: Deps,
-        body: TaskBody,
-    ) -> Option<(Deps, TaskBody)>;
+    fn on_spawn(&self, ctx: &TaskCtx, task: OfferedTask) -> Option<OfferedTask>;
 }
 
-/// Post-body hook of a held task ([`TaskCtx::spawn_held`]):
-/// runs on the executing worker immediately after the task's body
-/// returns, before the completion protocol. This is the replay engine's
-/// steady-state seam — the per-iteration successor-release logic lives
-/// in one shared object referenced by every task of the iteration (one
-/// `Arc` clone per task), instead of a freshly boxed wrapper closure per
-/// task per iteration. `tag` is caller-chosen (the replay engine passes
-/// the graph node index).
+/// A root spawn offered to a [`SpawnCapture`]: created (fresh id,
+/// counted in [`TaskCtx::tasks_created`], body and declarations in the
+/// shell) but neither registered nor a child of the root yet. Hand it
+/// back from [`SpawnCapture::on_spawn`] or keep it with
+/// [`TaskCtx::hold`]; a dropped offer leaks its task.
+#[must_use]
+pub struct OfferedTask(*mut Task);
+
+impl OfferedTask {
+    /// The spawn's label, priority and declared accesses.
+    pub fn spawn(&self) -> (&'static str, i32, &[AccessDecl]) {
+        // SAFETY (both): the offer owns a live task that nothing else
+        // touches yet, so no registration runs beside the decls read.
+        let t = unsafe { &*self.0 };
+        (t.label, t.priority, unsafe { t.decls() })
+    }
+}
+
+/// Post-body hook of the held children of one task
+/// ([`TaskCtx::set_held_epilogue`]): runs on the executing worker right
+/// after a held child's body returns (or is skipped), before the
+/// completion protocol, with the tag the child was held with
+/// ([`TaskCtx::hold`]; the replay engine's graph node index). The
+/// replay engine's steady-state seam: one object the root points to
+/// releases every fed task's successors, so a held task carries only
+/// its tag — no wrapper closure and no reference count per task.
 pub trait TaskEpilogue: Send + Sync {
-    /// Run the hook for the task tagged `tag`.
-    fn run(&self, ctx: &TaskCtx, tag: u64);
+    /// Run the hook for the held child tagged `tag`.
+    fn run(&self, ctx: &TaskCtx, tag: u32);
+
+    /// The reduction chain the held child tagged `tag` declared on
+    /// `addr`, if any: what [`TaskCtx::red_slot`] reads for a held task,
+    /// which never registered its accesses.
+    fn reduction(&self, tag: u32, addr: usize) -> Option<&ReductionInfo>;
 }
 
-/// Handle to a task created by [`TaskCtx::spawn_held`]: the task is
+/// Handle to a task kept by [`TaskCtx::hold`]: the task is
 /// fully created but *held* — it is handed to the scheduler only when
 /// [`TaskCtx::release_held`] is called on the handle, exactly once.
 ///
@@ -109,16 +125,6 @@ impl HeldTask {
     /// been released (a held task stays alive until released + executed).
     pub unsafe fn from_raw(p: *mut Task) -> Self {
         Self(p)
-    }
-
-    /// Transfer a cancellation mark onto the held task before releasing
-    /// it: the body will be skipped, while the completion protocol
-    /// (countdowns, taskwaits, reclamation) still runs. The replay
-    /// engine uses this to mirror the dependency systems' failure
-    /// poisoning onto frozen-graph successors.
-    pub fn mark_cancelled(&self) {
-        // SAFETY: the handle owns a live, unreleased task.
-        unsafe { (*self.0).mark_cancelled() };
     }
 }
 
@@ -519,8 +525,10 @@ pub struct RuntimeStats {
     pub tasks_freed: u64,
     /// Allocator counters.
     pub alloc: AllocStats,
-    /// Wait-free dependency deliveries (0 under the locking system):
-    /// (accesses, deliveries, duplicates).
+    /// Dependency-system traffic: (accesses, deliveries, duplicates).
+    /// Both systems count every registered access; deliveries and
+    /// duplicates are wait-free messages, so they stay 0 under the
+    /// locking system, which sends none.
     pub deps_deliveries: (u64, u64, u64),
 }
 
@@ -545,7 +553,8 @@ pub(crate) struct Metrics {
     pub tasks_cancelled: Counter,
     /// Stall-watchdog trips.
     pub watchdog_trips: Counter,
-    /// The cells the wait-free system counts in (0 under locking).
+    /// The cells the dependency systems count in (accesses under both,
+    /// deliveries and duplicates under the wait-free one).
     pub deps_deliveries: DeliveryCounters,
     /// Task-body execution time (sampled).
     pub task_exec_ns: Histogram,
@@ -931,17 +940,20 @@ impl TaskCtx<'_> {
         mut deps: Deps,
         body: impl FnOnce(&TaskCtx) + Send + 'static,
     ) {
+        // SAFETY: `self.task` is the live task this ctx executes.
+        let t = unsafe {
+            self.worker
+                .create_task(label, self.task, priority, body, &mut deps)
+        };
         if self.is_root()
             && let Some(cap) = &*self.worker.capture.borrow()
         {
-            if let Some((mut deps, body)) =
-                cap.on_spawn(self, label, priority, deps, Box::new(body))
-            {
-                self.spawn_internal(label, priority, &mut deps, body, None);
+            if let Some(task) = cap.on_spawn(self, OfferedTask(t)) {
+                self.register(task.0);
             }
             return;
         }
-        self.spawn_internal(label, priority, &mut deps, body, None);
+        self.register(t);
     }
 
     /// Whether this is the root task (the body passed to [`Runtime::run`]).
@@ -950,49 +962,69 @@ impl TaskCtx<'_> {
         unsafe { (*self.task).parent.is_null() }
     }
 
-    /// Create a child task with *manually managed* readiness: the task
-    /// is fully created (allocated, accounted, linked to its parent) but
-    /// not registered with the dependency system and not scheduled.
-    /// `decls` are attached as data only (so [`TaskCtx::red_slot`] works
-    /// when reduction state was pre-attached) — they impose no ordering.
+    /// Keep a task offered to a [`SpawnCapture`] (through the ctx
+    /// `on_spawn` was given) as a child that is neither registered (its
+    /// declarations are data only) nor scheduled until
+    /// [`TaskCtx::release_held`] is called on the handle, exactly once.
     ///
-    /// The task runs after [`TaskCtx::release_held`] is called on the
-    /// returned handle, exactly once, from any task context of the same
-    /// runtime. This is the execution seam the replay subsystem feeds:
-    /// readiness comes from its frozen graph's in-degree counters
-    /// instead of from dependency-system deliveries.
-    ///
-    /// `epilogue`, when given, is a [`TaskEpilogue`] (plus its tag) that
-    /// runs right after the body on the executing worker. The body is
-    /// taken as the already-boxed [`TaskBody`], and the box is stored in
-    /// the task as it is — together these let a caller that manages many
-    /// similar tasks (the replay engine's steady state) avoid wrapping
-    /// every body in a fresh closure allocation per task per iteration.
-    pub fn spawn_held(
-        &self,
-        label: &'static str,
-        priority: i32,
-        mut decls: Deps,
-        body: TaskBody,
-        epilogue: Option<(Arc<dyn TaskEpilogue>, u64)>,
-    ) -> HeldTask {
+    /// After its body the task runs this task's held-children epilogue
+    /// ([`TaskCtx::set_held_epilogue`]) with `tag`, and
+    /// [`TaskCtx::red_slot`] asks that epilogue for reduction chains.
+    /// The parent pointer they go through stays valid: a task outlives
+    /// its children, and the child reference taken here drops after the
+    /// epilogue ran. The epilogue is the one installed at `hold`: it is
+    /// replaced only while this task has no unfinished child.
+    pub fn hold(&self, task: OfferedTask, tag: u32) -> HeldTask {
+        let t = task.0;
+        // SAFETY: the offer owns a live, unpublished task.
         unsafe {
-            let t = self
-                .worker
-                .create_task(label, self.task, priority, body, &mut decls);
-            if let Some(epilogue) = epilogue {
-                (*t).set_epilogue(epilogue);
-            }
             // No dependency registration: readiness is one release call
             // (+ the creation guard we drop below), and reclamation needs
             // only the subtree reference (no ASMs are materialized).
-            (*t).registered = false;
+            (*t).held = Some(tag);
             (*t).state = TaskState::new_held();
             (*self.task).add_child();
             let became_ready = (*t).unblock();
             debug_assert!(!became_ready, "held task ready before release");
             self.worker.record(EventKind::CreateEnd, (*t).id);
-            HeldTask(t)
+        }
+        HeldTask(t)
+    }
+
+    /// Create a child task by the one creation sequence and
+    /// [`TaskCtx::hold`] it.
+    pub fn spawn_held(
+        &self,
+        label: &'static str,
+        priority: i32,
+        mut decls: Deps,
+        body: impl FnOnce(&TaskCtx) + Send + 'static,
+        tag: u32,
+    ) -> HeldTask {
+        // SAFETY: `self.task` is the live task this ctx executes.
+        let t = unsafe {
+            self.worker
+                .create_task(label, self.task, priority, body, &mut decls)
+        };
+        self.hold(OfferedTask(t), tag)
+    }
+
+    /// Install the epilogue this task's held children run after their
+    /// bodies ([`TaskCtx::hold`]); the replay engine installs its frozen
+    /// graph on the root once per replayed iteration. Only while this
+    /// task has no unfinished child (held children read it without
+    /// synchronization); debug builds assert it.
+    pub fn set_held_epilogue(&self, epilogue: Arc<dyn TaskEpilogue>) {
+        let t = self.task;
+        // SAFETY: `self.task` is live and only its body (this thread)
+        // writes its cold box; with no unfinished child nobody reads it.
+        unsafe {
+            debug_assert!(
+                (*t).pending_children() <= 1,
+                "held-children epilogue replaced while a child is unfinished"
+            );
+            let cold = &mut *core::ptr::addr_of_mut!((*t).cold);
+            cold.get_or_insert_with(Box::default).held_epilogue = Some(epilogue);
         }
     }
 
@@ -1010,8 +1042,8 @@ impl TaskCtx<'_> {
     }
 
     /// Whether the current task was cancelled by failure propagation
-    /// (its body was skipped; bodies observing this are epilogue-driven
-    /// helpers such as the replay engine's per-node hooks).
+    /// (its body was skipped). The replay engine's held-children
+    /// epilogue reads it to poison the task's graph successors.
     pub fn task_cancelled(&self) -> bool {
         unsafe { (*self.task).is_cancelled() }
     }
@@ -1042,8 +1074,8 @@ impl TaskCtx<'_> {
         unsafe { self.worker.shared.deps.reset_faults_under(self.task) };
     }
 
-    /// Release a task created by [`TaskCtx::spawn_held`], handing it to
-    /// the scheduler. Must be called exactly once per handle.
+    /// Release a task kept by [`TaskCtx::hold`], handing it to the
+    /// scheduler. Must be called exactly once per handle.
     pub fn release_held(&self, h: HeldTask) {
         let t = h.0;
         if unsafe { (*t).unblock() } {
@@ -1061,7 +1093,7 @@ impl TaskCtx<'_> {
     /// the order and under the nesting cap of [`TaskCtx::taskwait`].
     ///
     /// A root `taskwait_on` under an installed [`SpawnCapture`] first
-    /// waits for all of the root's children: a consumed spawn never
+    /// waits for all of the root's children: a held task never
     /// registered its accesses, so the helper could not wait for it.
     pub fn taskwait_on(&self, mut deps: Deps) {
         if self.is_root() && self.worker.capture.borrow().is_some() {
@@ -1070,33 +1102,28 @@ impl TaskCtx<'_> {
         let task = unsafe { &*self.task };
         self.worker.record(EventKind::TaskwaitBegin, task.id);
         let done = Arc::new(AtomicBool::new(false));
-        self.spawn_internal(
-            "taskwait_on",
-            i32::MAX,
-            &mut deps,
-            |_| {},
-            Some(Arc::clone(&done)),
-        );
+        // SAFETY: `self.task` is live; the task is not yet published.
+        unsafe {
+            let t = self
+                .worker
+                .create_task("taskwait_on", self.task, i32::MAX, |_| {}, &mut deps);
+            (*t).set_completion_flag(Arc::clone(&done));
+            self.register(t);
+        }
         self.help_until(|| done.load(Ordering::Acquire));
         self.worker.record(EventKind::TaskwaitEnd, task.id);
     }
 
-    fn spawn_internal<F: FnOnce(&TaskCtx) + Send + 'static>(
-        &self,
-        label: &'static str,
-        priority: i32,
-        deps: &mut Deps,
-        body: F,
-        completion: Option<Arc<AtomicBool>>,
-    ) {
+    /// The rest of a live spawn after [`WorkerCtx::create_task`]: make
+    /// `t` a child, register it with the dependency system and hand it
+    /// to the scheduler if it is already ready. Always inlined, so a
+    /// live spawn stays one sequence with its `create_task`.
+    #[inline(always)]
+    fn register(&self, t: *mut Task) {
+        // SAFETY: `t` is a live task `create_task` just built as a child
+        // of `self.task`, not yet published.
         unsafe {
-            let t = self
-                .worker
-                .create_task(label, self.task, priority, body, deps);
             let id = (*t).id;
-            if let Some(flag) = completion {
-                (*t).set_completion_flag(flag);
-            }
             (*self.task).add_child();
             let hooks = Hooks { w: self.worker };
             self.worker.shared.deps.register(t, &hooks);
@@ -1175,24 +1202,27 @@ impl TaskCtx<'_> {
     pub fn red_slot<T>(&self, target: &T) -> *mut T {
         let addr = target as *const T as usize;
         let task = unsafe { &*self.task };
-        let decls = unsafe { task.decls() };
-        let i = decls
-            .iter()
-            .position(|d| d.addr == addr && d.mode.is_reduction())
-            .expect("no reduction access declared on this address");
-        // The wait-free system keeps the chain state on the access; the
-        // locking system and held tasks keep it on the declaration.
-        let info = if task.accesses.is_null() {
-            &decls[i].reduction
-        } else {
-            unsafe { &task.access(i).reduction }
+        let info = match task.held {
+            // A held task's chain state lives with its parent's
+            // held-children epilogue. SAFETY: the parent and its epilogue
+            // outlive this unfinished held child (`TaskCtx::hold`).
+            Some(tag) => unsafe { (*task.parent).held_epilogue() }
+                .and_then(|epilogue| epilogue.reduction(tag, addr)),
+            None => {
+                let decls = unsafe { task.decls() };
+                let i = decls
+                    .iter()
+                    .position(|d| d.addr == addr && d.mode.is_reduction());
+                // Registration attached the chain state: the wait-free
+                // system keeps it on the access, the locking system on
+                // the declaration.
+                i.and_then(|i| match task.accesses.is_null() {
+                    true => decls[i].reduction.as_deref(),
+                    false => unsafe { task.access(i).reduction.as_deref() },
+                })
+            }
         };
-        // Invariant (not user-reachable): a body only runs after
-        // registration (or the replay feed) attached `ReductionInfo` to
-        // every reduction access.
-        let info = info
-            .as_ref()
-            .expect("reduction info not attached (task not registered?)");
+        let info = info.expect("no reduction access declared on this address");
         unsafe { info.slot(self.worker.id) as *mut T }
     }
 }
@@ -1284,8 +1314,8 @@ fn record_body_failure(w: &WorkerCtx, t: *mut Task, payload: Box<dyn std::any::A
     });
 }
 
-/// Run one task body (no completion protocol), then its epilogue hook
-/// if one is attached ([`TaskCtx::spawn_held`]).
+/// Run one task body (no completion protocol), then, for a held task,
+/// its parent's held-children epilogue ([`TaskCtx::hold`]).
 fn run_body(w: &WorkerCtx, t: *mut Task) {
     let id = unsafe { (*t).id };
     let m = &w.shared.metrics;
@@ -1328,12 +1358,16 @@ fn run_body(w: &WorkerCtx, t: *mut Task) {
             unsafe { (*t).drop_body() };
             record_body_failure(w, t, payload);
         }
-        // SAFETY: only the executing worker touches the epilogue after
-        // publication (same confinement as the body). The epilogue
-        // runs even for cancelled/failed tasks: it drives the replay
-        // engine's per-iteration countdown, which must drain.
-        if let Some((epi, tag)) = unsafe { (*t).take_epilogue() } {
-            epi.run(&ctx, tag);
+        // The epilogue runs even for cancelled/failed tasks: it drives
+        // the replay engine's per-iteration countdown, which must drain.
+        // SAFETY: the parent outlives its unfinished held child and keeps
+        // its epilogue until then (`TaskCtx::hold`).
+        unsafe {
+            if let Some(tag) = (*t).held
+                && let Some(epi) = (*(*t).parent).held_epilogue()
+            {
+                epi.run(&ctx, tag);
+            }
         }
     }
     w.record(EventKind::TaskEnd, id);
@@ -1362,9 +1396,9 @@ fn execute_task(w: &WorkerCtx, t: *mut Task) {
 fn finish_subtree(w: &WorkerCtx, t: *mut Task) {
     let hooks = Hooks { w };
     unsafe {
-        // Held (replay) tasks never registered: their decls are data for
-        // `red_slot` only and must not be released.
-        if (*t).registered {
+        // Held (replay) tasks never registered: their decls are data
+        // only and must not be released.
+        if (*t).held.is_none() {
             w.shared.deps.fully_done(t, &hooks);
         }
         let parent = (*t).parent;
@@ -1892,7 +1926,7 @@ mod tests {
                 child_bottom: _,
                 cold: _,
                 priority: _,
-                registered: _,
+                held: _,
                 ready_ns: _,
             } = t;
         };
@@ -2459,7 +2493,7 @@ mod tests {
         );
         let outcome = rt.run_outcome(|ctx| {
             // A held task that is never released: the graph can't drain.
-            let _stuck = ctx.spawn_held("stuck", 0, Deps::new(), Box::new(|_| {}), None);
+            let _stuck = ctx.spawn_held("stuck", 0, Deps::new(), |_| {}, 0);
         });
         assert_eq!(outcome.failures.len(), 1, "{}", outcome.summary());
         assert_eq!(outcome.failures[0].kind, FailureKind::WatchdogStall);
@@ -2550,7 +2584,7 @@ mod tests {
         let r = Arc::clone(&ran);
         rt.run(move |ctx| {
             let held: Vec<HeldTask> = (0..RUN_AHEAD + 100)
-                .map(|_| ctx.spawn_held("held", 0, Deps::new(), Box::new(|_| {}), None))
+                .map(|_| ctx.spawn_held("held", 0, Deps::new(), |_| {}, 0))
                 .collect();
             ctx.spawn(Deps::new(), move |_| {
                 r.fetch_add(1, Ordering::SeqCst);
@@ -2561,6 +2595,57 @@ mod tests {
         });
         assert_eq!(ran.load(Ordering::SeqCst), 1);
         assert_eq!(rt.live_tasks(), 0);
+    }
+
+    /// The locking system counts its accesses in the same cells as the
+    /// wait-free one; it sends no messages, so deliveries and duplicates
+    /// stay 0.
+    #[test]
+    fn locking_counts_its_accesses() {
+        let rt = Runtime::new(
+            RuntimeConfig::optimized()
+                .dependency_system(DepsKind::Locking)
+                .workers(1),
+        );
+        rt.run(|ctx| {
+            for _ in 0..8_000 {
+                ctx.spawn(Deps::new().readwrite_addr(0x1000), |_| {});
+            }
+        });
+        assert_eq!(rt.stats().deps_deliveries, (8_000, 0, 0));
+    }
+
+    /// An epilogue that does nothing.
+    struct NoEpilogue;
+
+    impl TaskEpilogue for NoEpilogue {
+        fn run(&self, _: &TaskCtx, _: u32) {}
+
+        fn reduction(&self, _: u32, _: usize) -> Option<&ReductionInfo> {
+            None
+        }
+    }
+
+    /// A held child reads its parent's epilogue without synchronization,
+    /// so replacing it under an unfinished child is refused in debug
+    /// builds. The child is released afterwards so the run drains, and
+    /// the root's panic surfaces through `run`.
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "held-children epilogue replaced while a child is unfinished")]
+    fn held_epilogue_is_not_replaced_under_a_held_child() {
+        let rt = small(RuntimeConfig::optimized());
+        rt.run(|ctx| {
+            ctx.set_held_epilogue(Arc::new(NoEpilogue));
+            let held = ctx.spawn_held("held", 0, Deps::new(), |_| {}, 0);
+            let replaced = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                ctx.set_held_epilogue(Arc::new(NoEpilogue))
+            }));
+            ctx.release_held(held);
+            if let Err(payload) = replaced {
+                std::panic::resume_unwind(payload);
+            }
+        });
     }
 
     /// A capture that counts its drops in a shared counter.

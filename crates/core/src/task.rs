@@ -54,9 +54,9 @@ use crate::runtime::TaskCtx;
 /// Unique (per-runtime) task identifier.
 pub type TaskId = u64;
 
-/// A boxed task body: only the spawn-capture and held-task seams
-/// ([`crate::runtime::SpawnCapture`], [`TaskCtx::spawn_held`]) pass it.
-pub type TaskBody = Box<dyn FnOnce(&TaskCtx) + Send + 'static>;
+/// A boxed task body: what [`Task::set_body`] stores in place of a
+/// closure too large or too aligned for the slot.
+pub(crate) type TaskBody = Box<dyn FnOnce(&TaskCtx) + Send + 'static>;
 
 /// Capacity of the in-shell body slot, in 8-byte words.
 const BODY_WORDS: usize = 6;
@@ -269,11 +269,10 @@ pub struct TaskCold {
     /// is dropped. Used by `Runtime::run` to wait for the root task
     /// without touching task memory that may be reclaimed concurrently.
     pub completion_flag: Option<Arc<AtomicBool>>,
-    /// Post-body hook + tag ([`crate::runtime::TaskEpilogue`]), run on
-    /// the executing worker right after the body returns. The replay
-    /// engine's steady-state seam: one shared `Arc` per iteration
-    /// replaces a boxed wrapper closure per task.
-    pub epilogue: Option<(Arc<dyn crate::runtime::TaskEpilogue>, u64)>,
+    /// The post-body hook of this task's *held* children
+    /// ([`TaskCtx::set_held_epilogue`]), which each runs with its own
+    /// [`Task::held`] tag: one per iteration on the replay root.
+    pub(crate) held_epilogue: Option<Arc<dyn crate::runtime::TaskEpilogue>>,
 }
 
 /// A task: body + declared accesses + the packed life-cycle word.
@@ -311,18 +310,19 @@ pub struct Task {
     /// Demand-created on the first child registration: leaf tasks never
     /// allocate one.
     pub child_bottom: UnsafeCell<Option<Box<BottomMap>>>,
-    /// Cold fields (completion flag, epilogue); `None` for the common
-    /// task.
+    /// Cold fields (completion flag, held-children epilogue); `None`
+    /// for the common task.
     pub cold: Option<Box<TaskCold>>,
     /// Scheduling priority (OmpSs-2 `priority` clause); higher runs
     /// earlier under [`crate::sched::Policy::Priority`]. Immutable after
     /// creation.
     pub priority: i32,
-    /// Whether the task was registered with the dependency system.
-    /// False for *held* tasks (replay execution): their `decls` are data
-    /// for `red_slot` only, and the dependency system must not try to
-    /// release them.
-    pub registered: bool,
+    /// `None` for a task registered with the dependency system.
+    /// `Some(tag)` for a *held* task (replay execution): its `decls` are
+    /// kept but impose no ordering, the dependency system must not try
+    /// to release them, and it runs its parent's held-children epilogue
+    /// with `tag` (the replay engine's node index).
+    pub(crate) held: Option<u32>,
     /// Metrics: tracer-epoch timestamp of the (sampled) moment this task
     /// was handed to the scheduler — 0 when never stamped. Read and
     /// reset by the executing worker to measure ready-queue wait.
@@ -366,7 +366,7 @@ impl Task {
             child_bottom: UnsafeCell::new(None),
             cold: None,
             priority: 0,
-            registered: true,
+            held: None,
             ready_ns: 0,
         }
     }
@@ -394,7 +394,7 @@ impl Task {
         self.accesses = core::ptr::null_mut();
         self.n_accesses = 0;
         self.priority = 0;
-        self.registered = true;
+        self.held = None;
         self.ready_ns = 0;
     }
 
@@ -414,7 +414,7 @@ impl Task {
         }
         if let Some(cold) = self.cold.as_deref_mut() {
             cold.completion_flag = None;
-            cold.epilogue = None;
+            cold.held_epilogue = None;
         }
         self.ready_ns = 0;
     }
@@ -554,18 +554,10 @@ impl Task {
         self.cold.as_ref().and_then(|c| c.completion_flag.as_ref())
     }
 
-    /// Attach the post-body epilogue hook (creator, before publish).
-    pub fn set_epilogue(&mut self, epilogue: (Arc<dyn crate::runtime::TaskEpilogue>, u64)) {
-        self.cold.get_or_insert_with(Box::default).epilogue = Some(epilogue);
-    }
-
-    /// Detach the epilogue for running (executing worker, post-body).
+    /// The post-body hook of this task's held children, if any.
     #[inline]
-    pub fn take_epilogue(&mut self) -> Option<(Arc<dyn crate::runtime::TaskEpilogue>, u64)> {
-        match &mut self.cold {
-            Some(c) => c.epilogue.take(),
-            None => None,
-        }
+    pub(crate) fn held_epilogue(&self) -> Option<&Arc<dyn crate::runtime::TaskEpilogue>> {
+        self.cold.as_ref().and_then(|c| c.held_epilogue.as_ref())
     }
 
     /// The child dependency domain, demand-created on first use.
@@ -752,7 +744,7 @@ mod tests {
     fn cold_box_holds_epilogue_and_flag() {
         let mut t = dummy(0);
         assert!(t.cold.is_none());
-        assert!(t.take_epilogue().is_none());
+        assert!(t.held_epilogue().is_none());
         let flag = Arc::new(AtomicBool::new(false));
         t.set_completion_flag(Arc::clone(&flag));
         assert!(t.completion_flag().is_some());

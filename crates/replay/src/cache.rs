@@ -49,11 +49,6 @@ impl GraphCache {
         }
     }
 
-    /// Maximum number of graphs kept.
-    pub fn capacity(&self) -> usize {
-        self.cap
-    }
-
     /// Graphs currently cached.
     pub fn len(&self) -> usize {
         self.entries.len()

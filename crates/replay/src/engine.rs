@@ -22,13 +22,9 @@
 
 use core::cell::{Cell, UnsafeCell};
 use std::sync::Arc;
-use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
 use std::time::Instant;
 
-use nanotask_core::deps::reduction::ReductionInfo;
-use nanotask_core::{
-    Deps, HeldTask, RunOutcome, Runtime, SpawnCapture, TaskBody, TaskCtx, TaskEpilogue,
-};
+use nanotask_core::{OfferedTask, RunOutcome, Runtime, SpawnCapture, TaskCtx};
 use nanotask_obs::{Counter, Histogram, MaxGauge, Registry};
 use nanotask_trace::EventKind;
 
@@ -292,155 +288,6 @@ pub trait RunIterative {
         F: Fn(&TaskCtx) + Send + Sync + 'static;
 }
 
-/// Reduction state of one replayed iteration: a fresh chain instance per
-/// recorded group (private per-worker slots, combined exactly once).
-struct GroupState {
-    info: Arc<ReductionInfo>,
-    remaining: AtomicU32,
-}
-
-/// Shared state of one replayed iteration.
-struct IterState {
-    graph: Arc<ReplayGraph>,
-    groups: Vec<GroupState>,
-    /// Released-node count (debug cross-check against graph size).
-    #[cfg(debug_assertions)]
-    launched: std::sync::atomic::AtomicUsize,
-    /// Per-node cancellation marks — the replay mirror of the dependency
-    /// systems' failure poisoning. A failed (or already-cancelled) task
-    /// sets its successors' flags *before* dropping their pending
-    /// references; whichever thread drops the last reference transfers
-    /// the mark onto the released task ([`HeldTask::mark_cancelled`]).
-    /// The countdown's AcqRel release sequence orders the flag store
-    /// before the releasing load, so the transfer never races.
-    poisoned: Box<[AtomicBool]>,
-}
-
-impl IterState {
-    fn new(graph: Arc<ReplayGraph>, workers: usize) -> Self {
-        graph.reset();
-        let groups = graph
-            .groups()
-            .iter()
-            .map(|g| GroupState {
-                info: Arc::new(ReductionInfo::new(g.addr, g.len, g.op, workers)),
-                remaining: AtomicU32::new(g.members),
-            })
-            .collect();
-        let poisoned = (0..graph.len()).map(|_| AtomicBool::new(false)).collect();
-        Self {
-            graph,
-            groups,
-            #[cfg(debug_assertions)]
-            launched: Default::default(),
-            poisoned,
-        }
-    }
-
-    /// Release-time half of the poison transfer: mark the just-released
-    /// node's task cancelled when a predecessor flagged it.
-    fn take_poison(&self, i: usize, h: &HeldTask) {
-        if self.poisoned[i].load(Ordering::Acquire) {
-            h.mark_cancelled();
-        }
-    }
-
-    /// Fold partially-fed reduction groups into their targets. On a
-    /// divergent or truncated iteration some group members may have run
-    /// (accumulating into this iteration's private slots) without the
-    /// last member ever firing the combine — their contributions must
-    /// not be dropped. Callers guarantee every fed task has completed
-    /// (taskwait) and no successor that reads the target is running.
-    fn combine_partial(&self) {
-        for (g, meta) in self.groups.iter().zip(self.graph.groups()) {
-            let remaining = g.remaining.load(Ordering::Acquire);
-            if remaining > 0 && remaining < meta.members && !g.info.is_combined() {
-                // SAFETY: all fed members completed and nothing else
-                // touches the target until the caller resumes spawning.
-                unsafe { g.info.combine_into_target() };
-            }
-        }
-    }
-
-    /// Drop one pending reference of node `i`, releasing its held task
-    /// to the scheduler (`TaskCtx::release_held`) if that was the last
-    /// one.
-    fn countdown(&self, ctx: &TaskCtx, i: u32) {
-        if let Some(t) = self.graph.countdown(i as usize) {
-            #[cfg(debug_assertions)]
-            self.launched.fetch_add(1, Ordering::Relaxed);
-            // SAFETY: `t` was published by the creator from a live
-            // HeldTask and each node is released exactly once (the
-            // pending counter reaches zero once per iteration).
-            let h = unsafe { HeldTask::from_raw(t) };
-            self.take_poison(i as usize, &h);
-            ctx.release_held(h);
-        }
-    }
-
-    /// The post-body half of one fed task: fold finished reduction
-    /// groups, then release the node's successors.
-    fn after_body(&self, tc: &TaskCtx, i: usize) {
-        // Failure propagation during replay: a failed task (marked
-        // cancelled by the runtime's panic isolation) or a task that was
-        // itself cancelled poisons its graph successors before their
-        // pending references drop — the flags travel transitively
-        // because cancelled tasks still run this epilogue.
-        if tc.task_cancelled() {
-            for &s in self.graph.succs(i) {
-                self.poisoned[s as usize].store(true, Ordering::Release);
-            }
-        }
-        // Last chain member folds the private slots into the target —
-        // before releasing successors, which may read it.
-        for &(_, gi) in self.graph.red_of(i) {
-            let g = &self.groups[gi as usize];
-            if g.remaining.fetch_sub(1, Ordering::AcqRel) == 1 {
-                // SAFETY: every group member completed (counter hit
-                // zero) and successors are not yet released, so the
-                // target region is exclusively owned.
-                unsafe { g.info.combine_into_target() };
-            }
-        }
-        for &s in self.graph.succs(i) {
-            self.countdown(tc, s);
-        }
-    }
-
-    /// Feed one matched spawn into the frozen graph: spawn the body held
-    /// (with reduction chain state attached) and drop its creation hold.
-    fn feed(&self, self_arc: &Arc<IterState>, ctx: &TaskCtx, i: usize, body: TaskBody) {
-        let node = &self.graph.nodes()[i];
-        // Reduction accesses need chain state for `red_slot`: attach this
-        // iteration's group instances to bare copies of the declarations.
-        // Non-reduction declarations impose no ordering during replay and
-        // are dropped to keep held-task creation allocation-free.
-        let decls = Deps::from_decls(self.graph.red_of(i).iter().map(|(d, gi)| {
-            let mut d = d.clone();
-            d.reduction = Some(Arc::clone(&self.groups[*gi as usize].info));
-            d
-        }));
-        // Pass the user's already-boxed body straight through and hang
-        // the successor-release logic on the shared per-iteration
-        // epilogue — no wrapper allocation.
-        let epilogue = (Arc::clone(self_arc) as Arc<dyn TaskEpilogue>, i as u64);
-        let held = ctx.spawn_held(node.label, node.priority, decls, body, Some(epilogue));
-        self.graph.publish(i, held.into_raw());
-        // Drop the creation hold; releases the task if all its
-        // predecessors already finished (or it has none).
-        self.countdown(ctx, i as u32);
-    }
-}
-
-impl TaskEpilogue for IterState {
-    /// The steady-state hook: one shared object per iteration
-    /// runs every fed task's post-body logic (`tag` = graph node index)
-    /// — no per-task wrapper closure survives freezing.
-    fn run(&self, ctx: &TaskCtx, tag: u64) {
-        self.after_body(ctx, tag as usize);
-    }
-}
-
 /// The engine's capture: recording every root spawn, or feeding spawns
 /// straight into a frozen graph.
 enum Mode {
@@ -451,9 +298,9 @@ enum Mode {
 
 /// One fed iteration: what [`EngineCapture::end_feed`] hands back.
 struct Feed {
-    /// The state being fed: the scheduled graph's, or another cached
-    /// graph's after a first-spawn phase switch.
-    state: Arc<IterState>,
+    /// The graph being fed: the scheduled one, or another cached one
+    /// after a first-spawn phase switch.
+    graph: Arc<ReplayGraph>,
     /// Node index the next spawn is matched against: the spawns fed
     /// before any divergence (plus the diverging one).
     next: usize,
@@ -491,27 +338,18 @@ struct EngineCapture {
     cache: UnsafeCell<GraphCache>,
     /// Spawns in the last record: the next one reserves room for them.
     last_record_len: Cell<usize>,
-    /// Worker count, needed to build per-iteration reduction state when
-    /// swapping feed targets.
-    workers: usize,
 }
 
 unsafe impl Send for EngineCapture {}
 unsafe impl Sync for EngineCapture {}
 
 impl EngineCapture {
-    fn new(workers: usize) -> Self {
+    fn new() -> Self {
         Self {
             mode: UnsafeCell::new(Mode::Off),
             cache: UnsafeCell::new(GraphCache::new(GRAPH_CACHE_CAPACITY)),
             last_record_len: Cell::new(0),
-            workers,
         }
-    }
-
-    /// Build the per-iteration state for feeding `g`.
-    fn make_state(&self, g: Arc<ReplayGraph>) -> Arc<IterState> {
-        Arc::new(IterState::new(g, self.workers))
     }
 
     /// # Safety
@@ -546,10 +384,15 @@ impl EngineCapture {
         captured
     }
 
-    fn set_feed(&self, state: Arc<IterState>) {
+    /// Start feeding `graph`: re-arm it and make it the root's
+    /// held-children epilogue. The caller is at an iteration barrier (no
+    /// unfinished child).
+    fn set_feed(&self, ctx: &TaskCtx, graph: Arc<ReplayGraph>) {
+        graph.reset();
+        ctx.set_held_epilogue(Arc::clone(&graph) as _);
         unsafe {
             *self.mode() = Mode::Feed(Feed {
-                state,
+                graph,
                 next: 0,
                 diverged: false,
                 switched: false,
@@ -568,40 +411,37 @@ impl EngineCapture {
 }
 
 impl SpawnCapture for EngineCapture {
-    fn on_spawn(
-        &self,
-        ctx: &TaskCtx,
-        label: &'static str,
-        priority: i32,
-        deps: Deps,
-        body: TaskBody,
-    ) -> Option<(Deps, TaskBody)> {
+    fn on_spawn(&self, ctx: &TaskCtx, task: OfferedTask) -> Option<OfferedTask> {
         // SAFETY: root-thread confinement; nothing reached from the calls
-        // below (spawn_held, taskwait, cache) re-enters this capture —
-        // nested tasks executed while task-waiting are non-root and the
-        // runtime only offers root spawns.
+        // below (hold, taskwait, cache) re-enters this capture — nested
+        // tasks executed while task-waiting are non-root and the runtime
+        // only offers root spawns.
         let mode = unsafe { self.mode() };
+        let captured = |task: &OfferedTask| {
+            let (label, priority, decls) = task.spawn();
+            CapturedSpawn::bare(label, priority, decls.to_vec())
+        };
         match mode {
-            Mode::Off => Some((deps, body)),
+            Mode::Off => Some(task),
             Mode::Record(rec) => {
-                rec.push(CapturedSpawn::bare(label, priority, deps.decls().to_vec()));
-                Some((deps, body))
+                rec.push(captured(&task));
+                Some(task)
             }
             Mode::Feed(f) => {
                 if f.diverged {
-                    f.captured
-                        .push(CapturedSpawn::bare(label, priority, deps.decls().to_vec()));
-                    return Some((deps, body));
+                    f.captured.push(captured(&task));
+                    return Some(task);
                 }
                 let i = f.next;
                 f.next = i + 1;
-                let sig = spawn_sig_hash(label, priority, deps.decls());
+                let (label, priority, decls) = task.spawn();
+                let sig = spawn_sig_hash(label, priority, decls);
                 let matched = {
-                    let nodes = f.state.graph.nodes();
+                    let nodes = f.graph.nodes();
                     i < nodes.len() && nodes[i].sig == sig
                 };
                 if matched {
-                    f.state.feed(&Arc::clone(&f.state), ctx, i, body);
+                    f.graph.feed(ctx, i, task);
                     return None;
                 }
                 if i == 0 {
@@ -609,10 +449,12 @@ impl SpawnCapture for EngineCapture {
                     // first spawn matches can take over wholesale — the
                     // phase-switch fast path of alternating bodies.
                     if let Some(g) = unsafe { self.cache() }.get_by_first_sig(sig) {
-                        let st = self.make_state(g);
-                        f.state = Arc::clone(&st);
+                        // Nothing fed yet: the root has no child.
+                        g.reset();
+                        ctx.set_held_epilogue(Arc::clone(&g) as _);
+                        f.graph = g;
                         f.switched = true;
-                        st.feed(&st, ctx, 0, body);
+                        f.graph.feed(ctx, 0, task);
                         return None;
                     }
                 }
@@ -625,12 +467,11 @@ impl SpawnCapture for EngineCapture {
                 // reconstructed from the graph) so the engine can probe
                 // the cache / freeze it afterwards.
                 f.diverged = true;
-                f.captured = f.state.graph.prefix_captured(i);
-                f.captured
-                    .push(CapturedSpawn::bare(label, priority, deps.decls().to_vec()));
+                f.captured = f.graph.prefix_captured(i);
+                f.captured.push(captured(&task));
                 ctx.taskwait();
-                f.state.combine_partial();
-                Some((deps, body))
+                f.graph.combine_partial();
+                Some(task)
             }
         }
     }
@@ -723,7 +564,7 @@ impl Engine<'_> {
         let ctx = self.ctx;
         let created0 = ctx.tasks_created();
         ctx.trace_mark(EventKind::ReplayIterBegin, iter as u64);
-        self.cap.set_feed(self.cap.make_state(g));
+        self.cap.set_feed(ctx, g);
         let feed_t0 = self.feed_hist.as_ref().map(|_| Instant::now());
         body(ctx);
         if let (Some(h), Some(t0)) = (&self.feed_hist, feed_t0) {
@@ -733,16 +574,10 @@ impl Engine<'_> {
         ctx.taskwait();
         let surplus = ctx.tasks_created() - created0 - feed.offered() as u64;
         // The feed target may have been swapped by the first-spawn phase
-        // switch: judge the state that actually fed, not the scheduled
+        // switch: judge the graph that actually fed, not the scheduled
         // one.
-        let graph = &feed.state.graph;
+        let graph = &feed.graph;
         if !feed.diverged && feed.next == graph.len() {
-            #[cfg(debug_assertions)]
-            assert_eq!(
-                feed.state.launched.load(Ordering::Relaxed),
-                graph.len(),
-                "every node released exactly once"
-            );
             self.report.replayed += 1;
             self.report.cache_hits += 1;
             self.fails = 0;
@@ -757,7 +592,7 @@ impl Engine<'_> {
             // prefix + barrier + dependency system; fold any reduction
             // groups the fed prefix touched (no-op if the divergence path
             // already did).
-            feed.state.combine_partial();
+            graph.combine_partial();
             self.report.diverged += 1;
             self.fails += 1;
             // This iteration's full shape is known: probe the cache and
@@ -845,7 +680,9 @@ impl Engine<'_> {
         surplus: u64,
     ) -> Arc<ReplayGraph> {
         let freeze_t0 = Instant::now();
-        let g = Arc::new(ReplayGraph::build(captured, &[]));
+        let mut g = ReplayGraph::build(captured, &[]);
+        g.arm(self.ctx.nworkers());
+        let g = Arc::new(g);
         self.report.freeze_ns += freeze_t0.elapsed().as_nanos() as u64;
         self.report.rerecords += 1;
         self.report.cache_misses += 1;
@@ -943,7 +780,7 @@ impl RunIterative for Runtime {
         if iters == 0 {
             return (ReplayReport::default(), RunOutcome::default());
         }
-        let capture = Arc::new(EngineCapture::new(self.config().workers));
+        let capture = Arc::new(EngineCapture::new());
         self.set_spawn_capture(Some(Arc::clone(&capture) as _));
         let obs = ReplayObs::new(self.metrics_registry());
         let feed_hist = if self.metrics_enabled() {
@@ -986,8 +823,8 @@ impl RunIterative for Runtime {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use nanotask_core::{RuntimeConfig, SendPtr};
-    use std::sync::atomic::AtomicU64;
+    use nanotask_core::{Deps, RuntimeConfig, SendPtr};
+    use std::sync::atomic::{AtomicU64, Ordering};
 
     /// Every iteration must be classified exactly once — asserted by the
     /// report itself ([`ReplayReport::assert_classification`]), in one
@@ -1788,5 +1625,58 @@ mod tests {
         assert_eq!(report.iterations, 2);
         assert_eq!(unsafe { *data }, 29);
         unsafe { drop(Box::from_raw(data)) };
+    }
+
+    /// Two shapes alternate for 200 iterations on 4 workers, so each of
+    /// two cached graphs is re-armed in place every other iteration. Each
+    /// shape is a 1 024-member `SumF64` group on its own target plus one
+    /// reader of the target, which notes what it read. Every iteration
+    /// must read its serial sum: a slot `init` flag left set (a slot
+    /// keeps last iteration's partial sum) or a `combined` flag left set
+    /// (the fold is skipped) breaks that. One planted panic in iteration
+    /// 100 costs only that iteration's read: no poison outlives it.
+    #[test]
+    fn rearmed_iteration_state_stays_exact() {
+        const ITERS: usize = 200;
+        const MEMBERS: u64 = 1024;
+        const FAULTED: usize = 100;
+        // Every iteration before the fault runs MEMBERS + 1 bodies.
+        let plan = nanotask_core::FaultPlan::panic_at(FAULTED as u64 * (MEMBERS + 1) + 7);
+        let rt = Runtime::new(RuntimeConfig::optimized().workers(4).with_fault_plan(plan));
+        let targets = SendPtr::new(Box::leak(Box::new([0.0f64; 2])).as_mut_ptr());
+        let read: Arc<Vec<AtomicU64>> =
+            Arc::new((0..ITERS).map(|_| AtomicU64::new(u64::MAX)).collect());
+        let iter = Arc::new(AtomicU64::new(0));
+        let r = Arc::clone(&read);
+        let (report, outcome) = rt.run_iterative_outcome(ITERS, move |ctx| {
+            let it = iter.fetch_add(1, Ordering::Relaxed);
+            let t = SendPtr::new(unsafe { targets.get().add(it as usize % 2) });
+            unsafe { *t.get() = 0.0 };
+            for j in 0..MEMBERS {
+                let deps = Deps::new().reduce_addr(t.addr(), 8, nanotask_core::RedOp::SumF64);
+                ctx.spawn(deps, move |c| unsafe {
+                    *c.red_slot(&*(t.addr() as *const f64)) += (j + it) as f64;
+                });
+            }
+            let r = Arc::clone(&r);
+            ctx.spawn(Deps::new().read_addr(t.addr()), move |_| {
+                r[it as usize].store(unsafe { *t.get() } as u64, Ordering::Relaxed);
+            });
+        });
+        for (it, got) in read.iter().enumerate() {
+            let got = got.load(Ordering::Relaxed);
+            if it == FAULTED {
+                assert_eq!(got, u64::MAX, "the faulted iteration's read is cancelled");
+            } else {
+                let serial = MEMBERS * (MEMBERS - 1) / 2 + MEMBERS * it as u64;
+                assert_eq!(got, serial, "iteration {it}: {report}");
+            }
+        }
+        assert_eq!(outcome.failures.len(), 1, "{}", outcome.summary());
+        assert!(outcome.tasks_cancelled <= 1, "{}", outcome.summary());
+        assert_eq!(report.faulted, 1, "{report}");
+        assert!(report.replayed >= ITERS - 8, "{report}");
+        check_invariants(&report);
+        assert_eq!(rt.live_tasks(), 0);
     }
 }

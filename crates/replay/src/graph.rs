@@ -20,6 +20,12 @@
 //! scans, and the per-iteration reset of the in-degree counters is a
 //! single `memcpy` from a precomputed template ([`ReplayGraph::reset`]).
 //!
+//! The graph also owns what a replayed iteration mutates — in-degree
+//! counters, each node's held task, one reduction chain per group —
+//! armed once and re-armed in place by [`ReplayGraph::reset`], and is
+//! the root's held-children [`TaskEpilogue`]: a fed task carries only
+//! its node index.
+//!
 //! The edges come from the captured access sets alone. The replay
 //! engine detects tasks its capture did not see by counting them (the
 //! `tasks_created` delta minus the spawns it was offered), not by
@@ -27,10 +33,11 @@
 
 use std::sync::atomic::{AtomicPtr, AtomicU32, Ordering};
 
+use nanotask_core::deps::reduction::ReductionInfo;
 use nanotask_core::fxhash::FxHashMap;
 use nanotask_core::graph::GraphEdge;
 use nanotask_core::task::Task;
-use nanotask_core::{AccessDecl, AccessMode, RedOp};
+use nanotask_core::{AccessDecl, AccessMode, HeldTask, OfferedTask, RedOp, TaskCtx, TaskEpilogue};
 
 use crate::recorder::{CapturedSpawn, STRUCTURAL_HASH_SEED, mix, spawn_sig_hash};
 
@@ -65,6 +72,23 @@ pub struct RedGroup {
     pub members: u32,
 }
 
+/// In-degree counter bit that poisons its node (the replay mirror of the
+/// dependency systems' failure poisoning): a failed or cancelled task
+/// sets it on each successor before dropping its reference there, and
+/// the last reference marks the released task cancelled. Every counter
+/// RMW reads the latest value, so the bit needs no ordering of its own;
+/// the `memcpy` reset clears it. Counts stay far below it: a task holds
+/// at most `TaskState::MAX_CHILDREN` (2^24) children, one per node.
+const POISONED: u32 = 1 << 31;
+
+/// One reduction group's chain for the current iteration: private
+/// per-worker slots, folded into the target by the last member.
+struct GroupState {
+    info: ReductionInfo,
+    /// Members that have not finished yet.
+    remaining: AtomicU32,
+}
+
 /// The frozen, replayable task graph of one iteration.
 pub struct ReplayGraph {
     /// Per-node scalars, creation order.
@@ -77,9 +101,9 @@ pub struct ReplayGraph {
     /// of every recorded access set.
     decl_off: Vec<u32>,
     decl_data: Vec<AccessDecl>,
-    /// CSR reduction arena: `(bare decl, group index)` memberships.
+    /// CSR reduction arena: `(target address, group index)` memberships.
     red_off: Vec<u32>,
-    red_data: Vec<(AccessDecl, u32)>,
+    red_data: Vec<(usize, u32)>,
     groups: Vec<RedGroup>,
     hash: u64,
     edges: usize,
@@ -87,10 +111,14 @@ pub struct ReplayGraph {
     /// +1 is the creation hold, dropped by the engine after the node's
     /// held task exists). One `memcpy` of this restores all counters.
     pending_template: Vec<u32>,
-    /// In-degree countdown per node for the current iteration.
+    /// In-degree countdown per node for the current iteration, plus the
+    /// [`POISONED`] bit.
     pending: Vec<AtomicU32>,
     /// The held task of each node for the current iteration.
     slots: Vec<AtomicPtr<Task>>,
+    /// One chain per group for the current iteration; empty until the
+    /// engine arms the graph ([`ReplayGraph::arm`]).
+    red_state: Box<[GroupState]>,
 }
 
 /// Sentinel for an unassigned [`AddrIndex`] dense-table slot.
@@ -307,7 +335,7 @@ impl ReplayGraph {
 
         let mut groups: Vec<RedGroup> = Vec::new();
         let mut red_off: Vec<u32> = Vec::with_capacity(n + 1);
-        let mut red_data: Vec<(AccessDecl, u32)> = Vec::new();
+        let mut red_data: Vec<(usize, u32)> = Vec::new();
         red_off.push(0);
         let mut edges: Vec<(u32, u32)> = Vec::new();
         let mut per_addr = AddrIndex::new(addr_min, addr_max, addr_xor, decl_data.len());
@@ -391,7 +419,7 @@ impl ReplayGraph {
                 }
                 if let GroupClass::Red(_, gi) = st.class {
                     groups[gi].members += 1;
-                    red_data.push((AccessDecl::new(d.addr, d.len, d.mode), gi as u32));
+                    red_data.push((d.addr, gi as u32));
                 }
             }
             red_off.push(red_data.len() as u32);
@@ -442,7 +470,21 @@ impl ReplayGraph {
             pending_template,
             pending,
             slots,
+            red_state: Box::default(),
         }
+    }
+
+    /// Build the reduction chains of a graph replayed on `workers`
+    /// workers, once per frozen graph; [`ReplayGraph::reset`] re-arms them.
+    pub(crate) fn arm(&mut self, workers: usize) {
+        self.red_state = self
+            .groups
+            .iter()
+            .map(|g| GroupState {
+                info: ReductionInfo::new(g.addr, g.len, g.op, workers),
+                remaining: AtomicU32::new(g.members),
+            })
+            .collect();
     }
 
     /// Number of tasks.
@@ -474,10 +516,10 @@ impl ReplayGraph {
         &self.decl_data[self.decl_off[i] as usize..self.decl_off[i + 1] as usize]
     }
 
-    /// Reduction memberships of node `i`: `(bare declaration, index of
+    /// Reduction memberships of node `i`: `(target address, index of
     /// the [`RedGroup`] it participates in)`.
     #[inline]
-    pub fn red_of(&self, i: usize) -> &[(AccessDecl, u32)] {
+    pub fn red_of(&self, i: usize) -> &[(usize, u32)] {
         &self.red_data[self.red_off[i] as usize..self.red_off[i + 1] as usize]
     }
 
@@ -518,9 +560,9 @@ impl ReplayGraph {
 
     /// Frozen footprint in bytes: every arena the steady state walks
     /// (per-node metadata, successor/declaration/reduction CSR arenas,
-    /// reduction groups, in-degree template + counters, task slots).
-    /// Interior heap of `AccessDecl` is not counted — bare frozen decls
-    /// carry no chain state.
+    /// reduction groups and their chains, in-degree template + counters,
+    /// task slots). Interior heap of `AccessDecl` and of the chains'
+    /// slot buffers is not counted.
     pub fn bytes(&self) -> u64 {
         use core::mem::size_of;
         (self.meta.len() * size_of::<NodeMeta>()
@@ -529,8 +571,9 @@ impl ReplayGraph {
             + self.decl_off.len() * size_of::<u32>()
             + self.decl_data.len() * size_of::<AccessDecl>()
             + self.red_off.len() * size_of::<u32>()
-            + self.red_data.len() * size_of::<(AccessDecl, u32)>()
+            + self.red_data.len() * size_of::<(usize, u32)>()
             + self.groups.len() * size_of::<RedGroup>()
+            + self.red_state.len() * size_of::<GroupState>()
             + self.pending_template.len() * size_of::<u32>()
             + self.pending.len() * size_of::<AtomicU32>()
             + self.slots.len() * size_of::<AtomicPtr<Task>>()) as u64
@@ -547,23 +590,22 @@ impl ReplayGraph {
         v
     }
 
-    /// Reset every in-degree counter to `indeg + 1` and clear the task
-    /// slots — run once before each replayed iteration. The `+1` is the
-    /// *creation hold*: it guarantees a node cannot be released before
-    /// its held task exists, even if all its predecessors finish while
-    /// the creator is still spawning.
+    /// Re-arm the iteration state — run once before each replayed
+    /// iteration: every in-degree counter back to `indeg + 1` with no
+    /// poison, the task slots cleared, and every reduction chain fresh
+    /// with its slot buffers kept. The `+1` is the *creation hold*: it
+    /// guarantees a node cannot be released before its held task exists,
+    /// even if all its predecessors finish while the creator is still
+    /// spawning.
     ///
-    /// Two plain `memcpy`s from the freeze-time template, not a
-    /// node-by-node sweep: the caller holds the iteration barrier (the
-    /// previous iteration's subtree completed, nothing else touches the
-    /// graph), so the non-atomic bulk writes race with nothing — all
-    /// prior worker accesses happen-before the barrier, and all later
-    /// ones happen-after the tasks are published.
+    /// The counters and slots are two plain `memcpy`s from the
+    /// freeze-time template, not a node-by-node sweep: the caller holds
+    /// the iteration barrier (the previous iteration's subtree completed,
+    /// nothing else touches the graph), so the non-atomic bulk writes
+    /// race with nothing — all prior worker accesses happen-before the
+    /// barrier, and all later ones happen-after the tasks are published.
     pub fn reset(&self) {
         let n = self.pending.len();
-        if n == 0 {
-            return;
-        }
         // SAFETY: `AtomicU32` has the same size and bit validity as
         // `u32`, `AtomicPtr<T>` as `*mut T`, and the null pointer is the
         // all-zero bit pattern on every supported target. Exclusive
@@ -576,6 +618,11 @@ impl ReplayGraph {
             );
             core::ptr::write_bytes(self.slots.as_ptr() as *mut *mut Task, 0, n);
         }
+        // `Relaxed`: as for the bulk writes above.
+        for (st, g) in self.red_state.iter().zip(&self.groups) {
+            st.remaining.store(g.members, Ordering::Relaxed);
+            st.info.rearm();
+        }
     }
 
     /// Publish node `i`'s held task for this iteration.
@@ -584,15 +631,95 @@ impl ReplayGraph {
     }
 
     /// Drop one pending reference of node `i`; returns the task pointer
-    /// when the node just became releasable.
+    /// when the node just became releasable, marked cancelled if a
+    /// predecessor poisoned it.
     pub(crate) fn countdown(&self, i: usize) -> Option<*mut Task> {
-        if self.pending[i].fetch_sub(1, Ordering::AcqRel) == 1 {
-            let t = self.slots[i].load(Ordering::Acquire);
-            debug_assert!(!t.is_null(), "released before publication");
-            Some(t)
-        } else {
-            None
+        let prev = self.pending[i].fetch_sub(1, Ordering::AcqRel);
+        if prev & !POISONED != 1 {
+            return None;
         }
+        let t = self.slots[i].load(Ordering::Acquire);
+        debug_assert!(!t.is_null(), "released before publication");
+        if prev & POISONED != 0 {
+            // SAFETY: a published node task is held until this release.
+            unsafe { (*t).mark_cancelled() };
+        }
+        Some(t)
+    }
+
+    /// Feed one matched spawn into node `i`: hold the offered task,
+    /// publish it and drop the creation hold, which releases it if all
+    /// its predecessors already finished (or it has none).
+    pub(crate) fn feed(&self, ctx: &TaskCtx, i: usize, task: OfferedTask) {
+        let held = ctx.hold(task, i as u32);
+        self.publish(i, held.into_raw());
+        self.release(ctx, i);
+    }
+
+    /// Drop one pending reference of node `i`, handing its held task to
+    /// the scheduler if that was the last one.
+    fn release(&self, ctx: &TaskCtx, i: usize) {
+        if let Some(t) = self.countdown(i) {
+            // SAFETY: `t` was published from a live held task and each
+            // node is released once (its counter reaches zero once per
+            // iteration).
+            ctx.release_held(unsafe { HeldTask::from_raw(t) });
+        }
+    }
+
+    /// Fold partially-fed reduction groups into their targets. On a
+    /// divergent or truncated iteration some group members may have run
+    /// (accumulating into this iteration's private slots) without the
+    /// last member ever firing the combine — their contributions must
+    /// not be dropped. Callers guarantee every fed task has completed
+    /// (taskwait) and no successor that reads the target is running.
+    pub(crate) fn combine_partial(&self) {
+        for (st, g) in self.red_state.iter().zip(&self.groups) {
+            let remaining = st.remaining.load(Ordering::Acquire);
+            if remaining > 0 && remaining < g.members && !st.info.is_combined() {
+                // SAFETY: all fed members completed and nothing else
+                // touches the target until the caller resumes spawning.
+                unsafe { st.info.combine_into_target() };
+            }
+        }
+    }
+}
+
+impl TaskEpilogue for ReplayGraph {
+    /// The post-body half of fed node `i`: poison its successors if it
+    /// failed or was cancelled, fold its finished reduction groups, then
+    /// release its successors.
+    fn run(&self, ctx: &TaskCtx, i: u32) {
+        let i = i as usize;
+        // A failed task (marked cancelled by the runtime's panic
+        // isolation) or a cancelled one poisons its successors before
+        // their pending references drop; the poison travels transitively
+        // because cancelled tasks still run this epilogue.
+        if ctx.task_cancelled() {
+            for &s in self.succs(i) {
+                // `Relaxed`: see `POISONED`.
+                self.pending[s as usize].fetch_or(POISONED, Ordering::Relaxed);
+            }
+        }
+        // The last group member folds the private slots into the target
+        // — before releasing successors, which may read it.
+        for &(_, gi) in self.red_of(i) {
+            let st = &self.red_state[gi as usize];
+            if st.remaining.fetch_sub(1, Ordering::AcqRel) == 1 {
+                // SAFETY: every group member completed (counter hit
+                // zero) and successors are not yet released, so the
+                // target region is exclusively owned.
+                unsafe { st.info.combine_into_target() };
+            }
+        }
+        for &s in self.succs(i) {
+            self.release(ctx, s as usize);
+        }
+    }
+
+    fn reduction(&self, i: u32, addr: usize) -> Option<&ReductionInfo> {
+        let &(_, gi) = self.red_of(i as usize).iter().find(|m| m.0 == addr)?;
+        Some(&self.red_state[gi as usize].info)
     }
 }
 

@@ -18,19 +18,18 @@
 //!    the full dependency system.
 //! 2. **Freezes** the graph into a [`ReplayGraph`]: compressed-sparse-row
 //!    arenas for successor lists, access declarations and reduction
-//!    memberships (built once, no per-node allocations survive
-//!    freezing), per-task atomic in-degree counters reset between
-//!    iterations by a single `memcpy` from a precomputed template, and
-//!    reduction-chain groups that keep the paper's concurrent-reduction
-//!    semantics (private per-worker slots, combined once when the last
-//!    chain member finishes).
-//! 3. **Replays** iterations `1..n`: task bodies are captured by simply
-//!    enumerating the user closure again, matched to graph nodes by
-//!    creation order, and spawned *held* (`TaskCtx::spawn_held`) —
-//!    fully bypassing dependency registration and release. A task is
-//!    handed to the configured scheduler (delegation, central or
-//!    work-stealing — replay is scheduler-agnostic) the moment its
-//!    in-degree counter hits zero.
+//!    memberships, plus the state one iteration mutates — per-task
+//!    atomic in-degree counters and one reduction chain per group
+//!    (private per-worker slots, combined once when the last member
+//!    finishes) — built once and re-armed in place between iterations.
+//! 3. **Replays** iterations `1..n`: the user closure runs again, each
+//!    spawn builds its task as usual and the capture, offered that
+//!    task, matches it to a graph node by creation order and keeps it
+//!    *held* (`TaskCtx::hold`) — no dependency registration or release,
+//!    no heap allocation and no per-task reference count. A task is
+//!    handed to the configured scheduler (replay is scheduler-agnostic)
+//!    the moment its in-degree counter hits zero; the graph, installed
+//!    as the root's held-children epilogue, releases its successors.
 //!
 //! Divergence is detected by a cheap structural hash (word-folded over
 //! labels, priorities and access sets, in creation order) and handled
@@ -48,8 +47,8 @@
 //! see whether the body re-stabilized. A recorded or replayed iteration
 //! that created tasks the capture did not see, including root
 //! `taskwait_on` — the runtime's `tasks_created` delta exceeds the
-//! spawns the capture was offered — is pinned for good. Correctness never depends on the graphs
-//! actually matching: a divergent iteration awaits its replayed prefix
+//! spawns the capture was offered — is pinned for good. Correctness
+//! never depends on the graphs actually matching: a divergent iteration awaits its replayed prefix
 //! and runs the rest through the dependency system. The three limits are
 //! constants of the engine, not configuration.
 //!

@@ -6,7 +6,10 @@
 //! 10 000 spawns make only the run's fixed handful of allocations,
 //! whether they declare no access, one readwrite (the chains shape) or
 //! six with a reduction (the Heat shape). A 56-byte body takes the
-//! boxed fallback: one allocation per spawn.
+//! boxed fallback: one allocation per spawn. Replay feeds the Heat
+//! shape without an allocation per task or per iteration: the capture
+//! holds the task the spawn built, and the frozen graph's iteration
+//! state is re-armed in place.
 //!
 //! A run that holds more tasks at once than the runs before it takes
 //! fresh task shells, and with them fresh decls buffers, slab and
@@ -25,7 +28,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::hint::black_box;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use nanotask::{Deps, RedOp, Runtime, RuntimeConfig, TaskCtx};
+use nanotask::{Deps, RedOp, RunIterative, Runtime, RuntimeConfig, TaskCtx};
 
 /// Forwards to the system allocator and counts every allocation,
 /// reallocation included, on every thread.
@@ -93,6 +96,47 @@ fn allocs_per_run(rt: &Runtime, spawn: impl Fn(&TaskCtx, u64) + Copy + Send + 's
     if warm < u64::MAX { warm } else { fewest }
 }
 
+/// Global allocations made by `run_iterative(iters)` of `REPLAYED`
+/// Heat-shaped spawns per iteration: the fewest any of 8 calls made,
+/// after one warm-up call.
+fn allocs_per_replay(rt: &Runtime, iters: usize, sum: usize) -> u64 {
+    let run = || {
+        rt.run_iterative(iters, move |ctx| {
+            for i in 0..REPLAYED {
+                ctx.spawn(heat_deps(i, sum), move |c| unsafe {
+                    *c.red_slot(&*(sum as *const f64)) += 1.0;
+                });
+            }
+        })
+    };
+    run();
+    (0..8)
+        .map(|_| {
+            let before = ALLOCS.load(Ordering::Relaxed);
+            let report = run();
+            assert_eq!(report.replayed, iters - 1, "{report}");
+            ALLOCS.load(Ordering::Relaxed) - before
+        })
+        .min()
+        .unwrap()
+}
+
+/// Root spawns per replayed iteration.
+const REPLAYED: u64 = 1_000;
+
+/// The Heat shape: inout own block, in four neighbours, a sum reduction.
+fn heat_deps(i: u64, sum: usize) -> Deps {
+    let deps = Deps::new()
+        .readwrite_addr(block(i))
+        .read_addr(block(i + 1))
+        .read_addr(block(i + 2))
+        .read_addr(block(i + 3))
+        .read_addr(block(i + 4))
+        .reduce_addr(sum, 8, RedOp::SumF64);
+    assert_eq!(deps.len(), 6);
+    deps
+}
+
 /// An access-free spawn of a body that captures `[u64; WORDS]`.
 fn spawn_words<const WORDS: usize>(ctx: &TaskCtx, i: u64) {
     let words = [i; WORDS];
@@ -128,22 +172,22 @@ fn inline_bodies_skip_the_heap_and_oversized_bodies_box() {
         chains <= 16,
         "{chains} global allocations for {TASKS} spawns with 1 access"
     );
-    // The Heat shape: inout own block, in four neighbours, a sum reduction.
     let sum = Box::leak(Box::new(0.0f64)) as *mut f64 as usize;
     let heat = allocs_per_run(&rt, move |ctx, i| {
-        let deps = Deps::new()
-            .readwrite_addr(block(i))
-            .read_addr(block(i + 1))
-            .read_addr(block(i + 2))
-            .read_addr(block(i + 3))
-            .read_addr(block(i + 4))
-            .reduce_addr(sum, 8, RedOp::SumF64);
-        assert_eq!(deps.len(), 6);
-        ctx.spawn(deps, |_| {});
+        ctx.spawn(heat_deps(i, sum), |_| {});
     });
     assert!(
         heat <= 16,
         "{heat} global allocations for {TASKS} spawns with 6 accesses"
+    );
+    // The Heat shape replayed: 10 more iterations, 10 000 more fed tasks.
+    let (one, eleven) = (
+        allocs_per_replay(&rt, 1, sum),
+        allocs_per_replay(&rt, 11, sum),
+    );
+    assert!(
+        eleven.saturating_sub(one) <= 16,
+        "{eleven} global allocations for 11 replay iterations, {one} for 1"
     );
     let boxed = allocs_per_run(&rt, spawn_words::<7>);
     assert!(
