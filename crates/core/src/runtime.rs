@@ -20,7 +20,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
 use nanotask_alloc::{AllocStats, AllocatorKind, RuntimeAllocator, TaskSlab, make_allocator};
 use nanotask_locks::{Backoff, CachePadded};
-use nanotask_obs::{Counter, Gauge, Histogram, MaxGauge, Registry, Snapshot};
+use nanotask_obs::{Counter, Gauge, MaxGauge, Registry, Snapshot};
 use nanotask_trace::noise::{NoiseConfig, NoiseInjector};
 use nanotask_trace::{CoreRecorder, EventKind, Trace, Tracer};
 
@@ -219,17 +219,12 @@ pub struct RuntimeConfig {
     pub alloc: AllocatorKind,
     /// Ready-queue ordering policy.
     pub policy: Policy,
-    /// Record trace events.
+    /// Record trace events: the runtime's one source of timings.
     pub trace: bool,
     /// Record dependency edges (Figure 1 graph dump).
     pub record_graph: bool,
     /// Synthetic OS-noise injection (Figure 11).
     pub noise: Option<NoiseConfig>,
-    /// Latency histograms (task execution time, ready-queue wait):
-    /// sampled clock reads on the hot path when on.
-    /// Plain counters are registry-backed and always on regardless —
-    /// this knob only gates the paths that need a timestamp.
-    pub metrics: bool,
     /// Stall watchdog: when set, a monitor thread trips after tasks have
     /// been pending with no completed body for this long, failing the
     /// run with a [`FailureKind::WatchdogStall`] diagnostic (life-cycle
@@ -263,7 +258,6 @@ impl RuntimeConfig {
             trace: false,
             record_graph: false,
             noise: None,
-            metrics: false,
             watchdog: None,
             fault_plan: None,
             label: "optimized",
@@ -380,13 +374,6 @@ impl RuntimeConfig {
     /// Set the NUMA-node count (min 1).
     pub fn with_numa_nodes(mut self, n: usize) -> Self {
         self.numa_nodes = n.max(1);
-        self
-    }
-
-    /// Toggle the latency histograms (see [`RuntimeConfig::metrics`];
-    /// off by default — counters stay on either way).
-    pub fn with_metrics(mut self, on: bool) -> Self {
-        self.metrics = on;
         self
     }
 
@@ -535,14 +522,10 @@ pub struct RuntimeStats {
 /// Registry-backed runtime metrics: one handle per counter family, the
 /// same sharded single-writer discipline as the §5 tracer (each worker
 /// increments only its own cache-padded cell; readers aggregate).
-/// Counters and gauges are always live — they replace the old `Shared`
-/// atomics one for one. Histograms need a clock read, so they are gated
-/// by [`RuntimeConfig::metrics`] and sampled every 32nd task per worker
-/// ([`Metrics::SAMPLE_MASK`]).
+/// It holds counts only: where time went is read from the trace
+/// ([`nanotask_trace::timeline::layers`]).
 pub(crate) struct Metrics {
     pub registry: Registry,
-    /// Histogram/timestamp gate ([`RuntimeConfig::metrics`]).
-    pub enabled: bool,
     pub tasks_created: Counter,
     pub tasks_executed: Counter,
     pub tasks_freed: Counter,
@@ -556,10 +539,6 @@ pub(crate) struct Metrics {
     /// The cells the dependency systems count in (accesses under both,
     /// deliveries and duplicates under the wait-free one).
     pub deps_deliveries: DeliveryCounters,
-    /// Task-body execution time (sampled).
-    pub task_exec_ns: Histogram,
-    /// Ready-queue wait: scheduler hand-off → body start (sampled).
-    pub queue_wait_ns: Histogram,
     /// Gauges published as absolute values at snapshot time
     /// ([`Runtime::metrics_snapshot`]) — no hot-path writes: the live
     /// task count (`tasks_created − tasks_freed`) and the allocator
@@ -577,11 +556,6 @@ pub(crate) struct Metrics {
 }
 
 impl Metrics {
-    /// Sampling mask for the timed paths: one sample per 32 tasks, so
-    /// `tick & SAMPLE_MASK == 0` selects samples with an AND instead of a
-    /// division on the per-task hot path.
-    const SAMPLE_MASK: u64 = 31;
-
     fn new(cfg: &RuntimeConfig) -> Self {
         let registry = Registry::with_base(
             cfg.workers.max(1),
@@ -591,7 +565,6 @@ impl Metrics {
             ],
         );
         Self {
-            enabled: cfg.metrics,
             tasks_created: registry.counter("nanotask_tasks_created_total"),
             tasks_executed: registry.counter("nanotask_tasks_executed_total"),
             tasks_freed: registry.counter("nanotask_tasks_freed_total"),
@@ -600,8 +573,6 @@ impl Metrics {
             tasks_cancelled: registry.counter("nanotask_tasks_cancelled_total"),
             watchdog_trips: registry.counter("nanotask_watchdog_trips_total"),
             deps_deliveries: DeliveryCounters::new(&registry),
-            task_exec_ns: registry.histogram("nanotask_task_exec_ns"),
-            queue_wait_ns: registry.histogram("nanotask_queue_wait_ns"),
             live_tasks: registry.gauge("nanotask_live_tasks"),
             alloc_pool_hits: registry.gauge("nanotask_alloc_pool_hits"),
             alloc_pool_misses: registry.gauge("nanotask_alloc_pool_misses"),
@@ -672,7 +643,7 @@ pub(crate) struct Shared {
     /// owns cell `id - 1`; worker 0 is the thread that calls `trace`).
     pub flush_epoch: AtomicU64,
     pub flush_acked: Box<[CachePadded<AtomicU64>]>,
-    /// Registry-backed counters, gauges and histograms. The life-cycle
+    /// Registry-backed counters and gauges. The life-cycle
     /// counters (created/executed/freed/failed) and `max_taskwait_depth`
     /// live here; the replay engine reads deltas of `tasks_created` to
     /// find spawns its capture was not offered, and of `tasks_failed`
@@ -714,11 +685,6 @@ pub(crate) struct WorkerCtx {
     /// `taskwait` / `taskwait_on` calls active on this worker's stack
     /// (maintained by [`TaskCtx::help_until`]).
     taskwait_depth: core::cell::Cell<usize>,
-    /// Metrics sampling cursors (thread-confined): enqueue-side for the
-    /// queue-wait stamp, execute-side for the body-time histogram. One
-    /// clock read per 32 tasks each.
-    metrics_enq_tick: core::cell::Cell<u64>,
-    metrics_exec_tick: core::cell::Cell<u64>,
     /// The installed root-spawn capture. Only `Runtime::main` ever holds
     /// one: the root task runs there and nowhere else.
     capture: RefCell<Option<Arc<dyn SpawnCapture>>>,
@@ -731,8 +697,6 @@ impl WorkerCtx {
             shared,
             recorder: RefCell::new(recorder),
             taskwait_depth: core::cell::Cell::new(0),
-            metrics_enq_tick: core::cell::Cell::new(0),
-            metrics_exec_tick: core::cell::Cell::new(0),
             capture: RefCell::new(None),
         }
     }
@@ -784,23 +748,6 @@ impl WorkerCtx {
         t
     }
 
-    /// Queue-wait sampling, producer side: every 32nd
-    /// release stamps its task with the tracer clock; the executing
-    /// worker reads the stamp back in `run_body`. One clock read per
-    /// sample interval, nothing at all with metrics off.
-    fn stamp_ready(&self, t: *mut Task) {
-        let m = &self.shared.metrics;
-        if !m.enabled {
-            return;
-        }
-        let tick = self.metrics_enq_tick.get().wrapping_add(1);
-        self.metrics_enq_tick.set(tick);
-        if tick & Metrics::SAMPLE_MASK == 0 {
-            // `max(1)`: 0 means "never stamped".
-            unsafe { (*t).ready_ns = self.shared.tracer.now().max(1) };
-        }
-    }
-
     /// The one work-assisting wait loop: run tasks popped in `scope`
     /// until `done`. The noise injector is polled before every `done`
     /// test, so even a wait that is already over when it starts polls it
@@ -829,10 +776,8 @@ impl WorkerCtx {
         }
     }
 
-    /// A task became ready: stamp it for the queue-wait histogram and
-    /// hand it to the scheduler.
+    /// A task became ready: hand it to the scheduler.
     fn add_ready(&self, t: *mut Task) {
-        self.stamp_ready(t);
         let mut rec = self.recorder.borrow_mut();
         self.shared
             .sched
@@ -1319,25 +1264,6 @@ fn record_body_failure(w: &WorkerCtx, t: *mut Task, payload: Box<dyn std::any::A
 fn run_body(w: &WorkerCtx, t: *mut Task) {
     let id = unsafe { (*t).id };
     let m = &w.shared.metrics;
-    // Sampled latency instrumentation: a queue-wait stamp left by the
-    // producer side, and the per-worker execute-side sampling cursor.
-    // Both histograms share one clock read when they fire together.
-    let mut exec_t0 = 0u64;
-    if m.enabled {
-        let ready_ns = unsafe { core::mem::replace(&mut (*t).ready_ns, 0) };
-        let tick = w.metrics_exec_tick.get().wrapping_add(1);
-        w.metrics_exec_tick.set(tick);
-        let sampled = tick & Metrics::SAMPLE_MASK == 0;
-        if ready_ns != 0 || sampled {
-            let now = w.shared.tracer.now();
-            if ready_ns != 0 {
-                m.queue_wait_ns.record(w.id, now.saturating_sub(ready_ns));
-            }
-            if sampled {
-                exec_t0 = now.max(1);
-            }
-        }
-    }
     w.record(EventKind::TaskStart, id);
     {
         let ctx = TaskCtx { task: t, worker: w };
@@ -1360,22 +1286,22 @@ fn run_body(w: &WorkerCtx, t: *mut Task) {
         }
         // The epilogue runs even for cancelled/failed tasks: it drives
         // the replay engine's per-iteration countdown, which must drain.
+        // A panic in it fails the task like a body panic, so it cannot
+        // unwind through the worker.
         // SAFETY: the parent outlives its unfinished held child and keeps
         // its epilogue until then (`TaskCtx::hold`).
         unsafe {
             if let Some(tag) = (*t).held
                 && let Some(epi) = (*(*t).parent).held_epilogue()
+                && let Err(payload) =
+                    std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| epi.run(&ctx, tag)))
             {
-                epi.run(&ctx, tag);
+                record_body_failure(w, t, payload);
             }
         }
     }
     w.record(EventKind::TaskEnd, id);
     m.tasks_executed.inc(w.id);
-    if exec_t0 != 0 {
-        m.task_exec_ns
-            .record(w.id, w.shared.tracer.now().saturating_sub(exec_t0));
-    }
 }
 
 /// Execute a task body and run the completion protocol: every successor
@@ -1742,12 +1668,6 @@ impl Runtime {
         self.shared.metrics.registry.snapshot()
     }
 
-    /// Whether the sampled latency histograms are live
-    /// ([`RuntimeConfig::metrics`]).
-    pub fn metrics_enabled(&self) -> bool {
-        self.shared.metrics.enabled
-    }
-
     /// Collect the trace recorded so far. Between runs it is exact: it
     /// asks every worker to flush and waits until each has, so every
     /// event of every finished run appears. The wait costs only this
@@ -1860,7 +1780,6 @@ mod tests {
             trace: _,
             record_graph: _,
             noise: _,
-            metrics: _,
             watchdog: _,
             fault_plan: _,
             label: _,
@@ -1875,7 +1794,6 @@ mod tests {
             Policy::Fifo | Policy::Priority => {}
         }
         assert_eq!(crate::sched::sync_sched::SPSC_CAPACITY, 100);
-        assert_eq!(Metrics::SAMPLE_MASK + 1, 32);
     }
 
     /// Pins the cache-line layout of the runtime's shared state: every
@@ -1927,7 +1845,6 @@ mod tests {
                 cold: _,
                 priority: _,
                 held: _,
-                ready_ns: _,
             } = t;
         };
         // Written per spawn by every creator.
@@ -1935,7 +1852,7 @@ mod tests {
         assert_eq!(size_of::<CachePadded<AtomicU64>>() % 128, 0);
         assert_eq!(size_of::<TaskState>(), 8);
         // The shell, with its 48-byte in-place body slot.
-        assert_eq!(size_of::<Task>(), 176);
+        assert_eq!(size_of::<Task>(), 168);
     }
 
     #[test]
@@ -2624,6 +2541,35 @@ mod tests {
         fn reduction(&self, _: u32, _: usize) -> Option<&ReductionInfo> {
             None
         }
+    }
+
+    /// An epilogue that panics.
+    struct PanickingEpilogue;
+
+    impl TaskEpilogue for PanickingEpilogue {
+        fn run(&self, _: &TaskCtx, _: u32) {
+            std::panic::panic_any(format!("{FAULT_PANIC_PREFIX}: epilogue"));
+        }
+
+        fn reduction(&self, _: u32, _: usize) -> Option<&ReductionInfo> {
+            None
+        }
+    }
+
+    /// A panic in a held task's epilogue fails that task like a body
+    /// panic: it does not unwind through the worker, and the run drains.
+    #[test]
+    fn epilogue_panic_is_a_task_failure() {
+        let rt = Runtime::new(RuntimeConfig::optimized().workers(1));
+        let outcome = rt.run_outcome(|ctx| {
+            ctx.set_held_epilogue(Arc::new(PanickingEpilogue));
+            let held = ctx.spawn_held("held", 0, Deps::new(), |_| {}, 0);
+            ctx.release_held(held);
+        });
+        assert_eq!(outcome.failures.len(), 1, "{}", outcome.summary());
+        assert_eq!(outcome.failures[0].kind, FailureKind::Panic);
+        assert!(outcome.completed);
+        assert_eq!(rt.live_tasks(), 0);
     }
 
     /// A held child reads its parent's epilogue without synchronization,

@@ -61,15 +61,17 @@ impl<L: RawLock> CentralScheduler<L> {
 
 impl<L: RawLock> Scheduler for CentralScheduler<L> {
     fn add_ready(&self, task: TaskPtr, worker: usize, rec: Rec<'_>) {
+        // Recorded before the push, as the other schedulers do, so the
+        // task's `TaskStart` on another worker cannot precede it.
+        if let Some(r) = rec {
+            r.record(EventKind::AddReady, unsafe { (*task.0).id });
+        }
         self.counters.add(worker);
         self.lock.lock();
         self.counters.lock(worker);
         // SAFETY: queue accessed only under `lock`.
         unsafe { (*self.queue.get()).push(task) };
         self.lock.unlock();
-        if let Some(r) = rec {
-            r.record(EventKind::AddReady, unsafe { (*task.0).id });
-        }
     }
 
     fn get_ready_within(&self, worker: usize, scope: Scope, _rec: Rec<'_>) -> Option<TaskPtr> {

@@ -323,10 +323,6 @@ pub struct Task {
     /// to release them, and it runs its parent's held-children epilogue
     /// with `tag` (the replay engine's node index).
     pub(crate) held: Option<u32>,
-    /// Metrics: tracer-epoch timestamp of the (sampled) moment this task
-    /// was handed to the scheduler — 0 when never stamped. Read and
-    /// reset by the executing worker to measure ready-queue wait.
-    pub ready_ns: u64,
 }
 
 // SAFETY: raw pointers follow the module doc's protocol; the body slot
@@ -367,7 +363,6 @@ impl Task {
             cold: None,
             priority: 0,
             held: None,
-            ready_ns: 0,
         }
     }
 
@@ -395,7 +390,6 @@ impl Task {
         self.n_accesses = 0;
         self.priority = 0;
         self.held = None;
-        self.ready_ns = 0;
     }
 
     /// Clear a dead task into a recyclable shell: drop the *contents*
@@ -416,7 +410,6 @@ impl Task {
             cold.completion_flag = None;
             cold.held_epilogue = None;
         }
-        self.ready_ns = 0;
     }
 
     /// Declared accesses. Safe to read once the task is published (the

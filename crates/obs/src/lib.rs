@@ -15,8 +15,8 @@
 //!   [`registry::MaxGauge`] cells plus log-bucketed fixed-64-bucket
 //!   pow-2 [`registry::Histogram`]s (HDR-style: bucket `i` holds values
 //!   whose bit-length is `i`, so relative error is bounded by 2× at any
-//!   magnitude) for task execution time, ready-queue wait, release-batch
-//!   size and replay feed time.
+//!   magnitude). The runtime registers no histogram: its timings come
+//!   from the trace (`nanotask_trace::timeline::layers`).
 //! * [`perfetto`] — converts a CTF-lite `Trace` into a Chrome/Perfetto
 //!   `trace.json` (one track per core, complete spans from task and
 //!   replay-iteration events, instants for cache hits and giveups).

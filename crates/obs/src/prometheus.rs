@@ -225,7 +225,7 @@ mod tests {
         reg.counter("nanotask_tasks_executed_total").add(0, 42);
         reg.counter("nanotask_tasks_freed_total").add(1, 9);
         reg.gauge("nanotask_live_tasks").set(1);
-        let h = reg.histogram("nanotask_task_exec_ns");
+        let h = reg.histogram("demo_latency_ns");
         h.record(0, 100);
         h.record(1, 90_000);
         reg.snapshot()
@@ -241,9 +241,9 @@ mod tests {
         assert!(text.contains(
             "nanotask_tasks_freed_total{scheduler=\"Delegation\",deps=\"WaitFree\"} 9\n"
         ));
-        assert!(text.contains("nanotask_task_exec_ns_bucket"));
+        assert!(text.contains("demo_latency_ns_bucket"));
         assert!(text.contains("le=\"+Inf\"} 2\n"));
-        assert!(text.contains("nanotask_task_exec_ns_sum"));
+        assert!(text.contains("demo_latency_ns_sum"));
         let samples = validate(&text).expect("own output validates");
         // 2 counters + 1 gauge + hist(2 buckets + Inf + sum + count).
         assert_eq!(samples, 8);

@@ -25,7 +25,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use nanotask_core::{OfferedTask, RunOutcome, Runtime, SpawnCapture, TaskCtx};
-use nanotask_obs::{Counter, Histogram, MaxGauge, Registry};
+use nanotask_obs::{Counter, MaxGauge, Registry};
 use nanotask_trace::EventKind;
 
 use crate::cache::GraphCache;
@@ -179,12 +179,10 @@ impl core::fmt::Display for ReplayReport {
 }
 
 /// Registry handles mirroring the monotone [`ReplayReport`] counters
-/// (`nanotask_replay_*_total`) plus the per-iteration feed-time
-/// histogram. The bespoke report stays the source of truth — the
-/// registry view is written from it once per `run_iterative` call, so
-/// the two can be compared field-by-field (`registry_mirrors_the_report`) and
-/// the registry accumulates across calls on the same runtime.
-#[derive(Clone)]
+/// (`nanotask_replay_*_total`). The report stays the source of truth:
+/// the registry view is written from it once per `run_iterative` call,
+/// so the two compare field by field (`registry_mirrors_the_report`)
+/// and the registry accumulates across calls on the same runtime.
 struct ReplayObs {
     iterations: Counter,
     replayed: Counter,
@@ -200,10 +198,6 @@ struct ReplayObs {
     faulted: Counter,
     /// A high-water mark, not a sum: the largest frozen graph.
     graph_bytes: MaxGauge,
-    /// Wall time the root body spent feeding one replayed iteration into
-    /// the frozen graph (sampled only while
-    /// [`nanotask_core::Runtime::metrics_enabled`]).
-    feed_ns: Histogram,
 }
 
 impl ReplayObs {
@@ -222,7 +216,6 @@ impl ReplayObs {
             freeze_ns: reg.counter("nanotask_replay_freeze_ns_total"),
             faulted: reg.counter("nanotask_replay_faulted_iterations_total"),
             graph_bytes: reg.max_gauge("nanotask_replay_graph_bytes"),
-            feed_ns: reg.histogram("nanotask_replay_feed_ns"),
         }
     }
 
@@ -502,8 +495,6 @@ enum Plan {
 struct Engine<'a> {
     ctx: &'a TaskCtx<'a>,
     cap: &'a EngineCapture,
-    /// Feed-time samples, taken only while metrics are on.
-    feed_hist: Option<Histogram>,
     plan: Plan,
     /// Structural hash of the previous iteration, when known (feeds the
     /// cache's phase predictor).
@@ -565,11 +556,7 @@ impl Engine<'_> {
         let created0 = ctx.tasks_created();
         ctx.trace_mark(EventKind::ReplayIterBegin, iter as u64);
         self.cap.set_feed(ctx, g);
-        let feed_t0 = self.feed_hist.as_ref().map(|_| Instant::now());
         body(ctx);
-        if let (Some(h), Some(t0)) = (&self.feed_hist, feed_t0) {
-            h.record(0, t0.elapsed().as_nanos() as u64);
-        }
         let feed = self.cap.end_feed();
         ctx.taskwait();
         let surplus = ctx.tasks_created() - created0 - feed.offered() as u64;
@@ -783,11 +770,6 @@ impl RunIterative for Runtime {
         let capture = Arc::new(EngineCapture::new());
         self.set_spawn_capture(Some(Arc::clone(&capture) as _));
         let obs = ReplayObs::new(self.metrics_registry());
-        let feed_hist = if self.metrics_enabled() {
-            Some(obs.feed_ns.clone())
-        } else {
-            None
-        };
 
         // All iterations run inside ONE root task, separated by taskwait
         // barriers: workers never tear down between iterations, which
@@ -799,7 +781,6 @@ impl RunIterative for Runtime {
             let mut engine = Engine {
                 ctx,
                 cap: &cap,
-                feed_hist,
                 plan: Plan::Record,
                 prev_hash: None,
                 fails: 0,
@@ -883,7 +864,7 @@ mod tests {
     /// runs on one runtime.
     #[test]
     fn registry_mirrors_the_report() {
-        let rt = Runtime::new(RuntimeConfig::optimized().workers(3).with_metrics(true));
+        let rt = Runtime::new(RuntimeConfig::optimized().workers(3));
         let count = Arc::new(AtomicU64::new(0));
         let c = Arc::clone(&count);
         let recycled0 = rt.run_report().stats.alloc.recycle_hits;
@@ -946,10 +927,6 @@ mod tests {
             snap.gauge("nanotask_replay_graph_bytes"),
             Some(report.graph_bytes)
         );
-        // Metrics are on: every replay-arm iteration (complete or
-        // diverged) records exactly one feed-time sample.
-        let feed = snap.histogram("nanotask_replay_feed_ns").unwrap();
-        assert_eq!(feed.count, (report.replayed + report.diverged) as u64);
         // A second run on the same runtime accumulates into the registry.
         let c = Arc::clone(&count);
         let second = rt.run_iterative(4, move |ctx| {

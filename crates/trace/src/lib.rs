@@ -88,11 +88,6 @@ impl Tracer {
         self.shared.enabled.store(on, Ordering::Relaxed);
     }
 
-    /// Nanoseconds since the tracer epoch.
-    pub fn now(&self) -> u64 {
-        self.shared.epoch.elapsed().as_nanos() as u64
-    }
-
     /// Collect every flushed event into a [`Trace`], sorted by timestamp.
     /// Recorders must have been dropped (or explicitly flushed) first.
     pub fn finish(&self) -> Trace {

@@ -10,6 +10,8 @@
 //! statistics (starvation fraction, serve counts/bursts) used to compare
 //! the PTLock and DTLock schedulers quantitatively.
 
+use std::collections::HashMap;
+
 use crate::Trace;
 use crate::event::EventKind;
 
@@ -603,6 +605,72 @@ impl Timeline {
     }
 }
 
+/// Where a run's time went, per sample, in ns: three layers of a task's
+/// life read from the trace alone (see [`layers`]).
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct Layers {
+    /// One sample per task body that ended: `TaskStart` → `TaskEnd` of
+    /// the same id on one core. A span holds the tasks its taskwait ran.
+    pub body_ns: Vec<u64>,
+    /// One sample per task handed to the scheduler that started:
+    /// `AddReady` → `TaskStart` of the same id, on any cores. The root is
+    /// never added, so it has none.
+    pub queue_wait_ns: Vec<u64>,
+    /// One sample per iteration fed from a frozen graph (replayed or
+    /// diverged): `ReplayIterBegin` → the first `TaskwaitBegin` on that
+    /// core whose payload is the outermost task open there (the root),
+    /// or → `ReplayIterEnd` when there is none. So a diverged
+    /// iteration's sample ends at its divergence barrier, and one whose
+    /// tasks had all finished ends after the engine's bookkeeping.
+    pub feed_ns: Vec<u64>,
+}
+
+/// Rebuild the [`Layers`] of a trace. Task spans are matched per core
+/// innermost-first, as the Perfetto exporter matches them, since a
+/// taskwait nests the spans of the tasks it runs.
+pub fn layers(trace: &Trace) -> Layers {
+    let mut out = Layers::default();
+    // Per core: open task spans (id, start), innermost last, and the
+    // open feed window (start, root id).
+    let mut open: HashMap<u16, Vec<(u64, u64)>> = HashMap::new();
+    let mut feed: HashMap<u16, (u64, Option<u64>)> = HashMap::new();
+    // Task id -> when it was handed to the scheduler.
+    let mut ready: HashMap<u64, u64> = HashMap::new();
+    for e in trace.events() {
+        let spans = open.entry(e.core).or_default();
+        match e.kind {
+            EventKind::AddReady => {
+                ready.insert(e.payload, e.ns);
+            }
+            EventKind::TaskStart => {
+                if let Some(at) = ready.remove(&e.payload) {
+                    out.queue_wait_ns.push(e.ns.saturating_sub(at));
+                }
+                spans.push((e.payload, e.ns));
+            }
+            EventKind::TaskEnd => {
+                if let Some(i) = spans.iter().rposition(|&(id, _)| id == e.payload) {
+                    let (_, start) = spans.remove(i);
+                    out.body_ns.push(e.ns.saturating_sub(start));
+                }
+            }
+            EventKind::ReplayIterBegin => {
+                feed.insert(e.core, (e.ns, spans.first().map(|&(id, _)| id)));
+            }
+            EventKind::TaskwaitBegin | EventKind::ReplayIterEnd => {
+                if let Some(&(start, root)) = feed.get(&e.core)
+                    && (e.kind == EventKind::ReplayIterEnd || root == Some(e.payload))
+                {
+                    feed.remove(&e.core);
+                    out.feed_ns.push(e.ns.saturating_sub(start));
+                }
+            }
+            _ => {}
+        }
+    }
+    out
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -633,6 +701,40 @@ mod tests {
                 ev(200, 1, EventKind::TaskEnd, 2),
             ],
         )
+    }
+
+    /// Root 1 on core 0 feeds one replayed iteration; task 2 waits in the
+    /// queue, runs on core 1 and takes its own taskwait, during which
+    /// task 3 runs nested. A second iteration's tasks had all finished,
+    /// so its feed ends at `ReplayIterEnd`.
+    #[test]
+    fn layers_match_spans_and_close_feeds_at_the_root_taskwait() {
+        use EventKind::*;
+        let trace = Trace::from_events(
+            2,
+            vec![
+                ev(0, 0, TaskStart, 1),
+                ev(10, 0, ReplayIterBegin, 0),
+                ev(20, 0, AddReady, 2),
+                ev(25, 0, AddReady, 3),
+                ev(40, 0, TaskwaitBegin, 1),
+                ev(50, 1, TaskStart, 2),
+                ev(60, 1, TaskwaitBegin, 2),
+                ev(65, 1, TaskStart, 3),
+                ev(75, 1, TaskEnd, 3),
+                ev(80, 1, TaskwaitEnd, 2),
+                ev(90, 1, TaskEnd, 2),
+                ev(95, 0, TaskwaitEnd, 1),
+                ev(100, 0, ReplayIterEnd, 0),
+                ev(110, 0, ReplayIterBegin, 1),
+                ev(130, 0, ReplayIterEnd, 1),
+                ev(140, 0, TaskEnd, 1),
+            ],
+        );
+        let l = layers(&trace);
+        assert_eq!(l.body_ns, [10, 40, 140]);
+        assert_eq!(l.queue_wait_ns, [30, 40]);
+        assert_eq!(l.feed_ns, [30, 20]);
     }
 
     #[test]

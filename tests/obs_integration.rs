@@ -1,13 +1,15 @@
-//! Observability end to end: the sampled histograms and both exporters
-//! on a live replayed run, plus the metric-schema table every external reader of `metrics_snapshot()`
-//! (dashboards, `benchmark/src/adapters.rs`) depends on.
+//! Observability end to end: the time layers read from the trace and
+//! both exporters on a live replayed run, plus the metric-schema table
+//! every external reader of `metrics_snapshot()` (dashboards,
+//! `benchmark/src/adapters.rs`) depends on.
 
 use std::collections::BTreeSet;
 use std::time::Instant;
 
 use nanotask::obs::{perfetto, prometheus};
+use nanotask::trace::timeline;
 use nanotask::workloads::iterative_workload_by_name;
-use nanotask::{Deps, RunIterative, Runtime, RuntimeConfig};
+use nanotask::{Deps, ReplayReport, RunIterative, Runtime, RuntimeConfig};
 
 const WORKERS: usize = 4;
 
@@ -58,14 +60,9 @@ fn balance_scanner_rejects_malformed_documents() {
     }
 }
 
-/// One replayed Heat run with every observability layer on.
-fn observed_heat_run() -> Runtime {
-    let rt = Runtime::new(
-        RuntimeConfig::optimized()
-            .workers(WORKERS)
-            .tracing(true)
-            .with_metrics(true),
-    );
+/// One replayed Heat run, traced.
+fn observed_heat_run() -> (Runtime, ReplayReport) {
+    let rt = Runtime::new(RuntimeConfig::optimized().workers(WORKERS).tracing(true));
     let mut heat = iterative_workload_by_name("heat", 1).expect("heat workload");
     heat.set_iterations(8);
     let bs = heat.block_sizes()[0]; // finest blocks = most counter traffic
@@ -73,28 +70,39 @@ fn observed_heat_run() -> Runtime {
     heat.verify().unwrap();
     report.assert_classification();
     assert!(report.replayed > 0, "{report}");
-    rt
+    (rt, report)
 }
 
+/// The trace holds one body sample per executed task, one queue-wait
+/// sample per task but the root (never handed to the scheduler), and
+/// one feed sample per iteration that fed a frozen graph.
 #[test]
-fn gated_histograms_sample_on_a_replayed_run() {
-    let snap = observed_heat_run().metrics_snapshot();
-    for name in ["nanotask_task_exec_ns", "nanotask_replay_feed_ns"] {
-        let h = snap.histogram(name).unwrap_or_else(|| panic!("{name}"));
-        assert!(h.count > 0, "metrics on: {name} must sample");
+fn trace_layers_count_every_task_on_a_replayed_run() {
+    let (rt, report) = observed_heat_run();
+    let layers = timeline::layers(&rt.trace());
+    let executed = rt.stats().tasks_executed as usize;
+    assert_eq!(layers.body_ns.len(), executed);
+    assert_eq!(layers.queue_wait_ns.len(), executed - 1);
+    assert_eq!(layers.feed_ns.len(), report.replayed + report.diverged);
+    for (name, samples) in [
+        ("body", &layers.body_ns),
+        ("queue wait", &layers.queue_wait_ns),
+        ("feed", &layers.feed_ns),
+    ] {
+        assert!(samples.iter().all(|&ns| ns > 0), "a {name} sample is 0 ns");
     }
 }
 
 #[test]
 fn prometheus_dump_of_a_live_snapshot_validates() {
-    let snap = observed_heat_run().metrics_snapshot();
+    let snap = observed_heat_run().0.metrics_snapshot();
     let lines = prometheus::validate(&prometheus::render(&snap)).expect("well-formed exposition");
     assert!(lines > 0, "prometheus dump must contain sample lines");
 }
 
 #[test]
 fn perfetto_export_has_a_span_on_every_worker_track() {
-    let rt = observed_heat_run();
+    let (rt, _) = observed_heat_run();
     // Heat's dependence chains can stay on few workers; a wide
     // independent fan-out of briefly-spinning bodies keeps each batch in
     // flight long enough for every worker to pick work up (repeat until
@@ -162,13 +170,11 @@ fn metric_schema_is_pinned() {
         "nanotask_deps_duplicate_deliveries_total",
         "nanotask_live_tasks",
         "nanotask_max_taskwait_depth",
-        "nanotask_queue_wait_ns",
         "nanotask_replay_cache_evictions_total",
         "nanotask_replay_cache_hits_total",
         "nanotask_replay_cache_misses_total",
         "nanotask_replay_diverged_total",
         "nanotask_replay_faulted_iterations_total",
-        "nanotask_replay_feed_ns",
         "nanotask_replay_freeze_ns_total",
         "nanotask_replay_giveups_total",
         "nanotask_replay_graph_bytes",
@@ -180,7 +186,6 @@ fn metric_schema_is_pinned() {
         "nanotask_sched_adds_total",
         "nanotask_sched_lock_acquisitions_total",
         "nanotask_sched_pops_total",
-        "nanotask_task_exec_ns",
         "nanotask_tasks_cancelled_total",
         "nanotask_tasks_created_total",
         "nanotask_tasks_executed_total",
